@@ -1580,8 +1580,7 @@ impl Coherence {
         self.debug_validate_locked(&inner, "repair_root");
     }
 
-    /// Valid-latest bytes of `region` at `space` (the scheduler's
-    /// locality oracle).
+    /// Valid-latest bytes of `region` at `space`.
     pub fn bytes_at(&self, region: &Region, space: SpaceId) -> u64 {
         let inner = self.inner.lock();
         let Some(entry) = inner.regions.get(region) else {
@@ -1595,9 +1594,18 @@ impl Coherence {
         }
     }
 
-    /// Valid-latest bytes of `region` anywhere in `spaces` (node-level
-    /// affinity: present once counts once).
-    pub fn bytes_under(&self, region: &Region, spaces: &[SpaceId]) -> u64 {
-        spaces.iter().map(|&s| self.bytes_at(region, s)).max().unwrap_or(0)
+    /// Call `found` with every space holding the latest valid copy of
+    /// `region` (each holds all `region.len` bytes), in no particular
+    /// order, under one lock — the scheduler's locality oracle.
+    pub fn latest_holders(&self, region: &Region, mut found: impl FnMut(SpaceId)) {
+        let inner = self.inner.lock();
+        let Some(entry) = inner.regions.get(region) else {
+            return;
+        };
+        for (&space, c) in &entry.copies {
+            if matches!(c.state, CState::Valid { version } if version == entry.version) {
+                found(space);
+            }
+        }
     }
 }

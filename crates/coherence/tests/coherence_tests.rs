@@ -377,19 +377,28 @@ fn bytes_at_reflects_validity_and_staleness() {
     let exec = Arc::new(TestExec::new(n.mem.clone()));
     let r = region(&n.mem, n.host, 64);
     let (gpu0, gpu1, host) = (n.gpu0, n.gpu1, n.host);
+    let holders = |coh: &Coherence, r: &Region| {
+        let mut v = Vec::new();
+        coh.latest_holders(r, |s| v.push(s));
+        v.sort();
+        v
+    };
     run_sim(async move {
         assert_eq!(coh.bytes_at(&r, gpu0), 0, "untouched region only at home");
         coh.acquire(&*exec, &r, true, gpu0).await.unwrap();
         coh.commit(&*exec, &[Access::input(r)], gpu0).await.unwrap();
         assert_eq!(coh.bytes_at(&r, gpu0), 64);
         assert_eq!(coh.bytes_at(&r, host), 64);
+        let mut both = vec![host, gpu0];
+        both.sort();
+        assert_eq!(holders(&coh, &r), both);
         // A write on gpu1 invalidates the gpu0 and host copies.
         coh.acquire(&*exec, &r, false, gpu1).await.unwrap();
         coh.commit(&*exec, &[Access::output(r)], gpu1).await.unwrap();
         assert_eq!(coh.bytes_at(&r, gpu0), 0);
         assert_eq!(coh.bytes_at(&r, host), 0);
         assert_eq!(coh.bytes_at(&r, gpu1), 64);
-        assert_eq!(coh.bytes_under(&r, &[host, gpu0, gpu1]), 64);
+        assert_eq!(holders(&coh, &r), vec![gpu1], "only the latest copy holds");
     });
 }
 

@@ -40,20 +40,39 @@ use crate::recover::Reliability;
 use crate::task::{TaskCost, TaskRecord};
 use crate::trace::{TraceEvent, TraceResource, Tracer};
 
-/// Scheduler oracle mapping each resource's space to the set of spaces
-/// whose cached data should count toward its affinity: a GPU counts
-/// only itself; a host counts itself; a node proxy counts the whole
-/// node (host + GPUs), matching the master's node-granularity view.
+/// Scheduler oracle crediting each holder of a region to the resource
+/// space it counts toward: a GPU or host counts only itself; at the
+/// master, a node proxy (keyed by the node's host) counts the whole node
+/// (host + GPUs), matching the master's node-granularity view.
 pub(crate) struct SpanOracle {
     pub coh: Arc<Coherence>,
-    pub spans: HashMap<SpaceId, Vec<SpaceId>>,
+    /// Space → span key, for spaces folded into a node proxy's span;
+    /// any other space is its own key.
+    pub span_key: HashMap<SpaceId, SpaceId>,
+}
+
+impl SpanOracle {
+    fn key(&self, space: SpaceId) -> SpaceId {
+        self.span_key.get(&space).copied().unwrap_or(space)
+    }
+
+    /// Does any space of `key`'s span hold the latest copy of `region`?
+    pub fn span_holds(&self, region: &Region, key: SpaceId) -> bool {
+        let mut held = false;
+        self.coh.latest_holders(region, |s| held |= self.key(s) == key);
+        held
+    }
 }
 
 impl LocalityOracle for SpanOracle {
-    fn bytes_at(&self, region: &Region, space: SpaceId) -> u64 {
-        match self.spans.get(&space) {
-            Some(spaces) => self.coh.bytes_under(region, spaces),
-            None => self.coh.bytes_at(region, space),
+    fn holders(&self, region: &Region, found: &mut dyn FnMut(SpaceId, u64)) {
+        let mut keys: Vec<SpaceId> = Vec::new();
+        self.coh.latest_holders(region, |s| keys.push(self.key(s)));
+        // Present once in a span counts once.
+        keys.sort_unstable();
+        keys.dedup();
+        for k in keys {
+            found(k, region.len);
         }
     }
 }
@@ -654,18 +673,11 @@ pub(crate) async fn comm_thread(shared: Arc<RtShared>, ep: AmEndpoint<ClusterMsg
                 // is a single device", §III-C3): data already valid in
                 // any space of the node needs no push.
                 process(format!("comm:push:t{}", tid.0)).daemon().spawn(async move {
-                    let node_span = shared2.master_oracle.spans.get(&host);
                     let needed: Vec<_> = rec
                         .copy_accesses()
                         .into_iter()
                         .filter(|a| a.kind.reads())
-                        .filter(|a| {
-                            !node_span
-                                .map(|span| {
-                                    shared2.coh.bytes_under(&a.region, span) == a.region.len
-                                })
-                                .unwrap_or(false)
-                        })
+                        .filter(|a| !shared2.master_oracle.span_holds(&a.region, host))
                         .collect();
                     // Asynchronous GASNet puts: stage every input at
                     // once, then send the execution request.

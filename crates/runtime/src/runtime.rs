@@ -706,7 +706,7 @@ impl Runtime {
 
         // ---- master scheduler and resources --------------------------
         let mut sched = Scheduler::new(cfg.sched_policy).with_seed(cfg.sched_seed);
-        let mut spans = std::collections::HashMap::new();
+        let mut span_key = std::collections::HashMap::new();
         let mut master_workers = Vec::new();
         for _ in 0..cfg.cpu_workers_per_node {
             master_workers.push(sched.register(ResourceInfo {
@@ -738,9 +738,10 @@ impl Runtime {
                 space: hosts[n as usize],
                 steal_group: 0,
             }));
-            let mut span = vec![hosts[n as usize]];
-            span.extend(gpu_spaces[n as usize].iter().copied());
-            spans.insert(hosts[n as usize], span);
+            // The node's GPUs count toward its proxy, keyed by its host.
+            for &gs in &gpu_spaces[n as usize] {
+                span_key.insert(gs, hosts[n as usize]);
+            }
         }
         // An armed joiner starts absent: its proxy is out of service
         // (no placement, no affinity hints) until the planned join
@@ -748,7 +749,7 @@ impl Runtime {
         if let Some((j, _)) = cfg.node_join {
             sched.deactivate(proxy_res[j as usize]);
         }
-        let master_oracle = SpanOracle { coh: coh.clone(), spans };
+        let master_oracle = SpanOracle { coh: coh.clone(), span_key };
 
         // ---- slave schedulers ----------------------------------------
         let mut slaves = vec![SlaveState {
@@ -759,7 +760,7 @@ impl Runtime {
             dead: AtomicBool::new(false),
         }];
         let mut slave_oracles =
-            vec![SpanOracle { coh: coh.clone(), spans: std::collections::HashMap::new() }];
+            vec![SpanOracle { coh: coh.clone(), span_key: std::collections::HashMap::new() }];
         type SlaveRes = (Vec<ompss_sched::ResourceId>, Vec<(ompss_sched::ResourceId, SpaceId)>);
         let mut slave_res: Vec<SlaveRes> = vec![(Vec::new(), Vec::new())];
         for n in 1..cfg.nodes as usize {
@@ -791,7 +792,7 @@ impl Runtime {
                 dead: AtomicBool::new(false),
             });
             slave_oracles
-                .push(SpanOracle { coh: coh.clone(), spans: std::collections::HashMap::new() });
+                .push(SpanOracle { coh: coh.clone(), span_key: std::collections::HashMap::new() });
             slave_res.push((workers, gres));
         }
 

@@ -7,11 +7,17 @@
 //!   that finishes a task first tries to run one of the successors it
 //!   just released, on the theory that producer and consumer share data;
 //! * **locality-aware** (`affinity`) — on submission, an affinity score
-//!   is computed for every resource from *where the task's data already
-//!   is* (weighted by size); the task is queued on the best resource,
-//!   falling back to a global queue. Idle resources look at their local
-//!   queue, then the global queue, then *steal* from resources in the
-//!   same steal group (load balancing, per Martinell's SMPSs work).
+//!   is computed from *where the task's data already is* (weighted by
+//!   size) for the resources on the spaces holding it; the task is
+//!   queued on the best resource, falling back to a global queue. Idle
+//!   resources look at their local queue, then the global queue, then
+//!   *steal* from backlogged resources in the same steal group (load
+//!   balancing, per Martinell's SMPSs work).
+//!
+//! Each decision costs O(work present), not O(resources registered): an
+//! idle poll returns at once, steal victims come from an index of
+//! backlogged queues, and placement asks the oracle once per copy
+//! region for the spaces holding it.
 //!
 //! Schedulers are pure data structures: the runtime serialises access
 //! and parks/wakes worker processes itself. Resources are abstract — a
@@ -21,7 +27,7 @@
 
 #![warn(missing_docs)]
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
 use ompss_core::{Device, TaskDesc, TaskId};
 use ompss_mem::{Region, SpaceId};
@@ -63,19 +69,22 @@ pub struct ResourceInfo {
     /// device space, the node's host space, or a remote node's host
     /// space for proxies). Affinity scores are computed against it.
     pub space: SpaceId,
-    /// Resources share work-stealing within the same group (one group
-    /// per node; proxies are typically their own group so tasks do not
-    /// silently migrate between nodes).
+    /// Resources share work-stealing within the same group. A slave
+    /// node's workers and GPU managers form one group per node; at the
+    /// master, every worker, GPU manager and node proxy shares group 0,
+    /// so an idle node's proxy may re-route a task still queued for
+    /// another node.
     pub steal_group: u32,
 }
 
 /// Where the data of a region currently lives — implemented by the
-/// coherence directory. `bytes_at` returns how many bytes of `region`
-/// are already valid at (or under) `space`, so moving the task there
-/// would avoid transferring them.
+/// coherence directory. `holders` reports every resource space that
+/// already holds valid bytes of `region`, and how many, so placing the
+/// task on a resource there would avoid transferring them.
 pub trait LocalityOracle {
-    /// Valid bytes of `region` at `space`.
-    fn bytes_at(&self, region: &Region, space: SpaceId) -> u64;
+    /// Call `found(space, bytes)` for each space holding valid bytes of
+    /// `region`, at most once per space.
+    fn holders(&self, region: &Region, found: &mut dyn FnMut(SpaceId, u64));
 }
 
 /// An oracle for contexts with no locality information (breadth-first /
@@ -83,10 +92,12 @@ pub trait LocalityOracle {
 pub struct NoLocality;
 
 impl LocalityOracle for NoLocality {
-    fn bytes_at(&self, _region: &Region, _space: SpaceId) -> u64 {
-        0
-    }
+    fn holders(&self, _region: &Region, _found: &mut dyn FnMut(SpaceId, u64)) {}
 }
+
+/// A local queue this long makes its resource a steal victim: migrating
+/// a task away from its data is only worth it against real imbalance.
+const STEAL_THRESHOLD: usize = 2;
 
 /// The task facts a scheduler retains.
 #[derive(Debug, Clone)]
@@ -116,7 +127,7 @@ impl SchedTask {
 }
 
 /// Scheduling decisions counted for the evaluation's ablations.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct SchedStats {
     /// Tasks handed out from a resource's own queue.
     pub local_hits: u64,
@@ -170,6 +181,16 @@ pub struct Scheduler {
     local: Vec<VecDeque<SchedTask>>,
     /// Successor hint slot per resource (dependencies policy).
     hints: Vec<VecDeque<SchedTask>>,
+    /// Resources whose local queue holds at least `STEAL_THRESHOLD`
+    /// tasks — the only possible steal victims.
+    backlog: BTreeSet<usize>,
+    /// `(space, resource)` for every resource, sorted: affinity
+    /// placement scores only the resources on spaces holding data.
+    by_space: Vec<(SpaceId, usize)>,
+    /// Affinity scratch: per-resource score (all zero between
+    /// placements; sized on first use) and the resources scored so far.
+    score: Vec<u64>,
+    scored: Vec<usize>,
     stats: SchedStats,
     queued: usize,
     /// Tie-break perturbation seed for the verify subsystem's schedule
@@ -194,6 +215,10 @@ impl Scheduler {
             global: VecDeque::new(),
             local: Vec::new(),
             hints: Vec::new(),
+            backlog: BTreeSet::new(),
+            by_space: Vec::new(),
+            score: Vec::new(),
+            scored: Vec::new(),
             stats: SchedStats::default(),
             queued: 0,
             seed: 0,
@@ -216,12 +241,24 @@ impl Scheduler {
     /// Register a resource; returns its id.
     pub fn register(&mut self, info: ResourceInfo) -> ResourceId {
         let id = ResourceId(self.resources.len());
+        let at = self.by_space.partition_point(|&(s, _)| s <= info.space);
+        self.by_space.insert(at, (info.space, id.0));
         self.resources.push(info);
         self.active.push(true);
         self.forbidden.push(None);
         self.local.push(VecDeque::new());
         self.hints.push(VecDeque::new());
         id
+    }
+
+    /// Re-file `resource` in or out of the steal backlog after its local
+    /// queue changed length.
+    fn sync_backlog(&mut self, resource: usize) {
+        if self.local[resource].len() >= STEAL_THRESHOLD {
+            self.backlog.insert(resource);
+        } else {
+            self.backlog.remove(&resource);
+        }
     }
 
     /// Take `resource` out of service (an injected device loss): its
@@ -237,6 +274,7 @@ impl Scheduler {
         let orphans: Vec<SchedTask> =
             self.hints[resource.0].drain(..).chain(self.local[resource.0].drain(..)).collect();
         self.global.extend(orphans);
+        self.sync_backlog(resource.0);
     }
 
     /// Is `resource` still in service?
@@ -285,6 +323,7 @@ impl Scheduler {
             out
         };
         self.global.extend(orphans);
+        self.sync_backlog(resource.0);
     }
 
     /// Withdraw `resource` entirely — whole-node loss, the
@@ -334,6 +373,9 @@ impl Scheduler {
             }
         }
         self.queued -= orphans.len();
+        for i in 0..self.local.len() {
+            self.sync_backlog(i);
+        }
         orphans
     }
 
@@ -402,32 +444,53 @@ impl Scheduler {
     }
 
     fn place_by_affinity(&mut self, task: SchedTask, oracle: &dyn LocalityOracle) {
+        // Only resources on a space holding some of the task's data can
+        // score above zero: one holder lookup per copy region, however
+        // many resources are registered.
+        self.score.resize(self.resources.len(), 0);
+        let (by_space, score, scored) = (&self.by_space, &mut self.score, &mut self.scored);
+        for (region, w) in &task.copies {
+            oracle.holders(region, &mut |space, bytes| {
+                let gain = w * bytes;
+                if gain == 0 {
+                    return;
+                }
+                let from = by_space.partition_point(|&(s, _)| s < space);
+                for &(_, i) in by_space[from..].iter().take_while(|&&(s, _)| s == space) {
+                    if score[i] == 0 {
+                        scored.push(i);
+                    }
+                    score[i] += gain;
+                }
+            });
+        }
         // Highest weighted score wins; per the paper, "if there is no
         // highest affinity" (a tie, or no resident data at all) the task
-        // goes to the global queue for demand-driven pickup.
+        // goes to the global queue for demand-driven pickup. A winner is
+        // unique, so the order resources were scored in is irrelevant.
         let mut best: Option<(u64, usize)> = None;
         let mut tied = false;
-        for i in 0..self.resources.len() {
+        let mut scored = std::mem::take(&mut self.scored);
+        for i in scored.drain(..) {
+            let s = std::mem::take(&mut self.score[i]);
             if !self.serves(i, task.device) {
                 continue;
             }
-            let space = self.resources[i].space;
-            let score: u64 = task.copies.iter().map(|(r, w)| w * oracle.bytes_at(r, space)).sum();
-            if score == 0 {
-                continue;
-            }
             match best {
-                Some((s, _)) if score > s => {
-                    best = Some((score, i));
+                Some((b, _)) if s < b => {}
+                Some((b, _)) if s == b => tied = true,
+                _ => {
+                    best = Some((s, i));
                     tied = false;
                 }
-                Some((s, _)) if score == s => tied = true,
-                Some(_) => {}
-                None => best = Some((score, i)),
             }
         }
+        self.scored = scored;
         match best {
-            Some((_, i)) if !tied => self.local[i].push_back(task),
+            Some((_, i)) if !tied => {
+                self.local[i].push_back(task);
+                self.sync_backlog(i);
+            }
             _ => self.global.push_back(task),
         }
     }
@@ -464,6 +527,11 @@ impl Scheduler {
             self.decisions += 1;
             splitmix64(self.seed ^ self.decisions)
         };
+        // An idle poll costs O(1) however many resources are registered
+        // (the decision above still counts, keeping seeded streams).
+        if self.queued == 0 {
+            return None;
+        }
         fn pick(
             q: &VecDeque<SchedTask>,
             accepts: impl Fn(&SchedTask) -> bool,
@@ -501,6 +569,7 @@ impl Scheduler {
 
         if let Some(pos) = pick(&self.local[resource.0], accepts, salt) {
             let t = self.local[resource.0].remove(pos).expect("position valid");
+            self.sync_backlog(resource.0);
             self.queued -= 1;
             self.stats.local_hits += 1;
             return Some(t.id);
@@ -515,15 +584,15 @@ impl Scheduler {
 
         if self.policy == Policy::Affinity {
             // Steal from the back of the longest local queue in our
-            // group — but only from a meaningfully backlogged victim
-            // (≥ STEAL_THRESHOLD queued): migrating a task away from its
-            // data is only worth it against real imbalance.
-            const STEAL_THRESHOLD: usize = 2;
+            // group — but only from a backlogged victim (the `backlog`
+            // index), so the search is over queued work, not resources.
             let group = self.resources[resource.0].steal_group;
-            let victim = (0..self.resources.len())
+            let victim = self
+                .backlog
+                .iter()
+                .copied()
                 .filter(|&i| i != resource.0 && self.active[i])
                 .filter(|&i| self.resources[i].steal_group == group)
-                .filter(|&i| self.local[i].len() >= STEAL_THRESHOLD)
                 .filter(|&i| self.local[i].iter().any(&accepts))
                 .max_by_key(|&i| (self.local[i].len(), usize::MAX - i));
             if let Some(v) = victim {
@@ -532,6 +601,7 @@ impl Scheduler {
                     .rposition(&accepts)
                     .expect("victim filtered to have an eligible task");
                 let t = self.local[v].remove(pos).expect("position valid");
+                self.sync_backlog(v);
                 self.queued -= 1;
                 self.stats.steals += 1;
                 return Some(t.id);
@@ -584,8 +654,12 @@ mod tests {
     struct MapOracle(HashMap<(u64, u32), u64>);
 
     impl LocalityOracle for MapOracle {
-        fn bytes_at(&self, region: &Region, space: SpaceId) -> u64 {
-            *self.0.get(&(region.data.0, space.0)).unwrap_or(&0)
+        fn holders(&self, region: &Region, found: &mut dyn FnMut(SpaceId, u64)) {
+            for (&(data, space), &bytes) in &self.0 {
+                if data == region.data.0 {
+                    found(SpaceId(space), bytes);
+                }
+            }
         }
     }
 
@@ -727,6 +801,31 @@ mod tests {
         assert_eq!(s.next(g1), Some(TaskId(0)));
         assert_eq!(s.stats().local_hits, 1);
         assert_eq!(s.next(g0), None);
+    }
+
+    #[test]
+    fn placement_costs_one_holder_lookup_per_copy_region() {
+        // Complexity pin: with 1024 resources registered, scoring a task
+        // asks the oracle once per copy region, not once per resource.
+        struct Counting(std::cell::Cell<u64>);
+        impl LocalityOracle for Counting {
+            fn holders(&self, region: &Region, found: &mut dyn FnMut(SpaceId, u64)) {
+                self.0.set(self.0.get() + 1);
+                found(SpaceId((region.data.0 % 1024) as u32), region.len);
+            }
+        }
+        let mut s = Scheduler::new(Policy::Affinity);
+        let res: Vec<ResourceId> = (0..1024).map(|i| s.register(gpu(i))).collect();
+        let oracle = Counting(std::cell::Cell::new(0));
+        for t in 0..64 {
+            // The big region (at space t) outweighs the small one.
+            s.submit(&desc(t, Device::Cuda, &[(t, 0, 4096), (t + 512, 0, 64)]), &oracle);
+        }
+        assert_eq!(oracle.0.get(), 64 * 2, "one lookup per copy region");
+        for t in 0..64 {
+            assert_eq!(s.next(res[t as usize]), Some(TaskId(t)));
+        }
+        assert_eq!(s.stats().local_hits, 64);
     }
 
     #[test]

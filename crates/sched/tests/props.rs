@@ -27,12 +27,8 @@ fn gen_step() -> impl Strategy<Value = Step> {
 /// deterministic locality for the affinity policy to chew on.
 struct ModOracle;
 impl LocalityOracle for ModOracle {
-    fn bytes_at(&self, region: &Region, space: SpaceId) -> u64 {
-        if region.data.0 % 4 == space.0 as u64 {
-            region.len
-        } else {
-            0
-        }
+    fn holders(&self, region: &Region, found: &mut dyn FnMut(SpaceId, u64)) {
+        found(SpaceId((region.data.0 % 4) as u32), region.len);
     }
 }
 

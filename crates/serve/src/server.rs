@@ -633,6 +633,17 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
+        fn wait_started(&self, id: u64) {
+            let t0 = Instant::now();
+            while !self
+                .events()
+                .iter()
+                .any(|e| e.id == id && matches!(e.kind, EventKind::Started { .. }))
+            {
+                assert!(t0.elapsed() < Duration::from_secs(30), "job {id} never started");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
     }
 
     fn spec(text: &str) -> JobSpec {
@@ -727,18 +738,7 @@ mod tests {
         let log = Arc::new(Log::default());
         // One job occupies the single worker; two fill the queue.
         let running = server.submit(spec(r#"{"app":"stream","tag":"slow"}"#), log.sink());
-        let wait_started = |id: u64| {
-            let t0 = Instant::now();
-            while !log
-                .events()
-                .iter()
-                .any(|e| e.id == id && matches!(e.kind, EventKind::Started { .. }))
-            {
-                assert!(t0.elapsed() < Duration::from_secs(30), "job {id} never started");
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        };
-        wait_started(running);
+        log.wait_started(running);
         let q1 = server.submit(spec(r#"{"app":"stream","priority":4,"tag":"ok"}"#), log.sink());
         let q2 = server.submit(spec(r#"{"app":"stream","priority":1,"tag":"ok"}"#), log.sink());
         // Queue full; priority 1 does not strictly outrank the weakest
@@ -828,6 +828,9 @@ mod tests {
         let server = Server::with_runner(cfg(1, 8), scripted_runner(gate.clone()));
         let log = Arc::new(Log::default());
         let running = server.submit(spec(r#"{"app":"stream","tag":"slow"}"#), log.sink());
+        // The single worker must hold the slow job before the drain
+        // starts, or shutdown() could reject it as queued.
+        log.wait_started(running);
         let queued = server.submit(spec(r#"{"app":"stream","tag":"ok"}"#), log.sink());
         // Release the gate from another thread once drain is underway;
         // shutdown() blocks until the in-flight job finishes.
