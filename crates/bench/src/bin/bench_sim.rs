@@ -15,8 +15,9 @@
 //!
 //! * **DES micro** — a single process issuing 200 000 unit delays
 //!   (the inline-advance fast path) and a two-process channel pingpong
-//!   (the direct baton handoff), each reported as events/second from
-//!   the kernel's own `events` and `host_ns` counters.
+//!   (cross-process wakes: a channel handoff, a heap pop and a poll per
+//!   message), each reported as events/second from the kernel's own
+//!   `events` and `host_ns` counters.
 //! * **Graph micro** — `TaskGraph::add_task` throughput over a
 //!   10 000-task matmul-shaped graph (tasks/second).
 //! * **Figure macro** — regenerates every figure/table exactly as

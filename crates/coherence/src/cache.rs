@@ -39,7 +39,6 @@
 //! region, at least one valid-latest copy elsewhere is marked dirty**,
 //! so eviction write-backs can never lose the only latest copy.
 
-use std::collections::HashMap;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::Arc;
@@ -49,6 +48,7 @@ use parking_lot::Mutex;
 use ompss_mem::{Access, AllocId, DataId, MemoryManager, Region, SpaceId};
 use ompss_sim::{now, Signal, SimError, SimResult};
 
+use crate::dir::{FxHashMap, SpaceMap};
 use crate::topo::{HopKind, Topology};
 
 /// Report a coherence-region touch to an armed model checker (no-op
@@ -236,7 +236,7 @@ struct RegionEntry {
     /// flat plane; a shard-owner node's host under sharded homing.
     /// Node-loss recovery may move it ([`Coherence::rehome_data`]).
     home: SpaceId,
-    copies: HashMap<SpaceId, CopyState>,
+    copies: SpaceMap<CopyState>,
 }
 
 impl RegionEntry {
@@ -249,7 +249,7 @@ impl RegionEntry {
 }
 
 struct Inner {
-    regions: HashMap<Region, RegionEntry>,
+    regions: FxHashMap<Region, RegionEntry>,
     tick: u64,
     stats: CoherenceStats,
     /// Spaces declared dead by [`Coherence::purge_spaces`]: their node
@@ -275,6 +275,9 @@ pub struct Coherence {
     /// operation, panicking on the first violation. Off by default: the
     /// sweep is O(regions × copies) per operation.
     validate: bool,
+    /// `OMPSS_COH_DEBUG` is set: print every planned hop to stderr.
+    /// Read once, when the engine is built.
+    debug_hops: bool,
     inner: Mutex<Inner>,
 }
 
@@ -307,8 +310,9 @@ impl Coherence {
             policy,
             evict_slack: 0.0,
             validate: false,
+            debug_hops: std::env::var_os("OMPSS_COH_DEBUG").is_some(),
             inner: Mutex::new(Inner {
-                regions: HashMap::new(),
+                regions: FxHashMap::default(),
                 tick: 0,
                 stats: CoherenceStats::default(),
                 dead: Vec::new(),
@@ -357,7 +361,7 @@ impl Coherence {
 
     fn check_invariants_locked(&self, inner: &Inner) -> Result<(), String> {
         for (region, entry) in &inner.regions {
-            for (&space, c) in &entry.copies {
+            for (&space, c) in entry.copies.iter() {
                 if let CState::Valid { version } = c.state {
                     if version > entry.version {
                         return Err(format!(
@@ -423,8 +427,7 @@ impl Coherence {
         // owner's host under sharded homing.
         let info = self.mem.data_info(region.data);
         debug_assert!(!self.topo.is_gpu(info.home_space), "home copies live in host memory");
-        let mut copies = HashMap::new();
-        copies.insert(
+        let copies = SpaceMap::one(
             info.home_space,
             CopyState {
                 alloc: info.home_alloc,
@@ -458,7 +461,7 @@ impl Coherence {
         // this lookup (the DES is sequential), so the copy is still here.
         let inner = self.inner.lock();
         let entry = &inner.regions[region];
-        let c = &entry.copies[&target];
+        let c = entry.copies.get(&target).expect("acquired copy present");
         debug_assert!(c.pinned > 0);
         // No-stale-read: a read acquire must hand the task the latest
         // version, under the same lock as the location lookup.
@@ -831,7 +834,7 @@ impl Coherence {
                 Step::Wait(sig) => sig.wait().await?,
                 Step::Room { space, bytes } => self.make_room(exec, space, bytes).await?,
                 Step::Hop { kind, from, to, src, dst, bytes, version, done } => {
-                    if std::env::var_os("OMPSS_COH_DEBUG").is_some() {
+                    if self.debug_hops {
                         eprintln!(
                             "[coh {:.6}s] {region} v{version} hop {from:?}->{to:?} ({kind:?}, {bytes}B) for target {target:?}",
                             now().as_secs_f64()
@@ -1602,7 +1605,7 @@ impl Coherence {
         let Some(entry) = inner.regions.get(region) else {
             return;
         };
-        for (&space, c) in &entry.copies {
+        for (&space, c) in entry.copies.iter() {
             if matches!(c.state, CState::Valid { version } if version == entry.version) {
                 found(space);
             }

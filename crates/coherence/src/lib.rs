@@ -20,6 +20,7 @@
 #![warn(missing_docs)]
 
 mod cache;
+mod dir;
 mod shard;
 mod topo;
 

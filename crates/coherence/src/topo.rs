@@ -13,9 +13,9 @@
 //! (`StoS`) or is relayed through the master (`MtoS`) is the cluster
 //! configuration axis of Figure 9.
 
-use std::collections::HashMap;
-
 use ompss_mem::SpaceId;
+
+use crate::dir::FxHashMap;
 
 /// The physical medium of one hop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,7 +50,7 @@ pub enum SlaveRouting {
 #[derive(Debug, Clone)]
 pub struct Topology {
     /// GPU space → its node's host space.
-    parent: HashMap<SpaceId, SpaceId>,
+    parent: FxHashMap<SpaceId, SpaceId>,
     /// The master node's host space (the root; home copies live here).
     master_host: SpaceId,
     /// Inter-slave routing mode.
@@ -60,7 +60,7 @@ pub struct Topology {
 impl Topology {
     /// Build a topology rooted at `master_host`.
     pub fn new(master_host: SpaceId, routing: SlaveRouting) -> Self {
-        Topology { parent: HashMap::new(), master_host, routing }
+        Topology { parent: FxHashMap::default(), master_host, routing }
     }
 
     /// Register a GPU space under its node host space.

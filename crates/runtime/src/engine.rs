@@ -174,6 +174,9 @@ pub(crate) struct RtShared {
     /// monitor, planned node-kill) stand down instead of holding timed
     /// events that would keep virtual time marching past the makespan.
     pub done: Signal,
+    /// `OMPSS_RT_DEBUG` is set: print every GPU task launch to stderr.
+    /// Read once, when the runtime is built.
+    pub debug_launches: bool,
 }
 
 /// How one attempt at a task body ended.
@@ -501,6 +504,9 @@ impl RtShared {
 /// SMP worker loop for the master node.
 pub(crate) async fn master_smp_worker(shared: Arc<RtShared>, res: ResourceId) {
     let space = shared.hosts[0];
+    // Rendered at the first completed task: set-up runs start every
+    // loop and complete none.
+    let mut name: Option<String> = None;
     loop {
         let tid = { shared.master.lock().sched.next(res) };
         let Some(tid) = tid else {
@@ -517,7 +523,13 @@ pub(crate) async fn master_smp_worker(shared: Arc<RtShared>, res: ResourceId) {
             match shared.run_smp_body(&rec, space, 0).await {
                 Err(_) => return,
                 Ok(BodyOutcome::Done) => {
-                    shared.trace_task(&rec, 0, &format!("worker{}", res.0), t0, now());
+                    shared.trace_task(
+                        &rec,
+                        0,
+                        name.get_or_insert_with(|| format!("worker{}", res.0)),
+                        t0,
+                        now(),
+                    );
                     shared.complete_on_master(tid, res);
                     break;
                 }
@@ -537,6 +549,9 @@ pub(crate) async fn master_smp_worker(shared: Arc<RtShared>, res: ResourceId) {
 pub(crate) async fn master_gpu_manager(shared: Arc<RtShared>, res: ResourceId, space: SpaceId) {
     let dev = shared.gpus[&space].clone();
     let stream = dev.create_stream(format!("mgr{}", space.0));
+    // Rendered at the first completed task: set-up runs start every
+    // loop and complete none.
+    let mut name: Option<String> = None;
     let mut next: Option<TaskId> = None;
     loop {
         let tid = match next.take() {
@@ -558,7 +573,7 @@ pub(crate) async fn master_gpu_manager(shared: Arc<RtShared>, res: ResourceId, s
             }
         };
         let rec = shared.record(tid);
-        if std::env::var_os("OMPSS_RT_DEBUG").is_some() {
+        if shared.debug_launches {
             eprintln!(
                 "[rt {:.6}s] node0 gpu runs {} (t{})",
                 now().as_secs_f64(),
@@ -592,7 +607,13 @@ pub(crate) async fn master_gpu_manager(shared: Arc<RtShared>, res: ResourceId, s
             match shared.run_gpu_body(&rec, space, 0, &stream, pf_arg).await {
                 Err(_) => return,
                 Ok(BodyOutcome::Done) => {
-                    shared.trace_task(&rec, 0, &format!("gpu{}", space.0), t0, now());
+                    shared.trace_task(
+                        &rec,
+                        0,
+                        name.get_or_insert_with(|| format!("gpu{}", space.0)),
+                        t0,
+                        now(),
+                    );
                     shared.complete_on_master(tid, res);
                     break;
                 }
@@ -672,7 +693,7 @@ pub(crate) async fn comm_thread(shared: Arc<RtShared>, ep: AmEndpoint<ClusterMsg
                 // Staging is node-granular ("a whole remote cluster node
                 // is a single device", §III-C3): data already valid in
                 // any space of the node needs no push.
-                process(format!("comm:push:t{}", tid.0)).daemon().spawn(async move {
+                process(("comm:push:t", tid.0)).daemon().spawn(async move {
                     let needed: Vec<_> = rec
                         .copy_accesses()
                         .into_iter()
@@ -842,7 +863,7 @@ pub(crate) async fn slave_dispatcher(
                 for t in orphans {
                     let shared2 = shared.clone();
                     let ep2 = ep.clone();
-                    process(format!("bounce:t{}", t.0)).daemon().spawn(async move {
+                    process(("bounce:t", t.0)).daemon().spawn(async move {
                         send_msg(&shared2, &ep2, 0, "Failed", |rel| ClusterMsg::Failed {
                             task: t,
                             rel,
@@ -876,6 +897,9 @@ pub(crate) async fn slave_smp_worker(
     ep: AmEndpoint<ClusterMsg>,
 ) {
     let space = shared.slaves[node as usize].host;
+    // Rendered at the first completed task: set-up runs start every
+    // loop and complete none.
+    let mut name: Option<String> = None;
     loop {
         if shared.node_down(node) {
             return;
@@ -894,7 +918,13 @@ pub(crate) async fn slave_smp_worker(
             match shared.run_smp_body(&rec, space, node).await {
                 Err(_) => return,
                 Ok(BodyOutcome::Done) => {
-                    shared.trace_task(&rec, node, &format!("worker{}", res.0), t0, now());
+                    shared.trace_task(
+                        &rec,
+                        node,
+                        name.get_or_insert_with(|| format!("worker{}", res.0)),
+                        t0,
+                        now(),
+                    );
                     crate::stats::Counters::add(&shared.counters.am_done, 1);
                     send_msg(&shared, &ep, 0, "Done", |rel| ClusterMsg::Done { task: tid, rel })
                         .await;
@@ -922,6 +952,9 @@ pub(crate) async fn slave_gpu_manager(
 ) {
     let dev = shared.gpus[&space].clone();
     let stream = dev.create_stream(format!("mgr{}", space.0));
+    // Rendered at the first completed task: set-up runs start every
+    // loop and complete none.
+    let mut name: Option<String> = None;
     let mut next: Option<TaskId> = None;
     loop {
         if shared.node_down(node) {
@@ -943,7 +976,7 @@ pub(crate) async fn slave_gpu_manager(
             }
         };
         let rec = shared.record(tid);
-        if std::env::var_os("OMPSS_RT_DEBUG").is_some() {
+        if shared.debug_launches {
             eprintln!(
                 "[rt {:.6}s] node{node} gpu runs {} (t{})",
                 now().as_secs_f64(),
@@ -965,7 +998,13 @@ pub(crate) async fn slave_gpu_manager(
             match shared.run_gpu_body(&rec, space, node, &stream, pf_arg).await {
                 Err(_) => return,
                 Ok(BodyOutcome::Done) => {
-                    shared.trace_task(&rec, node, &format!("gpu{}", space.0), t0, now());
+                    shared.trace_task(
+                        &rec,
+                        node,
+                        name.get_or_insert_with(|| format!("gpu{}", space.0)),
+                        t0,
+                        now(),
+                    );
                     crate::stats::Counters::add(&shared.counters.am_done, 1);
                     send_msg(&shared, &ep, 0, "Done", |rel| ClusterMsg::Done { task: tid, rel })
                         .await;

@@ -869,6 +869,7 @@ impl Runtime {
             }),
             node_spaces,
             done: ompss_sim::Signal::new(),
+            debug_launches: std::env::var_os("OMPSS_RT_DEBUG").is_some(),
         });
 
         // ---- processes ------------------------------------------------

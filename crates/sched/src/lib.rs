@@ -14,10 +14,13 @@
 //!   *steal* from backlogged resources in the same steal group (load
 //!   balancing, per Martinell's SMPSs work).
 //!
-//! Each decision costs O(work present), not O(resources registered): an
-//! idle poll returns at once, steal victims come from an index of
-//! backlogged queues, and placement asks the oracle once per copy
-//! region for the spaces holding it.
+//! Each decision costs O(work present), not O(resources registered) or
+//! O(tasks queued): an idle poll returns at once; a poll of a non-empty
+//! queue reads the head of at most one priority level per device kind,
+//! because every ready queue files its tasks by device, priority and
+//! arrival; steal victims come from an index of backlogged queues; and
+//! placement asks the oracle once per copy region for the spaces holding
+//! it.
 //!
 //! Schedulers are pure data structures: the runtime serialises access
 //! and parks/wakes worker processes itself. Resources are abstract — a
@@ -27,10 +30,14 @@
 
 #![warn(missing_docs)]
 
-use std::collections::{BTreeSet, VecDeque};
+mod ready;
+
+use std::collections::BTreeSet;
 
 use ompss_core::{Device, TaskDesc, TaskId};
 use ompss_mem::{Region, SpaceId};
+
+use ready::{Kinds, Queued, ReadyQueue, DEVICES};
 
 /// Index of a schedulable resource within one scheduler instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -99,33 +106,6 @@ impl LocalityOracle for NoLocality {
 /// a task away from its data is only worth it against real imbalance.
 const STEAL_THRESHOLD: usize = 2;
 
-/// The task facts a scheduler retains.
-#[derive(Debug, Clone)]
-struct SchedTask {
-    id: TaskId,
-    device: Device,
-    priority: i32,
-    /// Copy-clause regions with their affinity weight (written data
-    /// weighs double: moving a producer chain's output is costlier
-    /// than re-fetching an input).
-    copies: Vec<(Region, u64)>,
-}
-
-impl SchedTask {
-    fn from_desc(desc: &TaskDesc) -> Self {
-        SchedTask {
-            id: desc.id,
-            device: desc.device,
-            priority: desc.priority,
-            copies: desc
-                .copies()
-                .iter()
-                .map(|a| (a.region, if a.kind.writes() { 2 } else { 1 }))
-                .collect(),
-        }
-    }
-}
-
 /// Scheduling decisions counted for the evaluation's ablations.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct SchedStats {
@@ -177,10 +157,10 @@ pub struct Scheduler {
     /// remote node that lost its last GPU — the proxy stays in service
     /// for SMP work but must no longer attract CUDA tasks.
     forbidden: Vec<Option<Device>>,
-    global: VecDeque<SchedTask>,
-    local: Vec<VecDeque<SchedTask>>,
+    global: ReadyQueue,
+    local: Vec<ReadyQueue>,
     /// Successor hint slot per resource (dependencies policy).
-    hints: Vec<VecDeque<SchedTask>>,
+    hints: Vec<ReadyQueue>,
     /// Resources whose local queue holds at least `STEAL_THRESHOLD`
     /// tasks — the only possible steal victims.
     backlog: BTreeSet<usize>,
@@ -212,7 +192,7 @@ impl Scheduler {
             resources: Vec::new(),
             active: Vec::new(),
             forbidden: Vec::new(),
-            global: VecDeque::new(),
+            global: ReadyQueue::default(),
             local: Vec::new(),
             hints: Vec::new(),
             backlog: BTreeSet::new(),
@@ -246,8 +226,8 @@ impl Scheduler {
         self.resources.push(info);
         self.active.push(true);
         self.forbidden.push(None);
-        self.local.push(VecDeque::new());
-        self.hints.push(VecDeque::new());
+        self.local.push(ReadyQueue::default());
+        self.hints.push(ReadyQueue::default());
         id
     }
 
@@ -271,10 +251,20 @@ impl Scheduler {
             return;
         }
         self.active[resource.0] = false;
-        let orphans: Vec<SchedTask> =
-            self.hints[resource.0].drain(..).chain(self.local[resource.0].drain(..)).collect();
-        self.global.extend(orphans);
-        self.sync_backlog(resource.0);
+        self.migrate_to_global(resource.0, [true, true]);
+    }
+
+    /// Move `resource`'s hinted, then locally queued, tasks of the
+    /// device kinds in `kinds` to the back of the global queue, each
+    /// group in its queue order.
+    fn migrate_to_global(&mut self, resource: usize, kinds: Kinds) {
+        let mut orphans = Vec::new();
+        self.hints[resource].take(kinds, &mut orphans);
+        self.local[resource].take(kinds, &mut orphans);
+        for t in orphans {
+            self.global.push(t);
+        }
+        self.sync_backlog(resource);
     }
 
     /// Is `resource` still in service?
@@ -305,25 +295,7 @@ impl Scheduler {
             return;
         }
         self.forbidden[resource.0] = Some(device);
-        let strand = |t: &SchedTask| t.device == device;
-        let orphans: Vec<SchedTask> = {
-            let hints = &mut self.hints[resource.0];
-            let local = &mut self.local[resource.0];
-            let mut out = Vec::new();
-            for q in [hints, local] {
-                let mut i = 0;
-                while i < q.len() {
-                    if strand(&q[i]) {
-                        out.push(q.remove(i).expect("index in bounds"));
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-            out
-        };
-        self.global.extend(orphans);
-        self.sync_backlog(resource.0);
+        self.migrate_to_global(resource.0, DEVICES.map(|d| d == device));
     }
 
     /// Withdraw `resource` entirely — whole-node loss, the
@@ -351,32 +323,20 @@ impl Scheduler {
     /// machine-wide fuse prevents this, but a *node* can lose all its
     /// GPUs). The caller re-routes them elsewhere.
     pub fn drain_unservable(&mut self) -> Vec<TaskId> {
-        let mut orphans = Vec::new();
-        // Split borrows: the queue iterators borrow the queues mutably
-        // while the check reads the resource tables, so it takes them
-        // as separate slices rather than going through `serves`.
-        let servable =
-            |t: &SchedTask, res: &[ResourceInfo], act: &[bool], fb: &[Option<Device>]| {
-                (0..res.len())
-                    .any(|i| act[i] && res[i].kind.accepts(t.device) && fb[i] != Some(t.device))
-            };
-        let (resources, active, forbidden) = (&self.resources, &self.active, &self.forbidden);
+        let unservable = DEVICES.map(|d| !(0..self.resources.len()).any(|i| self.serves(i, d)));
+        let mut drained = Vec::new();
         let queues = self.hints.iter_mut().chain(self.local.iter_mut()).chain([&mut self.global]);
         for q in queues {
-            let mut i = 0;
-            while i < q.len() {
-                if servable(&q[i], resources, active, forbidden) {
-                    i += 1;
-                } else {
-                    orphans.push(q.remove(i).expect("index in bounds").id);
-                }
-            }
+            q.take(unservable, &mut drained);
         }
-        self.queued -= orphans.len();
+        if drained.is_empty() {
+            return Vec::new();
+        }
+        self.queued -= drained.len();
         for i in 0..self.local.len() {
             self.sync_backlog(i);
         }
-        orphans
+        drained.into_iter().map(|t| t.id).collect()
     }
 
     /// Number of registered resources.
@@ -401,12 +361,11 @@ impl Scheduler {
 
     /// Enqueue a ready task.
     pub fn submit(&mut self, desc: &TaskDesc, oracle: &dyn LocalityOracle) {
-        let task = SchedTask::from_desc(desc);
         self.queued += 1;
         self.note_enqueue();
         match self.policy {
-            Policy::BreadthFirst | Policy::Dependencies => self.global.push_back(task),
-            Policy::Affinity => self.place_by_affinity(task, oracle),
+            Policy::BreadthFirst | Policy::Dependencies => self.global.push(Queued::of(desc)),
+            Policy::Affinity => self.place_by_affinity(desc, oracle),
         }
     }
 
@@ -424,14 +383,14 @@ impl Scheduler {
             Policy::Dependencies => {
                 let mut hinted = false;
                 for desc in ready_successors {
-                    let task = SchedTask::from_desc(desc);
+                    let task = Queued::of(desc);
                     self.queued += 1;
                     self.note_enqueue();
                     if !hinted && self.serves(resource.0, task.device) {
-                        self.hints[resource.0].push_back(task);
+                        self.hints[resource.0].push(task);
                         hinted = true;
                     } else {
-                        self.global.push_back(task);
+                        self.global.push(task);
                     }
                 }
             }
@@ -443,14 +402,18 @@ impl Scheduler {
         }
     }
 
-    fn place_by_affinity(&mut self, task: SchedTask, oracle: &dyn LocalityOracle) {
+    fn place_by_affinity(&mut self, desc: &TaskDesc, oracle: &dyn LocalityOracle) {
+        let task = Queued::of(desc);
         // Only resources on a space holding some of the task's data can
         // score above zero: one holder lookup per copy region, however
         // many resources are registered.
         self.score.resize(self.resources.len(), 0);
         let (by_space, score, scored) = (&self.by_space, &mut self.score, &mut self.scored);
-        for (region, w) in &task.copies {
-            oracle.holders(region, &mut |space, bytes| {
+        for a in desc.copies() {
+            // Written data weighs double: moving a producer chain's
+            // output is costlier than re-fetching an input.
+            let w = if a.kind.writes() { 2 } else { 1 };
+            oracle.holders(&a.region, &mut |space, bytes| {
                 let gain = w * bytes;
                 if gain == 0 {
                     return;
@@ -488,10 +451,10 @@ impl Scheduler {
         self.scored = scored;
         match best {
             Some((_, i)) if !tied => {
-                self.local[i].push_back(task);
+                self.local[i].push(task);
                 self.sync_backlog(i);
             }
-            _ => self.global.push_back(task),
+            _ => self.global.push(task),
         }
     }
 
@@ -515,8 +478,7 @@ impl Scheduler {
         }
         let kind = self.resources[resource.0].kind;
         let banned = self.forbidden[resource.0];
-        let accepts =
-            |t: &SchedTask| kind.accepts(t.device) && banned != Some(t.device) && allow(t.device);
+        let eligible = DEVICES.map(|d| kind.accepts(d) && banned != Some(d) && allow(d));
         // Highest priority wins; FIFO within a priority level — unless a
         // perturbation seed is set, in which case the tie-break among
         // equal-priority eligible tasks is drawn from a deterministic
@@ -532,54 +494,24 @@ impl Scheduler {
         if self.queued == 0 {
             return None;
         }
-        fn pick(
-            q: &VecDeque<SchedTask>,
-            accepts: impl Fn(&SchedTask) -> bool,
-            salt: u64,
-        ) -> Option<usize> {
-            let mut best_prio = i32::MIN;
-            let mut candidates: Vec<usize> = Vec::new();
-            for (i, t) in q.iter().enumerate() {
-                if !accepts(t) {
-                    continue;
-                }
-                if candidates.is_empty() || t.priority > best_prio {
-                    best_prio = t.priority;
-                    candidates.clear();
-                    candidates.push(i);
-                } else if t.priority == best_prio {
-                    candidates.push(i);
-                }
-            }
-            if candidates.is_empty() {
-                None
-            } else {
-                // salt == 0 selects the first (oldest) candidate: the
-                // exact pre-perturbation FIFO behaviour.
-                Some(candidates[(salt % candidates.len() as u64) as usize])
-            }
-        }
 
-        if let Some(pos) = pick(&self.hints[resource.0], accepts, salt) {
-            let t = self.hints[resource.0].remove(pos).expect("position valid");
+        if let Some(t) = self.hints[resource.0].pick(eligible, salt) {
             self.queued -= 1;
             self.stats.successor_hits += 1;
-            return Some(t.id);
+            return Some(t);
         }
 
-        if let Some(pos) = pick(&self.local[resource.0], accepts, salt) {
-            let t = self.local[resource.0].remove(pos).expect("position valid");
+        if let Some(t) = self.local[resource.0].pick(eligible, salt) {
             self.sync_backlog(resource.0);
             self.queued -= 1;
             self.stats.local_hits += 1;
-            return Some(t.id);
+            return Some(t);
         }
 
-        if let Some(pos) = pick(&self.global, accepts, salt) {
-            let t = self.global.remove(pos).expect("position valid");
+        if let Some(t) = self.global.pick(eligible, salt) {
             self.queued -= 1;
             self.stats.global_hits += 1;
-            return Some(t.id);
+            return Some(t);
         }
 
         if self.policy == Policy::Affinity {
@@ -593,18 +525,14 @@ impl Scheduler {
                 .copied()
                 .filter(|&i| i != resource.0 && self.active[i])
                 .filter(|&i| self.resources[i].steal_group == group)
-                .filter(|&i| self.local[i].iter().any(&accepts))
+                .filter(|&i| self.local[i].holds_any(eligible))
                 .max_by_key(|&i| (self.local[i].len(), usize::MAX - i));
             if let Some(v) = victim {
-                let pos = self.local[v]
-                    .iter()
-                    .rposition(&accepts)
-                    .expect("victim filtered to have an eligible task");
-                let t = self.local[v].remove(pos).expect("position valid");
+                let t = self.local[v].steal(eligible).expect("victim filtered to hold a task");
                 self.sync_backlog(v);
                 self.queued -= 1;
                 self.stats.steals += 1;
-                return Some(t.id);
+                return Some(t);
             }
         }
 

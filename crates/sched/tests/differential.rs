@@ -1,12 +1,15 @@
 //! Differential test of the indexed scheduler against a scan-based
 //! reference: the straightforward implementation that scores every
 //! registered resource on each placement (one `bytes_at` query per
-//! resource and copy region) and scans every resource for a steal
-//! victim. The indexed [`Scheduler`] must make exactly the same
+//! resource and copy region), scans every resource for a steal victim,
+//! and keeps each queue as one `VecDeque` scanned in full for the best
+//! eligible task. The indexed [`Scheduler`] — device-indexed ready
+//! queues, backlog index, holder lookups — must make exactly the same
 //! decisions — same hand-outs, queue depth, counters and returned
 //! orphans — under random operation sequences covering every policy,
-//! seeded and unseeded tie-breaks, several steal groups and resources
-//! that share a space (so affinity scores tie).
+//! seeded and unseeded tie-breaks, mixed priorities and device kinds,
+//! several steal groups and resources that share a space (so affinity
+//! scores tie).
 
 use std::collections::{BTreeMap, VecDeque};
 
