@@ -9,6 +9,7 @@
 #   ./ci.sh churn    # elastic-membership grid: joins/drains/kill races
 #   ./ci.sh bench    # wall-clock spine: fail on >20% macro regression
 #   ./ci.sh scale    # 1000-node demo + 64-node weak-scaling gate (release)
+#   ./ci.sh figures  # regenerate results/ and fail if any committed byte moved
 #   ./ci.sh mc       # bounded model-check of matmul+stream schedules
 #   ./ci.sh serve    # job-server soak: overload, cancels, fairness
 set -euo pipefail
@@ -48,6 +49,12 @@ scale() {
     cargo test -q --release -p ompss-runtime --test runtime_tests -- --ignored thousand_node
     echo "==> weak scaling at 64 nodes (sharded control plane must beat the flat master)"
     cargo test -q --release -p ompss-apps --lib -- --ignored weak_scaling
+}
+
+figures() {
+    echo "==> all_figures (regenerated results/ must match the committed bytes)"
+    cargo run -q --release -p ompss-bench --bin all_figures
+    git diff --exit-code -- results/
 }
 
 mc() {
@@ -92,6 +99,12 @@ if [[ "${1:-}" == "scale" ]]; then
     exit 0
 fi
 
+if [[ "${1:-}" == "figures" ]]; then
+    figures
+    echo "CI green."
+    exit 0
+fi
+
 if [[ "${1:-}" == "mc" ]]; then
     mc
     echo "CI green."
@@ -114,6 +127,7 @@ if [[ "${1:-}" != "quick" ]]; then
     echo "==> cargo build --release"
     cargo build --release
     scale
+    figures
 fi
 
 echo "==> cargo test"

@@ -21,4 +21,5 @@ pub mod matmul;
 pub mod nbody;
 pub mod perlin;
 pub mod stream;
+pub mod validation;
 pub mod ws;

@@ -1,10 +1,17 @@
 //! Regenerates every figure and table of the paper's evaluation,
-//! printing each and saving JSON under `results/`.
+//! printing each and saving JSON under `results/`. Fig. 5 and Fig. 9
+//! also export a Paraver trace pair (`fig05_multigpu.prv`/`.row`,
+//! `fig09_cluster.prv`/`.row`) of their best configuration.
 //!
 //! Independent configurations within each figure run on `--jobs N` host
 //! threads (default: `OMPSS_BENCH_JOBS` or the host's parallelism); the
 //! output is byte-identical at any job count. Naming figure ids (e.g.
 //! `all_figures figWS`) regenerates just those.
+use std::path::Path;
+
+use ompss_apps::matmul::{self, ompss::InitMode};
+use ompss_runtime::{Backing, CachePolicy, ParaverTrace, Policy, RuntimeConfig, SlaveRouting};
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     ompss_sweep::parse_jobs_flag(&mut args);
@@ -38,6 +45,47 @@ fn main() {
         fig.print();
         fig.save(&dir);
         saved += 1;
+        if let Some((name, cfg, init)) = paraver(id) {
+            export_trace(&dir, name, cfg, init);
+        }
     }
     println!("saved {saved} result files to {}", dir.display());
+}
+
+/// The figure's Paraver export, if it has one: the trace file name and
+/// the paper-scale matmul run it records.
+fn paraver(id: &str) -> Option<(&'static str, RuntimeConfig, InitMode)> {
+    match id {
+        // The timeline behind Fig. 5's wb/affinity 4-GPU bar.
+        "fig05" => Some((
+            "fig05_multigpu",
+            RuntimeConfig::multi_gpu(4)
+                .with_backing(Backing::Phantom)
+                .with_cache(CachePolicy::WriteBack)
+                .with_sched(Policy::Affinity),
+            InitMode::Seq,
+        )),
+        // Fig. 9's best cluster setup: StoS routing, SMP-parallel init,
+        // deep presend.
+        "fig09" => Some((
+            "fig09_cluster",
+            RuntimeConfig::gpu_cluster(8)
+                .with_backing(Backing::Phantom)
+                .with_routing(SlaveRouting::Direct)
+                .with_presend(8),
+            InitMode::Smp,
+        )),
+        _ => None,
+    }
+}
+
+/// Run `cfg` traced and save the timeline as `dir/name.prv`/`.row`.
+fn export_trace(dir: &Path, name: &str, cfg: RuntimeConfig, init: InitMode) {
+    let r = matmul::ompss::run(cfg.with_tracing(true), matmul::MatmulParams::paper(), init);
+    let rep = r.report.expect("ompss run carries a report");
+    let events = rep.trace.as_deref().expect("tracing was enabled");
+    match ParaverTrace::from_events(events, rep.makespan).save(dir, name) {
+        Ok((p, _)) => println!("paraver trace: {}", p.display()),
+        Err(e) => eprintln!("paraver trace export failed: {e}"),
+    }
 }

@@ -1,22 +1,23 @@
 //! # ompss-bench — the paper's evaluation, regenerated
 //!
-//! One binary per figure/table of Bueno et al. (IPPS 2012) §IV–V:
+//! `all_figures [id...]` regenerates each figure/table of Bueno et al.
+//! (IPPS 2012) §IV–V, or just the ids named:
 //!
-//! | binary | reproduces |
-//! |--------|------------|
-//! | `fig05_matmul_multigpu` | Fig. 5 — matmul, multi-GPU, cache × scheduler |
-//! | `fig06_stream_multigpu` | Fig. 6 — STREAM, multi-GPU, cache × scheduler |
-//! | `fig07_perlin_multigpu` | Fig. 7 — Perlin, multi-GPU, Flush/NoFlush × cache |
-//! | `fig08_nbody_multigpu`  | Fig. 8 — N-Body, multi-GPU, cache policies |
-//! | `fig09_matmul_cluster`  | Fig. 9 — matmul, cluster, StoS × init × presend |
-//! | `fig10_matmul_vs_mpi`   | Fig. 10 — matmul, best OmpSs vs MPI+CUDA |
-//! | `fig11_stream_cluster`  | Fig. 11 — STREAM, cluster, OmpSs vs MPI+CUDA |
-//! | `fig12_perlin_cluster`  | Fig. 12 — Perlin, cluster, Flush/NoFlush |
-//! | `fig13_nbody_cluster`   | Fig. 13 — N-Body, cluster, OmpSs vs MPI+CUDA |
-//! | `table1_productivity`   | Table I — useful lines of code per version |
-//! | `all_figures`           | everything above plus `figWS` (weak scaling, flat vs sharded control plane — beyond the paper), saving JSON to `results/` |
+//! | id | reproduces |
+//! |----|------------|
+//! | `fig05` | Fig. 5 — matmul, multi-GPU, cache × scheduler (+ Paraver trace `fig05_multigpu`) |
+//! | `fig06` | Fig. 6 — STREAM, multi-GPU, cache × scheduler |
+//! | `fig07` | Fig. 7 — Perlin, multi-GPU, Flush/NoFlush × cache |
+//! | `fig08` | Fig. 8 — N-Body, multi-GPU, cache policies |
+//! | `fig09` | Fig. 9 — matmul, cluster, StoS × init × presend (+ Paraver trace `fig09_cluster`) |
+//! | `fig10` | Fig. 10 — matmul, best OmpSs vs MPI+CUDA |
+//! | `fig11` | Fig. 11 — STREAM, cluster, OmpSs vs MPI+CUDA |
+//! | `fig12` | Fig. 12 — Perlin, cluster, Flush/NoFlush |
+//! | `fig13` | Fig. 13 — N-Body, cluster, OmpSs vs MPI+CUDA |
+//! | `figWS` | weak scaling, flat vs sharded control plane — beyond the paper |
+//! | `table1` | Table I — useful lines of code per version |
 //!
-//! Each harness prints an aligned text table (series × sweep points)
+//! Each figure prints an aligned text table (series × sweep points)
 //! and can save machine-readable JSON. Absolute values come from the
 //! simulated platform models; the *shapes* — who wins, by what factor,
 //! where the crossovers sit — are the reproduction targets recorded in

@@ -31,353 +31,344 @@
 //! wrong bytes or any other crash fails the sweep, as does a grid in
 //! which no join or no drain actually fired.
 //!
-//! Every run in the grid — references included — is an independent
-//! simulation, so all of them execute on `--jobs N` host threads
-//! (default `OMPSS_BENCH_JOBS` / host parallelism); comparisons and the
-//! report are assembled serially in grid order, so the output is
-//! byte-identical at any job count.
+//! Each sweep is a [`Mode`]: its axes, counter columns and pass rules,
+//! declared over the one reference-then-case grid of
+//! [`ompss_chaos::run_grid`]. Every run in the grid — references
+//! included — is an independent simulation, so all of them execute on
+//! `--jobs N` host threads (default `OMPSS_BENCH_JOBS` / host
+//! parallelism); the report is assembled serially in case order, so the
+//! output is byte-identical at any job count.
+//!
+//! Malformed flag values and unknown apps print one usage line and exit
+//! with status 2.
+//!
+//! [`RunError::Exhausted`]: ompss_runtime::RunError::Exhausted
 
 use std::sync::Arc;
 
-use ompss_chaos::{chaos_run, output_of, run_app, topologies, try_run_app, APPS};
+use ompss_chaos::{run_grid, with_big_budgets, Case, Outcome, APPS};
 use ompss_json::Json;
-use ompss_runtime::{FaultClass, FaultPlan, RunError};
+use ompss_runtime::{FaultClass, FaultPlan, RunReport, RuntimeConfig};
 
-fn parse_list(flag: &str, s: &str) -> Vec<f64> {
-    s.split(',')
-        .map(|p| p.trim().parse().unwrap_or_else(|_| panic!("malformed {flag} entry '{p}'")))
-        .collect()
-}
+const USAGE: &str = "usage: chaos [--rates r1,r2] [--seeds s1,s2] [--jobs N] [app...]\n       \
+                     chaos --node-kill [--kill-points p1,p2] [--jobs N] [app...]\n       \
+                     chaos --churn [--jobs N] [app...]";
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "usage: chaos [--rates r1,r2] [--seeds s1,s2] [--jobs N] [app...]\n       \
-             chaos --node-kill [--kill-points p1,p2] [--jobs N] [app...]\n       \
-             chaos --churn [--jobs N] [app...]\napps: {}",
-            APPS.join(" ")
-        );
+        eprintln!("{USAGE}\napps: {}", APPS.join(" "));
         return;
     }
     ompss_sweep::parse_jobs_flag(&mut args);
-    let mut rates: Vec<f64> = vec![0.05, 0.1];
-    let mut seeds: Vec<u64> = vec![1, 2, 3];
-    let mut node_kill = false;
-    let mut churn = false;
-    let mut kill_points: Vec<u64> = vec![20, 45, 70];
-    // Resolved against APPS so the sweep closures capture `&'static str`.
-    let mut named: Vec<&'static str> = Vec::new();
+    let args = parse_args(args).unwrap_or_else(|e| {
+        eprintln!(
+            "chaos: {e}; usage: chaos [--rates r1,r2] [--seeds s1,s2] [--node-kill \
+             [--kill-points p1,p2]] [--churn] [--jobs N] [app...]"
+        );
+        std::process::exit(2);
+    });
+    let mode = match args.sweep {
+        Sweep::Rates => rate_mode(&args),
+        Sweep::NodeKill => node_kill_mode(&args),
+        Sweep::Churn => churn_mode(&args),
+    };
+    std::process::exit(mode.run());
+}
+
+/// Which grid to run.
+#[derive(Debug, PartialEq)]
+enum Sweep {
+    Rates,
+    NodeKill,
+    Churn,
+}
+
+/// The parsed command line (after `--jobs`).
+#[derive(Debug, PartialEq)]
+struct Args {
+    sweep: Sweep,
+    rates: Vec<f64>,
+    seeds: Vec<u64>,
+    kill_points: Vec<u64>,
+    /// Resolved against [`APPS`]; all of them when none is named.
+    apps: Vec<&'static str>,
+}
+
+fn parse_args(args: Vec<String>) -> Result<Args, String> {
+    let mut parsed = Args {
+        sweep: Sweep::Rates,
+        rates: vec![0.05, 0.1],
+        seeds: vec![1, 2, 3],
+        kill_points: vec![20, 45, 70],
+        apps: Vec::new(),
+    };
+    let (mut node_kill, mut churn) = (false, false);
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--rates" => {
-                rates = parse_list("--rates", &it.next().expect("--rates needs a value"));
+                parsed.rates = parse_list("--rates", it.next())?;
+                if let Some(r) = parsed.rates.iter().find(|r| !r.is_finite()) {
+                    return Err(format!("malformed --rates entry '{r}'"));
+                }
             }
-            "--seeds" => {
-                seeds = parse_list("--seeds", &it.next().expect("--seeds needs a value"))
-                    .into_iter()
-                    .map(|v| v as u64)
-                    .collect();
-            }
+            "--seeds" => parsed.seeds = parse_list("--seeds", it.next())?,
+            "--kill-points" => parsed.kill_points = parse_list("--kill-points", it.next())?,
             "--node-kill" => node_kill = true,
             "--churn" => churn = true,
-            "--kill-points" => {
-                kill_points =
-                    parse_list("--kill-points", &it.next().expect("--kill-points needs a value"))
-                        .into_iter()
-                        .map(|v| v as u64)
-                        .collect();
-            }
-            other => {
-                named.push(
-                    *APPS.iter().find(|x| **x == other).unwrap_or_else(|| {
-                        panic!("unknown app '{other}'; expected one of {APPS:?}")
-                    }),
-                );
-            }
+            other => parsed.apps.push(
+                APPS.iter()
+                    .find(|x| **x == other)
+                    .ok_or_else(|| format!("unknown app '{other}'; expected one of {APPS:?}"))?,
+            ),
         }
     }
-    let apps: Vec<&'static str> = if named.is_empty() { APPS.to_vec() } else { named };
-
-    if node_kill {
-        node_kill_sweep(&apps, &kill_points);
-        return;
+    if parsed.apps.is_empty() {
+        parsed.apps = APPS.to_vec();
     }
-    if churn {
-        churn_sweep(&apps);
-        return;
-    }
-
-    // Queue every simulation in the grid — per (app, topology): the
-    // fault-free reference, then one chaos run per (rate, seed). The
-    // `FaultPlan` handles stay out here so `plan.stats()` is readable
-    // during assembly.
-    type RunTask = Box<dyn FnOnce() -> ompss_apps::common::AppRun + Send>;
-    let mut tasks: Vec<RunTask> = Vec::new();
-    let mut plans: Vec<Arc<FaultPlan>> = Vec::new();
-    for &app in &apps {
-        for (_topo, cfg) in topologies() {
-            let ref_cfg = cfg.clone();
-            tasks.push(Box::new(move || run_app(app, ref_cfg)));
-            for &rate in &rates {
-                for &seed in &seeds {
-                    let plan = Arc::new(FaultPlan::new(seed, rate));
-                    plans.push(plan.clone());
-                    let case_cfg = cfg.clone();
-                    tasks.push(Box::new(move || chaos_run(app, case_cfg, plan)));
-                }
-            }
-        }
-    }
-    let mut results = ompss_sweep::run_jobs(ompss_sweep::jobs(), tasks).into_iter();
-    let mut plans = plans.into_iter();
-
-    let mut cases = Json::array();
-    let mut divergences = 0usize;
-    // Aggregate recovery evidence over the whole sweep: every class the
-    // runtime recovers from must fire at least once, or the sweep never
-    // exercised it.
-    let (mut retries, mut reexec, mut lost, mut dropped) = (0u64, 0u64, 0u64, 0u64);
-    for app in &apps {
-        for (topo, _cfg) in topologies() {
-            let reference = results.next().expect("one result per queued run");
-            let ref_out = output_of(&reference).to_vec();
-            for &rate in &rates {
-                for &seed in &seeds {
-                    let plan = plans.next().expect("one plan per queued chaos run");
-                    let run = results.next().expect("one result per queued run");
-                    let identical = output_of(&run) == ref_out.as_slice();
-                    if !identical {
-                        divergences += 1;
-                    }
-                    let rep = run.report.as_ref().expect("ompss app run carries a report");
-                    let c = &rep.counters;
-                    retries += c.am_retries;
-                    reexec += c.tasks_reexecuted;
-                    lost += c.devices_lost;
-                    dropped += c.msgs_dropped;
-                    let stats = plan.stats();
-                    cases.push(
-                        Json::object()
-                            .field("app", *app)
-                            .field("topology", topo)
-                            .field("rate", rate)
-                            .field("seed", seed)
-                            .field("identical", identical)
-                            .field("injected", stats.total())
-                            .field("device_losses", stats.count(FaultClass::DeviceLoss))
-                            .field("am_retries", c.am_retries)
-                            .field("tasks_reexecuted", c.tasks_reexecuted)
-                            .field("devices_lost", c.devices_lost)
-                            .field("msgs_dropped", c.msgs_dropped),
-                    );
-                }
-            }
-        }
-    }
-
-    let mut missing = Vec::new();
-    for (name, n) in [
-        ("am_retries", retries),
-        ("tasks_reexecuted", reexec),
-        ("devices_lost", lost),
-        ("msgs_dropped", dropped),
-    ] {
-        if n == 0 {
-            missing.push(name);
-        }
-    }
-    let report = Json::object()
-        .field("tool", "ompss-chaos")
-        .field("divergences", divergences as u64)
-        .field(
-            "recovery_totals",
-            Json::object()
-                .field("am_retries", retries)
-                .field("tasks_reexecuted", reexec)
-                .field("devices_lost", lost)
-                .field("msgs_dropped", dropped),
-        )
-        .field("cases", cases);
-    println!("{}", report.to_pretty_string().trim_end());
-    if divergences > 0 {
-        eprintln!("chaos: {divergences} case(s) diverged from the fault-free output");
-        std::process::exit(1);
-    }
-    if !missing.is_empty() {
-        eprintln!("chaos: sweep exercised no recovery of class(es): {}", missing.join(", "));
-        std::process::exit(1);
-    }
-}
-
-/// How one planned node-kill case ended. Recovery and a fail-closed
-/// [`RunError::Exhausted`] are the only acceptable outcomes — wrong
-/// bytes and any other error fail the sweep.
-enum KillOutcome {
-    /// The run completed bit-identically; carries its recovery
-    /// counters `(nodes_lost, relineaged, reconstructed, missed)`.
-    Finished((u64, u64, u64, u64)),
-    /// The run aborted with a recovery-budget/lineage exhaustion.
-    FailClosed(String),
-    /// Any other failure: a real defect.
-    Crashed(String),
-}
-
-/// The whole-node loss grid: app × cluster size × victim slave × kill
-/// instant (a percentage of the fault-free makespan). See the module
-/// docs for the pass criteria.
-fn node_kill_sweep(apps: &[&'static str], points: &[u64]) {
-    use ompss_runtime::{RuntimeConfig, SimDuration};
-    type RefTask = Box<dyn FnOnce() -> (Vec<f32>, u64) + Send>;
-    // The third cluster runs the sharded control plane, so every slave
-    // victim is a shard *owner* homing a slice of the directory: killing
-    // it exercises the master's re-homing path, which must either
-    // restore the bytes or fail closed.
-    let clusters: [(&'static str, u32, bool); 3] =
-        [("cluster2", 2, false), ("cluster3", 3, false), ("cluster3_sharded", 3, true)];
-    let cluster_cfg = |nodes: u32, sharded: bool| {
-        let cfg = RuntimeConfig::gpu_cluster(nodes);
-        if sharded {
-            cfg.with_sharded_control(nodes)
-        } else {
-            cfg
-        }
+    parsed.sweep = if node_kill {
+        Sweep::NodeKill
+    } else if churn {
+        Sweep::Churn
+    } else {
+        Sweep::Rates
     };
+    Ok(parsed)
+}
 
-    // Phase 1: fault-free references (output bytes + makespan).
-    let mut ref_tasks: Vec<RefTask> = Vec::new();
-    for &app in apps {
-        for &(_, nodes, sharded) in &clusters {
-            ref_tasks.push(Box::new(move || {
-                let run = run_app(app, cluster_cfg(nodes, sharded));
-                let makespan = run.report.as_ref().expect("report").makespan.as_nanos();
-                (output_of(&run).to_vec(), makespan)
-            }));
+fn parse_list<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<Vec<T>, String> {
+    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .split(',')
+        .map(|p| p.trim().parse().map_err(|_| format!("malformed {flag} entry '{p}'")))
+        .collect()
+}
+
+/// A named counter: a report column or its total.
+type Count = (&'static str, u64);
+
+/// One sweep, declared over the shared grid: which runs it makes, what
+/// it reports per case, and what it takes to pass.
+struct Mode {
+    /// The report's `mode` field. `None` for the rate/seed sweep, whose
+    /// report predates the field: it flags each case `identical`,
+    /// shows the counters of every completed run, and heads the report
+    /// with `divergences` and `recovery_totals` instead of `totals`.
+    name: Option<&'static str>,
+    references: Vec<(&'static str, RuntimeConfig)>,
+    /// Every case, with the report fields that name its axes.
+    cases: Vec<(Json, Case)>,
+    /// The outcome label of a finished case.
+    finished: &'static str,
+    /// Whether failing closed with `Exhausted` passes.
+    fail_closed_ok: bool,
+    /// Per-case counter columns, read from a run's report.
+    columns: fn(&RunReport) -> Vec<Count>,
+    /// The columns summed into the report's totals.
+    summed: &'static [&'static str],
+    /// What the failed cases did, for the stderr line.
+    failed: &'static str,
+    /// The evidence gate: given the finished-case count and the summed
+    /// totals, the complaint when the grid did not exercise what it
+    /// exists to exercise.
+    evidence: fn(u64, &[Count]) -> Option<String>,
+}
+
+impl Mode {
+    /// Run the grid, print the report, and return the exit status.
+    fn run(mut self) -> i32 {
+        let (axes, cases): (Vec<Json>, Vec<Case>) =
+            std::mem::take(&mut self.cases).into_iter().unzip();
+        let outcomes = run_grid(&self.references, cases);
+        let (report, verdict) = self.report(axes, outcomes);
+        println!("{}", report.to_pretty_string().trim_end());
+        match verdict {
+            Ok(()) => 0,
+            Err(complaint) => {
+                eprintln!("{complaint}");
+                1
+            }
         }
     }
-    let mut refs = ompss_sweep::run_jobs(ompss_sweep::jobs(), ref_tasks).into_iter();
 
-    // Phase 2: one kill case per (app, cluster, victim, point). Each
-    // case classifies itself against its captured reference, so the
-    // grid still fans out across `--jobs` threads. Outcomes are sorted
-    // by `RunError` variant — `Exhausted` is the fail-closed budget
-    // abort, anything else a defect — not by grepping panic strings.
-    let mut kill_tasks: Vec<Box<dyn FnOnce() -> KillOutcome + Send>> = Vec::new();
-    let mut grid: Vec<(&'static str, &'static str, u32, u64)> = Vec::new();
-    for &app in apps {
-        for &(topo, nodes, sharded) in &clusters {
-            let (expect, makespan) = refs.next().expect("one reference per app x cluster");
-            let expect = std::sync::Arc::new(expect);
-            for victim in 1..nodes {
-                for &pct in points {
-                    grid.push((app, topo, victim, pct));
-                    let expect = expect.clone();
-                    let at = SimDuration::from_nanos(makespan * pct / 100);
-                    kill_tasks.push(Box::new(move || {
-                        let cfg = cluster_cfg(nodes, sharded).with_node_loss(victim, at);
-                        match try_run_app(app, cfg) {
-                            Ok(run) => {
-                                let c = &run.report.as_ref().expect("report").counters;
-                                let counters = (
-                                    c.nodes_lost,
-                                    c.tasks_relineaged,
-                                    c.bytes_reconstructed,
-                                    c.heartbeats_missed,
-                                );
-                                if output_of(&run) == expect.as_slice() {
-                                    KillOutcome::Finished(counters)
-                                } else {
-                                    KillOutcome::Crashed("output diverged".into())
-                                }
-                            }
-                            Err(e @ RunError::Exhausted { .. }) => {
-                                KillOutcome::FailClosed(e.to_string())
-                            }
-                            Err(e) => KillOutcome::Crashed(e.to_string()),
+    /// The report over the cases' axes and outcomes, and the verdict:
+    /// the stderr complaint when the sweep fails.
+    fn report(&self, axes: Vec<Json>, outcomes: Vec<Outcome>) -> (Json, Result<(), String>) {
+        let (mut finished, mut fail_closed, mut failures) = (0u64, 0u64, 0u64);
+        let mut sums: Vec<Count> = self.summed.iter().map(|&k| (k, 0)).collect();
+        let mut rows = Json::array();
+        for (row, outcome) in axes.into_iter().zip(outcomes) {
+            let label = match &outcome {
+                Outcome::Finished(_) => {
+                    finished += 1;
+                    self.finished
+                }
+                Outcome::FailClosed(_) if self.fail_closed_ok => {
+                    fail_closed += 1;
+                    "fail_closed"
+                }
+                _ => {
+                    failures += 1;
+                    "FAILURE"
+                }
+            };
+            let is_finished = matches!(outcome, Outcome::Finished(_));
+            let (mut row, shown) = match self.name {
+                None => (row.field("identical", is_finished), outcome.run()),
+                Some(_) => (row.field("outcome", label), outcome.run().filter(|_| is_finished)),
+            };
+            match shown {
+                Some(run) => {
+                    for (k, v) in (self.columns)(run.report.as_ref().expect("report")) {
+                        if let Some(sum) = sums.iter_mut().find(|(name, _)| *name == k) {
+                            sum.1 += v;
                         }
-                    }));
+                        row = row.field(k, v);
+                    }
+                }
+                None => row = row.field("error", outcome.error().expect("unfinished case")),
+            }
+            rows.push(row);
+        }
+
+        let with_sums = |totals: Json| sums.iter().fold(totals, |t, &(k, v)| t.field(k, v));
+        let head = Json::object().field("tool", "ompss-chaos");
+        let report = match self.name {
+            None => head
+                .field("divergences", failures)
+                .field("recovery_totals", with_sums(Json::object())),
+            Some(name) => head.field("mode", name).field(
+                "totals",
+                with_sums(
+                    Json::object()
+                        .field(self.finished, finished)
+                        .field("fail_closed", fail_closed)
+                        .field("failures", failures),
+                ),
+            ),
+        };
+        let prefix = self.name.map_or("chaos".to_string(), |n| format!("chaos --{n}"));
+        let verdict = if failures > 0 {
+            Err(format!("{prefix}: {failures} case(s) {}", self.failed))
+        } else {
+            (self.evidence)(finished, &sums).map_or(Ok(()), |c| Err(format!("{prefix}: {c}")))
+        };
+        (report.field("cases", rows), verdict)
+    }
+}
+
+/// Rate × seed: every app on the paper's two topologies under each
+/// seeded fault plan, retry budgets raised. Strict: only a
+/// bit-identical finish passes, and every recovery class the runtime
+/// has must fire somewhere in the grid.
+fn rate_mode(args: &Args) -> Mode {
+    let (mut references, mut cases) = (Vec::new(), Vec::new());
+    for &app in &args.apps {
+        for (topo, cfg) in
+            [("multi_gpu", RuntimeConfig::multi_gpu(2)), ("cluster", RuntimeConfig::gpu_cluster(2))]
+        {
+            references.push((app, cfg));
+            for &rate in &args.rates {
+                for &seed in &args.seeds {
+                    let axes = Json::object()
+                        .field("app", app)
+                        .field("topology", topo)
+                        .field("rate", rate)
+                        .field("seed", seed);
+                    let case = Case::new(references.len() - 1, move |cfg, _| {
+                        with_big_budgets(cfg.with_fault_plan(Arc::new(FaultPlan::new(seed, rate))))
+                    });
+                    cases.push((axes, case));
                 }
             }
         }
     }
-    let results = ompss_sweep::run_jobs(ompss_sweep::jobs(), kill_tasks);
-
-    let mut cases = Json::array();
-    let (mut recovered, mut fail_closed, mut failures) = (0u64, 0u64, 0u64);
-    let (mut relineaged, mut reconstructed) = (0u64, 0u64);
-    for ((app, topo, victim, pct), outcome) in grid.into_iter().zip(results) {
-        let mut case = Json::object()
-            .field("app", app)
-            .field("topology", topo)
-            .field("victim", victim as u64)
-            .field("kill_percent", pct);
-        case = match outcome {
-            KillOutcome::Finished((lost, rel, bytes, missed)) => {
-                recovered += 1;
-                relineaged += rel;
-                reconstructed += bytes;
-                case.field("outcome", "recovered")
-                    .field("nodes_lost", lost)
-                    .field("tasks_relineaged", rel)
-                    .field("bytes_reconstructed", bytes)
-                    .field("heartbeats_missed", missed)
-            }
-            KillOutcome::FailClosed(msg) => {
-                fail_closed += 1;
-                case.field("outcome", "fail_closed").field("error", msg)
-            }
-            KillOutcome::Crashed(msg) => {
-                failures += 1;
-                case.field("outcome", "FAILURE").field("error", msg)
-            }
-        };
-        cases.push(case);
-    }
-
-    let report = Json::object()
-        .field("tool", "ompss-chaos")
-        .field("mode", "node-kill")
-        .field(
-            "totals",
-            Json::object()
-                .field("recovered", recovered)
-                .field("fail_closed", fail_closed)
-                .field("failures", failures)
-                .field("tasks_relineaged", relineaged)
-                .field("bytes_reconstructed", reconstructed),
-        )
-        .field("cases", cases);
-    println!("{}", report.to_pretty_string().trim_end());
-    if failures > 0 {
-        eprintln!("chaos --node-kill: {failures} case(s) crashed or produced wrong bytes");
-        std::process::exit(1);
-    }
-    if recovered == 0 {
-        eprintln!("chaos --node-kill: no case actually recovered; the grid proves nothing");
-        std::process::exit(1);
+    Mode {
+        name: None,
+        references,
+        cases,
+        finished: "identical",
+        fail_closed_ok: false,
+        columns: |rep| {
+            let faults = rep.faults.as_ref().expect("armed fault plan");
+            let c = &rep.counters;
+            vec![
+                ("injected", faults.total()),
+                ("device_losses", faults.count(FaultClass::DeviceLoss)),
+                ("am_retries", c.am_retries),
+                ("tasks_reexecuted", c.tasks_reexecuted),
+                ("devices_lost", c.devices_lost),
+                ("msgs_dropped", c.msgs_dropped),
+            ]
+        },
+        summed: &["am_retries", "tasks_reexecuted", "devices_lost", "msgs_dropped"],
+        failed: "diverged from the fault-free output",
+        evidence: |_, sums| {
+            let missing: Vec<&str> =
+                sums.iter().filter(|(_, n)| *n == 0).map(|(name, _)| *name).collect();
+            (!missing.is_empty()).then(|| {
+                format!("sweep exercised no recovery of class(es): {}", missing.join(", "))
+            })
+        },
     }
 }
 
-/// How one churn cell ended. Finishing bit-identically to the static
-/// reference and failing closed with [`RunError::Exhausted`] are the
-/// only acceptable outcomes — wrong bytes and any other error fail the
-/// sweep.
-enum ChurnOutcome {
-    /// Bit-identical finish; carries `(nodes_joined, nodes_drained,
-    /// regions_rebalanced, bytes_migrated, nodes_lost)`.
-    Finished((u64, u64, u64, u64, u64)),
-    FailClosed(String),
-    Crashed(String),
+/// Whole-node loss: app × cluster × victim slave × kill instant (a
+/// percentage of the fault-free makespan). The third cluster runs the
+/// sharded control plane, so every victim is a shard *owner* homing a
+/// slice of the directory: killing it exercises the master's
+/// re-homing path, which must either restore the bytes or fail closed.
+fn node_kill_mode(args: &Args) -> Mode {
+    let clusters = [("cluster2", 2, false), ("cluster3", 3, false), ("cluster3_sharded", 3, true)];
+    let (mut references, mut cases) = (Vec::new(), Vec::new());
+    for &app in &args.apps {
+        for (topo, nodes, sharded) in clusters {
+            references.push((app, cluster(nodes, sharded)));
+            for victim in 1..nodes {
+                for &pct in &args.kill_points {
+                    let axes = Json::object()
+                        .field("app", app)
+                        .field("topology", topo)
+                        .field("victim", victim as u64)
+                        .field("kill_percent", pct);
+                    let case = Case::new(references.len() - 1, move |cfg, r| {
+                        cfg.with_node_loss(victim, r.at(pct))
+                    });
+                    cases.push((axes, case));
+                }
+            }
+        }
+    }
+    Mode {
+        name: Some("node-kill"),
+        references,
+        cases,
+        finished: "recovered",
+        fail_closed_ok: true,
+        columns: |rep| {
+            let c = &rep.counters;
+            vec![
+                ("nodes_lost", c.nodes_lost),
+                ("tasks_relineaged", c.tasks_relineaged),
+                ("bytes_reconstructed", c.bytes_reconstructed),
+                ("heartbeats_missed", c.heartbeats_missed),
+            ]
+        },
+        summed: &["tasks_relineaged", "bytes_reconstructed"],
+        failed: "crashed or produced wrong bytes",
+        evidence: |recovered, _| {
+            (recovered == 0).then(|| "no case actually recovered; the grid proves nothing".into())
+        },
+    }
 }
 
-/// The elastic-membership grid: app × {flat, sharded} three-node
-/// cluster × churn scenario. Node 2 is the elastic member throughout;
-/// the two kill scenarios race a crash against its drain (the drainee
-/// itself, then bystander node 1). Instants are fractions of the
-/// static fault-free makespan so every event lands mid-run.
-fn churn_sweep(apps: &[&'static str]) {
-    use ompss_runtime::{RuntimeConfig, SimDuration};
+/// Elastic membership: app × {flat, sharded} three-node cluster ×
+/// churn scenario. Node 2 is the elastic member throughout; the two
+/// kill scenarios race a crash against its drain (the drainee itself,
+/// then bystander node 1). Instants are fractions of the static
+/// fault-free makespan so every event lands mid-run.
+fn churn_mode(args: &Args) -> Mode {
     // (name, join %, drain %, (kill victim, kill %)).
     type Scenario = (&'static str, Option<u64>, Option<u64>, Option<(u32, u64)>);
     const SCENARIOS: [Scenario; 5] = [
@@ -387,139 +378,144 @@ fn churn_sweep(apps: &[&'static str]) {
         ("drain_then_kill", None, Some(40), Some((2, 45))),
         ("kill_other_during_drain", None, Some(40), Some((1, 45))),
     ];
-    let planes: [(&'static str, bool); 2] = [("cluster3", false), ("cluster3_sharded", true)];
-    let cluster_cfg = |sharded: bool| {
-        let cfg = RuntimeConfig::gpu_cluster(3);
-        if sharded {
-            cfg.with_sharded_control(3)
-        } else {
-            cfg
-        }
-    };
-
-    // Phase 1: static references (output bytes + makespan).
-    type RefTask = Box<dyn FnOnce() -> (Vec<f32>, u64) + Send>;
-    let mut ref_tasks: Vec<RefTask> = Vec::new();
-    for &app in apps {
-        for &(_, sharded) in &planes {
-            ref_tasks.push(Box::new(move || {
-                let run = run_app(app, cluster_cfg(sharded));
-                let makespan = run.report.as_ref().expect("report").makespan.as_nanos();
-                (output_of(&run).to_vec(), makespan)
-            }));
-        }
-    }
-    let mut refs = ompss_sweep::run_jobs(ompss_sweep::jobs(), ref_tasks).into_iter();
-
-    // Phase 2: one run per cell, classified against its reference.
-    let mut cell_tasks: Vec<Box<dyn FnOnce() -> ChurnOutcome + Send>> = Vec::new();
-    let mut grid: Vec<(&'static str, &'static str, &'static str)> = Vec::new();
-    for &app in apps {
-        for &(plane, sharded) in &planes {
-            let (expect, makespan) = refs.next().expect("one reference per app x plane");
-            let expect = std::sync::Arc::new(expect);
-            for &(name, join, drain, kill) in &SCENARIOS {
-                grid.push((app, plane, name));
-                let expect = expect.clone();
-                let at = move |pct: u64| SimDuration::from_nanos(makespan * pct / 100);
-                cell_tasks.push(Box::new(move || {
-                    let mut cfg = cluster_cfg(sharded);
+    let (mut references, mut cases) = (Vec::new(), Vec::new());
+    for &app in &args.apps {
+        for (plane, sharded) in [("cluster3", false), ("cluster3_sharded", true)] {
+            references.push((app, cluster(3, sharded)));
+            for (name, join, drain, kill) in SCENARIOS {
+                let axes = Json::object()
+                    .field("app", app)
+                    .field("topology", plane)
+                    .field("scenario", name);
+                let case = Case::new(references.len() - 1, move |mut cfg, r| {
                     if let Some(pct) = join {
-                        cfg = cfg.with_node_join(2, at(pct));
+                        cfg = cfg.with_node_join(2, r.at(pct));
                     }
                     if let Some(pct) = drain {
-                        cfg = cfg.with_node_drain(2, at(pct));
+                        cfg = cfg.with_node_drain(2, r.at(pct));
                     }
                     if let Some((victim, pct)) = kill {
-                        cfg = cfg.with_node_loss(victim, at(pct));
+                        cfg = cfg.with_node_loss(victim, r.at(pct));
                     }
-                    match try_run_app(app, cfg) {
-                        Ok(run) => {
-                            let c = &run.report.as_ref().expect("report").counters;
-                            let counters = (
-                                c.nodes_joined,
-                                c.nodes_drained,
-                                c.regions_rebalanced,
-                                c.bytes_migrated,
-                                c.nodes_lost,
-                            );
-                            if output_of(&run) == expect.as_slice() {
-                                ChurnOutcome::Finished(counters)
-                            } else {
-                                ChurnOutcome::Crashed("output diverged".into())
-                            }
-                        }
-                        Err(e @ RunError::Exhausted { .. }) => {
-                            ChurnOutcome::FailClosed(e.to_string())
-                        }
-                        Err(e) => ChurnOutcome::Crashed(e.to_string()),
-                    }
-                }));
+                    cfg
+                });
+                cases.push((axes, case));
             }
         }
     }
-    let results = ompss_sweep::run_jobs(ompss_sweep::jobs(), cell_tasks);
+    Mode {
+        name: Some("churn"),
+        references,
+        cases,
+        finished: "identical",
+        fail_closed_ok: true,
+        columns: |rep| {
+            let c = &rep.counters;
+            vec![
+                ("nodes_joined", c.nodes_joined),
+                ("nodes_drained", c.nodes_drained),
+                ("regions_rebalanced", c.regions_rebalanced),
+                ("bytes_migrated", c.bytes_migrated),
+                ("nodes_lost", c.nodes_lost),
+            ]
+        },
+        summed: &[
+            "nodes_joined",
+            "nodes_drained",
+            "regions_rebalanced",
+            "bytes_migrated",
+            "nodes_lost",
+        ],
+        failed: "crashed or produced wrong bytes",
+        evidence: |_, sums| {
+            let total = |k: &str| sums.iter().find(|(name, _)| *name == k).map_or(0, |s| s.1);
+            let (joined, drained) = (total("nodes_joined"), total("nodes_drained"));
+            (joined == 0 || drained == 0).then(|| {
+                format!(
+                    "the grid exercised no {} (joined={joined}, drained={drained})",
+                    if joined == 0 { "join" } else { "drain" }
+                )
+            })
+        },
+    }
+}
 
-    let mut cases = Json::array();
-    let (mut identical, mut fail_closed, mut failures) = (0u64, 0u64, 0u64);
-    let (mut joined, mut drained, mut rebalanced, mut migrated, mut lost) =
-        (0u64, 0u64, 0u64, 0u64, 0u64);
-    for ((app, plane, scenario), outcome) in grid.into_iter().zip(results) {
-        let mut case =
-            Json::object().field("app", app).field("topology", plane).field("scenario", scenario);
-        case = match outcome {
-            ChurnOutcome::Finished((j, d, r, b, l)) => {
-                identical += 1;
-                joined += j;
-                drained += d;
-                rebalanced += r;
-                migrated += b;
-                lost += l;
-                case.field("outcome", "identical")
-                    .field("nodes_joined", j)
-                    .field("nodes_drained", d)
-                    .field("regions_rebalanced", r)
-                    .field("bytes_migrated", b)
-                    .field("nodes_lost", l)
-            }
-            ChurnOutcome::FailClosed(msg) => {
-                fail_closed += 1;
-                case.field("outcome", "fail_closed").field("error", msg)
-            }
-            ChurnOutcome::Crashed(msg) => {
-                failures += 1;
-                case.field("outcome", "FAILURE").field("error", msg)
-            }
-        };
-        cases.push(case);
+/// A GPU cluster of `nodes`, with the sharded control plane if asked.
+fn cluster(nodes: u32, sharded: bool) -> RuntimeConfig {
+    let cfg = RuntimeConfig::gpu_cluster(nodes);
+    if sharded {
+        cfg.with_sharded_control(nodes)
+    } else {
+        cfg
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use ompss_runtime::RunError;
+
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()).collect())
     }
 
-    let report = Json::object()
-        .field("tool", "ompss-chaos")
-        .field("mode", "churn")
-        .field(
-            "totals",
-            Json::object()
-                .field("identical", identical)
-                .field("fail_closed", fail_closed)
-                .field("failures", failures)
-                .field("nodes_joined", joined)
-                .field("nodes_drained", drained)
-                .field("regions_rebalanced", rebalanced)
-                .field("bytes_migrated", migrated)
-                .field("nodes_lost", lost),
-        )
-        .field("cases", cases);
-    println!("{}", report.to_pretty_string().trim_end());
-    if failures > 0 {
-        eprintln!("chaos --churn: {failures} case(s) crashed or produced wrong bytes");
-        std::process::exit(1);
-    }
-    if joined == 0 || drained == 0 {
-        eprintln!(
-            "chaos --churn: the grid exercised no {} (joined={joined}, drained={drained})",
-            if joined == 0 { "join" } else { "drain" }
+    #[test]
+    fn defaults_cover_every_app_in_the_rate_sweep() {
+        let args = parse(&[]).unwrap();
+        assert_eq!(args.sweep, Sweep::Rates);
+        assert_eq!(
+            (args.rates, args.seeds, args.kill_points),
+            (vec![0.05, 0.1], vec![1, 2, 3], vec![20, 45, 70])
         );
-        std::process::exit(1);
+        assert_eq!(args.apps, APPS.to_vec());
+    }
+
+    #[test]
+    fn integers_parse_as_integers() {
+        let args = parse(&["--rates", "0.05", "--seeds", "7, 9", "stream"]).unwrap();
+        assert_eq!((args.rates, args.seeds, args.apps), (vec![0.05], vec![7, 9], vec!["stream"]));
+        let args = parse(&["--node-kill", "--kill-points", "20,45"]).unwrap();
+        assert_eq!((args.sweep, args.kill_points), (Sweep::NodeKill, vec![20, 45]));
+        assert_eq!(parse(&["--churn", "perlin"]).unwrap().sweep, Sweep::Churn);
+    }
+
+    #[test]
+    fn bad_input_is_an_error_not_a_panic() {
+        for bad in [
+            &["--seeds", "2.7,-3"][..],
+            &["--seeds", "-3"],
+            &["--seeds", "1,,2"],
+            &["--kill-points", "45.5"],
+            &["--rates", "fast"],
+            &["--rates", "NaN"],
+            &["--rates"],
+            &["--seeds"],
+            &["--node-kill", "--kill-points"],
+            &["matmull"],
+            &["--verbose"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+        assert_eq!(parse(&["--seeds", "2.7"]).unwrap_err(), "malformed --seeds entry '2.7'");
+        assert_eq!(parse(&["--rates"]).unwrap_err(), "--rates needs a value");
+    }
+
+    fn fail_closed() -> Outcome {
+        Outcome::FailClosed(RunError::Exhausted { what: "task t1".into(), attempts: 8 })
+    }
+
+    #[test]
+    fn the_rate_sweep_rejects_failing_closed() {
+        let args = parse(&["stream"]).unwrap();
+        let (report, verdict) = rate_mode(&args).report(vec![Json::object()], vec![fail_closed()]);
+        assert_eq!(verdict, Err("chaos: 1 case(s) diverged from the fault-free output".into()));
+        assert_eq!(report.get("divergences"), Some(&Json::from(1u64)));
+        let (_, verdict) = node_kill_mode(&args).report(vec![Json::object()], vec![fail_closed()]);
+        assert_eq!(
+            verdict,
+            Err("chaos --node-kill: no case actually recovered; the grid proves nothing".into()),
+            "failing closed passes the node-kill grid; only its evidence gate objects"
+        );
     }
 }

@@ -9,45 +9,33 @@
 //! racing kill strands, and any lost or doubled work shows up as a
 //! byte diff against the static reference.
 
-use ompss_chaos::{output_of, run_app, try_run_app};
-use ompss_runtime::{RunError, RuntimeConfig, SimDuration};
+use ompss_chaos::{output_of, reference, run_app, try_run_app};
+use ompss_runtime::{RunError, RuntimeConfig};
 
 fn sharded3() -> RuntimeConfig {
     RuntimeConfig::gpu_cluster(3).with_sharded_control(3)
 }
 
-/// Static reference: output bytes and makespan (churn instants are
-/// fractions of it so they land inside the run).
-fn reference(cfg: &RuntimeConfig) -> (Vec<f32>, u64) {
-    let run = run_app("perlin", cfg.clone());
-    let makespan = run.report.as_ref().expect("report").makespan.as_nanos();
-    (output_of(&run).to_vec(), makespan)
-}
-
-fn at(makespan: u64, percent: u64) -> SimDuration {
-    SimDuration::from_nanos(makespan * percent / 100)
-}
-
 #[test]
 fn planned_drain_is_bit_identical_to_the_static_run() {
     let cfg = sharded3();
-    let (expect, makespan) = reference(&cfg);
-    let run = run_app("perlin", cfg.with_node_drain(2, at(makespan, 45)));
+    let r = reference("perlin", cfg.clone());
+    let run = run_app("perlin", cfg.with_node_drain(2, r.at(45)));
     let rep = run.report.as_ref().expect("report");
     assert_eq!(rep.counters.nodes_drained, 1, "the drain must actually fire");
     assert_eq!(rep.counters.nodes_lost, 0, "a drain is not a fault");
     assert!(rep.counters.bytes_migrated > 0, "the leaver's data must move home");
-    assert_eq!(output_of(&run), expect.as_slice(), "a graceful drain never changes bytes");
+    assert_eq!(output_of(&run), r.output.as_slice(), "a graceful drain never changes bytes");
 }
 
 #[test]
 fn planned_join_is_bit_identical_to_the_static_run() {
     let cfg = sharded3();
-    let (expect, makespan) = reference(&cfg);
-    let run = run_app("perlin", cfg.with_node_join(2, at(makespan, 25)));
+    let r = reference("perlin", cfg.clone());
+    let run = run_app("perlin", cfg.with_node_join(2, r.at(25)));
     let rep = run.report.as_ref().expect("report");
     assert_eq!(rep.counters.nodes_joined, 1, "the join must actually fire");
-    assert_eq!(output_of(&run), expect.as_slice(), "an elastic join never changes bytes");
+    assert_eq!(output_of(&run), r.output.as_slice(), "an elastic join never changes bytes");
 }
 
 #[test]
@@ -58,8 +46,8 @@ fn kill_racing_the_drain_never_serves_wrong_bytes() {
     // rebuilt what the kill stranded) or abort fail-closed with
     // `Exhausted`. Any other error — and any byte diff — is a defect.
     let cfg = sharded3();
-    let (expect, makespan) = reference(&cfg);
-    let armed = cfg.with_node_drain(2, at(makespan, 40)).with_node_loss(2, at(makespan, 45));
+    let r = reference("perlin", cfg.clone());
+    let armed = cfg.with_node_drain(2, r.at(40)).with_node_loss(2, r.at(45));
     match try_run_app("perlin", armed) {
         Ok(run) => {
             let rep = run.report.as_ref().expect("report");
@@ -69,7 +57,7 @@ fn kill_racing_the_drain_never_serves_wrong_bytes() {
                 rep.counters.nodes_drained,
                 rep.counters.nodes_lost
             );
-            assert_eq!(output_of(&run), expect.as_slice(), "the race must be lossless");
+            assert_eq!(output_of(&run), r.output.as_slice(), "the race must be lossless");
         }
         Err(RunError::Exhausted { .. }) => {} // fail closed: acceptable
         Err(e) => panic!("drain x kill race must recover or fail closed, got: {e}"),

@@ -9,40 +9,28 @@
 //! rebuildable from the master's retained lineage regardless of where
 //! the kill lands.
 
-use ompss_chaos::{output_of, run_app};
+use ompss_chaos::{output_of, reference, run_app, Reference};
 use ompss_runtime::{RuntimeConfig, SimDuration};
 use proptest::prelude::*;
-
-/// Fault-free reference: output bytes and makespan (the kill instants
-/// are chosen as fractions of it so they land inside the run).
-fn reference(cfg: &RuntimeConfig) -> (Vec<f32>, u64) {
-    let run = run_app("perlin", cfg.clone());
-    let makespan = run.report.as_ref().expect("report").makespan.as_nanos();
-    (output_of(&run).to_vec(), makespan)
-}
-
-fn kill_at(makespan: u64, percent: u64) -> SimDuration {
-    SimDuration::from_nanos(makespan * percent / 100)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
     #[test]
     fn any_planned_node_loss_recovers_bit_identically(percent in 5u64..=85) {
         let cfg = RuntimeConfig::gpu_cluster(2);
-        let (expect, makespan) = reference(&cfg);
-        let run = run_app("perlin", cfg.with_node_loss(1, kill_at(makespan, percent)));
+        let r = reference("perlin", cfg.clone());
+        let run = run_app("perlin", cfg.with_node_loss(1, r.at(percent)));
         let rep = run.report.as_ref().expect("report");
         prop_assert_eq!(rep.counters.nodes_lost, 1, "the kill must be detected");
-        prop_assert_eq!(output_of(&run), expect.as_slice(), "recovery must be lossless");
+        prop_assert_eq!(output_of(&run), r.output.as_slice(), "recovery must be lossless");
     }
 }
 
 #[test]
 fn missed_lease_declares_the_node_dead() {
     let cfg = RuntimeConfig::gpu_cluster(2);
-    let (expect, makespan) = reference(&cfg);
-    let run = run_app("perlin", cfg.with_node_loss(1, kill_at(makespan, 40)));
+    let r = reference("perlin", cfg.clone());
+    let run = run_app("perlin", cfg.with_node_loss(1, r.at(40)));
     let rep = run.report.as_ref().expect("report");
     assert!(
         rep.counters.heartbeats_missed >= 1,
@@ -53,7 +41,7 @@ fn missed_lease_declares_the_node_dead() {
         rep.faults.as_ref().expect("armed plan").total() >= 1,
         "the kill is tallied as an injected fault"
     );
-    assert_eq!(output_of(&run), expect.as_slice(), "recovery must be lossless");
+    assert_eq!(output_of(&run), r.output.as_slice(), "recovery must be lossless");
 }
 
 #[test]
@@ -62,8 +50,8 @@ fn lineage_reexecution_rebuilds_lost_regions() {
     // *only* copy of every block it computed, so recovery must actually
     // re-run producers, not just re-fetch surviving copies.
     let cfg = RuntimeConfig::gpu_cluster(2);
-    let (expect, makespan) = reference(&cfg);
-    let run = run_app("perlin", cfg.with_node_loss(1, kill_at(makespan, 55)));
+    let r = reference("perlin", cfg.clone());
+    let run = run_app("perlin", cfg.with_node_loss(1, r.at(55)));
     let rep = run.report.as_ref().expect("report");
     assert_eq!(rep.counters.nodes_lost, 1);
     assert!(
@@ -71,7 +59,7 @@ fn lineage_reexecution_rebuilds_lost_regions() {
         "dirty blocks on the dead node force producer re-execution"
     );
     assert!(rep.counters.bytes_reconstructed > 0, "reconstructed regions are tallied by size");
-    assert_eq!(output_of(&run), expect.as_slice(), "reconstruction must be lossless");
+    assert_eq!(output_of(&run), r.output.as_slice(), "reconstruction must be lossless");
 }
 
 #[test]
@@ -84,12 +72,11 @@ fn inflight_presend_to_dead_node_is_rerouted() {
     let probe = run_app("matmul", cfg.clone());
     let rep = probe.report.as_ref().expect("report");
     assert!(rep.coherence.presend_bytes > 0, "the scenario must actually exercise presend");
-    let expect = output_of(&probe).to_vec();
-    let makespan = rep.makespan.as_nanos();
-    let run = run_app("matmul", cfg.with_node_loss(1, kill_at(makespan, 50)));
+    let r = Reference { output: output_of(&probe).to_vec(), makespan: rep.makespan };
+    let run = run_app("matmul", cfg.with_node_loss(1, r.at(50)));
     let rep = run.report.as_ref().expect("report");
     assert_eq!(rep.counters.nodes_lost, 1);
-    assert_eq!(output_of(&run), expect.as_slice(), "rerouted presends must be lossless");
+    assert_eq!(output_of(&run), r.output.as_slice(), "rerouted presends must be lossless");
 }
 
 #[test]
@@ -97,9 +84,12 @@ fn kill_after_completion_is_a_no_op() {
     // A kill instant past the makespan never fires: the run must be
     // byte-identical to the reference even with the machinery armed.
     let cfg = RuntimeConfig::gpu_cluster(2);
-    let (expect, makespan) = reference(&cfg);
-    let run = run_app("perlin", cfg.with_node_loss(1, SimDuration::from_nanos(makespan * 10)));
+    let r = reference("perlin", cfg.clone());
+    let run = run_app(
+        "perlin",
+        cfg.with_node_loss(1, SimDuration::from_nanos(r.makespan.as_nanos() * 10)),
+    );
     let rep = run.report.as_ref().expect("report");
     assert_eq!(rep.counters.nodes_lost, 0, "no kill, no death");
-    assert_eq!(output_of(&run), expect.as_slice());
+    assert_eq!(output_of(&run), r.output.as_slice());
 }

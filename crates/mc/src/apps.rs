@@ -3,11 +3,7 @@
 //! N-node GPU cluster) and the bridge from a recorded run's verify
 //! evidence to an ahead-of-run [`GraphSpec`].
 
-use ompss_apps::matmul::ompss::InitMode;
-use ompss_apps::matmul::{self, MatmulParams};
-use ompss_apps::nbody::{self, NbodyParams};
-use ompss_apps::perlin::{self, PerlinParams};
-use ompss_apps::stream::{self, StreamParams};
+use ompss_apps::validation;
 use ompss_runtime::{RunError, RunReport, RuntimeConfig};
 use ompss_verify::Finding;
 
@@ -16,21 +12,14 @@ use crate::fingerprint;
 use crate::spec::GraphSpec;
 
 /// The apps the checker knows how to drive.
-pub const APPS: [&str; 4] = ["matmul", "stream", "nbody", "perlin"];
+pub use validation::APPS;
 
 /// Execute `app` once at validation size on an `nodes`-node GPU
 /// cluster and distill the oracle payload. With `verify` on, the run
 /// gathers clause/race evidence and its `ompss-verify` findings ride
 /// along in the outcome.
 pub fn run_once(app: &str, nodes: u32, verify: bool) -> Result<RunOutcome, RunError> {
-    let cfg = RuntimeConfig::gpu_cluster(nodes).with_verify(verify);
-    let run = match app {
-        "matmul" => matmul::ompss::try_run(cfg, MatmulParams::validate(), InitMode::Smp),
-        "stream" => stream::ompss::try_run(cfg, StreamParams::validate()),
-        "nbody" => nbody::ompss::try_run(cfg, NbodyParams::validate()),
-        "perlin" => perlin::ompss::try_run(cfg, PerlinParams::validate(), false),
-        other => panic!("unknown app '{other}'; expected one of {APPS:?}"),
-    }?;
+    let run = validation::try_run(app, RuntimeConfig::gpu_cluster(nodes).with_verify(verify))?;
     let report = run.report.as_ref().expect("ompss app runs carry a report");
     let findings = if verify { ompss_verify::validate(report) } else { Vec::new() };
     Ok(RunOutcome { fingerprint: fingerprint(run.check.as_deref(), report.tasks), findings })
@@ -54,14 +43,7 @@ pub fn spec_from_report(report: &RunReport) -> Option<GraphSpec> {
 /// schedule) captures the declared graph, which is then linted without
 /// executing anything further.
 pub fn static_lints(app: &str, nodes: u32) -> Result<Vec<Finding>, RunError> {
-    let cfg = RuntimeConfig::gpu_cluster(nodes).with_verify(true);
-    let run = match app {
-        "matmul" => matmul::ompss::try_run(cfg, MatmulParams::validate(), InitMode::Smp),
-        "stream" => stream::ompss::try_run(cfg, StreamParams::validate()),
-        "nbody" => nbody::ompss::try_run(cfg, NbodyParams::validate()),
-        "perlin" => perlin::ompss::try_run(cfg, PerlinParams::validate(), false),
-        other => panic!("unknown app '{other}'; expected one of {APPS:?}"),
-    }?;
+    let run = validation::try_run(app, RuntimeConfig::gpu_cluster(nodes).with_verify(true))?;
     let report = run.report.as_ref().expect("ompss app runs carry a report");
     Ok(spec_from_report(report).map(|s| s.lint()).unwrap_or_default())
 }

@@ -23,20 +23,14 @@
 //! job count.
 
 use ompss_apps::common::AppRun;
-use ompss_apps::matmul::ompss::InitMode;
-use ompss_apps::matmul::{self, MatmulParams};
-use ompss_apps::nbody::{self, NbodyParams};
-use ompss_apps::perlin::{self, PerlinParams};
-use ompss_apps::stream::{self, StreamParams};
+use ompss_apps::validation::{try_run, APPS};
 use ompss_json::Json;
-use ompss_runtime::{RunError, RuntimeConfig};
+use ompss_runtime::RuntimeConfig;
 use ompss_verify::schedule::{self, Observation};
 use ompss_verify::{report_json, validate, Finding};
 
-const APPS: [&str; 4] = ["matmul", "stream", "nbody", "perlin"];
-
 fn run_app(name: &str, cfg: RuntimeConfig) -> AppRun {
-    match try_run_app(name, cfg) {
+    match try_run(name, cfg) {
         Ok(run) => run,
         Err(e) => {
             // One consistent line per failure class — the RunError
@@ -44,16 +38,6 @@ fn run_app(name: &str, cfg: RuntimeConfig) -> AppRun {
             eprintln!("error: {name}: {e}");
             std::process::exit(1);
         }
-    }
-}
-
-fn try_run_app(name: &str, cfg: RuntimeConfig) -> Result<AppRun, RunError> {
-    match name {
-        "matmul" => matmul::ompss::try_run(cfg, MatmulParams::validate(), InitMode::Smp),
-        "stream" => stream::ompss::try_run(cfg, StreamParams::validate()),
-        "nbody" => nbody::ompss::try_run(cfg, NbodyParams::validate()),
-        "perlin" => perlin::ompss::try_run(cfg, PerlinParams::validate(), false),
-        other => panic!("unknown app '{other}'"),
     }
 }
 
@@ -166,7 +150,7 @@ fn parse_seeds_flag(args: &mut Vec<String>) -> Vec<u64> {
 /// runs for nothing).
 fn explore_app(app: &str, seeds: &[u64]) -> Vec<Finding> {
     schedule::explore(app, seeds, |seed| {
-        let run = try_run_app(app, RuntimeConfig::multi_gpu(2).with_sched_seed(seed))?;
+        let run = try_run(app, RuntimeConfig::multi_gpu(2).with_sched_seed(seed))?;
         let tasks = run.report.as_ref().map_or(0, |r| r.tasks);
         Ok(Observation { check: run.check, tasks })
     })
