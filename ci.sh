@@ -11,6 +11,7 @@
 #   ./ci.sh scale    # 1000-node demo + 64-node weak-scaling gate (release)
 #   ./ci.sh figures  # regenerate results/ and fail if any committed byte moved
 #   ./ci.sh mc       # bounded model-check of matmul+stream schedules
+#   ./ci.sh mc_defects  # seeded-defect corpus the model checker must catch
 #   ./ci.sh serve    # job-server soak: overload, cancels, fairness
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -69,53 +70,13 @@ mc_defects() {
         cargo test -q -p ompss-mc --test defects
 }
 
-if [[ "${1:-}" == "verify" ]]; then
-    verify
-    echo "CI green."
-    exit 0
-fi
-
-if [[ "${1:-}" == "chaos" ]]; then
-    chaos
-    echo "CI green."
-    exit 0
-fi
-
-if [[ "${1:-}" == "churn" ]]; then
-    churn
-    echo "CI green."
-    exit 0
-fi
-
-if [[ "${1:-}" == "bench" ]]; then
-    bench
-    echo "CI green."
-    exit 0
-fi
-
-if [[ "${1:-}" == "scale" ]]; then
-    scale
-    echo "CI green."
-    exit 0
-fi
-
-if [[ "${1:-}" == "figures" ]]; then
-    figures
-    echo "CI green."
-    exit 0
-fi
-
-if [[ "${1:-}" == "mc" ]]; then
-    mc
-    echo "CI green."
-    exit 0
-fi
-
-if [[ "${1:-}" == "serve" ]]; then
-    serve
-    echo "CI green."
-    exit 0
-fi
+case "${1:-}" in
+    verify | chaos | churn | bench | scale | figures | mc | mc_defects | serve)
+        "$1"
+        echo "CI green."
+        exit 0
+        ;;
+esac
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check

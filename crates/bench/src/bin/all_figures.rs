@@ -12,9 +12,14 @@ use std::path::Path;
 use ompss_apps::matmul::{self, ompss::InitMode};
 use ompss_runtime::{Backing, CachePolicy, ParaverTrace, Policy, RuntimeConfig, SlaveRouting};
 
+const USAGE: &str = "usage: all_figures [--jobs N] [figure-id...]";
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    ompss_sweep::parse_jobs_flag(&mut args);
+    if let Err(e) = ompss_sweep::parse_jobs_flag(&mut args) {
+        eprintln!("all_figures: {e}; {USAGE}");
+        std::process::exit(2);
+    }
     let dir = ompss_bench::results_dir();
     type Entry = (&'static str, fn() -> ompss_bench::FigureData);
     let all: [Entry; 11] = [
@@ -31,10 +36,7 @@ fn main() {
         ("table1", ompss_bench::figures::table1),
     ];
     for a in &args {
-        assert!(
-            all.iter().any(|(id, _)| id == a),
-            "unknown figure id '{a}'; usage: all_figures [--jobs N] [figure-id...]"
-        );
+        assert!(all.iter().any(|(id, _)| id == a), "unknown figure id '{a}'; {USAGE}");
     }
     let mut saved = 0;
     for (id, make) in all {

@@ -200,12 +200,17 @@ fn baseline_total(text: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
+const USAGE: &str = "usage: bench_sim [--jobs N] [--check]";
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = ompss_sweep::parse_jobs_flag(&mut args);
+    let jobs = ompss_sweep::parse_jobs_flag(&mut args).unwrap_or_else(|e| {
+        eprintln!("bench_sim: {e}; {USAGE}");
+        std::process::exit(2);
+    });
     let check = args.iter().any(|a| a == "--check");
     args.retain(|a| a != "--check");
-    assert!(args.is_empty(), "usage: bench_sim [--jobs N] [--check]");
+    assert!(args.is_empty(), "{USAGE}");
 
     println!("bench_sim: {jobs} job(s)");
     let (delay_eps, delay_events) = des_delay_micro();

@@ -60,8 +60,8 @@ fn main() {
         eprintln!("{USAGE}\napps: {}", APPS.join(" "));
         return;
     }
-    ompss_sweep::parse_jobs_flag(&mut args);
-    let args = parse_args(args).unwrap_or_else(|e| {
+    let args = ompss_sweep::parse_jobs_flag(&mut args).and_then(|_| parse_args(args));
+    let args = args.unwrap_or_else(|e| {
         eprintln!(
             "chaos: {e}; usage: chaos [--rates r1,r2] [--seeds s1,s2] [--node-kill \
              [--kill-points p1,p2]] [--churn] [--jobs N] [app...]"

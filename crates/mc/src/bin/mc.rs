@@ -20,18 +20,20 @@ use ompss_json::Json;
 use ompss_mc::{apps, explore, parse_trace, replay, McConfig, McReport};
 use ompss_verify::{report_json, Finding};
 
+const USAGE: &str = "usage: mc [--apps a,b] [--nodes N] [--depth D] [--preemptions P] \
+                     [--max-interleavings M] [--min-interleavings K] [--no-verify-oracle] \
+                     [--jobs N] [--replay TRACE]";
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "usage: mc [--apps a,b] [--nodes N] [--depth D] [--preemptions P] \
-             [--max-interleavings M] [--min-interleavings K] [--no-verify-oracle] \
-             [--jobs N] [--replay TRACE]\napps: {}",
-            apps::APPS.join(" ")
-        );
+        eprintln!("{USAGE}\napps: {}", apps::APPS.join(" "));
         return;
     }
-    ompss_sweep::parse_jobs_flag(&mut args);
+    if let Err(e) = ompss_sweep::parse_jobs_flag(&mut args) {
+        eprintln!("mc: {e}; {USAGE}");
+        std::process::exit(2);
+    }
     let nodes = flag_u64(&mut args, "--nodes").unwrap_or(2) as u32;
     let mut cfg = McConfig::default();
     if let Some(d) = flag_u64(&mut args, "--depth") {

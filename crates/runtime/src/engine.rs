@@ -255,7 +255,7 @@ impl RtShared {
             let sh = self.clone();
             let latch = latch.clone();
             let results = results.clone();
-            process(format!("acquire:{}", a.region)).daemon().spawn(async move {
+            process(("acquire:D", a.region.data.0)).daemon().spawn(async move {
                 if let Ok(loc) = sh.coh.acquire(&*sh.exec, &a.region, a.kind.reads(), space).await {
                     results.lock()[i] = Some(loc);
                 }
@@ -707,7 +707,7 @@ pub(crate) async fn comm_thread(shared: Arc<RtShared>, ep: AmEndpoint<ClusterMsg
                     for a in needed {
                         let sh = shared2.clone();
                         let latch = latch.clone();
-                        process(format!("comm:stage:{}", a.region)).daemon().spawn(async move {
+                        process(("comm:stage:D", a.region.data.0)).daemon().spawn(async move {
                             let _ = sh.coh.presend(&*sh.exec, &a.region, host).await;
                             latch.done();
                         });

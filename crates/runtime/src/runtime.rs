@@ -419,7 +419,7 @@ impl Omp {
         for region in dirty {
             let sh = self.shared.clone();
             let latch = latch.clone();
-            process(format!("flush:{region}")).daemon().spawn(async move {
+            process(("flush:D", region.data.0)).daemon().spawn(async move {
                 let _ = sh.coh.flush_region(&*sh.exec, &region).await;
                 latch.done();
             });

@@ -446,6 +446,9 @@ fn run_socket(path: &str, cfg: ServeConfig) {
     println!("serve: drained, bye");
 }
 
+const USAGE: &str =
+    "usage: serve [--jobs N] [--queue-cap N] [--socket PATH | --soak [N] | --bench [--check]]";
+
 fn main() {
     // Panics inside simulated processes (fault injection tripping an
     // `expect` in app code) are caught by the sim engine and surfaced
@@ -457,7 +460,10 @@ fn main() {
         eprintln!("serve: panic in {thread}: {info}");
     }));
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = ompss_sweep::parse_jobs_flag(&mut args);
+    let jobs = ompss_sweep::parse_jobs_flag(&mut args).unwrap_or_else(|e| {
+        eprintln!("serve: {e}; {USAGE}");
+        std::process::exit(2);
+    });
 
     let mut queue_cap: Option<usize> = None;
     let mut socket: Option<String> = None;
@@ -494,10 +500,7 @@ fn main() {
                 check = true;
                 i += 1;
             }
-            other => panic!(
-                "serve: unknown flag '{other}'; usage: serve [--jobs N] [--queue-cap N] \
-                 [--socket PATH | --soak [N] | --bench [--check]]"
-            ),
+            other => panic!("serve: unknown flag '{other}'; {USAGE}"),
         }
     }
 

@@ -47,28 +47,44 @@
 //! still blocked when the queue drains, that is a deadlock in the
 //! modelled system and [`Sim::run`] reports it.
 //!
+//! # Event queue
+//!
+//! Events live in two containers: a binary heap for events due after
+//! the current instant, and a FIFO *now lane* for events due exactly at
+//! it. Spawns, same-instant wakes and yields — the large majority of
+//! events — cost a `VecDeque` push and pop instead of a heap sift. The
+//! next event is the smaller `(time, sequence)` of the heap top and the
+//! lane front, so dispatch order is exactly that of one heap: lane
+//! entries all carry the current time and arrive in sequence order, and
+//! the clock only advances once the lane is empty. The lane is the
+//! queue's structure, not a fast path; it is always on.
+//!
+//! A [`Sim`] is owned by one thread (it is `!Send`). Its shared state
+//! sits behind an `Rc`, with `RefCell`/`Cell` interiors, so the
+//! dispatch path takes no lock and issues no atomic.
+//!
 //! # Host fast paths
 //!
 //! An activation costs one future poll (no context switch at all), and
-//! the kernel avoids even the event-heap round trip wherever the
+//! the kernel avoids even the event-queue round trip wherever the
 //! outcome is already decided (see DESIGN.md §7): a `delay` whose
 //! wakeup precedes every queued event completes inline on its first
 //! poll, a wakeup scheduled behind an earlier live wakeup for the same
-//! process is never enqueued (it could only pop stale), and the event
-//! heap is compacted when superseded entries outnumber live ones. None
-//! of this is observable in virtual time — event and clock-advance
-//! counts are identical to the literal kernel — and setting
+//! process is never enqueued (it could only pop stale), and the queue
+//! is compacted when superseded entries outnumber live ones. None of
+//! this is observable in virtual time — event and clock-advance counts
+//! are identical to the literal kernel — and setting
 //! `OMPSS_SIM_NO_FASTPATH=1` disables the delay/wakeup-dedup shortcuts
 //! for A/B determinism checks.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 use std::time::Instant;
@@ -154,7 +170,7 @@ struct ProcSlot {
     /// process. A later wakeup aimed at the same epoch could only ever
     /// pop stale (the earlier one fires first and bumps the epoch), so
     /// it is not enqueued at all — this is the per-process reuse slot
-    /// that keeps redundant wakes out of the heap.
+    /// that keeps redundant wakes out of the queue.
     pending_wake: Option<(SimTime, u64)>,
 }
 
@@ -284,7 +300,7 @@ pub fn mc_touch(id: u64) {
     CURRENT.with(|stack| {
         if let Some(top) = stack.borrow().last() {
             if top.shared.mc.is_some() {
-                if let Some(step) = top.shared.kernel.lock().step.as_mut() {
+                if let Some(step) = top.shared.kernel.borrow_mut().step.as_mut() {
                     step.resources.push(id);
                 }
             }
@@ -295,7 +311,14 @@ pub fn mc_touch(id: u64) {
 pub(crate) struct Kernel {
     now: SimTime,
     seq: u64,
+    /// Events due after `now`, earliest `(time, seq)` on top.
     queue: BinaryHeap<Reverse<Event>>,
+    /// Events due exactly at `now`, in `seq` order: the now lane. Most
+    /// events (spawns, same-instant wakes, yields) land here and cost a
+    /// `VecDeque` push/pop instead of a heap sift. Every entry is
+    /// pushed with a fresh, hence maximal, `seq`, so the lane is sorted
+    /// by construction; the clock only advances once it is empty.
+    lane: VecDeque<Event>,
     procs: Vec<ProcSlot>,
     /// Total processes ever spawned. With slot reuse `procs.len()` is
     /// only the high-water mark of *live* processes; this counter is
@@ -310,10 +333,10 @@ pub(crate) struct Kernel {
     shutdown: bool,
     events_processed: u64,
     clock_advances: u64,
-    /// Events still in the heap that are already known stale: they were
-    /// superseded by an earlier wake for the same `(pid, epoch)`. When
-    /// they outnumber live events the heap is compacted instead of
-    /// letting cancelled wakeups accumulate.
+    /// Queued events (heap or lane) that are already known stale: they
+    /// were superseded by an earlier wake for the same `(pid, epoch)`.
+    /// When they outnumber live events both containers are compacted
+    /// instead of letting cancelled wakeups accumulate.
     stale_events: u64,
     /// Wakeups never enqueued because an earlier live wake for the same
     /// `(pid, epoch)` already guaranteed them stale.
@@ -332,34 +355,77 @@ pub(crate) struct Kernel {
 }
 
 impl Kernel {
-    /// Drop provably-stale events once they dominate the heap. Amortised
-    /// O(1) per push: each compaction halves the heap at least.
+    /// Queue `ev`, which must carry a fresh `seq`: same-instant events
+    /// go to the lane, later ones to the heap.
+    fn push(&mut self, ev: Event) {
+        debug_assert!(ev.time >= self.now, "event scheduled in the past");
+        if ev.time == self.now {
+            self.lane.push_back(ev);
+        } else {
+            self.queue.push(Reverse(ev));
+        }
+    }
+
+    /// Take the earliest queued event by `(time, seq)`, from whichever
+    /// of the heap and the lane holds it.
+    fn pop_min(&mut self) -> Option<Event> {
+        let from_lane = match (self.lane.front(), self.queue.peek()) {
+            (Some(l), Some(Reverse(h))) => l < h,
+            (l, _) => l.is_some(),
+        };
+        if from_lane {
+            self.lane.pop_front()
+        } else {
+            self.queue.pop().map(|Reverse(ev)| ev)
+        }
+    }
+
+    /// Time of the earliest queued event, if any. A lane entry is due
+    /// at `now`, and nothing queued is earlier, so a non-empty lane
+    /// decides it.
+    fn min_time(&self) -> Option<SimTime> {
+        match self.lane.front() {
+            Some(l) => Some(l.time),
+            None => self.queue.peek().map(|Reverse(h)| h.time),
+        }
+    }
+
+    /// Drop provably-stale events once they dominate the queued ones.
+    /// Amortised O(1) per push: each compaction halves the queue at
+    /// least.
     fn maybe_compact(&mut self) {
-        if self.stale_events >= 64 && self.stale_events * 2 > self.queue.len() as u64 {
+        let queued = (self.queue.len() + self.lane.len()) as u64;
+        if self.stale_events >= 64 && self.stale_events * 2 > queued {
             let procs = &self.procs;
-            self.queue.retain(|Reverse(ev)| {
+            let live = |ev: &Event| {
                 let slot = &procs[ev.pid];
                 slot.phase != Phase::Finished && slot.epoch == ev.epoch
-            });
+            };
+            self.queue.retain(|Reverse(ev)| live(ev));
+            self.lane.retain(live);
             self.stale_events = 0;
         }
     }
 }
 
-/// State shared between the kernel and every primitive.
+/// State shared between the kernel and every primitive. Owned by one
+/// thread: the [`Sim`] and every task context hold it through an `Rc`,
+/// and the mutable parts are `RefCell`/`Cell`, so the dispatch path
+/// takes no lock and issues no atomic.
 pub(crate) struct Shared {
-    pub(crate) kernel: Mutex<Kernel>,
+    pub(crate) kernel: RefCell<Kernel>,
     /// The process futures, indexed by pid. Kept outside the kernel
-    /// mutex so a future being polled can lock the kernel (delay,
-    /// spawn, wake scheduling) without deadlocking; the executor takes
-    /// a future out to poll it and puts it back if it stays pending.
-    tasks: Mutex<Vec<Option<TaskFut>>>,
+    /// cell so a future being polled can borrow the kernel (delay,
+    /// spawn, wake scheduling) while the executor holds no borrow; the
+    /// executor takes a future out to poll it and puts it back if it
+    /// stays pending.
+    tasks: RefCell<Vec<Option<TaskFut>>>,
     /// Mirror of `Kernel::now` so [`now`] (called on every primitive
-    /// operation) never takes the kernel lock. Only the executor writes
+    /// operation) never borrows the kernel. Only the executor writes
     /// it, at dispatch time.
-    now_ns: AtomicU64,
-    /// Mirror of `Kernel::shutdown`, for lock-free checks in futures.
-    shutdown_flag: AtomicBool,
+    now_ns: Cell<u64>,
+    /// Mirror of `Kernel::shutdown`, for borrow-free checks in futures.
+    shutdown_flag: Cell<bool>,
     /// Host fast paths enabled (default). `OMPSS_SIM_NO_FASTPATH=1`
     /// restores the literal kernel for determinism A/B tests.
     fast_paths: bool,
@@ -373,11 +439,11 @@ impl Shared {
     /// process's *current* epoch. Call while the process is blocked (or
     /// about to block); a stale epoch at pop time makes the event a no-op.
     pub(crate) fn schedule_wake_current_epoch(&self, pid: Pid, at: SimTime) {
-        let mut k = self.kernel.lock();
+        let mut k = self.kernel.borrow_mut();
         if let Some(step) = k.step.as_mut() {
             // Record the wake whether or not it is coalesced below: the
             // independence oracle cares that this step *interacts* with
-            // `pid`, not how the heap stores the event.
+            // `pid`, not how the queue stores the event.
             step.wakes.push(pid);
         }
         let epoch = k.procs[pid].epoch;
@@ -385,7 +451,7 @@ impl Shared {
             match k.procs[pid].pending_wake {
                 // An earlier (or simultaneous, hence lower-seq) live wake
                 // already resumes the process and bumps its epoch; this
-                // one could only pop stale. Skip the heap entirely.
+                // one could only pop stale. Skip the queue entirely.
                 Some((t, e)) if e == epoch && t <= at => {
                     k.wakes_coalesced += 1;
                     return;
@@ -398,7 +464,7 @@ impl Shared {
         }
         let seq = k.seq;
         k.seq += 1;
-        k.queue.push(Reverse(Event { time: at, seq, pid, epoch }));
+        k.push(Event { time: at, seq, pid, epoch });
         if self.fast_paths {
             k.maybe_compact();
         }
@@ -407,17 +473,17 @@ impl Shared {
     /// Pop and account the next valid event; returns the process to
     /// poll, or `None` when the run is over (queue drained, fatal
     /// abort, or shutdown).
-    fn dispatch_locked(&self, k: &mut Kernel) -> Option<Pid> {
+    fn dispatch(&self, k: &mut Kernel) -> Option<Pid> {
         if self.mc.is_some() {
-            return self.dispatch_mc_locked(k);
+            return self.dispatch_mc(k);
         }
         loop {
             if k.fatal.is_some() || k.shutdown {
                 return None;
             }
-            match k.queue.pop() {
+            match k.pop_min() {
                 None => return None,
-                Some(Reverse(ev)) => {
+                Some(ev) => {
                     let slot = &mut k.procs[ev.pid];
                     let stale = slot.phase == Phase::Finished || slot.epoch != ev.epoch;
                     if stale && !crate::defects::armed("epoch") {
@@ -442,11 +508,12 @@ impl Shared {
                     // live wake for this process.
                     slot.pending_wake = None;
                     if ev.time > k.now {
+                        debug_assert!(k.lane.is_empty(), "clock advanced past the now lane");
                         k.clock_advances += 1;
                     }
                     k.now = ev.time;
                     k.events_processed += 1;
-                    self.now_ns.store(ev.time.as_nanos(), Ordering::Release);
+                    self.now_ns.set(ev.time.as_nanos());
                     return Some(ev.pid);
                 }
             }
@@ -458,14 +525,16 @@ impl Shared {
     /// explicit choice point the controller resolves, instead of the
     /// sequence counter deciding. Unchosen events go back on the heap
     /// with their original sequence numbers, so sibling order at the
-    /// next choice point is stable.
-    fn dispatch_mc_locked(&self, k: &mut Kernel) -> Option<Pid> {
+    /// next choice point is stable. They bypass the lane, which only
+    /// takes fresh (maximal) sequence numbers; [`Kernel::pop_min`]'s
+    /// merge still orders them against it.
+    fn dispatch_mc(&self, k: &mut Kernel) -> Option<Pid> {
         let mc = self.mc.as_ref().expect("mc dispatch without a controller");
         loop {
             if k.fatal.is_some() || k.shutdown {
                 return None;
             }
-            let Reverse(first) = k.queue.pop()?;
+            let first = k.pop_min()?;
             let t = first.time;
             // Pop everything co-enabled at `t`; drop stale events and
             // keep at most one live event per process (a second could
@@ -476,13 +545,8 @@ impl Shared {
             loop {
                 let e = match next.take() {
                     Some(e) => e,
-                    None => match k.queue.peek() {
-                        Some(Reverse(head)) if head.time == t => {
-                            let Reverse(head) = k.queue.pop().expect("peeked event vanished");
-                            head
-                        }
-                        _ => break,
-                    },
+                    None if k.min_time() == Some(t) => k.pop_min().expect("queued event vanished"),
+                    None => break,
                 };
                 let (phase, slot_epoch) = {
                     let s = &k.procs[e.pid];
@@ -569,7 +633,7 @@ impl Shared {
             }
             k.now = ev.time;
             k.events_processed += 1;
-            self.now_ns.store(ev.time.as_nanos(), Ordering::Release);
+            self.now_ns.set(ev.time.as_nanos());
             k.step = Some(StepFootprint { pid: ev.pid, ..Default::default() });
             return Some(ev.pid);
         }
@@ -581,18 +645,18 @@ impl Shared {
         let Some(mc) = self.mc.as_ref() else {
             return;
         };
-        let step = self.kernel.lock().step.take();
+        let step = self.kernel.borrow_mut().step.take();
         if let Some(step) = step {
             mc.controller.lock().observe(step);
         }
     }
 
     pub(crate) fn now(&self) -> SimTime {
-        SimTime(self.now_ns.load(Ordering::Acquire))
+        SimTime(self.now_ns.get())
     }
 
     pub(crate) fn is_shutdown(&self) -> bool {
-        self.shutdown_flag.load(Ordering::Acquire)
+        self.shutdown_flag.get()
     }
 }
 
@@ -605,7 +669,7 @@ impl Shared {
 /// process body without threading a handle through every call. A stack,
 /// so a process may construct and run a nested [`Sim`] synchronously.
 struct TaskCtx {
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
     pid: Pid,
 }
 
@@ -615,7 +679,7 @@ thread_local! {
 
 /// Run `f` with the current task's shared state and pid. Panics when
 /// called outside a simulation process.
-pub(crate) fn with_current<R>(f: impl FnOnce(&Arc<Shared>, Pid) -> R) -> R {
+pub(crate) fn with_current<R>(f: impl FnOnce(&Rc<Shared>, Pid) -> R) -> R {
     CURRENT.with(|stack| {
         let stack = stack.borrow();
         let top = stack
@@ -626,7 +690,7 @@ pub(crate) fn with_current<R>(f: impl FnOnce(&Arc<Shared>, Pid) -> R) -> R {
 }
 
 /// Like [`with_current`], but only needs the executor, not the pid.
-pub(crate) fn with_current_shared<R>(f: impl FnOnce(&Arc<Shared>) -> R) -> R {
+pub(crate) fn with_current_shared<R>(f: impl FnOnce(&Rc<Shared>) -> R) -> R {
     with_current(|shared, _| f(shared))
 }
 
@@ -650,7 +714,7 @@ pub fn pid() -> Pid {
 /// ```
 pub fn abort_run(err: RunError) -> SimError {
     with_current_shared(|shared| {
-        let mut k = shared.kernel.lock();
+        let mut k = shared.kernel.borrow_mut();
         if !k.shutdown && k.fatal.is_none() {
             k.fatal = Some(err);
         }
@@ -683,8 +747,8 @@ impl ProcessExit for SimResult<()> {
     }
 }
 
-fn spawn_impl(shared: &Arc<Shared>, name: ProcName, daemon: bool, fut: TaskFut) -> Pid {
-    let mut k = shared.kernel.lock();
+fn spawn_impl(shared: &Rc<Shared>, name: ProcName, daemon: bool, fut: TaskFut) -> Pid {
+    let mut k = shared.kernel.borrow_mut();
     // Initial activation at the current time: a fresh slot starts at
     // epoch 0; a recycled slot continues its epoch sequence so stale
     // events from the previous incarnation can never resume this one.
@@ -718,9 +782,9 @@ fn spawn_impl(shared: &Arc<Shared>, name: ProcName, daemon: bool, fut: TaskFut) 
     }
     let seq = k.seq;
     k.seq += 1;
-    k.queue.push(Reverse(Event { time: at, seq, pid, epoch }));
+    k.push(Event { time: at, seq, pid, epoch });
     drop(k);
-    let mut tasks = shared.tasks.lock();
+    let mut tasks = shared.tasks.borrow_mut();
     if pid < tasks.len() {
         debug_assert!(tasks[pid].is_none(), "reused slot still holds a future");
         tasks[pid] = Some(fut);
@@ -749,7 +813,7 @@ where
 /// });
 /// ```
 pub struct ProcessBuilder {
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
     name: ProcName,
     daemon: bool,
 }
@@ -817,17 +881,14 @@ impl Future for Delay {
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
         match self.state {
             DelayState::Init => with_current(|shared, pid| {
-                let mut k = shared.kernel.lock();
+                let mut k = shared.kernel.borrow_mut();
                 if k.shutdown {
                     self.state = DelayState::Done;
                     return Poll::Ready(Err(SimError::Shutdown));
                 }
                 let at = k.now + self.d;
                 if shared.fast_paths && k.fatal.is_none() {
-                    let head_due = match k.queue.peek() {
-                        Some(Reverse(ev)) => ev.time <= at,
-                        None => false,
-                    };
+                    let head_due = k.min_time().is_some_and(|t| t <= at);
                     if !head_due {
                         // No queued event precedes the wakeup: parking
                         // would make the kernel pop our own event
@@ -846,7 +907,7 @@ impl Future for Delay {
                         }
                         k.now = at;
                         k.events_processed += 1;
-                        shared.now_ns.store(at.as_nanos(), Ordering::Release);
+                        shared.now_ns.set(at.as_nanos());
                         self.state = DelayState::Done;
                         return Poll::Ready(Ok(()));
                     }
@@ -858,7 +919,7 @@ impl Future for Delay {
                 if shared.fast_paths {
                     k.procs[pid].pending_wake = Some((at, epoch));
                 }
-                k.queue.push(Reverse(Event { time: at, seq, pid, epoch }));
+                k.push(Event { time: at, seq, pid, epoch });
                 self.state = DelayState::Waiting;
                 Poll::Pending
             }),
@@ -906,7 +967,7 @@ pub(crate) struct ParkWhile<F> {
 
 impl<T, F> Future for ParkWhile<F>
 where
-    F: FnMut(&Arc<Shared>, Pid) -> Option<SimResult<T>> + Unpin,
+    F: FnMut(&Rc<Shared>, Pid) -> Option<SimResult<T>> + Unpin,
 {
     type Output = SimResult<T>;
 
@@ -915,7 +976,7 @@ where
         with_current(|shared, pid| match (me.f)(shared, pid) {
             Some(r) => Poll::Ready(r),
             None => {
-                let mut k = shared.kernel.lock();
+                let mut k = shared.kernel.borrow_mut();
                 if k.shutdown {
                     return Poll::Ready(Err(SimError::Shutdown));
                 }
@@ -930,7 +991,7 @@ where
 /// [`ParkWhile`]).
 pub(crate) fn park_while<T, F>(f: F) -> ParkWhile<F>
 where
-    F: FnMut(&Arc<Shared>, Pid) -> Option<SimResult<T>> + Unpin,
+    F: FnMut(&Rc<Shared>, Pid) -> Option<SimResult<T>> + Unpin,
 {
     ParkWhile { f }
 }
@@ -955,8 +1016,16 @@ where
 /// let report = sim.run().unwrap();
 /// assert_eq!(report.end_time.as_nanos(), 3_000_000);
 /// ```
+///
+/// A simulation is single-threaded by construction: it stays on the
+/// thread that built it (process bodies themselves are still `Send`).
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>(_: T) {}
+/// assert_send(ompss_sim::Sim::new());
+/// ```
 pub struct Sim {
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
 }
 
 impl Default for Sim {
@@ -979,11 +1048,12 @@ impl Sim {
     /// Create an empty simulation at time zero.
     pub fn new() -> Self {
         Sim {
-            shared: Arc::new(Shared {
-                kernel: Mutex::new(Kernel {
+            shared: Rc::new(Shared {
+                kernel: RefCell::new(Kernel {
                     now: SimTime::ZERO,
                     seq: 0,
                     queue: BinaryHeap::new(),
+                    lane: VecDeque::new(),
                     procs: Vec::new(),
                     spawned: 0,
                     free_slots: Vec::new(),
@@ -997,9 +1067,9 @@ impl Sim {
                     step: None,
                     violations: Vec::new(),
                 }),
-                tasks: Mutex::new(Vec::new()),
-                now_ns: AtomicU64::new(0),
-                shutdown_flag: AtomicBool::new(false),
+                tasks: RefCell::new(Vec::new()),
+                now_ns: Cell::new(0),
+                shutdown_flag: Cell::new(false),
                 fast_paths: std::env::var_os("OMPSS_SIM_NO_FASTPATH").is_none_or(|v| v == "0"),
                 mc: MC_INSTALL.with(|slot| {
                     slot.borrow_mut()
@@ -1029,8 +1099,8 @@ impl Sim {
 
     /// Poll process `pid` once, with the current-task context published
     /// for the free functions. Returns whether the future completed.
-    fn poll_process(shared: &Arc<Shared>, pid: Pid) -> bool {
-        let Some(mut fut) = shared.tasks.lock()[pid].take() else {
+    fn poll_process(shared: &Rc<Shared>, pid: Pid) -> bool {
+        let Some(mut fut) = shared.tasks.borrow_mut()[pid].take() else {
             return true;
         };
         CURRENT.with(|s| s.borrow_mut().push(TaskCtx { shared: shared.clone(), pid }));
@@ -1040,12 +1110,12 @@ impl Sim {
         let polled = catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx)));
         let finished = match polled {
             Ok(Poll::Pending) => {
-                shared.tasks.lock()[pid] = Some(fut);
+                shared.tasks.borrow_mut()[pid] = Some(fut);
                 false
             }
             Ok(Poll::Ready(_exit)) => {
                 // Shutdown/Closed exits are clean teardown, not failures.
-                let mut k = shared.kernel.lock();
+                let mut k = shared.kernel.borrow_mut();
                 let slot = &mut k.procs[pid];
                 slot.phase = Phase::Finished;
                 slot.epoch += 1;
@@ -1067,7 +1137,7 @@ impl Sim {
             }
             Err(payload) => {
                 let msg = panic_message(&*payload);
-                let mut k = shared.kernel.lock();
+                let mut k = shared.kernel.borrow_mut();
                 let slot = &mut k.procs[pid];
                 slot.phase = Phase::Finished;
                 slot.epoch += 1;
@@ -1102,8 +1172,8 @@ impl Sim {
         let shared = &self.shared;
         loop {
             let pid = {
-                let mut k = shared.kernel.lock();
-                shared.dispatch_locked(&mut k)
+                let mut k = shared.kernel.borrow_mut();
+                shared.dispatch(&mut k)
             };
             match pid {
                 Some(pid) => {
@@ -1116,7 +1186,7 @@ impl Sim {
 
         // Queue drained. Non-daemon processes still alive are deadlocked.
         let deadlocked: Vec<ProcState> = {
-            let k = shared.kernel.lock();
+            let k = shared.kernel.borrow();
             k.procs
                 .iter()
                 .enumerate()
@@ -1137,12 +1207,12 @@ impl Sim {
         // `Err(Shutdown)`, so one poll unwinds each body through its
         // `?`s — a body that keeps blocking is re-polled until the guard
         // trips.
-        shared.kernel.lock().shutdown = true;
-        shared.shutdown_flag.store(true, Ordering::Release);
+        shared.kernel.borrow_mut().shutdown = true;
+        shared.shutdown_flag.set(true);
         let mut guard = 0usize;
         loop {
             let pending: Vec<Pid> = {
-                let mut k = shared.kernel.lock();
+                let mut k = shared.kernel.borrow_mut();
                 let mut v = Vec::new();
                 for (pid, slot) in k.procs.iter_mut().enumerate() {
                     if slot.phase != Phase::Finished {
@@ -1163,7 +1233,7 @@ impl Sim {
             assert!(guard < 1000, "a process is ignoring SimError::Shutdown");
         }
 
-        let mut k = shared.kernel.lock();
+        let mut k = shared.kernel.borrow_mut();
         // An abort takes precedence: processes blocked at that instant
         // (and panics from their forced unwinds) are consequences of
         // stopping early, not independent failures.
@@ -1478,7 +1548,7 @@ mod tests {
         });
         let report = sim.run().unwrap();
         assert_eq!(report.processes, 51, "processes must count spawns, not slots");
-        let slots = shared.kernel.lock().procs.len();
+        let slots = shared.kernel.borrow_mut().procs.len();
         assert!(slots <= 3, "sequential spawn/finish must recycle slots; got {slots} of 51");
     }
 
@@ -1500,7 +1570,7 @@ mod tests {
             Err(RunError::ProcessPanic(name, _)) => assert_eq!(name, "bad0"),
             other => panic!("expected panic report, got {other:?}"),
         }
-        let slots = shared.kernel.lock().procs.len();
+        let slots = shared.kernel.borrow_mut().procs.len();
         assert_eq!(slots, 6, "each panicked process must keep its own slot");
     }
 
@@ -1530,10 +1600,116 @@ mod tests {
         assert_eq!(report.end_time.as_nanos(), 230);
         assert_eq!(report.processes, 3);
         assert_eq!(
-            shared.kernel.lock().procs.len(),
+            shared.kernel.borrow_mut().procs.len(),
             2,
             "the reincarnation must reuse the waiter's slot"
         );
+    }
+
+    #[test]
+    fn heap_event_due_now_dispatches_before_lane_events_made_now() {
+        // "late" queued its wake for t=10 before "maker" made a spawn
+        // and a wake at t=10, so it holds the lower sequence number and
+        // must run first from the heap; the two same-instant events
+        // then run from the lane in the order they were made.
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let sim = Sim::new();
+        let sig = crate::sync::Signal::new();
+        let (l, s) = (log.clone(), sig.clone());
+        sim.spawn("waiter", async move {
+            s.wait().await.unwrap();
+            l.lock().push("waiter");
+        });
+        let (l, s) = (log.clone(), sig.clone());
+        sim.spawn("maker", async move {
+            delay(SimDuration::from_nanos(10)).await.unwrap();
+            l.lock().push("maker");
+            let l2 = l.clone();
+            spawn("child", async move {
+                l2.lock().push("child");
+            });
+            s.set();
+            let (heap, lane) = with_current_shared(|shared| {
+                let k = shared.kernel.borrow();
+                (k.queue.len(), k.lane.len())
+            });
+            assert_eq!((heap, lane), (1, 2), "late's wake in the heap, spawn + wake in the lane");
+        });
+        let l = log.clone();
+        sim.spawn("late", async move {
+            delay(SimDuration::from_nanos(10)).await.unwrap();
+            l.lock().push("late");
+        });
+        let report = sim.run().unwrap();
+        assert_eq!(*log.lock(), vec!["maker", "late", "child", "waiter"]);
+        assert_eq!(report.end_time.as_nanos(), 10);
+    }
+
+    #[test]
+    fn compaction_prunes_stale_entries_from_heap_and_lane() {
+        // Each round the waiter arms a far deadline (heap) and is woken
+        // early (lane), stranding the deadline. In the round that trips
+        // compaction a ghost first leaves a wake for itself in the lane
+        // and finishes, so that entry is stale too. Compaction must clear
+        // both containers, and the stale events left after it must pop
+        // as no-ops and settle the count.
+        const ROUNDS: usize = 100;
+        let sim = Sim::new();
+        if !sim.shared.fast_paths {
+            return; // compaction is a fast path
+        }
+        let shared = sim.shared.clone();
+        let waiter = sim.spawn("waiter", async {
+            for _ in 0..ROUNDS {
+                let mut armed = false;
+                park_while(move |shared, pid| {
+                    if armed {
+                        return Some(Ok(()));
+                    }
+                    armed = true;
+                    let deadline = shared.now() + SimDuration::from_nanos(1000);
+                    shared.schedule_wake_current_epoch(pid, deadline);
+                    None
+                })
+                .await
+                .unwrap();
+            }
+        });
+        let compactions = Arc::new(AtomicUsize::new(0));
+        let c = compactions.clone();
+        sim.spawn("setter", async move {
+            for _ in 0..ROUNDS {
+                if with_current_shared(|shared| shared.kernel.borrow().stale_events) == 63 {
+                    spawn("ghost", async {
+                        park_while(|shared, pid| {
+                            shared.schedule_wake_current_epoch(pid, shared.now());
+                            Some(Ok(()))
+                        })
+                        .await
+                        .unwrap();
+                    });
+                }
+                yield_now().await.unwrap();
+                with_current_shared(|shared| {
+                    let had_stale = shared.kernel.borrow().stale_events > 0;
+                    shared.schedule_wake_current_epoch(waiter, shared.now());
+                    let k = shared.kernel.borrow();
+                    if had_stale && k.stale_events == 0 {
+                        c.fetch_add(1, Ordering::SeqCst);
+                        // Only the deadline just stranded survives: it still
+                        // carries the waiter's current epoch until the wake
+                        // dispatches, so it is not provably stale yet.
+                        assert_eq!(k.queue.len(), 1, "stranded deadlines survived compaction");
+                        let lane: Vec<Pid> = k.lane.iter().map(|ev| ev.pid).collect();
+                        assert_eq!(lane, vec![waiter], "stale lane entry survived compaction");
+                    }
+                });
+            }
+        });
+        let report = sim.run().unwrap();
+        assert_eq!(compactions.load(Ordering::SeqCst), 1);
+        assert_eq!(shared.kernel.borrow().stale_events, 0, "stale count did not settle");
+        assert_eq!(report.end_time, SimTime::ZERO, "a stale deadline drove the clock");
     }
 
     #[test]

@@ -128,28 +128,28 @@ where
 }
 
 /// Parse a `--jobs N` flag out of an argument list (mutating it) and
-/// apply it via [`set_jobs`]. Returns the chosen width. Accepts
-/// `--jobs N` and `--jobs=N`.
-pub fn parse_jobs_flag(args: &mut Vec<String>) -> usize {
+/// apply it via [`set_jobs`]. Returns the chosen width, or a message
+/// naming the missing or malformed value. Accepts `--jobs N` and
+/// `--jobs=N`.
+pub fn parse_jobs_flag(args: &mut Vec<String>) -> Result<usize, String> {
     let mut i = 0;
     while i < args.len() {
-        if args[i] == "--jobs" {
-            let v = args
-                .get(i + 1)
-                .unwrap_or_else(|| panic!("--jobs needs a value"))
-                .parse::<usize>()
-                .expect("--jobs expects a positive integer");
-            set_jobs(v);
-            args.drain(i..i + 2);
+        let (value, taken) = if args[i] == "--jobs" {
+            (args.get(i + 1).map(String::as_str), 2)
         } else if let Some(v) = args[i].strip_prefix("--jobs=") {
-            let v = v.parse::<usize>().expect("--jobs expects a positive integer");
-            set_jobs(v);
-            args.remove(i);
+            (Some(v), 1)
         } else {
             i += 1;
-        }
+            continue;
+        };
+        let value = value.ok_or("--jobs needs a value")?;
+        let n = value
+            .parse::<usize>()
+            .map_err(|_| format!("--jobs expects a positive integer, got '{value}'"))?;
+        set_jobs(n);
+        args.drain(i..i + taken);
     }
-    jobs()
+    Ok(jobs())
 }
 
 #[cfg(test)]
@@ -192,11 +192,16 @@ mod tests {
     #[test]
     fn parse_jobs_flag_variants() {
         let mut args = vec!["--jobs".to_string(), "3".to_string(), "app".to_string()];
-        assert_eq!(parse_jobs_flag(&mut args), 3);
+        assert_eq!(parse_jobs_flag(&mut args), Ok(3));
         assert_eq!(args, vec!["app".to_string()]);
         let mut args = vec!["--jobs=5".to_string()];
-        assert_eq!(parse_jobs_flag(&mut args), 5);
+        assert_eq!(parse_jobs_flag(&mut args), Ok(5));
         assert!(args.is_empty());
+        for bad in [&["--jobs"][..], &["--jobs", "x"], &["--jobs="], &["app", "--jobs=-2"]] {
+            let mut args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
+            let err = parse_jobs_flag(&mut args).expect_err(&format!("{bad:?} must be rejected"));
+            assert!(err.starts_with("--jobs "), "{bad:?}: {err}");
+        }
         set_jobs(1); // restore for other tests in this process
     }
 }

@@ -54,16 +54,18 @@ fn configs() -> [(&'static str, RuntimeConfig); 3] {
     ]
 }
 
+const USAGE: &str = "usage: verify [--all] [--no-schedules] [--jobs N] [--seeds a,b,c] [app...]";
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "usage: verify [--all] [--no-schedules] [--jobs N] [--seeds a,b,c] [app...]\napps: {}",
-            APPS.join(" ")
-        );
+        eprintln!("{USAGE}\napps: {}", APPS.join(" "));
         return;
     }
-    ompss_sweep::parse_jobs_flag(&mut args);
+    if let Err(e) = ompss_sweep::parse_jobs_flag(&mut args) {
+        eprintln!("verify: {e}; {USAGE}");
+        std::process::exit(2);
+    }
     let seeds = parse_seeds_flag(&mut args);
     let schedules = !args.iter().any(|a| a == "--no-schedules");
     // Resolve names against APPS so the closures below capture
