@@ -3,7 +3,8 @@
 # fault-injection sweep.
 #
 #   ./ci.sh          # everything
-#   ./ci.sh quick    # skip the release build (lints + tests + verify)
+#   ./ci.sh quick    # fmt + clippy + tests + verify + chaos + churn + mc + serve;
+#                    # skips the release build, scale, figures and mc_defects
 #   ./ci.sh verify   # only the ompss-verify sweep over the apps
 #   ./ci.sh chaos    # only the fault-injection sweep over the apps
 #   ./ci.sh churn    # elastic-membership grid: joins/drains/kill races

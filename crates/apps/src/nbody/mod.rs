@@ -6,7 +6,9 @@
 //!
 //! Positions are stored as interleaved `(x, y, z, mass)` float4s; the
 //! kernel iterates partners in global index order so every version is
-//! bit-comparable.
+//! bit-comparable. It advances eight bodies per pass over the partners,
+//! one SIMD lane each; a lane's operations are exactly those of the
+//! one-body loop, which the tests keep as a reference.
 
 pub mod cuda;
 pub mod mpi;
@@ -90,11 +92,17 @@ impl NbodyParams {
     }
 }
 
+/// Bodies advanced side by side in one pass over the partners.
+const LANES: usize = 8;
+
 /// Advance one block of bodies one time step.
 ///
 /// `pos_all` is the full float4 position array (all bodies, global
 /// order); `start..start + count` is this block's body range; `vel` and
 /// `pos_out` are the block's velocity and output-position float4s.
+///
+/// Bodies are advanced `LANES` at a time and the leftover ones one at
+/// a time; each body's arithmetic is the same either way.
 pub fn step_block(
     pos_all: &[f32],
     start: usize,
@@ -102,35 +110,144 @@ pub fn step_block(
     vel: &mut [f32],
     pos_out: &mut [f32],
 ) {
-    let n = pos_all.len() / 4;
-    for i in 0..count {
-        let gi = start + i;
-        let (xi, yi, zi) = (pos_all[4 * gi], pos_all[4 * gi + 1], pos_all[4 * gi + 2]);
-        let (mut ax, mut ay, mut az) = (0.0f32, 0.0f32, 0.0f32);
-        for j in 0..n {
-            let dx = pos_all[4 * j] - xi;
-            let dy = pos_all[4 * j + 1] - yi;
-            let dz = pos_all[4 * j + 2] - zi;
+    let full = count / LANES * LANES;
+    for i in (0..full).step_by(LANES) {
+        step_lanes::<LANES>(pos_all, start + i, &mut vel[4 * i..], &mut pos_out[4 * i..]);
+    }
+    for i in full..count {
+        step_lanes::<1>(pos_all, start + i, &mut vel[4 * i..], &mut pos_out[4 * i..]);
+    }
+}
+
+/// Advance the `L` bodies from global index `gi` on; `vel` and
+/// `pos_out` start at the first one's float4.
+fn step_lanes<const L: usize>(pos_all: &[f32], gi: usize, vel: &mut [f32], pos_out: &mut [f32]) {
+    let own = &pos_all[4 * gi..4 * (gi + L)];
+    let xi: [f32; L] = std::array::from_fn(|l| own[4 * l]);
+    let yi: [f32; L] = std::array::from_fn(|l| own[4 * l + 1]);
+    let zi: [f32; L] = std::array::from_fn(|l| own[4 * l + 2]);
+    let [ax, ay, az] = accel(pos_all, xi, yi, zi);
+    for l in 0..L {
+        vel[4 * l] += ax[l] * DT;
+        vel[4 * l + 1] += ay[l] * DT;
+        vel[4 * l + 2] += az[l] * DT;
+        pos_out[4 * l] = xi[l] + vel[4 * l] * DT;
+        pos_out[4 * l + 1] = yi[l] + vel[4 * l + 1] * DT;
+        pos_out[4 * l + 2] = zi[l] + vel[4 * l + 2] * DT;
+        pos_out[4 * l + 3] = own[4 * l + 3];
+    }
+}
+
+/// Accelerations of `L` bodies at `(xi, yi, zi)`. Lane `l` evaluates
+/// the all-pairs expression in the scalar order, partners in global
+/// order, so its bits do not depend on `L`; the lanes are independent,
+/// which lets the compiler run them in SIMD registers.
+///
+/// Kept out of line: returned as three arrays, the accumulators are
+/// vectorised across lanes. Inlined into [`step_lanes`], whose stores
+/// write each body's x, y and z side by side, the compiler paired
+/// those instead and the kernel ran about twice as slowly.
+#[inline(never)]
+fn accel<const L: usize>(
+    pos_all: &[f32],
+    xi: [f32; L],
+    yi: [f32; L],
+    zi: [f32; L],
+) -> [[f32; L]; 3] {
+    let (mut ax, mut ay, mut az) = ([0.0f32; L], [0.0f32; L], [0.0f32; L]);
+    for pj in pos_all.chunks_exact(4) {
+        for l in 0..L {
+            let dx = pj[0] - xi[l];
+            let dy = pj[1] - yi[l];
+            let dz = pj[2] - zi[l];
             let d2 = dx * dx + dy * dy + dz * dz + EPS2;
             let inv = 1.0 / d2.sqrt();
-            let s = pos_all[4 * j + 3] * inv * inv * inv;
-            ax += dx * s;
-            ay += dy * s;
-            az += dz * s;
+            let s = pj[3] * inv * inv * inv;
+            ax[l] += dx * s;
+            ay[l] += dy * s;
+            az[l] += dz * s;
         }
-        vel[4 * i] += ax * DT;
-        vel[4 * i + 1] += ay * DT;
-        vel[4 * i + 2] += az * DT;
-        pos_out[4 * i] = xi + vel[4 * i] * DT;
-        pos_out[4 * i + 1] = yi + vel[4 * i + 1] * DT;
-        pos_out[4 * i + 2] = zi + vel[4 * i + 2] * DT;
-        pos_out[4 * i + 3] = pos_all[4 * gi + 3];
     }
+    [ax, ay, az]
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The scalar kernel [`step_block`] replaced, kept as the reference
+    /// the lane-blocked one must match bit for bit: one body at a time,
+    /// partners in global order.
+    fn step_block_reference(
+        pos_all: &[f32],
+        start: usize,
+        count: usize,
+        vel: &mut [f32],
+        pos_out: &mut [f32],
+    ) {
+        let n = pos_all.len() / 4;
+        for i in 0..count {
+            let gi = start + i;
+            let (xi, yi, zi) = (pos_all[4 * gi], pos_all[4 * gi + 1], pos_all[4 * gi + 2]);
+            let (mut ax, mut ay, mut az) = (0.0f32, 0.0f32, 0.0f32);
+            for j in 0..n {
+                let dx = pos_all[4 * j] - xi;
+                let dy = pos_all[4 * j + 1] - yi;
+                let dz = pos_all[4 * j + 2] - zi;
+                let d2 = dx * dx + dy * dy + dz * dz + EPS2;
+                let inv = 1.0 / d2.sqrt();
+                let s = pos_all[4 * j + 3] * inv * inv * inv;
+                ax += dx * s;
+                ay += dy * s;
+                az += dz * s;
+            }
+            vel[4 * i] += ax * DT;
+            vel[4 * i + 1] += ay * DT;
+            vel[4 * i + 2] += az * DT;
+            pos_out[4 * i] = xi + vel[4 * i] * DT;
+            pos_out[4 * i + 1] = yi + vel[4 * i + 1] * DT;
+            pos_out[4 * i + 2] = zi + vel[4 * i + 2] * DT;
+            pos_out[4 * i + 3] = pos_all[4 * gi + 3];
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any body range of any system — fewer bodies than a lane
+        /// group, a partial last group, a block not at body 0 — gets
+        /// the reference's velocities and positions, bit for bit.
+        #[test]
+        fn step_block_is_bit_identical_to_the_scalar_reference(
+            n in 1usize..40,
+            start_pick in any::<usize>(),
+            count_pick in any::<usize>(),
+            raw in proptest::collection::vec(-1000i32..1000, 8 * 40),
+        ) {
+            let start = start_pick % n;
+            let count = count_pick % (n - start + 1);
+            let pos: Vec<f32> = raw[..4 * n]
+                .chunks_exact(4)
+                .flat_map(|r| {
+                    let m = 0.5 + r[3].rem_euclid(8) as f32 * 0.25;
+                    [r[0] as f32 * 0.013, r[1] as f32 * 0.017, r[2] as f32 * 0.011, m]
+                })
+                .collect();
+            let vel: Vec<f32> = raw[4 * n..4 * (n + count)].iter().map(|&v| v as f32 * 1e-3).collect();
+            let (mut v_new, mut v_ref) = (vel.clone(), vel);
+            let (mut o_new, mut o_ref) = (vec![0.0f32; 4 * count], vec![0.0f32; 4 * count]);
+            step_block(&pos, start, count, &mut v_new, &mut o_new);
+            step_block_reference(&pos, start, count, &mut v_ref, &mut o_ref);
+            prop_assert_eq!(bits(&v_new), bits(&v_ref), "velocities, start={} count={}", start, count);
+            prop_assert_eq!(bits(&o_new), bits(&o_ref), "positions, start={} count={}", start, count);
+        }
+    }
 
     #[test]
     fn geometry_and_flops() {

@@ -5,7 +5,10 @@
 //! realistic case when noise is one filter in a pipeline).
 //!
 //! The noise kernel uses fixed-point integer arithmetic so every
-//! version produces bit-identical pixels.
+//! version produces bit-identical pixels. A block is filtered row by
+//! row and lattice cell by lattice cell, hashing a cell's corners once
+//! per row of 16 pixels rather than once per pixel; every pixel keeps
+//! [`noise_pixel`]'s integer arithmetic.
 
 pub mod cuda;
 pub mod mpi;
@@ -101,16 +104,26 @@ fn smooth(t: u32) -> u32 {
 pub fn noise_pixel(x: u32, y: u32, step: u32, prev: u32) -> u32 {
     let (cx, cy) = (x / CELL, y / CELL);
     let (fx, fy) = ((x % CELL) * 256 / CELL, (y % CELL) * 256 / CELL);
-    let (sx, sy) = (smooth(fx), smooth(fy));
-    // Corner values reduced to 8-bit luminance.
-    let v00 = lattice_hash(cx, cy, step) & 0xFF;
-    let v10 = lattice_hash(cx + 1, cy, step) & 0xFF;
-    let v01 = lattice_hash(cx, cy + 1, step) & 0xFF;
-    let v11 = lattice_hash(cx + 1, cy + 1, step) & 0xFF;
+    blend(corners(cx, cy, step), smooth(fx), smooth(fy), prev)
+}
+
+/// The 8-bit luminance of the four lattice corners of cell `(cx, cy)`:
+/// `[v00, v10, v01, v11]`.
+fn corners(cx: u32, cy: u32, step: u32) -> [u32; 4] {
+    [
+        lattice_hash(cx, cy, step) & 0xFF,
+        lattice_hash(cx + 1, cy, step) & 0xFF,
+        lattice_hash(cx, cy + 1, step) & 0xFF,
+        lattice_hash(cx + 1, cy + 1, step) & 0xFF,
+    ]
+}
+
+/// Interpolate the corner values `v` at smoothed offsets `(sx, sy)` and
+/// average the noise into each RGB channel of `prev`.
+fn blend([v00, v10, v01, v11]: [u32; 4], sx: u32, sy: u32, prev: u32) -> u32 {
     let top = v00 * (256 - sx) + v10 * sx; // 16-bit
     let bot = v01 * (256 - sx) + v11 * sx;
     let n = (top * (256 - sy) + bot * sy) >> 16; // 8-bit noise value
-                                                 // Blend: average each RGBA channel of `prev` with the noise.
     let r = ((((prev >> 24) & 0xFF) + n) / 2) & 0xFF;
     let g = ((((prev >> 16) & 0xFF) + n) / 2) & 0xFF;
     let b = ((((prev >> 8) & 0xFF) + n) / 2) & 0xFF;
@@ -119,18 +132,64 @@ pub fn noise_pixel(x: u32, y: u32, step: u32, prev: u32) -> u32 {
 }
 
 /// Apply one filter step to a block of rows. `row0` is the block's
-/// first image row; the block buffer holds `rows × width` pixels.
+/// first image row; the block buffer holds `rows × width` pixels (the
+/// last row may be partial).
+///
+/// Every pixel gets [`noise_pixel`]'s value; the walk goes row by row,
+/// then cell by cell, so the four corner hashes are computed once per
+/// 16-pixel run of a row, `smooth(fy)` once per row and the 16 values
+/// of `smooth(fx)` once per call.
 pub fn filter_block(block: &mut [u32], row0: usize, width: usize, step: u32) {
-    for (idx, px) in block.iter_mut().enumerate() {
-        let x = (idx % width) as u32;
-        let y = (row0 + idx / width) as u32;
-        *px = noise_pixel(x, y, step, *px);
+    let sxs: [u32; CELL as usize] = std::array::from_fn(|t| smooth(t as u32 * 256 / CELL));
+    for (r, row) in block.chunks_mut(width).enumerate() {
+        let y = (row0 + r) as u32;
+        let (cy, sy) = (y / CELL, smooth((y % CELL) * 256 / CELL));
+        for (cx, cell) in row.chunks_mut(CELL as usize).enumerate() {
+            let v = corners(cx as u32, cy, step);
+            for (px, &sx) in cell.iter_mut().zip(&sxs) {
+                *px = blend(v, sx, sy, *px);
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The pixel-at-a-time kernel [`filter_block`] replaced, kept as
+    /// the reference the cell-walking one must match bit for bit.
+    fn filter_block_reference(block: &mut [u32], row0: usize, width: usize, step: u32) {
+        for (idx, px) in block.iter_mut().enumerate() {
+            let x = (idx % width) as u32;
+            let y = (row0 + idx / width) as u32;
+            *px = noise_pixel(x, y, step, *px);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any width (cell multiple or not), any block length (whole
+        /// rows or a partial last row), any first row, over several
+        /// steps, gives the reference's pixels.
+        #[test]
+        fn filter_block_is_bit_identical_to_the_pixelwise_reference(
+            width in 1usize..70,
+            row0 in 0usize..50,
+            steps in 1u32..4,
+            pixels in proptest::collection::vec(any::<u32>(), 0..300),
+        ) {
+            let (mut new, mut reference) = (pixels.clone(), pixels);
+            for step in 0..steps {
+                filter_block(&mut new, row0, width, step);
+                filter_block_reference(&mut reference, row0, width, step);
+                prop_assert_eq!(&new, &reference, "width={} row0={} step={}", width, row0, step);
+            }
+        }
+    }
 
     #[test]
     fn geometry() {

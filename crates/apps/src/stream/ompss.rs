@@ -118,14 +118,14 @@ pub fn try_run(cfg: RuntimeConfig, p: StreamParams) -> Result<AppRun, RunError> 
         let elapsed = timer.stop(omp.now());
         omp.taskwait().await; // flush for validation, outside the timed phase
 
-        let check = if p.real {
-            let mut all = omp.read_array(&a, 0..p.n).unwrap();
-            all.extend(omp.read_array(&b, 0..p.n).unwrap());
-            all.extend(omp.read_array(&c, 0..p.n).unwrap());
-            Some(all.into_iter().map(|x| x as f32).collect())
-        } else {
-            None
-        };
+        let check = p.real.then(|| {
+            let mut all = Vec::with_capacity(3 * p.n);
+            for h in [&a, &b, &c] {
+                omp.with_array(h, 0..p.n, |s| all.extend(s.iter().map(|&x| x as f32)))
+                    .expect("real backing");
+            }
+            all
+        });
         *out2.lock() =
             Some(AppRun { elapsed, metric: gbs(p.total_bytes(), elapsed), check, report: None });
     })?;

@@ -1,9 +1,10 @@
 //! Cross-version validation: for each benchmark, the CUDA, MPI+CUDA
-//! and OmpSs versions must produce the serial version's results (bit
-//! exact for integer kernels, tolerance-checked for float reductions).
-//! This is the ground truth behind every performance figure.
+//! and OmpSs versions must produce the serial version's results bit
+//! for bit. Every version calls the same kernel bodies in the same
+//! per-element order — the float reductions of matmul and N-Body
+//! included — so no tolerance is needed. This is the ground truth
+//! behind every performance figure.
 
-use ompss_apps::common::rel_error;
 use ompss_apps::{matmul, nbody, perlin, stream};
 use ompss_cudasim::GpuSpec;
 use ompss_net::FabricConfig;
@@ -17,6 +18,10 @@ fn fabric(n: u32) -> FabricConfig {
     FabricConfig::qdr_infiniband(n)
 }
 
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 // ---------------------------------------------------------------- matmul
 
 #[test]
@@ -24,7 +29,7 @@ fn matmul_cuda_matches_serial() {
     let p = matmul::MatmulParams::validate();
     let reference = matmul::serial::run(p);
     let got = matmul::cuda::run(spec(), p).check.unwrap();
-    assert!(rel_error(&got, &reference) < 1e-6);
+    assert_eq!(bits(&got), bits(&reference));
 }
 
 #[test]
@@ -33,7 +38,7 @@ fn matmul_mpi_matches_serial_across_grids() {
     let reference = matmul::serial::run(p);
     for nodes in [1u32, 2, 4] {
         let got = matmul::mpi::run(nodes, spec(), fabric(nodes), p).check.unwrap();
-        assert!(rel_error(&got, &reference) < 1e-5, "nodes={nodes}");
+        assert_eq!(bits(&got), bits(&reference), "nodes={nodes}");
     }
 }
 
@@ -46,7 +51,7 @@ fn matmul_ompss_matches_serial_multi_gpu() {
             matmul::ompss::run(RuntimeConfig::multi_gpu(gpus), p, matmul::ompss::InitMode::Seq)
                 .check
                 .unwrap();
-        assert!(rel_error(&got, &reference) < 1e-6, "gpus={gpus}");
+        assert_eq!(bits(&got), bits(&reference), "gpus={gpus}");
     }
 }
 
@@ -58,7 +63,7 @@ fn matmul_ompss_matches_serial_on_cluster_all_inits() {
         [matmul::ompss::InitMode::Seq, matmul::ompss::InitMode::Smp, matmul::ompss::InitMode::Gpu]
     {
         let got = matmul::ompss::run(RuntimeConfig::gpu_cluster(2), p, init).check.unwrap();
-        assert!(rel_error(&got, &reference) < 1e-6, "init={init:?}");
+        assert_eq!(bits(&got), bits(&reference), "init={init:?}");
     }
 }
 
@@ -87,10 +92,6 @@ fn stream_versions_match_serial() {
 }
 
 // ---------------------------------------------------------------- perlin
-
-fn bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
 
 #[test]
 fn perlin_versions_match_serial_bit_exact() {
@@ -122,17 +123,17 @@ fn nbody_versions_match_serial() {
     let reference = nbody::serial::run(p);
 
     let cuda = nbody::cuda::run(spec(), p).check.unwrap();
-    assert!(rel_error(&cuda, &reference) < 1e-6, "cuda");
+    assert_eq!(bits(&cuda), bits(&reference), "cuda");
 
     for nodes in [1u32, 2, 4] {
         let mpi = nbody::mpi::run(nodes, spec(), fabric(nodes), p).check.unwrap();
-        assert!(rel_error(&mpi, &reference) < 1e-5, "mpi nodes={nodes}");
+        assert_eq!(bits(&mpi), bits(&reference), "mpi nodes={nodes}");
     }
 
     for gpus in [1u32, 2] {
         let om = nbody::ompss::run(RuntimeConfig::multi_gpu(gpus), p).check.unwrap();
-        assert!(rel_error(&om, &reference) < 1e-6, "ompss gpus={gpus}");
+        assert_eq!(bits(&om), bits(&reference), "ompss gpus={gpus}");
     }
     let om = nbody::ompss::run(RuntimeConfig::gpu_cluster(2), p).check.unwrap();
-    assert!(rel_error(&om, &reference) < 1e-6, "ompss cluster");
+    assert_eq!(bits(&om), bits(&reference), "ompss cluster");
 }

@@ -355,6 +355,20 @@ impl Omp {
     /// `taskwait` for up-to-date values). Returns `None` under phantom
     /// backing.
     pub fn read_array<T: Scalar>(&self, h: &ArrayHandle<T>, range: Range<usize>) -> Option<Vec<T>> {
+        self.with_array(h, range, <[T]>::to_vec)
+    }
+
+    /// Run `f` over elements of an array's home copy in place, without
+    /// copying them out (call after a flushing `taskwait` for
+    /// up-to-date values). Returns `None`, and does not call `f`, under
+    /// phantom backing. `f` runs under the array's lock, so it must not
+    /// read or write any array through this `Omp`: that deadlocks.
+    pub fn with_array<T: Scalar, R>(
+        &self,
+        h: &ArrayHandle<T>,
+        range: Range<usize>,
+        f: impl FnOnce(&[T]) -> R,
+    ) -> Option<R> {
         let info = self.shared.mem.data_info(h.data);
         let es = std::mem::size_of::<T>();
         self.shared.mem.with_slice::<T, _>(
@@ -362,7 +376,7 @@ impl Omp {
             info.home_alloc,
             (range.start * es) as u64,
             ((range.end - range.start) * es) as u64,
-            |src| src.to_vec(),
+            f,
         )
     }
 

@@ -357,6 +357,46 @@ fn phantom_backing_times_without_moving_bytes() {
 }
 
 #[test]
+fn with_array_sees_what_read_array_returns() {
+    let (n, bs) = (1000, 250);
+    let out = std::sync::Arc::new(parking_lot::Mutex::new(None));
+    let out2 = out.clone();
+    Runtime::run(RuntimeConfig::multi_gpu(2), move |omp| async move {
+        let a = omp.alloc_array::<f32>(n);
+        omp.write_array(&a, 0, &(0..n).map(|i| i as f32).collect::<Vec<_>>());
+        for j in (0..n).step_by(bs) {
+            omp.submit(TaskSpec::new("neg").device(Device::Cuda).inout(a.region(j..j + bs)).body(
+                |v| {
+                    for x in cast_slice_mut::<f32>(v[0]) {
+                        *x = -*x;
+                    }
+                },
+            ))
+            .await;
+        }
+        omp.taskwait().await;
+        let read = omp.read_array(&a, 100..900).unwrap();
+        let seen = omp.with_array(&a, 100..900, |s| s.to_vec()).unwrap();
+        *out2.lock() = Some((read, seen));
+    });
+    let (read, seen) = out.lock().take().unwrap();
+    assert_eq!(read, (100..900).map(|i| -(i as f32)).collect::<Vec<_>>());
+    assert_eq!(seen, read);
+}
+
+#[test]
+fn with_array_is_none_under_phantom_backing() {
+    let cfg = RuntimeConfig::multi_gpu(1).with_backing(ompss_runtime::Backing::Phantom);
+    Runtime::run(cfg, |omp| async move {
+        let a = omp.alloc_array::<f32>(256);
+        omp.taskwait().await;
+        let got = omp.with_array(&a, 0..256, |_| panic!("f must not run under phantom backing"));
+        assert!(got.is_none());
+        assert!(omp.read_array(&a, 0..256).is_none());
+    });
+}
+
+#[test]
 #[should_panic(expected = "partial")]
 fn partially_overlapping_clauses_are_rejected() {
     Runtime::run(RuntimeConfig::multi_gpu(1), |omp| async move {
