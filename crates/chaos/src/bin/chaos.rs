@@ -440,14 +440,10 @@ fn churn_mode(args: &Args) -> Mode {
     }
 }
 
-/// A GPU cluster of `nodes`, with the sharded control plane if asked.
+/// A GPU cluster of `nodes`: one shard per node if `sharded`, else the
+/// one-shard flat master.
 fn cluster(nodes: u32, sharded: bool) -> RuntimeConfig {
-    let cfg = RuntimeConfig::gpu_cluster(nodes);
-    if sharded {
-        cfg.with_sharded_control(nodes)
-    } else {
-        cfg
-    }
+    RuntimeConfig::gpu_cluster(nodes).with_sharded_control(if sharded { nodes } else { 1 })
 }
 
 #[cfg(test)]

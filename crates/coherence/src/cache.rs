@@ -33,8 +33,8 @@
 //!
 //! A copy is *dirty* iff its data version is not present at the
 //! region's *home* (the host holding the data object's home
-//! allocation — the master host in the flat plane, a shard-owner node
-//! under [`crate::ShardMap`] sharding). The invariant maintained
+//! allocation — the [`crate::ShardMap`] owner's host, which is the
+//! master's with one shard). The invariant maintained
 //! everywhere is: **if the home does not hold the latest version of a
 //! region, at least one valid-latest copy elsewhere is marked dirty**,
 //! so eviction write-backs can never lose the only latest copy.
@@ -232,9 +232,8 @@ struct CopyState {
 struct RegionEntry {
     version: u64,
     /// The host space holding this region's authoritative home copy
-    /// (the data object's home allocation). The master host in the
-    /// flat plane; a shard-owner node's host under sharded homing.
-    /// Node-loss recovery may move it ([`Coherence::rehome_data`]).
+    /// (the data object's home allocation): its shard owner's host —
+    /// the master's with one shard. Node-loss recovery may move it ([`Coherence::rehome_data`]).
     home: SpaceId,
     copies: SpaceMap<CopyState>,
 }
@@ -423,8 +422,8 @@ impl Coherence {
             return;
         }
         // First touch: the authoritative copy is the data object's home
-        // allocation — the master host in the flat plane, a shard
-        // owner's host under sharded homing.
+        // allocation — its shard owner's host (the master's with one
+        // shard).
         let info = self.mem.data_info(region.data);
         debug_assert!(!self.topo.is_gpu(info.home_space), "home copies live in host memory");
         let copies = SpaceMap::one(
@@ -530,8 +529,8 @@ impl Coherence {
         };
 
         // Policy: push writes one level up at commit time — toward the
-        // written region's own home, which may differ per region under
-        // sharded homing.
+        // written region's own home, which may differ per region when
+        // the shard map has several owners.
         if matches!(self.policy, CachePolicy::WriteThrough | CachePolicy::NoCache) {
             for (region, home) in &written {
                 if let Some(parent) = self.push_target(target, *home) {
@@ -574,7 +573,7 @@ impl Coherence {
     /// that is not the home pushes straight to the home host (a
     /// peer-to-peer network hop when both are slaves); the home itself
     /// has nowhere further up. Equals `Topology::parent_of` whenever
-    /// `home` is the master host — the flat plane.
+    /// `home` is the master host — always, with one shard.
     fn push_target(&self, from: SpaceId, home: SpaceId) -> Option<SpaceId> {
         if self.topo.is_gpu(from) {
             return self.topo.parent_of(from);
@@ -998,9 +997,9 @@ impl Coherence {
                 }
                 // Choose the LRU evictable copy in `space`. Home copies
                 // are never eviction victims: they are the authority for
-                // their region (the master host evicts nothing in the
-                // flat plane; a shard owner keeps its owned shard
-                // resident and evicts only what it caches for others).
+                // their region (a shard owner keeps its owned shard
+                // resident and evicts only what it caches for others;
+                // with one shard the master host evicts nothing).
                 let victim: Option<(Region, bool, SpaceId, u64)> = {
                     let inner = self.inner.lock();
                     inner
@@ -1149,9 +1148,9 @@ impl Coherence {
     }
 
     /// Flush one region's latest version to its home host
-    /// (`taskwait on(...)`) — the master in the flat plane, the shard
-    /// owner's host under sharded homing (host-side reads go through
-    /// the home allocation either way).
+    /// (`taskwait on(...)`) — its shard owner's host, the master's
+    /// with one shard (host-side reads go through the home allocation
+    /// either way).
     pub async fn flush_region(&self, exec: &dyn TransferExec, region: &Region) -> SimResult<()> {
         let home = {
             let mut guard = self.inner.lock();

@@ -37,9 +37,9 @@ pub struct ShardMap {
 }
 
 impl ShardMap {
-    /// A map with `shards` shards. `shards == 0` is the flat
-    /// single-master plane and is rejected here: callers gate on the
-    /// config before building a map.
+    /// A map with `shards ≥ 1` shards. One shard is the paper's flat
+    /// single-master plane: every id lands on shard 0, owned by the
+    /// first member, node 0.
     pub fn new(shards: u32) -> Self {
         assert!(shards > 0, "a shard map needs at least one shard");
         ShardMap { shards }
@@ -77,7 +77,7 @@ impl ShardMap {
     }
 }
 
-/// Epoch-versioned cluster membership for the sharded control plane.
+/// Epoch-versioned cluster membership for the control plane.
 ///
 /// Elastic membership changes *which nodes exist*, and therefore which
 /// node owns each shard. Every join or drain opens a new **epoch**: an
@@ -113,11 +113,6 @@ impl MembershipEpochs {
         members.dedup();
         assert!(!members.is_empty(), "a cluster needs at least one member");
         MembershipEpochs { map: ShardMap::new(shards), epochs: vec![members], handoff: false }
-    }
-
-    /// The underlying shard map.
-    pub fn map(&self) -> ShardMap {
-        self.map
     }
 
     /// Index of the current epoch.

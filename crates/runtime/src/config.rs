@@ -116,8 +116,8 @@ pub struct RuntimeConfig {
     /// NIC offline, scheduler proxy out of service, no heartbeat lease
     /// — and at the instant the Fabric brings its NIC online, the
     /// scheduler adopts its proxy and the lease tracker starts its
-    /// lease. Under sharded control the join opens a new membership
-    /// epoch and rebalances moved slices onto the joiner. `None`
+    /// lease. The join opens a new membership epoch and rebalances
+    /// moved slices onto the joiner (none with one shard). `None`
     /// (default) spawns none of the machinery.
     pub node_join: Option<(u32, SimDuration)>,
     /// Planned graceful drain (`OMPSS_NODE_DRAIN`): slave node index
@@ -128,11 +128,12 @@ pub struct RuntimeConfig {
     /// recovery or fails closed. `None` (default) spawns none of the
     /// machinery.
     pub node_drain: Option<(u32, SimDuration)>,
-    /// Control-plane shards (`OMPSS_SHARDS`): `0` (default) keeps the
-    /// paper's flat single-master plane — directory, homes and task
-    /// generation all on node 0, bit-identical to a build without
-    /// sharding. `n > 0` partitions the `DataId` space across `n`
-    /// shards via [`ompss_coherence::ShardMap`]: array homes spread
+    /// Control-plane shards (`OMPSS_SHARDS`, at least 1): the
+    /// [`ompss_coherence::ShardMap`] partitions the `DataId` space into
+    /// this many shards, and every run asks it for array homes and
+    /// `for_each_block` owners. `1` (default) is the paper's flat
+    /// master: the one shard is owned by node 0, so directory, homes
+    /// and task generation all stay there. `n > 1` spreads array homes
     /// over shard-owner nodes, transfer sources resolve peer-to-peer,
     /// and `for_each_block` expands shard-locally through per-owner
     /// sub-masters.
@@ -177,7 +178,7 @@ impl RuntimeConfig {
             lineage_depth_budget: 64,
             node_join: None,
             node_drain: None,
-            shards: 0,
+            shards: 1,
         }
     }
 
@@ -216,7 +217,7 @@ impl RuntimeConfig {
             lineage_depth_budget: 64,
             node_join: None,
             node_drain: None,
-            shards: 0,
+            shards: 1,
         }
     }
 
@@ -362,17 +363,13 @@ impl RuntimeConfig {
         self.node_join.is_some() || self.node_drain.is_some()
     }
 
-    /// Shard the control plane into `n` shards (0 = flat single
-    /// master; see the field docs). Shards beyond the node count still
-    /// work — several shards just wrap onto the same owner node.
+    /// Shard the control plane into `n ≥ 1` shards (1 = the paper's
+    /// flat master; see the field docs). Shards beyond the node count
+    /// still work — several shards just wrap onto the same owner node.
     pub fn with_sharded_control(mut self, n: u32) -> Self {
+        assert!(n > 0, "the control plane needs at least one shard");
         self.shards = n;
         self
-    }
-
-    /// Is the sharded control plane armed?
-    pub fn sharded(&self) -> bool {
-        self.shards > 0
     }
 
     /// Are faults (and therefore the recovery machinery) enabled?
@@ -411,7 +408,7 @@ impl RuntimeConfig {
     /// | `OMPSS_FAULT_NODE_LOSS` | `node@micros` planned kill (e.g. `1@800`) |
     /// | `OMPSS_HEARTBEAT_PERIOD_US` / `OMPSS_LEASE_WINDOW_US` | integers (µs) |
     /// | `OMPSS_LINEAGE_DEPTH` | integer re-execution budget |
-    /// | `OMPSS_SHARDS` | control-plane shard count (0 = flat master) |
+    /// | `OMPSS_SHARDS` | control-plane shard count (default 1 = flat master) |
     /// | `OMPSS_NODE_JOIN` | `node@micros` planned join (e.g. `2@500`) |
     /// | `OMPSS_NODE_DRAIN` | `node@micros` planned drain (e.g. `1@800`) |
     ///

@@ -161,12 +161,12 @@ pub(crate) struct RtShared {
     /// untracked — its lease begins at the join instant; a drained node
     /// is untracked at departure — retirement, not death.
     pub lease: Option<Mutex<LeaseTracker>>,
-    /// Epoch-versioned shard ownership; `Some` exactly when elastic
-    /// membership is armed on the sharded control plane. Planned
-    /// joins/drains advance the epoch and rebalance slice homes; static
-    /// runs never construct this and resolve through the pure
-    /// [`ompss_coherence::ShardMap`] alone.
-    pub membership: Option<Mutex<MembershipEpochs>>,
+    /// Epoch-versioned shard ownership, the one control plane every
+    /// run asks for homes and worksharing owners. Epoch 0 holds the
+    /// initial members, so a static cluster is epoch 0 of an elastic
+    /// one; planned joins/drains advance the epoch and rebalance slice
+    /// homes. With one shard every owner is the master.
+    pub membership: Mutex<MembershipEpochs>,
     /// Every space of each node (host first, then its GPUs) — the purge
     /// set when that node dies.
     pub node_spaces: Vec<Vec<SpaceId>>,
@@ -1096,8 +1096,8 @@ pub(crate) async fn node_kill(
 /// The planned node-join: at the armed virtual instant the new node's
 /// NIC comes on the wire, the master adopts its proxy resource (with
 /// affinity tie-breaks restored), its heartbeat lease starts fresh, and
-/// — under sharded control — membership advances one epoch and the
-/// slices the new member now owns are re-homed onto it, registry first.
+/// membership advances one epoch and the slices the new member now
+/// owns (none with one shard) are re-homed onto it, registry first.
 /// The whole master-side handshake is atomic in virtual time (one
 /// critical section, no yields), so the rest of the machine observes
 /// either the pre-join cluster or the fully joined one; the epoch's
@@ -1127,42 +1127,40 @@ pub(crate) async fn node_join(
             // was absence, not failure.
             lease.lock().track(node, now());
         }
-        if let Some(membership) = &shared.membership {
-            let mut ms = membership.lock();
-            ms.join(node);
-            // Rebalance: every slice whose owner the new epoch changed
-            // is re-homed, registry first. A slice whose copies are
-            // busy (pinned or mid-transfer) simply stays put — the
-            // registry remains authoritative either way, so resolution
-            // keeps returning real bytes; this is an optimisation, not
-            // a correctness requirement, unlike the drain's migration.
-            for h in 0..shared.cfg.nodes as usize {
-                for (data, size) in shared.mem.datas_homed_at(shared.hosts[h]) {
-                    let owner = ms.owner(data) as usize;
-                    if m.node_dead[owner] {
-                        continue; // crashed members never receive slices
-                    }
-                    let new_home = shared.hosts[owner];
-                    if new_home == shared.hosts[h] || !shared.coh.migrate_ready(data, new_home) {
-                        continue;
-                    }
-                    let info = shared.mem.data_info(data);
-                    let Ok(new_alloc) = shared.mem.rehome_data(data, new_home) else {
-                        continue; // new owner out of memory: stays put
-                    };
-                    let (r, b) = shared.coh.migrate_home(
-                        data,
-                        size,
-                        (info.home_space, info.home_alloc),
-                        new_home,
-                        new_alloc,
-                    );
-                    regions_moved += r as u64;
-                    bytes_moved += b;
+        let mut ms = shared.membership.lock();
+        ms.join(node);
+        // Rebalance: every slice whose owner the new epoch changed
+        // is re-homed, registry first. A slice whose copies are
+        // busy (pinned or mid-transfer) simply stays put — the
+        // registry remains authoritative either way, so resolution
+        // keeps returning real bytes; this is an optimisation, not
+        // a correctness requirement, unlike the drain's migration.
+        for h in 0..shared.cfg.nodes as usize {
+            for (data, size) in shared.mem.datas_homed_at(shared.hosts[h]) {
+                let owner = ms.owner(data) as usize;
+                if m.node_dead[owner] {
+                    continue; // crashed members never receive slices
                 }
+                let new_home = shared.hosts[owner];
+                if new_home == shared.hosts[h] || !shared.coh.migrate_ready(data, new_home) {
+                    continue;
+                }
+                let info = shared.mem.data_info(data);
+                let Ok(new_alloc) = shared.mem.rehome_data(data, new_home) else {
+                    continue; // new owner out of memory: stays put
+                };
+                let (r, b) = shared.coh.migrate_home(
+                    data,
+                    size,
+                    (info.home_space, info.home_alloc),
+                    new_home,
+                    new_alloc,
+                );
+                regions_moved += r as u64;
+                bytes_moved += b;
             }
-            ms.seal();
         }
+        ms.seal();
     }
     crate::stats::Counters::add(&shared.counters.nodes_joined, 1);
     crate::stats::Counters::add(&shared.counters.regions_rebalanced, regions_moved);
@@ -1188,12 +1186,12 @@ pub(crate) async fn node_join(
 ///    the lease monitor's crash recovery owns the node from then on.
 /// 3. **Flush** — write every dirty region cached on the node back to
 ///    its home over the modeled wire (the drain's data cost).
-/// 4. **Re-home** — under sharded control, advance membership one epoch
-///    (opening the two-epoch handoff window) and move every slice homed
-///    on the leaver to its new owner, registry first; the flat plane
-///    re-homes onto the master. Busy slices are retried on a short
-///    period and fail closed ([`RunError::Exhausted`]) when the budget
-///    runs out — wrong bytes are never served.
+/// 4. **Re-home** — advance membership one epoch (opening the two-epoch
+///    handoff window) and move every slice homed on the leaver to its
+///    new owner, registry first — the master, with one shard. Busy
+///    slices are retried on a short period and fail closed
+///    ([`RunError::Exhausted`]) when the budget runs out — wrong bytes
+///    are never served.
 /// 5. **Depart** — seal the epoch, purge the node's spaces (anything
 ///    still stranded fails closed), retire its lease, and take it off
 ///    the wire.
@@ -1262,9 +1260,7 @@ pub(crate) async fn node_drain(
         if m.node_dead[node as usize] || shared.node_down(node) {
             return;
         }
-        if let Some(membership) = &shared.membership {
-            membership.lock().drain(node);
-        }
+        shared.membership.lock().drain(node);
     }
     let leaver_host = shared.hosts[node as usize];
     let mut regions_moved = 0u64;
@@ -1277,10 +1273,7 @@ pub(crate) async fn node_drain(
             }
             let mut busy = 0usize;
             for (data, size) in shared.mem.datas_homed_at(leaver_host) {
-                let owner = match &shared.membership {
-                    Some(ms) => ms.lock().owner(data),
-                    None => 0, // flat plane: everything re-homes onto the master
-                };
+                let owner = shared.membership.lock().owner(data);
                 // A *crashed* member is invisible to the epoch map
                 // (only joins and drains advance it). Never re-home
                 // onto a dead node: the master adopts those slices.
@@ -1335,9 +1328,7 @@ pub(crate) async fn node_drain(
         if m.node_dead[node as usize] || shared.node_down(node) {
             return;
         }
-        if let Some(membership) = &shared.membership {
-            membership.lock().seal();
-        }
+        shared.membership.lock().seal();
         let lost = shared.coh.purge_spaces(&shared.node_spaces[node as usize]);
         if !lost.is_empty() {
             drop(m);

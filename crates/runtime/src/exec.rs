@@ -101,9 +101,6 @@ pub struct RtExec {
     overlap: bool,
     tracer: Option<Tracer>,
     counters: Arc<Counters>,
-    /// Sharded control plane armed: slave↔slave hops are peer-resolved
-    /// ownership traffic and counted as such.
-    sharded: bool,
 }
 
 impl RtExec {
@@ -118,9 +115,8 @@ impl RtExec {
         overlap: bool,
         tracer: Option<Tracer>,
         counters: Arc<Counters>,
-        sharded: bool,
     ) -> Self {
-        RtExec { mem, gpus, node_of, pinned, fabric, overlap, tracer, counters, sharded }
+        RtExec { mem, gpus, node_of, pinned, fabric, overlap, tracer, counters }
     }
 }
 
@@ -177,10 +173,11 @@ impl TransferExec for RtExec {
                         },
                         bytes,
                     );
-                    // Under the sharded plane a slave↔slave hop means the
-                    // consumer resolved the owner locally via the ShardMap
-                    // and pulled peer-to-peer — no master round trip.
-                    if self.sharded && sn != 0 && dn != 0 {
+                    // On a multi-shard map a slave↔slave hop means the
+                    // consumer resolved the owner locally via the
+                    // ShardMap and pulled peer-to-peer; the report keeps
+                    // the count only there (`with_shard_count`).
+                    if sn != 0 && dn != 0 {
                         Counters::add(&self.counters.peer_resolutions, 1);
                     }
                     Counters::add(&self.counters.am_data, 1);

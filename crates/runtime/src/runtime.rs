@@ -16,9 +16,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use ompss_coherence::{
-    CachePolicy, Coherence, CoherenceStats, MembershipEpochs, ShardMap, Topology,
-};
+use ompss_coherence::{CachePolicy, Coherence, CoherenceStats, MembershipEpochs, Topology};
 use ompss_core::{TaskGraph, TaskId};
 use ompss_cudasim::{GpuDevice, GpuStats, PinnedPool};
 use ompss_json::{Json, ToJson};
@@ -309,29 +307,17 @@ impl Omp {
         &self.shared.cfg
     }
 
-    /// Allocate a typed array in its home host memory: the master's
-    /// under the flat control plane, the shard owner's under
-    /// [`RuntimeConfig::with_sharded_control`] — every node computes
-    /// the owner locally from the [`ShardMap`], no directory round
-    /// trip.
+    /// Allocate a typed array in its home host memory: the owner of
+    /// its shard under the current membership epoch — every node
+    /// computes the owner locally from the
+    /// [`ompss_coherence::ShardMap`], no directory round trip. With one
+    /// shard (the default) that is always the master, the paper's flat
+    /// plane.
     pub fn alloc_array<T: Scalar>(&self, len: usize) -> ArrayHandle<T> {
         let bytes = (len * std::mem::size_of::<T>()) as u64;
-        let cfg = &self.shared.cfg;
-        let home = if cfg.sharded() && cfg.nodes > 1 {
-            // Under elastic membership the owner comes from the current
-            // epoch's member list; a static cluster is just epoch 0, so
-            // the unarmed path is the identical pure-function lookup.
-            let owner = match &self.shared.membership {
-                Some(ms) => ms.lock().owner(self.shared.mem.next_data_id()),
-                None => {
-                    ShardMap::new(cfg.shards).owner_node(self.shared.mem.next_data_id(), cfg.nodes)
-                }
-            };
-            Counters::add(&self.shared.counters.shard_lookups, 1);
-            self.shared.hosts[owner as usize]
-        } else {
-            self.shared.hosts[0]
-        };
+        let owner = self.shared.membership.lock().owner(self.shared.mem.next_data_id());
+        Counters::add(&self.shared.counters.shard_lookups, 1);
+        let home = self.shared.hosts[owner as usize];
         let data = self.shared.mem.register_data(bytes, home).expect("home host out of memory");
         ArrayHandle { data, len, _t: PhantomData }
     }
@@ -483,10 +469,12 @@ impl Omp {
     /// worksharing loop — the extension the paper lists as future work
     /// (§VII) — and what every blocked loop in the evaluation does by
     /// hand.
-    /// Under the sharded control plane the blocks are partitioned by
-    /// shard owner and expanded by per-owner *sub-master* processes, so
-    /// the per-task creation overhead is paid in parallel across shards
-    /// instead of serialising through one loop. Worksharing semantics
+    /// The blocks are partitioned by the shard owner of the data each
+    /// writes and expanded by per-owner *sub-master* processes, so the
+    /// per-task creation overhead is paid in parallel across owners
+    /// instead of serialising through one loop. When the master owns
+    /// every block — always, with one shard — the caller submits them
+    /// inline, as the paper's master loop does. Worksharing semantics
     /// are assumed: the blocks of one call are mutually independent
     /// (dependences on *earlier* submissions are preserved either way —
     /// every task of the call is in the graph before the call returns).
@@ -497,56 +485,50 @@ impl Omp {
         make: impl Fn(Range<usize>) -> TaskSpec,
     ) {
         assert!(block > 0, "block size must be positive");
-        let cfg = &self.shared.cfg;
-        if cfg.sharded() && cfg.nodes > 1 {
-            // Route each block to the owner of the data it writes (its
-            // first dependence when it writes nothing).
-            let map = ShardMap::new(cfg.shards);
-            let mut parts: Vec<Vec<TaskSpec>> = (0..cfg.nodes).map(|_| Vec::new()).collect();
-            let mut start = range.start;
-            while start < range.end {
-                let end = (start + block).min(range.end);
-                let spec = make(start..end);
-                let key = spec
-                    .deps
-                    .iter()
-                    .find(|a| a.kind.writes())
-                    .or_else(|| spec.deps.first())
-                    .map(|a| a.region.data)
-                    .unwrap_or(DataId(0));
-                let owner = match &self.shared.membership {
-                    Some(ms) => ms.lock().owner(key),
-                    None => map.owner_node(key, cfg.nodes),
-                };
-                parts[owner as usize].push(spec);
-                start = end;
-            }
-            let latch = Latch::new();
-            for (owner, specs) in parts.into_iter().enumerate() {
-                if specs.is_empty() {
-                    continue;
-                }
-                latch.add(1);
-                let omp = self.clone();
-                let latch = latch.clone();
-                let n = specs.len() as u64;
-                process(format!("submaster:node{owner}")).daemon().spawn(async move {
-                    for spec in specs {
-                        omp.submit(spec).await;
-                    }
-                    Counters::add(&omp.shared.counters.submaster_spawns, n);
-                    latch.done();
-                });
-            }
-            latch.wait_zero().await.expect("for_each_block during shutdown");
-            return;
-        }
+        // Route each block to the owner of the data it writes (its
+        // first dependence when it writes nothing).
+        let mut parts: Vec<Vec<TaskSpec>> =
+            (0..self.shared.cfg.nodes).map(|_| Vec::new()).collect();
         let mut start = range.start;
         while start < range.end {
             let end = (start + block).min(range.end);
-            self.submit(make(start..end)).await;
+            let spec = make(start..end);
+            let key = spec
+                .deps
+                .iter()
+                .find(|a| a.kind.writes())
+                .or_else(|| spec.deps.first())
+                .map(|a| a.region.data)
+                .unwrap_or(DataId(0));
+            parts[self.shared.membership.lock().owner(key) as usize].push(spec);
             start = end;
         }
+        // Master-inline rule: when node 0 owns every block (always, with
+        // one shard) the caller is the paper's serial master loop.
+        if parts[1..].iter().all(Vec::is_empty) {
+            for spec in std::mem::take(&mut parts[0]) {
+                self.submit(spec).await;
+            }
+            return;
+        }
+        let latch = Latch::new();
+        for (owner, specs) in parts.into_iter().enumerate() {
+            if specs.is_empty() {
+                continue;
+            }
+            latch.add(1);
+            let omp = self.clone();
+            let latch = latch.clone();
+            let n = specs.len() as u64;
+            process(format!("submaster:node{owner}")).daemon().spawn(async move {
+                for spec in specs {
+                    omp.submit(spec).await;
+                }
+                Counters::add(&omp.shared.counters.submaster_spawns, n);
+                latch.done();
+            });
+        }
+        latch.wait_zero().await.expect("for_each_block during shutdown");
     }
 }
 
@@ -600,6 +582,11 @@ impl Runtime {
                     cfg.heartbeat_period.as_nanos(),
                     cfg.lease_window.as_nanos()
                 ),
+            });
+        }
+        if cfg.shards == 0 {
+            return Err(RunError::InvalidConfig {
+                what: "shards must be at least 1 (1 is the flat single-master plane)".into(),
             });
         }
         for (knob, armed) in [("node_join", cfg.node_join), ("node_drain", cfg.node_drain)] {
@@ -710,7 +697,6 @@ impl Runtime {
             cfg.overlap,
             tracer.clone(),
             counters.clone(),
-            cfg.sharded(),
         ));
         let coh = Arc::new(
             Coherence::new(mem.clone(), topo, cfg.cache_policy)
@@ -876,11 +862,12 @@ impl Runtime {
                     SimTime(0),
                 ))
             }),
-            membership: (cfg.membership_enabled() && cfg.sharded() && cfg.nodes > 1).then(|| {
-                let members: Vec<u32> =
-                    (0..cfg.nodes).filter(|&n| cfg.node_join.is_none_or(|(j, _)| j != n)).collect();
-                Mutex::new(MembershipEpochs::new(cfg.shards, members))
-            }),
+            // Epoch 0: every node but an armed joiner — a static
+            // cluster is just epoch 0 of an elastic one.
+            membership: Mutex::new(MembershipEpochs::new(
+                cfg.shards,
+                (0..cfg.nodes).filter(|&n| cfg.node_join.is_none_or(|(j, _)| j != n)).collect(),
+            )),
             node_spaces,
             done: ompss_sim::Signal::new(),
             debug_launches: std::env::var_os("OMPSS_RT_DEBUG").is_some(),
@@ -1002,7 +989,7 @@ impl Runtime {
             coherence: coh.stats(),
             sched: m.sched.stats(),
             gpus: gpu_stats,
-            counters: counters.snapshot(),
+            counters: counters.snapshot().with_shard_count(cfg.shards),
             events: run.events,
             clock_advances: run.clock_advances,
             host_ns: run.host_ns,

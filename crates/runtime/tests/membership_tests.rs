@@ -1,14 +1,15 @@
 //! Elastic-membership tests: config validation (rejected before the
 //! machine is built), and end-to-end planned joins/drains preserving
-//! results on both control planes.
+//! results under the one-shard flat master and a multi-shard map.
 
+use ompss_json::ToJson;
 use ompss_mem::cast_slice_mut;
 use ompss_runtime::{Device, RunError, RunReport, Runtime, RuntimeConfig, SimDuration, TaskSpec};
 
 /// Two waves of blocked SMP "scale by 2" over eight arrays — enough
 /// 100 µs tasks that a membership event armed a few hundred µs in lands
 /// mid-run (the two-wave makespan is ~600 µs on a three-node cluster),
-/// and enough distinct `DataId`s that the sharded plane homes slices on
+/// and enough distinct `DataId`s that a multi-shard map homes slices on
 /// every member. The taskwait between waves makes the second wave's
 /// placement see the churned cluster.
 fn run_two_wave(cfg: RuntimeConfig) -> (Vec<Vec<f32>>, RunReport) {
@@ -104,18 +105,63 @@ fn membership_targets_outside_the_cluster_are_rejected() {
 }
 
 #[test]
-fn planned_join_adds_a_node_mid_run_and_preserves_results() {
-    for shards in [0u32, 3] {
-        let mut cfg =
-            RuntimeConfig::gpu_cluster(3).with_node_join(2, SimDuration::from_micros(300));
-        if shards > 0 {
-            cfg = cfg.with_sharded_control(shards);
+fn zero_shards_are_rejected() {
+    // The flat master is the one-shard map, so zero shards is no plane
+    // at all. The builder asserts; the env path (`OMPSS_SHARDS=0`)
+    // reaches try_run unchecked and must fail closed.
+    let mut cfg = RuntimeConfig::gpu_cluster(2);
+    cfg.shards = 0;
+    match Runtime::try_run(cfg, |omp| async move {
+        omp.taskwait().await;
+    }) {
+        Err(RunError::InvalidConfig { what }) => {
+            assert!(what.contains("shards"), "unhelpful message: {what}")
         }
+        other => panic!("expected InvalidConfig, got {other:?}"),
+    }
+}
+
+#[test]
+#[should_panic(expected = "at least one shard")]
+fn zero_shard_builder_asserts() {
+    let _ = RuntimeConfig::gpu_cluster(2).with_sharded_control(0);
+}
+
+#[test]
+fn flat_master_is_the_one_shard_map() {
+    // The default config and an explicit one-shard map are the same
+    // control plane: identical report bytes, no shard section, and no
+    // sub-master — node 0 owns every block, so the caller submits
+    // inline. A planned join opens an epoch that moves nothing.
+    for join in [None, Some(SimDuration::from_micros(300))] {
+        let mut base = RuntimeConfig::gpu_cluster(3);
+        if let Some(at) = join {
+            base = base.with_node_join(2, at);
+        }
+        let (flat_v, flat) = run_two_wave(base.clone());
+        let (one_v, one) = run_two_wave(base.with_sharded_control(1));
+        assert_scaled_4x(&flat_v, &format!("default, join={join:?}"));
+        assert_eq!(flat_v, one_v);
+        let json = flat.to_json();
+        assert_eq!(json.to_pretty_string(), one.to_json().to_pretty_string(), "join={join:?}");
+        assert_eq!(json.get("counters").and_then(|c| c.get("shard")), None, "join={join:?}");
+        assert_eq!(flat.counters.submaster_spawns, 0, "join={join:?}");
+        assert_eq!(flat.counters.regions_rebalanced, 0, "join={join:?}");
+        assert_eq!(flat.counters.nodes_joined, u64::from(join.is_some()));
+    }
+}
+
+#[test]
+fn planned_join_adds_a_node_mid_run_and_preserves_results() {
+    for shards in [1u32, 3] {
+        let cfg = RuntimeConfig::gpu_cluster(3)
+            .with_node_join(2, SimDuration::from_micros(300))
+            .with_sharded_control(shards);
         let (v, report) = run_two_wave(cfg);
         assert_scaled_4x(&v, &format!("join, shards={shards}"));
         assert_eq!(report.counters.nodes_joined, 1, "shards={shards}");
         assert_eq!(report.counters.nodes_drained, 0, "shards={shards}");
-        if shards > 0 {
+        if shards > 1 {
             // The joiner took ownership of part of the DataId space;
             // the idle slices must have been re-homed onto it.
             assert!(report.counters.regions_rebalanced > 0, "sharded join moved no slices");
@@ -125,21 +171,19 @@ fn planned_join_adds_a_node_mid_run_and_preserves_results() {
 
 #[test]
 fn planned_drain_retires_a_node_mid_run_and_preserves_results() {
-    for shards in [0u32, 3] {
-        let mut cfg =
-            RuntimeConfig::gpu_cluster(3).with_node_drain(2, SimDuration::from_micros(300));
-        if shards > 0 {
-            cfg = cfg.with_sharded_control(shards);
-        }
+    for shards in [1u32, 3] {
+        let cfg = RuntimeConfig::gpu_cluster(3)
+            .with_node_drain(2, SimDuration::from_micros(300))
+            .with_sharded_control(shards);
         let (v, report) = run_two_wave(cfg);
         assert_scaled_4x(&v, &format!("drain, shards={shards}"));
         assert_eq!(report.counters.nodes_drained, 1, "shards={shards}");
         assert_eq!(report.counters.nodes_joined, 0, "shards={shards}");
-        // Draining always costs data movement: the flat plane flushes
-        // the leaver's dirty cache home; the sharded plane additionally
-        // re-homes every slice the leaver owned.
+        // Draining always costs data movement: the leaver's dirty cache
+        // is flushed home; a multi-shard map additionally re-homes
+        // every slice the leaver owned.
         assert!(report.counters.bytes_migrated > 0, "drain moved no bytes (shards={shards})");
-        if shards > 0 {
+        if shards > 1 {
             assert!(report.counters.regions_rebalanced > 0, "sharded drain moved no slices");
         }
     }

@@ -43,9 +43,9 @@ fn run_app(name: &str, cfg: RuntimeConfig) -> AppRun {
 
 /// The topologies every app is checked under: the paper's single-node
 /// multi-GPU setting, its multi-node cluster setting (flat master),
-/// and the same cluster with the sharded control plane on — so the
+/// and the same cluster with one control-plane shard per node — so the
 /// shard-homed directory and sub-master expansion face the same
-/// clause/dependence validation as the flat path.
+/// clause/dependence validation as the one-shard flat master.
 fn configs() -> [(&'static str, RuntimeConfig); 3] {
     [
         ("multi_gpu", RuntimeConfig::multi_gpu(2)),
