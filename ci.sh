@@ -3,8 +3,8 @@
 # fault-injection sweep.
 #
 #   ./ci.sh          # everything
-#   ./ci.sh quick    # fmt + clippy + tests + verify + chaos + churn + mc + serve;
-#                    # skips the release build, scale, figures and mc_defects
+#   ./ci.sh quick    # fmt + clippy + tests + nofastpath + verify + chaos + churn + mc
+#                    # + serve; skips the release build, scale, figures and mc_defects
 #   ./ci.sh verify   # only the ompss-verify sweep over the apps
 #   ./ci.sh chaos    # only the fault-injection sweep over the apps
 #   ./ci.sh churn    # elastic-membership grid: joins/drains/kill races
@@ -14,6 +14,7 @@
 #   ./ci.sh mc       # bounded model-check of matmul+stream schedules
 #   ./ci.sh mc_defects  # seeded-defect corpus the model checker must catch
 #   ./ci.sh serve    # job-server soak: overload, cancels, fairness
+#   ./ci.sh nofastpath  # ompss-sim tests with the DES host fast paths off
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -65,6 +66,11 @@ mc() {
         --apps matmul,stream --nodes 2 --max-interleavings 1200 --min-interleavings 1000
 }
 
+nofastpath() {
+    echo "==> ompss-sim tests with OMPSS_SIM_NO_FASTPATH=1 (the literal kernel)"
+    OMPSS_SIM_NO_FASTPATH=1 cargo test -q -p ompss-sim
+}
+
 mc_defects() {
     echo "==> ompss-mc seeded-defect corpus (cfg mc_defects build)"
     RUSTFLAGS="--cfg mc_defects" CARGO_TARGET_DIR=target/mc-defects \
@@ -72,7 +78,7 @@ mc_defects() {
 }
 
 case "${1:-}" in
-    verify | chaos | churn | bench | scale | figures | mc | mc_defects | serve)
+    verify | chaos | churn | bench | scale | figures | mc | mc_defects | serve | nofastpath)
         "$1"
         echo "CI green."
         exit 0
@@ -94,6 +100,8 @@ fi
 
 echo "==> cargo test"
 cargo test --workspace -q
+
+nofastpath
 
 verify
 

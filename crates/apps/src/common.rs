@@ -7,10 +7,9 @@
 //! source files so that Table I's line counting compares only the code
 //! a programmer writes differently per model.
 
+use std::cell::RefCell;
 use std::future::Future;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use ompss_net::{FabricConfig, Mpi, MpiRank};
 use ompss_sim::{Sim, SimDuration, SimTime};
@@ -29,6 +28,12 @@ pub struct AppRun {
     /// Full runtime report (OmpSs versions only).
     pub report: Option<ompss_runtime::RunReport>,
 }
+
+// Sweeps and the job server return runs from their worker threads.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<AppRun>();
+};
 
 /// Unwrap a fallible OmpSs app run, panicking with the same messages
 /// [`Runtime::run`] would have produced. The `run` entry point of each
@@ -52,33 +57,30 @@ pub fn unwrap_run(result: Result<AppRun, ompss_runtime::RunError>) -> AppRun {
 
 /// Run `fut` as the only process of a fresh simulation and return its
 /// result.
-pub fn run_single<R: Send + 'static>(
-    name: &str,
-    fut: impl Future<Output = R> + Send + 'static,
-) -> R {
-    let out: Arc<Mutex<Option<R>>> = Arc::new(Mutex::new(None));
+pub fn run_single<R: 'static>(name: &str, fut: impl Future<Output = R> + 'static) -> R {
+    let out: Rc<RefCell<Option<R>>> = Rc::default();
     let out2 = out.clone();
     let sim = Sim::new();
     sim.spawn(name.to_string(), async move {
-        *out2.lock() = Some(fut.await);
+        *out2.borrow_mut() = Some(fut.await);
     });
     sim.run().expect("simulation failed");
-    let r = out.lock().take().expect("process completed");
-    r
+    out.take().expect("process completed")
 }
 
 /// Run one process per MPI rank over a fresh fabric; returns each
 /// rank's result in rank order.
 pub fn run_mpi_ranks<R, F, Fut>(nodes: u32, fabric: FabricConfig, f: F) -> Vec<R>
 where
-    R: Send + 'static,
-    F: Fn(MpiRank) -> Fut + Send + Sync + 'static,
-    Fut: Future<Output = R> + Send + 'static,
+    R: 'static,
+    F: Fn(MpiRank) -> Fut + 'static,
+    Fut: Future<Output = R> + 'static,
 {
     assert_eq!(fabric.nodes, nodes);
     let mpi = Mpi::new(fabric);
-    let outs: Arc<Vec<Mutex<Option<R>>>> = Arc::new((0..nodes).map(|_| Mutex::new(None)).collect());
-    let f = Arc::new(f);
+    let outs: Rc<Vec<RefCell<Option<R>>>> =
+        Rc::new((0..nodes).map(|_| RefCell::new(None)).collect());
+    let f = Rc::new(f);
     let sim = Sim::new();
     for r in 0..nodes {
         let rank = mpi.rank(r);
@@ -86,11 +88,11 @@ where
         let f = f.clone();
         sim.spawn(format!("rank{r}"), async move {
             let v = f(rank).await;
-            *outs[r as usize].lock() = Some(v);
+            *outs[r as usize].borrow_mut() = Some(v);
         });
     }
     sim.run().expect("simulation failed");
-    Arc::try_unwrap(outs)
+    Rc::try_unwrap(outs)
         .unwrap_or_else(|_| panic!("rank processes retained results"))
         .into_iter()
         .map(|m| m.into_inner().expect("rank completed"))

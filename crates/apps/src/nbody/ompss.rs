@@ -20,7 +20,7 @@ pub fn run(cfg: RuntimeConfig, p: NbodyParams) -> AppRun {
 /// Like [`run`], but surfaces deadlocks and executor failures as a
 /// [`RunError`] value instead of panicking.
 pub fn try_run(cfg: RuntimeConfig, p: NbodyParams) -> Result<AppRun, RunError> {
-    let out = std::sync::Arc::new(parking_lot::Mutex::new(None));
+    let out = std::rc::Rc::new(std::cell::RefCell::new(None));
     let out2 = out.clone();
     let rep = Runtime::try_run(cfg, move |omp| async move {
         // One position array per round: each iteration produces a fresh
@@ -81,10 +81,10 @@ pub fn try_run(cfg: RuntimeConfig, p: NbodyParams) -> Result<AppRun, RunError> {
         omp.taskwait().await;
 
         let check = if p.real { omp.read_array(&pos[p.iters], 0..4 * p.n) } else { None };
-        *out2.lock() =
+        *out2.borrow_mut() =
             Some(AppRun { elapsed, metric: gflops(p.flops(), elapsed), check, report: None });
     })?;
-    let mut r = out.lock().take().unwrap();
+    let mut r = out.take().unwrap();
     r.report = Some(rep);
     Ok(r)
 }

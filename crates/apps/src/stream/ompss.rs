@@ -25,7 +25,7 @@ pub fn try_run(cfg: RuntimeConfig, p: StreamParams) -> Result<AppRun, RunError> 
     // clause conformance (the body records a read that no input/inout
     // clause covers) can catch the lie.
     let defect = ompss_sim::defects::armed("stream");
-    let out = std::sync::Arc::new(parking_lot::Mutex::new(None));
+    let out = std::rc::Rc::new(std::cell::RefCell::new(None));
     let out2 = out.clone();
     let rep = Runtime::try_run(cfg, move |omp| async move {
         let a = omp.alloc_array::<f64>(p.n);
@@ -126,10 +126,10 @@ pub fn try_run(cfg: RuntimeConfig, p: StreamParams) -> Result<AppRun, RunError> 
             }
             all
         });
-        *out2.lock() =
+        *out2.borrow_mut() =
             Some(AppRun { elapsed, metric: gbs(p.total_bytes(), elapsed), check, report: None });
     })?;
-    let mut r = out.lock().take().unwrap();
+    let mut r = out.take().unwrap();
     r.report = Some(rep);
     Ok(r)
 }

@@ -115,9 +115,9 @@ mod jobs_width_props {
     //! parallelism may change *when* a simulation runs, never *what*
     //! it computes.
 
-    use std::sync::Arc;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
-    use parking_lot::Mutex;
     use proptest::prelude::*;
 
     use ompss_sim::{delay, now, spawn, Channel, Sim, SimDuration};
@@ -127,7 +127,7 @@ mod jobs_width_props {
     type Digest = (Vec<(u64, u64, u64)>, (u64, u64, u64, u64));
 
     fn run_workload(groups: &[(u64, u64, u64)]) -> Digest {
-        let trace = Arc::new(Mutex::new(Vec::new()));
+        let trace = Rc::new(RefCell::new(Vec::new()));
         let sim = Sim::new();
         let ch: Channel<u64> = Channel::new();
         for (g, &(d, msgs, kids)) in groups.iter().enumerate() {
@@ -143,7 +143,7 @@ mod jobs_width_props {
                             tx.send(g as u64 * 1000 + k * 100 + m);
                             delay(SimDuration::from_nanos(d % 7 + 1)).await.unwrap();
                         }
-                        tr.lock().push((now().as_nanos(), g as u64, k));
+                        tr.borrow_mut().push((now().as_nanos(), g as u64, k));
                     });
                 }
                 delay(SimDuration::from_nanos(d)).await.unwrap();
@@ -155,11 +155,11 @@ mod jobs_width_props {
         sim.spawn("drain", async move {
             for _ in 0..total {
                 let v = rx.recv().await.unwrap();
-                tr.lock().push((now().as_nanos(), u64::MAX, v));
+                tr.borrow_mut().push((now().as_nanos(), u64::MAX, v));
             }
         });
         let r = sim.run().unwrap();
-        let t = trace.lock().clone();
+        let t = trace.borrow().clone();
         (t, (r.end_time.as_nanos(), r.events, r.clock_advances, r.processes as u64))
     }
 

@@ -22,7 +22,8 @@
 //!
 //! # Concurrency protocol
 //!
-//! Bookkeeping lives under one short-held lock; transfers happen
+//! Bookkeeping lives in one `RefCell`, borrowed briefly and never
+//! across an `.await`; transfers happen
 //! *outside* it, marked `InFlight` with a completion [`Signal`] so that
 //! concurrent requests for the same copy wait instead of duplicating
 //! the transfer (the "non-blocking cache" of the paper). Copies in use
@@ -39,11 +40,9 @@
 //! region, at least one valid-latest copy elsewhere is marked dirty**,
 //! so eviction write-backs can never lose the only latest copy.
 
+use std::cell::RefCell;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use ompss_mem::{Access, AllocId, DataId, MemoryManager, Region, SpaceId};
 use ompss_sim::{now, Signal, SimError, SimResult};
@@ -102,7 +101,7 @@ pub struct Loc {
 }
 
 /// Why a transfer is being made. The engine threads this through to the
-/// [`TransferExec`] so the runtime can account bytes by purpose —
+/// [`HopExec`] so the runtime can account bytes by purpose —
 /// demand fetches on a task's critical path versus anticipatory
 /// movement (GPU prefetch, cluster presend) versus write traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -134,10 +133,14 @@ impl TransferPurpose {
     }
 }
 
+/// The boxed future of one hop: see [`HopExec::hop`].
+pub type HopFuture<'a> = Pin<Box<dyn Future<Output = SimResult<bool>> + 'a>>;
+
 /// Executes one planned hop, charging virtual time and moving the real
 /// bytes. Implemented by the runtime (PCIe hops drive the GPU DMA
-/// model; network hops drive active messages).
-pub trait TransferExec: Send + Sync {
+/// model; network hops drive active messages). The hop runs inside the
+/// simulation, on its thread, so the future need not be `Send`.
+pub trait HopExec {
     /// Perform the transfer. Must move the bytes via the memory manager
     /// and block the calling process for the modelled duration.
     ///
@@ -147,8 +150,23 @@ pub trait TransferExec: Send + Sync {
     /// must treat the destination as garbage, not valid.
     ///
     /// Boxed future rather than `async fn`: the trait must stay
-    /// object-safe (`&dyn TransferExec` is threaded through the engine).
+    /// object-safe (`&dyn HopExec` is threaded through the engine).
     /// Implementors wrap their body in `Box::pin(async move { ... })`.
+    fn hop<'a>(
+        &'a self,
+        kind: HopKind,
+        purpose: TransferPurpose,
+        src: Loc,
+        dst: Loc,
+        bytes: u64,
+    ) -> HopFuture<'a>;
+}
+
+/// A [`HopExec`] written with a `Send` future, for executors that hold
+/// no simulation state (one that only charges virtual time, say).
+/// Every `TransferExec` is a `HopExec`.
+pub trait TransferExec {
+    /// Perform the transfer; see [`HopExec::hop`].
     fn transfer<'a>(
         &'a self,
         kind: HopKind,
@@ -157,6 +175,19 @@ pub trait TransferExec: Send + Sync {
         dst: Loc,
         bytes: u64,
     ) -> Pin<Box<dyn Future<Output = SimResult<bool>> + Send + 'a>>;
+}
+
+impl<T: TransferExec + ?Sized> HopExec for T {
+    fn hop<'a>(
+        &'a self,
+        kind: HopKind,
+        purpose: TransferPurpose,
+        src: Loc,
+        dst: Loc,
+        bytes: u64,
+    ) -> HopFuture<'a> {
+        self.transfer(kind, purpose, src, dst, bytes)
+    }
 }
 
 /// A region whose latest committed version was lost with a purged
@@ -257,10 +288,11 @@ struct Inner {
     dead: Vec<SpaceId>,
 }
 
-/// The coherence engine. The runtime holds it in an `Arc` and calls it
-/// from worker, GPU-manager and communication processes concurrently.
+/// The coherence engine. The runtime holds it in an `Rc` and calls it
+/// from worker, GPU-manager and communication processes, which the
+/// simulation interleaves on one thread.
 pub struct Coherence {
-    mem: Arc<MemoryManager>,
+    mem: MemoryManager,
     topo: Topology,
     policy: CachePolicy,
     /// Fraction of a space's capacity to free *beyond* the immediate
@@ -277,10 +309,10 @@ pub struct Coherence {
     /// `OMPSS_COH_DEBUG` is set: print every planned hop to stderr.
     /// Read once, when the engine is built.
     debug_hops: bool,
-    inner: Mutex<Inner>,
+    inner: RefCell<Inner>,
 }
 
-/// One externally-executed action planned under the lock.
+/// One externally-executed action planned under the directory borrow.
 enum Step {
     /// Wait for a concurrent transfer of the same copy.
     Wait(Signal),
@@ -301,16 +333,22 @@ enum Step {
 
 impl Coherence {
     /// Build an engine over the memory manager, space topology and
-    /// selected policy.
-    pub fn new(mem: Arc<MemoryManager>, topo: Topology, policy: CachePolicy) -> Self {
+    /// selected policy. `mem` is any owner of the manager handle
+    /// (`MemoryManager`, `&MemoryManager`, `Rc`/`Arc` of one); the
+    /// engine keeps a clone of the handle.
+    pub fn new(
+        mem: impl std::borrow::Borrow<MemoryManager>,
+        topo: Topology,
+        policy: CachePolicy,
+    ) -> Self {
         Coherence {
-            mem,
+            mem: mem.borrow().clone(),
             topo,
             policy,
             evict_slack: 0.0,
             validate: false,
             debug_hops: std::env::var_os("OMPSS_COH_DEBUG").is_some(),
-            inner: Mutex::new(Inner {
+            inner: RefCell::new(Inner {
                 regions: FxHashMap::default(),
                 tick: 0,
                 stats: CoherenceStats::default(),
@@ -355,7 +393,7 @@ impl Coherence {
     /// dirty copy is legal too (superseded data whose dirty bit is
     /// cleared lazily by the next flush).
     pub fn check_invariants(&self) -> Result<(), String> {
-        self.check_invariants_locked(&self.inner.lock())
+        self.check_invariants_locked(&self.inner.borrow())
     }
 
     fn check_invariants_locked(&self, inner: &Inner) -> Result<(), String> {
@@ -393,7 +431,7 @@ impl Coherence {
         Ok(())
     }
 
-    /// Run the sweep under an already-held lock when validation is on.
+    /// Run the sweep under an already-held borrow when validation is on.
     fn debug_validate_locked(&self, inner: &Inner, site: &str) {
         if self.validate {
             if let Err(msg) = self.check_invariants_locked(inner) {
@@ -414,7 +452,7 @@ impl Coherence {
 
     /// Counter snapshot.
     pub fn stats(&self) -> CoherenceStats {
-        self.inner.lock().stats.clone()
+        self.inner.borrow().stats.clone()
     }
 
     fn init_entry(&self, inner: &mut Inner, region: &Region) {
@@ -446,7 +484,7 @@ impl Coherence {
     /// Returns where the bytes are.
     pub async fn acquire(
         &self,
-        exec: &dyn TransferExec,
+        exec: &dyn HopExec,
         region: &Region,
         read: bool,
         target: SpaceId,
@@ -458,12 +496,12 @@ impl Coherence {
         }
         // No simulation yield can occur between the pin taken above and
         // this lookup (the DES is sequential), so the copy is still here.
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         let entry = &inner.regions[region];
         let c = entry.copies.get(&target).expect("acquired copy present");
         debug_assert!(c.pinned > 0);
         // No-stale-read: a read acquire must hand the task the latest
-        // version, under the same lock as the location lookup.
+        // version, under the same borrow as the location lookup.
         debug_assert!(
             !read || matches!(c.state, CState::Valid { version } if version == entry.version),
             "stale read: acquire(read) of {region} at {target:?} returned a copy that is \
@@ -478,7 +516,7 @@ impl Coherence {
     /// no longer exists — node-loss recovery purges copies wholesale,
     /// pins included, and late unpinners must not trip over the hole.
     pub fn unpin(&self, region: &Region, space: SpaceId) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         if let Some(c) = inner.regions.get_mut(region).and_then(|e| e.copies.get_mut(&space)) {
             assert!(c.pinned > 0, "unpin without pin");
             c.pinned -= 1;
@@ -490,12 +528,12 @@ impl Coherence {
     /// drop), and unpin everything the task had acquired.
     pub async fn commit(
         &self,
-        exec: &dyn TransferExec,
+        exec: &dyn HopExec,
         accesses: &[Access],
         target: SpaceId,
     ) -> SimResult<()> {
         let written: Vec<(Region, SpaceId)> = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             let mut written = Vec::new();
             for a in accesses {
                 mc_touch_region(&a.region);
@@ -540,7 +578,7 @@ impl Coherence {
         }
 
         // Unpin, and under no-cache drop the task's copies entirely.
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         for a in accesses {
             let entry = inner.regions.get_mut(&a.region).expect("committed region unknown");
             let home = entry.home;
@@ -586,7 +624,7 @@ impl Coherence {
     /// bit at `from` on success. No-op if `from` is clean or stale.
     async fn push_one_level(
         &self,
-        exec: &dyn TransferExec,
+        exec: &dyn HopExec,
         region: &Region,
         from: SpaceId,
         parent: SpaceId,
@@ -598,7 +636,7 @@ impl Coherence {
         };
         loop {
             let step: Step = {
-                let mut guard = self.inner.lock();
+                let mut guard = self.inner.borrow_mut();
                 let inner = &mut *guard;
                 inner.tick += 1;
                 let tick = inner.tick;
@@ -671,7 +709,7 @@ impl Coherence {
                 Step::Room { space, bytes } => self.make_room(exec, space, bytes).await?,
                 Step::Hop { kind, from: f, to, src, dst, bytes, version, done } => {
                     let purpose = TransferPurpose::WriteBack;
-                    let delivered = exec.transfer(kind, purpose, src, dst, bytes).await?;
+                    let delivered = exec.hop(kind, purpose, src, dst, bytes).await?;
                     self.finish_hop(
                         region, f, to, kind, purpose, bytes, version, done, true, delivered,
                     );
@@ -705,7 +743,7 @@ impl Coherence {
         clear_src_dirty: bool,
         delivered: bool,
     ) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         if delivered {
             inner.stats.transfers += 1;
             inner.stats.bytes_moved += bytes;
@@ -770,7 +808,7 @@ impl Coherence {
     /// copy for a task.
     async fn ensure_valid(
         &self,
-        exec: &dyn TransferExec,
+        exec: &dyn HopExec,
         region: &Region,
         target: SpaceId,
         pin: bool,
@@ -780,7 +818,7 @@ impl Coherence {
         let mut first_check = true;
         loop {
             let step: Step = {
-                let mut guard = self.inner.lock();
+                let mut guard = self.inner.borrow_mut();
                 let inner = &mut *guard;
                 if inner.dead.contains(&target) {
                     // The target's node is gone; nothing can be staged
@@ -839,7 +877,7 @@ impl Coherence {
                             now().as_secs_f64()
                         );
                     }
-                    let delivered = exec.transfer(kind, purpose, src, dst, bytes).await?;
+                    let delivered = exec.hop(kind, purpose, src, dst, bytes).await?;
                     self.finish_hop(
                         region, from, to, kind, purpose, bytes, version, done, false, delivered,
                     );
@@ -849,7 +887,8 @@ impl Coherence {
     }
 
     /// Plan the first unsatisfied hop moving `region` toward `target`.
-    /// Called under the lock; the target is known not to be valid.
+    /// Called under the directory borrow; the target is known not to
+    /// be valid.
     fn plan_next_hop(
         &self,
         inner: &mut Inner,
@@ -920,14 +959,14 @@ impl Coherence {
     /// (output-only clauses). Pins it.
     async fn ensure_placed(
         &self,
-        exec: &dyn TransferExec,
+        exec: &dyn HopExec,
         region: &Region,
         target: SpaceId,
     ) -> SimResult<()> {
         mc_touch_region(region);
         loop {
             let step: Step = {
-                let mut guard = self.inner.lock();
+                let mut guard = self.inner.borrow_mut();
                 let inner = &mut *guard;
                 if inner.dead.contains(&target) {
                     return Err(SimError::Shutdown);
@@ -983,10 +1022,10 @@ impl Coherence {
     /// needs one boxed edge to have a finite type.
     fn make_room<'a>(
         &'a self,
-        exec: &'a dyn TransferExec,
+        exec: &'a dyn HopExec,
         space: SpaceId,
         need: u64,
-    ) -> Pin<Box<dyn Future<Output = SimResult<()>> + Send + 'a>> {
+    ) -> Pin<Box<dyn Future<Output = SimResult<()>> + 'a>> {
         Box::pin(async move {
             let info = self.mem.space_info(space);
             let target = need + (self.evict_slack * info.capacity as f64) as u64;
@@ -1001,7 +1040,7 @@ impl Coherence {
                 // resident and evicts only what it caches for others;
                 // with one shard the master host evicts nothing).
                 let victim: Option<(Region, bool, SpaceId, u64)> = {
-                    let inner = self.inner.lock();
+                    let inner = self.inner.borrow();
                     inner
                         .regions
                         .iter()
@@ -1033,13 +1072,13 @@ impl Coherence {
                         .push_target(space, home)
                         .expect("a dirty copy is never at its own home");
                     self.push_one_level(exec, &region, space, parent).await?;
-                    let mut inner = self.inner.lock();
+                    let mut inner = self.inner.borrow_mut();
                     inner.stats.writebacks += 1;
                     inner.stats.writeback_bytes += region.len;
                 }
                 // Free it (re-checking evictability: state may have changed
                 // while the write-back ran).
-                let mut inner = self.inner.lock();
+                let mut inner = self.inner.borrow_mut();
                 let entry = inner.regions.get_mut(&region).expect("victim region");
                 if let Some(c) = entry.copies.get(&space) {
                     if c.pinned == 0 && !matches!(c.state, CState::InFlight { .. }) && !c.dirty {
@@ -1060,7 +1099,7 @@ impl Coherence {
     /// GPU prefetcher.
     pub async fn prefetch(
         &self,
-        exec: &dyn TransferExec,
+        exec: &dyn HopExec,
         region: &Region,
         space: SpaceId,
     ) -> SimResult<()> {
@@ -1072,7 +1111,7 @@ impl Coherence {
     /// data at a slave node's host memory ahead of the `Exec` request.
     pub async fn presend(
         &self,
-        exec: &dyn TransferExec,
+        exec: &dyn HopExec,
         region: &Region,
         space: SpaceId,
     ) -> SimResult<()> {
@@ -1083,7 +1122,7 @@ impl Coherence {
     /// in deterministic order — what a draining node must flush home
     /// before its copies can be dropped.
     pub fn dirty_regions_at(&self, spaces: &[SpaceId]) -> Vec<Region> {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         let mut dirty: Vec<Region> = inner
             .regions
             .iter()
@@ -1104,7 +1143,7 @@ impl Coherence {
     /// Regions with a dirty valid-latest copy somewhere (what a flush
     /// must write home), in deterministic order.
     pub fn dirty_regions(&self) -> Vec<Region> {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         let mut dirty: Vec<Region> = inner
             .regions
             .iter()
@@ -1124,9 +1163,9 @@ impl Coherence {
     /// valid. The runtime's `taskwait` uses the parallel variant built
     /// on [`dirty_regions`](Coherence::dirty_regions) +
     /// [`flush_region`](Coherence::flush_region).
-    pub async fn flush_all(&self, exec: &dyn TransferExec) -> SimResult<()> {
+    pub async fn flush_all(&self, exec: &dyn HopExec) -> SimResult<()> {
         let dirty: Vec<Region> = {
-            let inner = self.inner.lock();
+            let inner = self.inner.borrow();
             inner
                 .regions
                 .iter()
@@ -1151,9 +1190,9 @@ impl Coherence {
     /// (`taskwait on(...)`) — its shard owner's host, the master's
     /// with one shard (host-side reads go through the home allocation
     /// either way).
-    pub async fn flush_region(&self, exec: &dyn TransferExec, region: &Region) -> SimResult<()> {
+    pub async fn flush_region(&self, exec: &dyn HopExec, region: &Region) -> SimResult<()> {
         let home = {
-            let mut guard = self.inner.lock();
+            let mut guard = self.inner.borrow_mut();
             let inner = &mut *guard;
             self.init_entry(inner, region);
             inner.regions[region].home
@@ -1162,7 +1201,7 @@ impl Coherence {
         // The home now reflects the latest version: latest copies are
         // clean, stale dirty copies hold obsolete data and are dropped
         // from the dirty set too.
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         if let Some(entry) = inner.regions.get_mut(region) {
             for c in entry.copies.values_mut() {
                 c.dirty = false;
@@ -1185,7 +1224,7 @@ impl Coherence {
     /// so such copies cannot exist at a lost device).
     pub fn invalidate_space(&self, space: SpaceId) -> usize {
         assert_ne!(space, self.topo.root(), "the master host home is never invalidated");
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let mut dropped = 0;
         let mut freed: Vec<AllocId> = Vec::new();
         for entry in inner.regions.values_mut() {
@@ -1228,7 +1267,7 @@ impl Coherence {
     /// before yielding to the simulation.
     pub fn purge_spaces(&self, spaces: &[SpaceId]) -> Vec<LostRegion> {
         assert!(!spaces.contains(&self.topo.root()), "the master host cannot be purged");
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         for &s in spaces {
             if !inner.dead.contains(&s) {
                 inner.dead.push(s);
@@ -1267,15 +1306,15 @@ impl Coherence {
 
     /// Has `space` been declared dead by a purge?
     pub fn is_dead_space(&self, space: SpaceId) -> bool {
-        self.inner.lock().dead.contains(&space)
+        self.inner.borrow().dead.contains(&space)
     }
 
     /// Move `data`'s directory home to `new_home` (its new home
     /// allocation `new_alloc`, sized `size`) after the previous home
     /// died with its node. Called by node-loss recovery at zero
     /// virtual time, after [`purge_spaces`](Self::purge_spaces) and
-    /// *before* lineage reconstruction, under the master lock with no
-    /// simulator yields.
+    /// *before* lineage reconstruction, with the master state borrowed
+    /// and no simulator yields.
     ///
     /// For every tracked region of the data, the best surviving valid
     /// version is raw-copied into the new home allocation and becomes
@@ -1298,7 +1337,7 @@ impl Coherence {
         new_home: SpaceId,
         new_alloc: AllocId,
     ) -> Result<usize, String> {
-        let mut guard = self.inner.lock();
+        let mut guard = self.inner.borrow_mut();
         let inner = &mut *guard;
         let mut regions: Vec<Region> =
             inner.regions.keys().filter(|r| r.data == data).copied().collect();
@@ -1393,7 +1432,7 @@ impl Coherence {
     /// home stays authoritative wherever it points, so leaving a slice
     /// at its old owner is merely suboptimal, never wrong.
     pub fn migrate_ready(&self, data: DataId, new_home: SpaceId) -> bool {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         inner.regions.iter().filter(|(r, _)| r.data == data).all(|(_, e)| {
             let home_idle = e
                 .copies
@@ -1412,8 +1451,8 @@ impl Coherence {
     /// of [`rehome_data`](Self::rehome_data), used by elastic
     /// membership where the old home's node is alive and every byte
     /// survives. Called registry-second (the memory registry has
-    /// already re-pointed the data and handed out `new_alloc`), under
-    /// the master lock with no simulator yields, and only after
+    /// already re-pointed the data and handed out `new_alloc`), with the
+    /// master state borrowed and no simulator yields, and only after
     /// [`migrate_ready`](Self::migrate_ready) said yes in the same
     /// critical section.
     ///
@@ -1438,7 +1477,7 @@ impl Coherence {
         new_alloc: AllocId,
     ) -> (usize, u64) {
         let (old_home, old_alloc) = old;
-        let mut guard = self.inner.lock();
+        let mut guard = self.inner.borrow_mut();
         let inner = &mut *guard;
         self.mem.copy((old_home, old_alloc), 0, (new_home, new_alloc), 0, size);
         let mut regions: Vec<Region> =
@@ -1511,7 +1550,7 @@ impl Coherence {
     /// died): the caller must fail closed, because the home bytes are
     /// then of an unknown version and replay could compound the error.
     pub fn pull_best_to_root(&self, region: &Region) -> Option<(u64, u64)> {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         let entry = inner.regions.get(region)?;
         let home = entry.home;
         let best = entry
@@ -1551,7 +1590,7 @@ impl Coherence {
     /// by a task" (home bytes are the original data) from a tracked
     /// region whose version matters.
     pub fn has_region(&self, region: &Region) -> bool {
-        self.inner.lock().regions.contains_key(region)
+        self.inner.borrow().regions.contains_key(region)
     }
 
     /// Declare `version` of `region` reconstructed at its home: the
@@ -1563,7 +1602,7 @@ impl Coherence {
     /// successors were never released, so normal execution re-commits
     /// them from here.
     pub fn repair_root(&self, region: &Region, version: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let entry = inner.regions.get_mut(region).expect("repair of unknown region");
         entry.version = version;
         let home = entry.home;
@@ -1584,7 +1623,7 @@ impl Coherence {
 
     /// Valid-latest bytes of `region` at `space`.
     pub fn bytes_at(&self, region: &Region, space: SpaceId) -> u64 {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         let Some(entry) = inner.regions.get(region) else {
             return 0;
         };
@@ -1598,9 +1637,9 @@ impl Coherence {
 
     /// Call `found` with every space holding the latest valid copy of
     /// `region` (each holds all `region.len` bytes), in no particular
-    /// order, under one lock — the scheduler's locality oracle.
+    /// order, under one borrow — the scheduler's locality oracle.
     pub fn latest_holders(&self, region: &Region, mut found: impl FnMut(SpaceId)) {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         let Some(entry) = inner.regions.get(region) else {
             return;
         };

@@ -14,7 +14,7 @@
 //! `taskwait` flush semantics.
 //!
 //! The engine does bookkeeping and planning; the *runtime* executes the
-//! planned hops (PCIe DMAs, network messages) via the [`TransferExec`]
+//! planned hops (PCIe DMAs, network messages) via the [`HopExec`]
 //! trait, charging virtual time and moving real bytes.
 
 #![warn(missing_docs)]
@@ -25,7 +25,8 @@ mod shard;
 mod topo;
 
 pub use cache::{
-    CachePolicy, Coherence, CoherenceStats, Loc, LostRegion, TransferExec, TransferPurpose,
+    CachePolicy, Coherence, CoherenceStats, HopExec, HopFuture, Loc, LostRegion, TransferExec,
+    TransferPurpose,
 };
 pub use shard::{MembershipEpochs, ShardMap};
 pub use topo::{Hop, HopKind, SlaveRouting, Topology};

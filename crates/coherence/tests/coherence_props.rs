@@ -3,32 +3,32 @@
 //! under all three cache policies, including with GPU capacities small
 //! enough to force constant eviction.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use proptest::prelude::*;
 
 use ompss_coherence::{
-    CachePolicy, Coherence, HopKind, Loc, SlaveRouting, Topology, TransferExec, TransferPurpose,
+    CachePolicy, Coherence, HopExec, HopFuture, HopKind, Loc, SlaveRouting, Topology,
+    TransferPurpose,
 };
 use ompss_mem::{Access, Backing, MemoryManager, Region, SpaceKind};
-use std::future::Future;
-use std::pin::Pin;
 
-use ompss_sim::{delay, Sim, SimDuration, SimResult};
+use ompss_sim::{delay, Sim, SimDuration};
 
 struct ByteExec {
-    mem: Arc<MemoryManager>,
+    mem: MemoryManager,
 }
 
-impl TransferExec for ByteExec {
-    fn transfer<'a>(
+impl HopExec for ByteExec {
+    fn hop<'a>(
         &'a self,
         _kind: HopKind,
         _purpose: TransferPurpose,
         src: Loc,
         dst: Loc,
         bytes: u64,
-    ) -> Pin<Box<dyn Future<Output = SimResult<bool>> + Send + 'a>> {
+    ) -> HopFuture<'a> {
         Box::pin(async move {
             delay(SimDuration::from_nanos(bytes)).await?;
             self.mem.copy(
@@ -82,7 +82,7 @@ proptest! {
         // the slave. `tiny` shrinks GPU capacity to 2 regions to force
         // eviction churn.
         let gpu_cap = if tiny { 2 * LEN } else { 1 << 20 };
-        let mem = Arc::new(MemoryManager::new(Backing::Real));
+        let mem = MemoryManager::new(Backing::Real);
         let master = mem.add_space("master", SpaceKind::Host(0), None, 1 << 30);
         let slave = mem.add_space("slave", SpaceKind::Host(1), None, 1 << 30);
         let g0 = mem.add_space("g0", SpaceKind::Gpu(0, 0), Some(master), gpu_cap);
@@ -101,13 +101,13 @@ proptest! {
             })
             .collect();
 
-        let coh = Arc::new(Coherence::new(mem.clone(), topo, policy));
-        let exec = Arc::new(ByteExec { mem: mem.clone() });
+        let coh = Rc::new(Coherence::new(mem.clone(), topo, policy));
+        let exec = Rc::new(ByteExec { mem: mem.clone() });
         let mem2 = mem.clone();
         let ops2 = ops.clone();
         let regions2 = regions.clone();
-        let failure: Arc<parking_lot::Mutex<Option<String>>> =
-            Arc::new(parking_lot::Mutex::new(None));
+        let failure: Rc<RefCell<Option<String>>> =
+            Rc::new(RefCell::new(None));
         let failure2 = failure.clone();
 
         let sim = Sim::new();
@@ -129,7 +129,7 @@ proptest! {
                 mem2.read(space, loc.alloc, loc.offset, &mut buf);
                 let expect = shadow[op.region_idx];
                 if buf.iter().any(|&b| b != expect) {
-                    *failure2.lock() = Some(format!(
+                    *failure2.borrow_mut() = Some(format!(
                         "op {op:?} (policy {policy:?}): read {} expected {expect}",
                         buf[0]
                     ));
@@ -150,7 +150,7 @@ proptest! {
                 let mut buf = vec![0u8; LEN as usize];
                 mem2.read(master, info.home_alloc, 0, &mut buf);
                 if buf.iter().any(|&b| b != shadow[i]) {
-                    *failure2.lock() = Some(format!(
+                    *failure2.borrow_mut() = Some(format!(
                         "flush: region {i} home has {} expected {} (policy {policy:?})",
                         buf[0], shadow[i]
                     ));
@@ -159,7 +159,7 @@ proptest! {
             }
         });
         sim.run().unwrap();
-        let msg = failure.lock().take();
+        let msg = failure.borrow_mut().take();
         prop_assert!(msg.is_none(), "{}", msg.unwrap_or_default());
     }
 }

@@ -2,45 +2,44 @@
 //! model: a master host with two GPUs, plus (for cluster cases) two
 //! slave hosts each with one GPU.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use ompss_coherence::{
-    CachePolicy, Coherence, HopKind, Loc, SlaveRouting, Topology, TransferExec, TransferPurpose,
+    CachePolicy, Coherence, HopExec, HopFuture, HopKind, Loc, SlaveRouting, Topology,
+    TransferPurpose,
 };
 use ompss_mem::{Access, Backing, MemoryManager, Region, SpaceId, SpaceKind};
 use std::future::Future;
-use std::pin::Pin;
 
-use ompss_sim::{delay, now, spawn, Sim, SimDuration, SimResult};
+use ompss_sim::{delay, now, spawn, Sim, SimDuration};
 
 /// Executes hops at 1 ns/byte (PCIe) and 2 ns/byte (network), moving
 /// the real bytes and recording a log.
 struct TestExec {
-    mem: Arc<MemoryManager>,
-    log: Mutex<Vec<(HopKind, SpaceId, SpaceId, u64)>>,
+    mem: MemoryManager,
+    log: RefCell<Vec<(HopKind, SpaceId, SpaceId, u64)>>,
 }
 
 impl TestExec {
-    fn new(mem: Arc<MemoryManager>) -> Self {
-        TestExec { mem, log: Mutex::new(Vec::new()) }
+    fn new(mem: MemoryManager) -> Self {
+        TestExec { mem, log: RefCell::new(Vec::new()) }
     }
 
     fn hops(&self) -> Vec<(HopKind, SpaceId, SpaceId, u64)> {
-        self.log.lock().clone()
+        self.log.borrow().clone()
     }
 }
 
-impl TransferExec for TestExec {
-    fn transfer<'a>(
+impl HopExec for TestExec {
+    fn hop<'a>(
         &'a self,
         kind: HopKind,
         _purpose: TransferPurpose,
         src: Loc,
         dst: Loc,
         bytes: u64,
-    ) -> Pin<Box<dyn Future<Output = SimResult<bool>> + Send + 'a>> {
+    ) -> HopFuture<'a> {
         Box::pin(async move {
             let per_byte = match kind {
                 HopKind::Pcie => 1,
@@ -54,7 +53,7 @@ impl TransferExec for TestExec {
                 dst.offset,
                 bytes,
             );
-            self.log.lock().push((kind, src.space, dst.space, bytes));
+            self.log.borrow_mut().push((kind, src.space, dst.space, bytes));
             Ok(true)
         })
     }
@@ -63,7 +62,7 @@ impl TransferExec for TestExec {
 /// A master host (space 0, root) with two GPU spaces. GPU capacity is
 /// configurable to exercise eviction.
 struct SingleNode {
-    mem: Arc<MemoryManager>,
+    mem: MemoryManager,
     host: SpaceId,
     gpu0: SpaceId,
     gpu1: SpaceId,
@@ -71,7 +70,7 @@ struct SingleNode {
 }
 
 fn single_node(gpu_capacity: u64) -> SingleNode {
-    let mem = Arc::new(MemoryManager::new(Backing::Real));
+    let mem = MemoryManager::new(Backing::Real);
     let host = mem.add_space("host", SpaceKind::Host(0), None, 1 << 30);
     let gpu0 = mem.add_space("gpu0", SpaceKind::Gpu(0, 0), Some(host), gpu_capacity);
     let gpu1 = mem.add_space("gpu1", SpaceKind::Gpu(0, 1), Some(host), gpu_capacity);
@@ -83,7 +82,7 @@ fn single_node(gpu_capacity: u64) -> SingleNode {
 
 fn run_sim<Fut>(f: Fut)
 where
-    Fut: Future<Output = ()> + Send + 'static,
+    Fut: Future<Output = ()> + 'static,
 {
     let sim = Sim::new();
     sim.spawn("test", f);
@@ -98,8 +97,8 @@ fn region(mem: &MemoryManager, host: SpaceId, len: u64) -> Region {
 #[test]
 fn first_read_pulls_from_home_then_hits() {
     let n = single_node(1 << 20);
-    let coh = Arc::new(Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::WriteBack));
-    let exec = Arc::new(TestExec::new(n.mem.clone()));
+    let coh = Rc::new(Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::WriteBack));
+    let exec = Rc::new(TestExec::new(n.mem.clone()));
     let r = region(&n.mem, n.host, 256);
     // Put a recognisable pattern in the home copy.
     let info = n.mem.data_info(r.data);
@@ -129,8 +128,8 @@ fn first_read_pulls_from_home_then_hits() {
 #[test]
 fn output_only_acquire_moves_nothing() {
     let n = single_node(1 << 20);
-    let coh = Arc::new(Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::WriteBack));
-    let exec = Arc::new(TestExec::new(n.mem.clone()));
+    let coh = Rc::new(Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::WriteBack));
+    let exec = Rc::new(TestExec::new(n.mem.clone()));
     let r = region(&n.mem, n.host, 128);
     let gpu0 = n.gpu0;
     run_sim(async move {
@@ -144,8 +143,8 @@ fn output_only_acquire_moves_nothing() {
 #[test]
 fn writeback_defers_and_reader_pulls_from_writer() {
     let n = single_node(1 << 20);
-    let coh = Arc::new(Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::WriteBack));
-    let exec = Arc::new(TestExec::new(n.mem.clone()));
+    let coh = Rc::new(Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::WriteBack));
+    let exec = Rc::new(TestExec::new(n.mem.clone()));
     let r = region(&n.mem, n.host, 64);
     let (gpu0, gpu1, mem) = (n.gpu0, n.gpu1, n.mem.clone());
     run_sim(async move {
@@ -171,8 +170,8 @@ fn writeback_defers_and_reader_pulls_from_writer() {
 #[test]
 fn write_through_pushes_at_commit() {
     let n = single_node(1 << 20);
-    let coh = Arc::new(Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::WriteThrough));
-    let exec = Arc::new(TestExec::new(n.mem.clone()));
+    let coh = Rc::new(Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::WriteThrough));
+    let exec = Rc::new(TestExec::new(n.mem.clone()));
     let r = region(&n.mem, n.host, 64);
     let (gpu0, host, mem) = (n.gpu0, n.host, n.mem.clone());
     run_sim(async move {
@@ -196,8 +195,8 @@ fn write_through_pushes_at_commit() {
 #[test]
 fn no_cache_drops_copies_after_commit() {
     let n = single_node(1 << 20);
-    let coh = Arc::new(Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::NoCache));
-    let exec = Arc::new(TestExec::new(n.mem.clone()));
+    let coh = Rc::new(Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::NoCache));
+    let exec = Rc::new(TestExec::new(n.mem.clone()));
     let r = region(&n.mem, n.host, 64);
     let (gpu0, mem) = (n.gpu0, n.mem.clone());
     run_sim(async move {
@@ -214,8 +213,8 @@ fn no_cache_drops_copies_after_commit() {
 #[test]
 fn taskwait_flush_brings_dirty_data_home() {
     let n = single_node(1 << 20);
-    let coh = Arc::new(Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::WriteBack));
-    let exec = Arc::new(TestExec::new(n.mem.clone()));
+    let coh = Rc::new(Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::WriteBack));
+    let exec = Rc::new(TestExec::new(n.mem.clone()));
     let r = region(&n.mem, n.host, 64);
     let (gpu0, host, mem) = (n.gpu0, n.host, n.mem.clone());
     run_sim(async move {
@@ -239,8 +238,8 @@ fn lru_eviction_writes_back_dirty_victim() {
     // GPU fits exactly two 64-byte regions; touching a third evicts the
     // least recently used (dirty) one, which must be written back first.
     let n = single_node(128);
-    let coh = Arc::new(Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::WriteBack));
-    let exec = Arc::new(TestExec::new(n.mem.clone()));
+    let coh = Rc::new(Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::WriteBack));
+    let exec = Rc::new(TestExec::new(n.mem.clone()));
     let r1 = region(&n.mem, n.host, 64);
     let r2 = region(&n.mem, n.host, 64);
     let r3 = region(&n.mem, n.host, 64);
@@ -275,8 +274,8 @@ fn lru_eviction_writes_back_dirty_victim() {
 #[should_panic(expected = "cache thrash")]
 fn all_pinned_cache_panics_with_diagnosis() {
     let n = single_node(64);
-    let coh = Arc::new(Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::WriteBack));
-    let exec = Arc::new(TestExec::new(n.mem.clone()));
+    let coh = Rc::new(Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::WriteBack));
+    let exec = Rc::new(TestExec::new(n.mem.clone()));
     let r1 = region(&n.mem, n.host, 64);
     let r2 = region(&n.mem, n.host, 64);
     let gpu0 = n.gpu0;
@@ -294,8 +293,8 @@ fn all_pinned_cache_panics_with_diagnosis() {
 #[test]
 fn inflight_transfers_are_deduplicated() {
     let n = single_node(1 << 20);
-    let coh = Arc::new(Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::WriteBack));
-    let exec = Arc::new(TestExec::new(n.mem.clone()));
+    let coh = Rc::new(Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::WriteBack));
+    let exec = Rc::new(TestExec::new(n.mem.clone()));
     let r = region(&n.mem, n.host, 1024);
     let gpu0 = n.gpu0;
     let sim = Sim::new();
@@ -317,7 +316,7 @@ fn cluster_routes_respect_slave_routing_mode() {
     for (routing, expected_net_hops) in
         [(SlaveRouting::Direct, 1usize), (SlaveRouting::ViaMaster, 2usize)]
     {
-        let mem = Arc::new(MemoryManager::new(Backing::Real));
+        let mem = MemoryManager::new(Backing::Real);
         let master = mem.add_space("master", SpaceKind::Host(0), None, 1 << 30);
         let s1 = mem.add_space("slave1", SpaceKind::Host(1), None, 1 << 30);
         let s2 = mem.add_space("slave2", SpaceKind::Host(2), None, 1 << 30);
@@ -326,8 +325,8 @@ fn cluster_routes_respect_slave_routing_mode() {
         let mut topo = Topology::new(master, routing);
         topo.add_gpu(g1, s1);
         topo.add_gpu(g2, s2);
-        let coh = Arc::new(Coherence::new(mem.clone(), topo, CachePolicy::WriteBack));
-        let exec = Arc::new(TestExec::new(mem.clone()));
+        let coh = Rc::new(Coherence::new(mem.clone(), topo, CachePolicy::WriteBack));
+        let exec = Rc::new(TestExec::new(mem.clone()));
         let r = region(&mem, master, 64);
         let mem2 = mem.clone();
         run_sim(async move {
@@ -353,8 +352,8 @@ fn cluster_routes_respect_slave_routing_mode() {
 fn intermediate_host_copy_is_cached_for_later_use() {
     // After gpu0 -> host -> gpu1, a later host read is free.
     let n = single_node(1 << 20);
-    let coh = Arc::new(Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::WriteBack));
-    let exec = Arc::new(TestExec::new(n.mem.clone()));
+    let coh = Rc::new(Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::WriteBack));
+    let exec = Rc::new(TestExec::new(n.mem.clone()));
     let r = region(&n.mem, n.host, 64);
     let (gpu0, gpu1, host) = (n.gpu0, n.gpu1, n.host);
     run_sim(async move {
@@ -373,8 +372,8 @@ fn intermediate_host_copy_is_cached_for_later_use() {
 #[test]
 fn bytes_at_reflects_validity_and_staleness() {
     let n = single_node(1 << 20);
-    let coh = Arc::new(Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::WriteBack));
-    let exec = Arc::new(TestExec::new(n.mem.clone()));
+    let coh = Rc::new(Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::WriteBack));
+    let exec = Rc::new(TestExec::new(n.mem.clone()));
     let r = region(&n.mem, n.host, 64);
     let (gpu0, gpu1, host) = (n.gpu0, n.gpu1, n.host);
     let holders = |coh: &Coherence, r: &Region| {
@@ -405,8 +404,8 @@ fn bytes_at_reflects_validity_and_staleness() {
 #[test]
 fn stale_copy_is_refreshed_in_place_without_realloc() {
     let n = single_node(1 << 20);
-    let coh = Arc::new(Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::WriteBack));
-    let exec = Arc::new(TestExec::new(n.mem.clone()));
+    let coh = Rc::new(Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::WriteBack));
+    let exec = Rc::new(TestExec::new(n.mem.clone()));
     let r = region(&n.mem, n.host, 64);
     let (gpu0, gpu1, mem) = (n.gpu0, n.gpu1, n.mem.clone());
     run_sim(async move {
@@ -430,11 +429,11 @@ fn stale_copy_is_refreshed_in_place_without_realloc() {
 #[test]
 fn invalidate_space_drops_clean_copies_and_frees_memory() {
     let n = single_node(1 << 20);
-    let coh = Arc::new(
+    let coh = Rc::new(
         Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::WriteThrough)
             .with_validation(true),
     );
-    let exec = Arc::new(TestExec::new(n.mem.clone()));
+    let exec = Rc::new(TestExec::new(n.mem.clone()));
     let r = region(&n.mem, n.host, 128);
     let (host, gpu0, gpu1, mem) = (n.host, n.gpu0, n.gpu1, n.mem.clone());
     run_sim(async move {
@@ -463,8 +462,8 @@ fn invalidate_space_drops_clean_copies_and_frees_memory() {
 #[test]
 fn invalidate_space_skips_pinned_copies() {
     let n = single_node(1 << 20);
-    let coh = Arc::new(Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::WriteThrough));
-    let exec = Arc::new(TestExec::new(n.mem.clone()));
+    let coh = Rc::new(Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::WriteThrough));
+    let exec = Rc::new(TestExec::new(n.mem.clone()));
     let r = region(&n.mem, n.host, 64);
     let gpu0 = n.gpu0;
     run_sim(async move {
@@ -485,7 +484,7 @@ fn invalidate_space_skips_pinned_copies() {
 /// rebuilt the bytes at the root home.
 #[test]
 fn purge_reports_lost_latest_and_repair_restores_invariants() {
-    let mem = Arc::new(MemoryManager::new(Backing::Real));
+    let mem = MemoryManager::new(Backing::Real);
     let master = mem.add_space("master", SpaceKind::Host(0), None, 1 << 30);
     let s1 = mem.add_space("slave1", SpaceKind::Host(1), None, 1 << 30);
     let s2 = mem.add_space("slave2", SpaceKind::Host(2), None, 1 << 30);
@@ -494,8 +493,8 @@ fn purge_reports_lost_latest_and_repair_restores_invariants() {
     let mut topo = Topology::new(master, SlaveRouting::Direct);
     topo.add_gpu(g1, s1);
     topo.add_gpu(g2, s2);
-    let coh = Arc::new(Coherence::new(mem.clone(), topo, CachePolicy::WriteBack));
-    let exec = Arc::new(TestExec::new(mem.clone()));
+    let coh = Rc::new(Coherence::new(mem.clone(), topo, CachePolicy::WriteBack));
+    let exec = Rc::new(TestExec::new(mem.clone()));
     let r = region(&mem, master, 64);
     let home = mem.data_info(r.data).home_alloc;
     let mem2 = mem.clone();
@@ -543,18 +542,18 @@ fn purge_reports_lost_latest_and_repair_restores_invariants() {
 #[test]
 fn undelivered_hop_leaves_destination_garbage() {
     struct FlakyExec {
-        mem: Arc<MemoryManager>,
+        mem: MemoryManager,
         deliver: std::sync::atomic::AtomicBool,
     }
-    impl TransferExec for FlakyExec {
-        fn transfer<'a>(
+    impl HopExec for FlakyExec {
+        fn hop<'a>(
             &'a self,
             _kind: HopKind,
             _purpose: TransferPurpose,
             src: Loc,
             dst: Loc,
             bytes: u64,
-        ) -> Pin<Box<dyn Future<Output = SimResult<bool>> + Send + 'a>> {
+        ) -> HopFuture<'a> {
             Box::pin(async move {
                 delay(SimDuration::from_nanos(bytes)).await?;
                 if !self.deliver.load(std::sync::atomic::Ordering::Relaxed) {
@@ -572,8 +571,8 @@ fn undelivered_hop_leaves_destination_garbage() {
         }
     }
     let n = single_node(1 << 20);
-    let coh = Arc::new(Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::WriteBack));
-    let exec = Arc::new(FlakyExec {
+    let coh = Rc::new(Coherence::new(n.mem.clone(), n.topo.clone(), CachePolicy::WriteBack));
+    let exec = Rc::new(FlakyExec {
         mem: n.mem.clone(),
         deliver: std::sync::atomic::AtomicBool::new(false),
     });

@@ -11,32 +11,32 @@
 //! and panics at the *operation* that broke an invariant, not at the
 //! end-of-run check — failures localise themselves.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use proptest::prelude::*;
 
 use ompss_coherence::{
-    CachePolicy, Coherence, HopKind, Loc, SlaveRouting, Topology, TransferExec, TransferPurpose,
+    CachePolicy, Coherence, HopExec, HopFuture, HopKind, Loc, SlaveRouting, Topology,
+    TransferPurpose,
 };
 use ompss_mem::{Access, Backing, MemoryManager, Region, SpaceKind};
-use std::future::Future;
-use std::pin::Pin;
 
-use ompss_sim::{delay, Sim, SimDuration, SimResult};
+use ompss_sim::{delay, Sim, SimDuration};
 
 struct ByteExec {
-    mem: Arc<MemoryManager>,
+    mem: MemoryManager,
 }
 
-impl TransferExec for ByteExec {
-    fn transfer<'a>(
+impl HopExec for ByteExec {
+    fn hop<'a>(
         &'a self,
         _kind: HopKind,
         _purpose: TransferPurpose,
         src: Loc,
         dst: Loc,
         bytes: u64,
-    ) -> Pin<Box<dyn Future<Output = SimResult<bool>> + Send + 'a>> {
+    ) -> HopFuture<'a> {
         Box::pin(async move {
             delay(SimDuration::from_nanos(bytes)).await?;
             self.mem.copy(
@@ -100,7 +100,7 @@ proptest! {
         let policy = policy_from(policy_sel);
         const LEN: u64 = 32;
         let gpu_cap = if tiny { 2 * LEN } else { 1 << 20 };
-        let mem = Arc::new(MemoryManager::new(Backing::Real));
+        let mem = MemoryManager::new(Backing::Real);
         let master = mem.add_space("master", SpaceKind::Host(0), None, 1 << 30);
         let slave = mem.add_space("slave", SpaceKind::Host(1), None, 1 << 30);
         let g0 = mem.add_space("g0", SpaceKind::Gpu(0, 0), Some(master), gpu_cap);
@@ -119,12 +119,12 @@ proptest! {
             })
             .collect();
 
-        let coh = Arc::new(Coherence::new(mem.clone(), topo, policy).with_validation(true));
+        let coh = Rc::new(Coherence::new(mem.clone(), topo, policy).with_validation(true));
         let coh2 = coh.clone();
         let mem2 = mem.clone();
-        let exec = Arc::new(ByteExec { mem: mem.clone() });
-        let failure: Arc<parking_lot::Mutex<Option<String>>> =
-            Arc::new(parking_lot::Mutex::new(None));
+        let exec = Rc::new(ByteExec { mem: mem.clone() });
+        let failure: Rc<RefCell<Option<String>>> =
+            Rc::new(RefCell::new(None));
         let failure2 = failure.clone();
         let ops2 = ops.clone();
         let regions2 = regions.clone();
@@ -156,7 +156,7 @@ proptest! {
                 // The external sweep too, between operations: catches
                 // anything the internal call sites might miss.
                 if let Err(msg) = coh2.check_invariants() {
-                    *failure2.lock() = Some(format!("after {op:?}: {msg}"));
+                    *failure2.borrow_mut() = Some(format!("after {op:?}: {msg}"));
                     return;
                 }
             }
@@ -164,7 +164,7 @@ proptest! {
         sim.run().unwrap();
         prop_assert!(coh.check_invariants().is_ok());
         // After a full flush nothing may remain dirty.
-        let msg = failure.lock().take();
+        let msg = failure.borrow_mut().take();
         prop_assert!(msg.is_none(), "{}", msg.unwrap_or_default());
     }
 
@@ -173,7 +173,7 @@ proptest! {
         writes in proptest::collection::vec((0usize..5, 0usize..4), 1..20),
     ) {
         const LEN: u64 = 32;
-        let mem = Arc::new(MemoryManager::new(Backing::Real));
+        let mem = MemoryManager::new(Backing::Real);
         let master = mem.add_space("master", SpaceKind::Host(0), None, 1 << 30);
         let slave = mem.add_space("slave", SpaceKind::Host(1), None, 1 << 30);
         let g0 = mem.add_space("g0", SpaceKind::Gpu(0, 0), Some(master), 1 << 20);
@@ -188,11 +188,11 @@ proptest! {
             .map(|_| Region::new(mem.register_data(LEN, master).unwrap(), 0, LEN))
             .collect();
         let coh =
-            Arc::new(Coherence::new(mem.clone(), topo, CachePolicy::WriteBack)
+            Rc::new(Coherence::new(mem.clone(), topo, CachePolicy::WriteBack)
                 .with_validation(true));
         let coh2 = coh.clone();
         let regions2 = regions.clone();
-        let exec = Arc::new(ByteExec { mem: mem.clone() });
+        let exec = Rc::new(ByteExec { mem: mem.clone() });
 
         let sim = Sim::new();
         sim.spawn("driver", async move {

@@ -17,10 +17,9 @@
 //! subject to engine availability — the same concurrency contract CUDA
 //! streams give.
 
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use ompss_sim::{
     delay, process, Channel, DeviceFuse, FaultClass, FaultPlan, Semaphore, Signal, SimDuration,
@@ -60,12 +59,12 @@ pub enum GpuFault {
 #[derive(Clone)]
 pub struct CudaEvent {
     signal: Signal,
-    fault: Arc<Mutex<Option<GpuFault>>>,
+    fault: Rc<Cell<Option<GpuFault>>>,
 }
 
 impl CudaEvent {
     fn new() -> Self {
-        CudaEvent { signal: Signal::new(), fault: Arc::new(Mutex::new(None)) }
+        CudaEvent { signal: Signal::new(), fault: Rc::default() }
     }
 
     /// True once the operation (and everything before it in its stream)
@@ -82,14 +81,14 @@ impl CudaEvent {
     /// After completion: the injected fault that struck this operation,
     /// if any. `None` means the operation (and its effect) succeeded.
     pub fn fault(&self) -> Option<GpuFault> {
-        *self.fault.lock()
+        self.fault.get()
     }
 }
 
 /// Side effect run at the completion instant of a stream operation —
 /// the real byte movement or kernel arithmetic. Runs inside a
 /// simulation process, so [`ompss_sim::now`] is available.
-pub type Effect = Box<dyn FnOnce() + Send>;
+pub type Effect = Box<dyn FnOnce()>;
 
 enum StreamOp {
     Memcpy { dir: CopyDir, bytes: u64, pinned: bool, effect: Option<Effect>, done: CudaEvent },
@@ -126,9 +125,9 @@ struct DeviceInner {
     compute: Semaphore,
     copy: Semaphore,
     pcie: Semaphore,
-    stats: Mutex<GpuStats>,
-    lost: AtomicBool,
-    faults: Mutex<Option<(Arc<FaultPlan>, Arc<DeviceFuse>)>>,
+    stats: RefCell<GpuStats>,
+    lost: Cell<bool>,
+    faults: RefCell<Option<(Arc<FaultPlan>, Rc<DeviceFuse>)>>,
 }
 
 /// A simulated GPU.
@@ -137,7 +136,7 @@ struct DeviceInner {
 /// (blocking the calling process, like the default CUDA stream) or
 /// through [`Stream`]s created with [`GpuDevice::create_stream`].
 pub struct GpuDevice {
-    inner: Arc<DeviceInner>,
+    inner: Rc<DeviceInner>,
 }
 
 impl Clone for GpuDevice {
@@ -150,13 +149,13 @@ impl GpuDevice {
     /// Create a device from its spec.
     pub fn new(name: impl Into<String>, spec: GpuSpec) -> Self {
         GpuDevice {
-            inner: Arc::new(DeviceInner {
+            inner: Rc::new(DeviceInner {
                 compute: Semaphore::new(1),
                 copy: Semaphore::new(spec.copy_engines as u64),
                 pcie: Semaphore::new(1),
-                stats: Mutex::new(GpuStats::default()),
-                lost: AtomicBool::new(false),
-                faults: Mutex::new(None),
+                stats: RefCell::default(),
+                lost: Cell::new(false),
+                faults: RefCell::new(None),
                 name: name.into(),
                 spec,
             }),
@@ -167,15 +166,15 @@ impl GpuDevice {
     /// (`try_*` / stream) paths for kernel failures, async-copy
     /// corruption and whole-device loss. The shared `fuse` caps loss so
     /// at least one device in the machine always survives.
-    pub fn set_fault_plan(&self, plan: Arc<FaultPlan>, fuse: Arc<DeviceFuse>) {
-        *self.inner.faults.lock() = Some((plan, fuse));
+    pub fn set_fault_plan(&self, plan: Arc<FaultPlan>, fuse: Rc<DeviceFuse>) {
+        *self.inner.faults.borrow_mut() = Some((plan, fuse));
     }
 
     /// True once the device has been lost to an injected failure. All
     /// further fallible operations on it fail fast with
     /// [`GpuFault::DeviceLost`].
     pub fn is_lost(&self) -> bool {
-        self.inner.lost.load(Relaxed)
+        self.inner.lost.get()
     }
 
     /// Device spec.
@@ -190,7 +189,7 @@ impl GpuDevice {
 
     /// Counters snapshot.
     pub fn stats(&self) -> GpuStats {
-        self.inner.stats.lock().clone()
+        self.inner.stats.borrow().clone()
     }
 
     /// Synchronous host↔device copy (blocks the calling process until
@@ -254,7 +253,7 @@ impl GpuDevice {
                 e();
             }
         }
-        let mut st = d.stats.lock();
+        let mut st = d.stats.borrow_mut();
         st.copy_time += t;
         if pinned {
             st.pinned_bytes += bytes;
@@ -318,7 +317,7 @@ impl GpuDevice {
                 e();
             }
         }
-        let mut st = d.stats.lock();
+        let mut st = d.stats.borrow_mut();
         st.kernels += 1;
         st.kernel_time += t;
         Ok(match fault {
@@ -332,11 +331,11 @@ impl GpuDevice {
     /// surviving device degrades a would-be loss into a kernel failure
     /// so forward progress stays possible).
     fn roll_kernel_fault(&self) -> Option<GpuFault> {
-        let guard = self.inner.faults.lock();
+        let guard = self.inner.faults.borrow();
         let (plan, fuse) = guard.as_ref()?;
         if plan.decide(FaultClass::DeviceLoss) {
             if fuse.try_claim() {
-                self.inner.lost.store(true, Relaxed);
+                self.inner.lost.set(true);
                 return Some(GpuFault::DeviceLost);
             }
             return Some(GpuFault::KernelFailed);
@@ -349,7 +348,7 @@ impl GpuDevice {
 
     /// Consult the fault plan at a copy completion point.
     fn roll_copy_fault(&self) -> Option<GpuFault> {
-        let guard = self.inner.faults.lock();
+        let guard = self.inner.faults.borrow();
         let (plan, _) = guard.as_ref()?;
         if plan.decide(FaultClass::CopyCorrupt) {
             return Some(GpuFault::CopyFailed);
@@ -406,7 +405,7 @@ impl GpuDevice {
 /// relies on.
 fn complete(done: &CudaEvent, fault: Option<GpuFault>) {
     debug_assert!(!done.query(), "stream operation completed twice");
-    *done.fault.lock() = fault;
+    done.fault.set(fault);
     done.signal.set();
 }
 
@@ -455,7 +454,7 @@ impl Stream {
 /// at startup (paper §III-D2: "Both GPU memory and host pinned memory
 /// are allocated at startup, and then managed internally").
 pub struct PinnedPool {
-    inner: Mutex<PinnedInner>,
+    inner: RefCell<PinnedInner>,
 }
 
 struct PinnedInner {
@@ -467,13 +466,13 @@ struct PinnedInner {
 impl PinnedPool {
     /// A pool of `capacity` bytes of pinned host memory.
     pub fn new(capacity: u64) -> Self {
-        PinnedPool { inner: Mutex::new(PinnedInner { capacity, used: 0, peak: 0 }) }
+        PinnedPool { inner: RefCell::new(PinnedInner { capacity, used: 0, peak: 0 }) }
     }
 
     /// Reserve `bytes`; `false` if the pool is exhausted (callers then
     /// fall back to pageable transfers, losing overlap).
     pub fn try_alloc(&self, bytes: u64) -> bool {
-        let mut p = self.inner.lock();
+        let mut p = self.inner.borrow_mut();
         if p.used + bytes > p.capacity {
             return false;
         }
@@ -484,19 +483,19 @@ impl PinnedPool {
 
     /// Return `bytes` to the pool.
     pub fn free(&self, bytes: u64) {
-        let mut p = self.inner.lock();
+        let mut p = self.inner.borrow_mut();
         assert!(p.used >= bytes, "pinned pool underflow");
         p.used -= bytes;
     }
 
     /// Bytes currently reserved.
     pub fn used(&self) -> u64 {
-        self.inner.lock().used
+        self.inner.borrow().used
     }
 
     /// High-water mark.
     pub fn peak(&self) -> u64 {
-        self.inner.lock().peak
+        self.inner.borrow().peak
     }
 }
 
@@ -539,17 +538,17 @@ mod tests {
     fn kernels_serialise_on_compute_engine() {
         let sim = Sim::new();
         let gpu = GpuDevice::new("g", test_spec());
-        let ends = Arc::new(Mutex::new(Vec::new()));
+        let ends = Rc::new(RefCell::new(Vec::new()));
         for name in ["k1", "k2"] {
             let g = gpu.clone();
             let e = ends.clone();
             sim.spawn(name, async move {
                 g.launch(KernelCost::fixed(SimDuration::from_millis(2)), None).await.unwrap();
-                e.lock().push(now().as_nanos());
+                e.borrow_mut().push(now().as_nanos());
             });
         }
         sim.run().unwrap();
-        assert_eq!(*ends.lock(), vec![2_000_000, 4_000_000]);
+        assert_eq!(*ends.borrow(), vec![2_000_000, 4_000_000]);
     }
 
     #[test]
@@ -593,23 +592,23 @@ mod tests {
     fn stream_ops_execute_in_fifo_order() {
         let sim = Sim::new();
         let gpu = GpuDevice::new("g", test_spec());
-        let order = Arc::new(Mutex::new(Vec::new()));
+        let order = Rc::new(RefCell::new(Vec::new()));
         let o = order.clone();
         sim.spawn("host", async move {
             let s = gpu.create_stream("s");
             let o1 = o.clone();
             let e1 = s.launch_async(
                 KernelCost::fixed(SimDuration::from_millis(1)),
-                Some(Box::new(move || o1.lock().push(1))),
+                Some(Box::new(move || o1.borrow_mut().push(1))),
             );
             let o2 = o.clone();
             let e2 = s.launch_async(
                 KernelCost::fixed(SimDuration::from_millis(1)),
-                Some(Box::new(move || o2.lock().push(2))),
+                Some(Box::new(move || o2.borrow_mut().push(2))),
             );
             e2.synchronize().await.unwrap();
             assert!(e1.query());
-            assert_eq!(*o.lock(), vec![1, 2]);
+            assert_eq!(*o.borrow(), vec![1, 2]);
         });
         sim.run().unwrap();
     }

@@ -2,9 +2,9 @@
 //! engine exclusivity and stat conservation under arbitrary operation
 //! mixes.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 
 use ompss_cudasim::{CopyDir, GpuDevice, GpuSpec, KernelCost};
@@ -48,7 +48,7 @@ proptest! {
     fn single_stream_is_fifo_and_stats_conserve(ops in proptest::collection::vec(gen_op(), 1..25)) {
         let sim = Sim::new();
         let dev = GpuDevice::new("g", spec());
-        let completions = Arc::new(Mutex::new(Vec::new()));
+        let completions = Rc::new(RefCell::new(Vec::new()));
         let ops2 = ops.clone();
         let dev2 = dev.clone();
         let comp = completions.clone();
@@ -58,7 +58,7 @@ proptest! {
             for (i, op) in ops2.iter().enumerate() {
                 let c = comp.clone();
                 let effect = Some(Box::new(move || {
-                    c.lock().push((i, now()));
+                    c.borrow_mut().push((i, now()));
                 }) as ompss_cudasim::Effect);
                 let ev = match *op {
                     Op::Kernel(ns) => {
@@ -76,7 +76,7 @@ proptest! {
             }
         });
         sim.run().unwrap();
-        let done = completions.lock().clone();
+        let done = completions.borrow().clone();
         prop_assert_eq!(done.len(), ops.len());
         // Issue order == completion order, with non-decreasing times.
         for (k, &(i, t)) in done.iter().enumerate() {

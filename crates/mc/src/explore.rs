@@ -26,10 +26,9 @@
 //! Any finding carries the interleaving's *trace* — the comma-joined
 //! choice indexes — which [`replay`] turns back into the failing run.
 
+use std::cell::RefCell;
 use std::collections::HashSet;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use ompss_sim::{install_tie_break, RunError, StepFootprint};
 use ompss_verify::{Finding, FindingKind};
@@ -124,7 +123,7 @@ pub fn replay<R>(trace: &[usize], run: R) -> Result<RunOutcome, RunError>
 where
     R: FnOnce() -> Result<RunOutcome, RunError>,
 {
-    let ctl = Arc::new(Mutex::new(RecordingController::new(trace.to_vec())));
+    let ctl = Rc::new(RefCell::new(RecordingController::new(trace.to_vec())));
     install_tie_break(ctl, true);
     run()
 }
@@ -153,11 +152,11 @@ where
         }
         let prescribed: Vec<usize> = frames.iter().map(|f| f.current).collect();
         let trace = trace_string(&prescribed);
-        let ctl = Arc::new(Mutex::new(RecordingController::new(prescribed)));
+        let ctl = Rc::new(RefCell::new(RecordingController::new(prescribed)));
         install_tie_break(ctl.clone(), true);
         let outcome = run();
         report.interleavings += 1;
-        let rec = Arc::try_unwrap(ctl)
+        let rec = Rc::try_unwrap(ctl)
             .unwrap_or_else(|_| panic!("run retained the tie-break controller"))
             .into_inner();
         report.max_choice_depth = report.max_choice_depth.max(rec.choices.len());
@@ -342,6 +341,7 @@ mod tests {
     use super::*;
     use ompss_sim::{mc_touch, Sim, SimDuration};
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn cfg() -> McConfig {
         McConfig { depth: 64, preemptions: 16, max_interleavings: 10_000 }

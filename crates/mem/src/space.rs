@@ -21,11 +21,10 @@
 //! copies still *cost virtual time* (charged by the transfer layers) but
 //! move no bytes, and kernels skip their arithmetic.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use crate::region::DataId;
 use crate::scalar::{cast_slice, cast_slice_mut, Scalar};
@@ -121,7 +120,7 @@ impl AlignedBytes {
 struct Allocation {
     size: u64,
     /// `None` for phantom allocations.
-    bytes: Option<Arc<Mutex<AlignedBytes>>>,
+    bytes: Option<Rc<RefCell<AlignedBytes>>>,
 }
 
 /// One address space: capacity accounting plus its allocations.
@@ -171,9 +170,14 @@ struct ManagerInner {
 /// data objects. Byte movement here is *instantaneous* — virtual-time
 /// cost is charged by the transfer layers (PCIe links, network) that
 /// call into it.
+///
+/// A cheap handle: clones share one manager. It belongs to the
+/// simulation thread (an `Rc` over a `RefCell`), like the run that
+/// owns it.
+#[derive(Clone)]
 pub struct MemoryManager {
     backing: Backing,
-    inner: Mutex<ManagerInner>,
+    inner: Rc<RefCell<ManagerInner>>,
 }
 
 impl MemoryManager {
@@ -181,12 +185,12 @@ impl MemoryManager {
     pub fn new(backing: Backing) -> Self {
         MemoryManager {
             backing,
-            inner: Mutex::new(ManagerInner {
+            inner: Rc::new(RefCell::new(ManagerInner {
                 spaces: Vec::new(),
                 next_alloc: 0,
                 next_data: 0,
                 data: HashMap::new(),
-            }),
+            })),
         }
     }
 
@@ -208,7 +212,7 @@ impl MemoryManager {
         parent: Option<SpaceId>,
         capacity: u64,
     ) -> SpaceId {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let id = SpaceId(inner.spaces.len() as u32);
         inner.spaces.push(SpaceInner {
             name: name.into(),
@@ -224,36 +228,36 @@ impl MemoryManager {
 
     /// Facts about a space.
     pub fn space_info(&self, space: SpaceId) -> SpaceInfo {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         let s = &inner.spaces[space.0 as usize];
         SpaceInfo { name: s.name.clone(), kind: s.kind, parent: s.parent, capacity: s.capacity }
     }
 
     /// Number of spaces registered.
     pub fn space_count(&self) -> usize {
-        self.inner.lock().spaces.len()
+        self.inner.borrow().spaces.len()
     }
 
     /// Bytes currently allocated in a space.
     pub fn used(&self, space: SpaceId) -> u64 {
-        self.inner.lock().spaces[space.0 as usize].used
+        self.inner.borrow().spaces[space.0 as usize].used
     }
 
     /// High-water mark of bytes allocated in a space.
     pub fn peak_used(&self, space: SpaceId) -> u64 {
-        self.inner.lock().spaces[space.0 as usize].peak_used
+        self.inner.borrow().spaces[space.0 as usize].peak_used
     }
 
     /// Bytes still free in a space.
     pub fn available(&self, space: SpaceId) -> u64 {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         let s = &inner.spaces[space.0 as usize];
         s.capacity - s.used
     }
 
     /// Allocate `size` bytes in `space`. Zero-initialised when real.
     pub fn alloc(&self, space: SpaceId, size: u64) -> Result<AllocId, OutOfMemory> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let next = inner.next_alloc;
         let s = &mut inner.spaces[space.0 as usize];
         if s.used + size > s.capacity {
@@ -263,7 +267,7 @@ impl MemoryManager {
         s.peak_used = s.peak_used.max(s.used);
         let id = AllocId(next);
         let bytes = match self.backing {
-            Backing::Real => Some(Arc::new(Mutex::new(AlignedBytes::zeroed(size as usize)))),
+            Backing::Real => Some(Rc::new(RefCell::new(AlignedBytes::zeroed(size as usize)))),
             Backing::Phantom => None,
         };
         s.allocs.insert(id, Allocation { size, bytes });
@@ -278,7 +282,7 @@ impl MemoryManager {
     /// Panics if the allocation does not exist in the space — a
     /// double-free in the coherence layer.
     pub fn free(&self, space: SpaceId, alloc: AllocId) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let s = &mut inner.spaces[space.0 as usize];
         let a = s
             .allocs
@@ -289,11 +293,11 @@ impl MemoryManager {
 
     /// Size of an allocation.
     pub fn alloc_size(&self, space: SpaceId, alloc: AllocId) -> u64 {
-        self.inner.lock().spaces[space.0 as usize].allocs[&alloc].size
+        self.inner.borrow().spaces[space.0 as usize].allocs[&alloc].size
     }
 
-    fn bytes_handle(&self, space: SpaceId, alloc: AllocId) -> Option<Arc<Mutex<AlignedBytes>>> {
-        let inner = self.inner.lock();
+    fn bytes_handle(&self, space: SpaceId, alloc: AllocId) -> Option<Rc<RefCell<AlignedBytes>>> {
+        let inner = self.inner.borrow();
         inner.spaces[space.0 as usize]
             .allocs
             .get(&alloc)
@@ -323,8 +327,8 @@ impl MemoryManager {
         assert_ne!(src.1, dst.1, "self-copy within one allocation is not supported");
         let src_h = self.bytes_handle(src.0, src.1).expect("real backing");
         let dst_h = self.bytes_handle(dst.0, dst.1).expect("real backing");
-        let src_b = src_h.lock();
-        let mut dst_b = dst_h.lock();
+        let src_b = src_h.borrow();
+        let mut dst_b = dst_h.borrow_mut();
         let s = &src_b.as_bytes()[src_off as usize..(src_off + len) as usize];
         let d = &mut dst_b.as_bytes_mut()[dst_off as usize..(dst_off + len) as usize];
         d.copy_from_slice(s);
@@ -336,7 +340,7 @@ impl MemoryManager {
             return;
         }
         let h = self.bytes_handle(space, alloc).expect("real backing");
-        let mut b = h.lock();
+        let mut b = h.borrow_mut();
         b.as_bytes_mut()[offset as usize..offset as usize + data.len()].copy_from_slice(data);
     }
 
@@ -347,7 +351,7 @@ impl MemoryManager {
             return;
         }
         let h = self.bytes_handle(space, alloc).expect("real backing");
-        let b = h.lock();
+        let b = h.borrow();
         out.copy_from_slice(&b.as_bytes()[offset as usize..offset as usize + out.len()]);
     }
 
@@ -362,7 +366,7 @@ impl MemoryManager {
         f: impl FnOnce(&[T]) -> R,
     ) -> Option<R> {
         let h = self.bytes_handle(space, alloc)?;
-        let b = h.lock();
+        let b = h.borrow();
         Some(f(cast_slice(&b.as_bytes()[offset as usize..(offset + len) as usize])))
     }
 
@@ -377,7 +381,7 @@ impl MemoryManager {
         f: impl FnOnce(&mut [T]) -> R,
     ) -> Option<R> {
         let h = self.bytes_handle(space, alloc)?;
-        let mut b = h.lock();
+        let mut b = h.borrow_mut();
         Some(f(cast_slice_mut(&mut b.as_bytes_mut()[offset as usize..(offset + len) as usize])))
     }
 
@@ -387,7 +391,7 @@ impl MemoryManager {
     ///
     /// Multiple requests may target the same allocation provided their
     /// byte ranges are disjoint (e.g. two tile regions of one host home
-    /// allocation) — the allocation is locked once and split.
+    /// allocation) — the allocation is borrowed once and split.
     ///
     /// # Panics
     ///
@@ -406,7 +410,7 @@ impl MemoryManager {
                 }
             }
         }
-        // Lock each distinct allocation exactly once.
+        // Borrow each distinct allocation exactly once.
         let mut distinct: Vec<AllocId> = requests.iter().map(|r| r.1).collect();
         distinct.sort();
         distinct.dedup();
@@ -418,7 +422,7 @@ impl MemoryManager {
             })
             .collect();
         let handles = handles?;
-        let mut guards: Vec<_> = handles.iter().map(|h| h.lock()).collect();
+        let mut guards: Vec<_> = handles.iter().map(|h| h.borrow_mut()).collect();
         // Carve every requested range out of its guard. Each range is
         // disjoint (checked above), so handing out one mutable slice per
         // request is sound; we go through raw pointers because the
@@ -445,7 +449,7 @@ impl MemoryManager {
     /// `home_space` (allocated here).
     pub fn register_data(&self, size: u64, home_space: SpaceId) -> Result<DataId, OutOfMemory> {
         let home_alloc = self.alloc(home_space, size)?;
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let id = DataId(inner.next_data);
         inner.next_data += 1;
         inner.data.insert(id, DataInfo { size, home_space, home_alloc });
@@ -454,12 +458,12 @@ impl MemoryManager {
 
     /// Metadata of a registered data object.
     pub fn data_info(&self, id: DataId) -> DataInfo {
-        *self.inner.lock().data.get(&id).unwrap_or_else(|| panic!("unknown data object {id:?}"))
+        *self.inner.borrow().data.get(&id).unwrap_or_else(|| panic!("unknown data object {id:?}"))
     }
 
     /// Number of registered data objects.
     pub fn data_count(&self) -> usize {
-        self.inner.lock().data.len()
+        self.inner.borrow().data.len()
     }
 
     /// The id the next [`Self::register_data`] call will assign. Ids are
@@ -467,14 +471,14 @@ impl MemoryManager {
     /// the sharded runtime uses it to route an allocation to its shard
     /// owner *before* registering it there.
     pub fn next_data_id(&self) -> DataId {
-        DataId(self.inner.lock().next_data)
+        DataId(self.inner.borrow().next_data)
     }
 
     /// All data objects whose home copy lives in `space`, with their
     /// sizes, sorted by id — the shard a node owns, enumerated when
     /// that node dies and its directory shard must be re-homed.
     pub fn datas_homed_at(&self, space: SpaceId) -> Vec<(DataId, u64)> {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         let mut v: Vec<(DataId, u64)> = inner
             .data
             .iter()
@@ -494,7 +498,7 @@ impl MemoryManager {
     pub fn rehome_data(&self, id: DataId, new_home: SpaceId) -> Result<AllocId, OutOfMemory> {
         let size = self.data_info(id).size;
         let alloc = self.alloc(new_home, size)?;
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let info = inner.data.get_mut(&id).expect("data_info above checked existence");
         info.home_space = new_home;
         info.home_alloc = alloc;

@@ -9,7 +9,8 @@
 //! runs the handler logic — exactly the "slave images constantly waiting
 //! for upcoming requests" structure of the paper.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use ompss_sim::{Signal, SimResult};
@@ -22,9 +23,14 @@ pub const AM_HEADER_BYTES: u64 = 64;
 /// Counts of active messages by kind, across all endpoints.
 #[derive(Debug, Default)]
 struct AmCounters {
-    shorts: AtomicU64,
-    longs: AtomicU64,
-    long_payload_bytes: AtomicU64,
+    shorts: Cell<u64>,
+    longs: Cell<u64>,
+    long_payload_bytes: Cell<u64>,
+}
+
+/// Add `n` to one of the [`AmCounters`].
+fn bump(counter: &Cell<u64>, n: u64) {
+    counter.set(counter.get() + n);
 }
 
 /// Snapshot of [`AmNet`] message counts.
@@ -43,7 +49,7 @@ pub struct AmStats {
 /// Clones share the same fabric.
 pub struct AmNet<M> {
     fabric: Fabric<M>,
-    counters: Arc<AmCounters>,
+    counters: Rc<AmCounters>,
 }
 
 impl<M> Clone for AmNet<M> {
@@ -52,15 +58,15 @@ impl<M> Clone for AmNet<M> {
     }
 }
 
-impl<M: Send + Clone + 'static> AmNet<M> {
+impl<M: Clone + 'static> AmNet<M> {
     /// Build an AM network over a fresh fabric.
     pub fn new(cfg: FabricConfig) -> Self {
-        AmNet { fabric: Fabric::new(cfg), counters: Arc::new(AmCounters::default()) }
+        AmNet { fabric: Fabric::new(cfg), counters: Rc::default() }
     }
 
     /// Arm chaos injection on the underlying fabric (see
     /// [`Fabric::set_fault_plan`]).
-    pub fn set_fault_plan(&self, plan: std::sync::Arc<ompss_sim::FaultPlan>) {
+    pub fn set_fault_plan(&self, plan: Arc<ompss_sim::FaultPlan>) {
         self.fabric.set_fault_plan(plan);
     }
 
@@ -82,9 +88,9 @@ impl<M: Send + Clone + 'static> AmNet<M> {
     /// Active-message counts by kind.
     pub fn am_stats(&self) -> AmStats {
         AmStats {
-            shorts: self.counters.shorts.load(Relaxed),
-            longs: self.counters.longs.load(Relaxed),
-            long_payload_bytes: self.counters.long_payload_bytes.load(Relaxed),
+            shorts: self.counters.shorts.get(),
+            longs: self.counters.longs.get(),
+            long_payload_bytes: self.counters.long_payload_bytes.get(),
         }
     }
 
@@ -108,7 +114,7 @@ impl<M> Clone for AmEndpoint<M> {
     }
 }
 
-impl<M: Send + Clone + 'static> AmEndpoint<M> {
+impl<M: Clone + 'static> AmEndpoint<M> {
     /// The node that owns this endpoint.
     pub fn node(&self) -> NodeId {
         self.node
@@ -116,7 +122,7 @@ impl<M: Send + Clone + 'static> AmEndpoint<M> {
 
     /// Send a header-only control message; blocks for the wire time.
     pub async fn request_short(&self, dst: NodeId, msg: M) -> SimResult<()> {
-        self.net.counters.shorts.fetch_add(1, Relaxed);
+        bump(&self.net.counters.shorts, 1);
         self.net.fabric.send(self.node, dst, AM_HEADER_BYTES, msg).await
     }
 
@@ -139,13 +145,13 @@ impl<M: Send + Clone + 'static> AmEndpoint<M> {
 
     /// Asynchronous [`request_short`].
     pub fn request_short_detached(&self, dst: NodeId, msg: M) -> Signal {
-        self.net.counters.shorts.fetch_add(1, Relaxed);
+        bump(&self.net.counters.shorts, 1);
         self.net.fabric.send_detached(self.node, dst, AM_HEADER_BYTES, msg)
     }
 
     fn count_long(&self, payload: u64) {
-        self.net.counters.longs.fetch_add(1, Relaxed);
-        self.net.counters.long_payload_bytes.fetch_add(payload, Relaxed);
+        bump(&self.net.counters.longs, 1);
+        bump(&self.net.counters.long_payload_bytes, payload);
     }
 
     /// Park until the next request addressed to this node arrives;

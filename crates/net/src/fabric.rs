@@ -13,10 +13,9 @@
 //! bulk payload bytes are accounted here but physically moved by the
 //! memory manager (which may be phantom-backed for paper-scale runs).
 
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use ompss_sim::{
     delay, process, Channel, FaultClass, FaultPlan, Semaphore, Signal, SimDuration, SimResult,
@@ -109,26 +108,26 @@ struct Nic<M> {
 struct FabricInner<M> {
     cfg: FabricConfig,
     nics: Vec<Nic<M>>,
-    stats: Mutex<NetStats>,
+    stats: RefCell<NetStats>,
     /// Chaos injection plan; `None` (the default) takes the exact
     /// legacy path.
-    faults: Mutex<Option<Arc<FaultPlan>>>,
+    faults: RefCell<Option<Arc<FaultPlan>>>,
     /// Per-node NIC death flags (whole-node loss): a dead endpoint's
     /// messages still occupy the wire but are never delivered.
-    dead: Vec<AtomicBool>,
+    dead: Vec<Cell<bool>>,
     /// Per-node NIC offline flags (elastic membership): an offline NIC
     /// behaves like a dead one on the wire, but unlike death it is
     /// planned and reversible — a joining node's NIC starts offline and
     /// is brought up at its join instant; a drained node's goes back
     /// offline at departure.
-    offline: Vec<AtomicBool>,
+    offline: Vec<Cell<bool>>,
 }
 
 /// A simulated cluster interconnect carrying messages of type `M`.
 ///
 /// Clones share the same fabric.
 pub struct Fabric<M> {
-    inner: Arc<FabricInner<M>>,
+    inner: Rc<FabricInner<M>>,
 }
 
 impl<M> Clone for Fabric<M> {
@@ -137,26 +136,26 @@ impl<M> Clone for Fabric<M> {
     }
 }
 
-impl<M: Send + Clone + 'static> Fabric<M> {
+impl<M: Clone + 'static> Fabric<M> {
     /// Build a fabric with one NIC and inbox per node.
     pub fn new(cfg: FabricConfig) -> Self {
         let nics = (0..cfg.nodes)
             .map(|_| Nic { tx: Semaphore::new(1), rx: Semaphore::new(1), inbox: Channel::new() })
             .collect();
         Fabric {
-            inner: Arc::new(FabricInner {
-                stats: Mutex::new(NetStats {
+            inner: Rc::new(FabricInner {
+                stats: RefCell::new(NetStats {
                     tx_bytes: vec![0; cfg.nodes as usize],
                     rx_bytes: vec![0; cfg.nodes as usize],
                     link_bytes: vec![vec![0; cfg.nodes as usize]; cfg.nodes as usize],
                     link_messages: vec![vec![0; cfg.nodes as usize]; cfg.nodes as usize],
                     ..NetStats::default()
                 }),
-                dead: (0..cfg.nodes).map(|_| AtomicBool::new(false)).collect(),
-                offline: (0..cfg.nodes).map(|_| AtomicBool::new(false)).collect(),
+                dead: (0..cfg.nodes).map(|_| Cell::new(false)).collect(),
+                offline: (0..cfg.nodes).map(|_| Cell::new(false)).collect(),
                 cfg,
                 nics,
-                faults: Mutex::new(None),
+                faults: RefCell::new(None),
             }),
         }
     }
@@ -170,7 +169,7 @@ impl<M: Send + Clone + 'static> Fabric<M> {
     /// dropped after occupying the wire, delivered twice, or delayed by
     /// a bounded extra latency, as the plan decides.
     pub fn set_fault_plan(&self, plan: Arc<FaultPlan>) {
-        *self.inner.faults.lock() = Some(plan);
+        *self.inner.faults.borrow_mut() = Some(plan);
     }
 
     /// Declare `node`'s NIC dead (whole-node loss): messages to or from
@@ -178,12 +177,12 @@ impl<M: Send + Clone + 'static> Fabric<M> {
     /// un-happen) but are never delivered, and nothing it would send
     /// reaches an inbox again. Irreversible for the run.
     pub fn kill_node(&self, node: NodeId) {
-        self.inner.dead[node as usize].store(true, Relaxed);
+        self.inner.dead[node as usize].set(true);
     }
 
     /// Has `node` been declared dead?
     pub fn is_dead(&self, node: NodeId) -> bool {
-        self.inner.dead[node as usize].load(Relaxed)
+        self.inner.dead[node as usize].get()
     }
 
     /// Take `node`'s NIC off the wire without declaring it dead: the
@@ -193,18 +192,18 @@ impl<M: Send + Clone + 'static> Fabric<M> {
     /// joiner's NIC starts offline and comes up via
     /// [`Fabric::set_online`].
     pub fn set_offline(&self, node: NodeId) {
-        self.inner.offline[node as usize].store(true, Relaxed);
+        self.inner.offline[node as usize].set(true);
     }
 
     /// Bring `node`'s NIC onto the wire (join bring-up). Death is not
     /// reversible: a killed NIC stays off the wire regardless.
     pub fn set_online(&self, node: NodeId) {
-        self.inner.offline[node as usize].store(false, Relaxed);
+        self.inner.offline[node as usize].set(false);
     }
 
     /// Is `node`'s NIC currently off the wire (offline or dead)?
     pub fn is_offwire(&self, node: NodeId) -> bool {
-        self.is_dead(node) || self.inner.offline[node as usize].load(Relaxed)
+        self.is_dead(node) || self.inner.offline[node as usize].get()
     }
 
     /// Send `msg` (declared wire size `size` bytes) from `src` to `dst`,
@@ -215,7 +214,7 @@ impl<M: Send + Clone + 'static> Fabric<M> {
     /// intra-node "messages" model function calls, not wire traffic.
     pub async fn send(&self, src: NodeId, dst: NodeId, size: u64, msg: M) -> SimResult<()> {
         {
-            let mut st = self.inner.stats.lock();
+            let mut st = self.inner.stats.borrow_mut();
             st.bytes_total += size;
             st.messages += 1;
             st.tx_bytes[src as usize] += size;
@@ -231,9 +230,8 @@ impl<M: Send + Clone + 'static> Fabric<M> {
         }
         // Chaos: one decision per class per message, drawn before the
         // wire so the fault stream is a pure function of message order.
-        let plan = self.inner.faults.lock().clone();
         let (mut wire, mut dropped, mut dup) = (self.inner.cfg.wire_time(size), false, false);
-        if let Some(p) = &plan {
+        if let Some(p) = self.inner.faults.borrow().as_ref() {
             if p.decide(FaultClass::NetDelay) {
                 // Bounded: at most 4 extra one-way latencies.
                 let extra = self.inner.cfg.latency.as_nanos() as f64
@@ -298,7 +296,7 @@ impl<M: Send + Clone + 'static> Fabric<M> {
 
     /// Snapshot of the traffic counters.
     pub fn stats(&self) -> NetStats {
-        self.inner.stats.lock().clone()
+        self.inner.stats.borrow().clone()
     }
 }
 
@@ -481,14 +479,14 @@ mod tests {
                 FaultPlan::new(5, 0.0).with_rate(FaultClass::NetDelay, 1.0),
             ));
             let f = fab.clone();
-            let t = Arc::new(Mutex::new(0u64));
+            let t = Rc::new(RefCell::new(0u64));
             let t2 = t.clone();
             sim.spawn("p", async move {
                 f.send(0, 1, 1000, 1).await.unwrap();
-                *t2.lock() = now().as_nanos();
+                *t2.borrow_mut() = now().as_nanos();
             });
             sim.run().unwrap();
-            let v = *t.lock();
+            let v = *t.borrow();
             v
         };
         let (a, b) = (run(), run());

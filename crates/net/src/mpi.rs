@@ -10,11 +10,9 @@
 //! allgather. It runs over the same [`Fabric`](crate::Fabric) model as
 //! the OmpSs runtime, so simulated times are directly comparable.
 
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use ompss_sim::{abort_run, RunError, SimResult};
 
@@ -71,12 +69,12 @@ pub struct Mpi {
     fabric: Fabric<MpiMsg>,
     /// Per-rank queue of received-but-unmatched messages.
     #[allow(clippy::type_complexity)]
-    unexpected: Arc<Vec<Mutex<VecDeque<(NodeId, MpiMsg)>>>>,
+    unexpected: Rc<Vec<RefCell<VecDeque<(NodeId, MpiMsg)>>>>,
     /// Bound on each unexpected queue; overflow aborts the run with
     /// [`RunError::QueueOverflow`] instead of growing silently.
     unexpected_cap: usize,
     /// `[stashed, peak, overflows]` — see [`UnexpectedStats`].
-    unexpected_stats: Arc<[AtomicU64; 3]>,
+    unexpected_stats: Rc<[Cell<u64>; 3]>,
 }
 
 impl Clone for Mpi {
@@ -96,9 +94,9 @@ impl Mpi {
         let n = cfg.nodes as usize;
         Mpi {
             fabric: Fabric::new(cfg),
-            unexpected: Arc::new((0..n).map(|_| Mutex::new(VecDeque::new())).collect()),
+            unexpected: Rc::new((0..n).map(|_| RefCell::new(VecDeque::new())).collect()),
             unexpected_cap: MPI_UNEXPECTED_CAP,
-            unexpected_stats: Arc::new([AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)]),
+            unexpected_stats: Rc::default(),
         }
     }
 
@@ -129,9 +127,9 @@ impl Mpi {
     /// Unexpected-queue pressure counters.
     pub fn unexpected_stats(&self) -> UnexpectedStats {
         UnexpectedStats {
-            stashed: self.unexpected_stats[0].load(Relaxed),
-            peak: self.unexpected_stats[1].load(Relaxed),
-            overflows: self.unexpected_stats[2].load(Relaxed),
+            stashed: self.unexpected_stats[0].get(),
+            peak: self.unexpected_stats[1].get(),
+            overflows: self.unexpected_stats[2].get(),
         }
     }
 }
@@ -186,7 +184,7 @@ impl MpiRank {
         };
         // First scan the unexpected queue (FIFO within matches).
         {
-            let mut q = self.world.unexpected[self.rank as usize].lock();
+            let mut q = self.world.unexpected[self.rank as usize].borrow_mut();
             if let Some(pos) = q.iter().position(|(s, m)| matches(*s, m)) {
                 return Ok(q.remove(pos).expect("position just found"));
             }
@@ -197,17 +195,19 @@ impl MpiRank {
             if matches(src, &msg) {
                 return Ok((src, msg));
             }
-            let mut q = self.world.unexpected[self.rank as usize].lock();
+            let mut q = self.world.unexpected[self.rank as usize].borrow_mut();
             if q.len() >= self.world.unexpected_cap {
-                self.world.unexpected_stats[2].fetch_add(1, Relaxed);
+                let overflows = &self.world.unexpected_stats[2];
+                overflows.set(overflows.get() + 1);
                 return Err(abort_run(RunError::QueueOverflow {
                     queue: format!("mpi:rank{}:unexpected", self.rank),
                     capacity: self.world.unexpected_cap,
                 }));
             }
             q.push_back((src, msg));
-            self.world.unexpected_stats[0].fetch_add(1, Relaxed);
-            self.world.unexpected_stats[1].fetch_max(q.len() as u64, Relaxed);
+            let [stashed, peak, _] = &*self.world.unexpected_stats;
+            stashed.set(stashed.get() + 1);
+            peak.set(peak.get().max(q.len() as u64));
         }
     }
 
@@ -352,8 +352,8 @@ impl MpiRank {
 mod tests {
     use super::*;
     use ompss_sim::{delay, now, Sim, SimDuration};
-    use parking_lot::Mutex as PMutex;
-    use std::sync::Arc;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn world(n: u32) -> Mpi {
         Mpi::new(FabricConfig { nodes: n, latency: SimDuration::from_micros(1), bandwidth: 1e9 })
@@ -362,11 +362,11 @@ mod tests {
     /// Run `f(rank_handle)` on every rank as its own process.
     fn run_ranks<F, Fut>(mpi: &Mpi, f: F)
     where
-        F: Fn(MpiRank) -> Fut + Send + Sync + 'static,
-        Fut: std::future::Future<Output = ()> + Send + 'static,
+        F: Fn(MpiRank) -> Fut + 'static,
+        Fut: std::future::Future<Output = ()> + 'static,
     {
         let sim = Sim::new();
-        let f = Arc::new(f);
+        let f = Rc::new(f);
         for r in 0..mpi.size() {
             let rank = mpi.rank(r);
             let f = f.clone();
@@ -430,7 +430,7 @@ mod tests {
     fn barrier_synchronises_all_ranks() {
         for p in [1u32, 2, 3, 4, 8] {
             let mpi = world(p);
-            let after = Arc::new(PMutex::new(Vec::new()));
+            let after = Rc::new(RefCell::new(Vec::new()));
             let a = after.clone();
             run_ranks(&mpi, move |rank| {
                 let a = a.clone();
@@ -438,10 +438,10 @@ mod tests {
                     // Stagger arrival.
                     delay(SimDuration::from_micros(rank.rank() as u64 * 10)).await.unwrap();
                     rank.barrier(100).await.unwrap();
-                    a.lock().push(now());
+                    a.borrow_mut().push(now());
                 }
             });
-            let times = after.lock().clone();
+            let times = after.borrow().clone();
             assert_eq!(times.len(), p as usize);
             let min = times.iter().min().unwrap();
             // All ranks leave the barrier no earlier than the last arrival.
@@ -567,21 +567,21 @@ mod tests {
     #[test]
     fn bigger_payloads_take_longer() {
         let mpi = world(2);
-        let t_small = Arc::new(PMutex::new(0u64));
+        let t_small = Rc::new(RefCell::new(0u64));
         let ts = t_small.clone();
         run_ranks(&mpi, move |rank| {
             let ts = ts.clone();
             async move {
                 if rank.rank() == 0 {
                     rank.send(1, 0, 1_000_000, None).await.unwrap();
-                    *ts.lock() = now().as_nanos();
+                    *ts.borrow_mut() = now().as_nanos();
                 } else {
                     rank.recv(Source::Rank(0), Some(0)).await.unwrap();
                 }
             }
         });
         // ~1ms for 1MB at 1GB/s (plus envelope + latency).
-        let t = *t_small.lock();
+        let t = *t_small.borrow();
         assert!(t > 1_000_000 && t < 1_100_000, "t={t}");
     }
 }

@@ -2,9 +2,9 @@
 //! fabric, MPI collective correctness over arbitrary payloads and rank
 //! counts.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 
 use ompss_net::{Fabric, FabricConfig, Mpi, Source};
@@ -25,13 +25,13 @@ proptest! {
     ) {
         let sim = Sim::new();
         let fab: Fabric<usize> = Fabric::new(cfg(4));
-        let delivered = Arc::new(Mutex::new(vec![Vec::new(); 4]));
+        let delivered = Rc::new(RefCell::new(vec![Vec::new(); 4]));
         for node in 0..4u32 {
             let f = fab.clone();
             let d = delivered.clone();
             sim.process(format!("sink{node}")).daemon().spawn(async move {
                 while let Ok((src, id)) = f.recv(node).await {
-                    d.lock()[node as usize].push((src, id));
+                    d.borrow_mut()[node as usize].push((src, id));
                 }
             });
         }
@@ -43,7 +43,7 @@ proptest! {
             });
         }
         sim.run().unwrap();
-        let got = delivered.lock();
+        let got = delivered.borrow();
         let mut seen: Vec<usize> = got.iter().flatten().map(|&(_, id)| id).collect();
         seen.sort();
         prop_assert_eq!(seen, (0..msgs.len()).collect::<Vec<_>>());
@@ -66,7 +66,7 @@ proptest! {
         let root = root_sel % nodes;
         let mpi = Mpi::new(cfg(nodes));
         let sim = Sim::new();
-        let ok = Arc::new(Mutex::new(0u32));
+        let ok = Rc::new(RefCell::new(0u32));
         for r in 0..nodes {
             let rank = mpi.rank(r);
             let payload = payload.clone();
@@ -75,12 +75,12 @@ proptest! {
                 let data = (rank.rank() == root).then(|| payload.clone());
                 let out = rank.bcast(root, 7, payload.len() as u64, data).await.unwrap();
                 if out.as_deref() == Some(&payload[..]) {
-                    *ok.lock() += 1;
+                    *ok.borrow_mut() += 1;
                 }
             });
         }
         sim.run().unwrap();
-        prop_assert_eq!(*ok.lock(), nodes);
+        prop_assert_eq!(*ok.borrow(), nodes);
     }
 
     /// `allgather` returns every rank's contribution, in rank order, at
@@ -89,7 +89,7 @@ proptest! {
     fn mpi_allgather_correct(nodes in 1u32..9, seed in any::<u8>()) {
         let mpi = Mpi::new(cfg(nodes));
         let sim = Sim::new();
-        let ok = Arc::new(Mutex::new(0u32));
+        let ok = Rc::new(RefCell::new(0u32));
         for r in 0..nodes {
             let rank = mpi.rank(r);
             let ok = ok.clone();
@@ -100,12 +100,12 @@ proptest! {
                     .map(|q| Some(vec![seed.wrapping_add(q as u8); 4]))
                     .collect();
                 if all == expect {
-                    *ok.lock() += 1;
+                    *ok.borrow_mut() += 1;
                 }
             });
         }
         sim.run().unwrap();
-        prop_assert_eq!(*ok.lock(), nodes);
+        prop_assert_eq!(*ok.borrow(), nodes);
     }
 
     /// Tag matching never misdelivers: interleaved tagged streams from
@@ -135,7 +135,7 @@ proptest! {
                 }
             });
         }
-        let ok = Arc::new(Mutex::new(false));
+        let ok = Rc::new(RefCell::new(false));
         {
             let rank = mpi.rank(0);
             let (ta, tb) = (tags_a.clone(), tags_b.clone());
@@ -152,10 +152,10 @@ proptest! {
                     let (_, m) = rank.recv(Source::Rank(1), Some(*t)).await.unwrap();
                     fine &= m.data == Some(vec![i as u8]);
                 }
-                *ok.lock() = fine;
+                *ok.borrow_mut() = fine;
             });
         }
         sim.run().unwrap();
-        prop_assert!(*ok.lock());
+        prop_assert!(*ok.borrow());
     }
 }

@@ -17,11 +17,10 @@
 //! send `Done` back; the master releases successors and refills the
 //! node up to `resources + presend` tasks in flight.
 
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::rc::Rc;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use ompss_coherence::{Coherence, MembershipEpochs};
 use ompss_core::{Device, TaskGraph, TaskId};
@@ -45,7 +44,7 @@ use crate::trace::{TraceEvent, TraceResource, Tracer};
 /// master, a node proxy (keyed by the node's host) counts the whole node
 /// (host + GPUs), matching the master's node-granularity view.
 pub(crate) struct SpanOracle {
-    pub coh: Arc<Coherence>,
+    pub coh: Rc<Coherence>,
     /// Space → span key, for spaces folded into a node proxy's span;
     /// any other space is its own key.
     pub span_key: HashMap<SpaceId, SpaceId>,
@@ -77,11 +76,11 @@ impl LocalityOracle for SpanOracle {
     }
 }
 
-/// State owned by the master image, under one lock.
+/// State owned by the master image, in one `RefCell`.
 pub(crate) struct MasterState {
     pub graph: TaskGraph,
     pub sched: Scheduler,
-    pub records: HashMap<TaskId, Arc<TaskRecord>>,
+    pub records: HashMap<TaskId, Rc<TaskRecord>>,
     pub next_id: u64,
     /// Dispatched-but-unfinished tasks per node and device kind
     /// `(smp, cuda)` (index 0 unused).
@@ -109,27 +108,27 @@ pub(crate) struct MasterState {
 
 /// Per-slave-node state.
 pub(crate) struct SlaveState {
-    pub sched: Mutex<Scheduler>,
+    pub sched: RefCell<Scheduler>,
     pub bell: Bell,
     pub host: SpaceId,
     /// Set once this node has lost a GPU: its dispatcher then bounces
     /// freshly arrived CUDA tasks the node can no longer serve back to
     /// the master (covers `Exec`s that raced the `GpuDown` notice).
-    pub gpu_lost: AtomicBool,
+    pub gpu_lost: Cell<bool>,
     /// Ground truth of a planned node-kill: set at the fault instant.
     /// The node's own processes observe it and stop before committing
     /// anything further; the *master* reacts only once the lease
     /// protocol detects the silence.
-    pub dead: AtomicBool,
+    pub dead: Cell<bool>,
 }
 
 /// Everything the service processes share.
 pub(crate) struct RtShared {
     pub cfg: crate::config::RuntimeConfig,
-    pub mem: Arc<MemoryManager>,
-    pub coh: Arc<Coherence>,
-    pub exec: Arc<RtExec>,
-    pub master: Mutex<MasterState>,
+    pub mem: MemoryManager,
+    pub coh: Rc<Coherence>,
+    pub exec: Rc<RtExec>,
+    pub master: RefCell<MasterState>,
     pub master_bell: Bell,
     pub comm_bell: Bell,
     pub master_oracle: SpanOracle,
@@ -144,29 +143,29 @@ pub(crate) struct RtShared {
     pub gpus: HashMap<SpaceId, GpuDevice>,
     pub hosts: Vec<SpaceId>,
     pub tracer: Option<Tracer>,
-    pub counters: Arc<crate::stats::Counters>,
+    pub counters: Rc<crate::stats::Counters>,
     /// Access-observation collector; `Some` only in verification mode
     /// ([`crate::RuntimeConfig::verify`]), so the task hot path pays
     /// one `Option` check when it is off.
-    pub verify: Option<Arc<crate::verify::VerifySink>>,
+    pub verify: Option<Rc<crate::verify::VerifySink>>,
     /// The armed chaos plan; `None` in fault-free runs, where every
     /// injection site costs one `Option` check.
     pub faults: Option<Arc<FaultPlan>>,
     /// Reliable-delivery state for control messages; `Some` exactly
     /// when `faults` is (plain sends otherwise — the paper's protocol).
-    pub rel: Option<Arc<Reliability>>,
+    pub rel: Option<Rc<Reliability>>,
     /// Lease bookkeeping of the heartbeat protocol; `Some` when
     /// node-loss chaos *or* elastic membership is armed (disarmed runs
     /// track nothing and send nothing). An armed joiner starts
     /// untracked — its lease begins at the join instant; a drained node
     /// is untracked at departure — retirement, not death.
-    pub lease: Option<Mutex<LeaseTracker>>,
+    pub lease: Option<RefCell<LeaseTracker>>,
     /// Epoch-versioned shard ownership, the one control plane every
     /// run asks for homes and worksharing owners. Epoch 0 holds the
     /// initial members, so a static cluster is epoch 0 of an elastic
     /// one; planned joins/drains advance the epoch and rebalance slice
     /// homes. With one shard every owner is the master.
-    pub membership: Mutex<MembershipEpochs>,
+    pub membership: RefCell<MembershipEpochs>,
     /// Every space of each node (host first, then its GPUs) — the purge
     /// set when that node dies.
     pub node_spaces: Vec<Vec<SpaceId>>,
@@ -219,15 +218,15 @@ impl RtShared {
         }
     }
 
-    fn record(&self, id: TaskId) -> Arc<TaskRecord> {
-        self.master.lock().records.get(&id).expect("unknown task id").clone()
+    fn record(&self, id: TaskId) -> Rc<TaskRecord> {
+        self.master.borrow().records.get(&id).expect("unknown task id").clone()
     }
 
     /// Ground truth: has `node` been killed? (The master only *acts* on
     /// this once the lease protocol detects it; the dead node's own
     /// processes consult it directly — a dead machine stops computing.)
     pub(crate) fn node_down(&self, node: NodeId) -> bool {
-        node != 0 && self.slaves[node as usize].dead.load(Relaxed)
+        node != 0 && self.slaves[node as usize].dead.get()
     }
 
     /// Acquire all of a task's copy accesses in `space` concurrently —
@@ -236,7 +235,7 @@ impl RtShared {
     /// caller parks until the last completes. Returns the mapped
     /// locations in access order.
     async fn acquire_all(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         accesses: &[ompss_mem::Access],
         space: SpaceId,
     ) -> SimResult<Vec<ompss_coherence::Loc>> {
@@ -249,21 +248,21 @@ impl RtShared {
         }
         let latch = ompss_sim::Latch::new();
         latch.add(accesses.len() as u64);
-        let results: Arc<Mutex<Vec<Option<ompss_coherence::Loc>>>> =
-            Arc::new(Mutex::new(vec![None; accesses.len()]));
+        let results: Rc<RefCell<Vec<Option<ompss_coherence::Loc>>>> =
+            Rc::new(RefCell::new(vec![None; accesses.len()]));
         for (i, a) in accesses.iter().copied().enumerate() {
             let sh = self.clone();
             let latch = latch.clone();
             let results = results.clone();
             process(("acquire:D", a.region.data.0)).daemon().spawn(async move {
                 if let Ok(loc) = sh.coh.acquire(&*sh.exec, &a.region, a.kind.reads(), space).await {
-                    results.lock()[i] = Some(loc);
+                    results.borrow_mut()[i] = Some(loc);
                 }
                 latch.done();
             });
         }
         latch.wait_zero().await?;
-        let locs: Option<Vec<_>> = results.lock().iter().copied().collect();
+        let locs: Option<Vec<_>> = results.borrow().iter().copied().collect();
         locs.ok_or(ompss_sim::SimError::Shutdown)
     }
 
@@ -275,7 +274,7 @@ impl RtShared {
     /// full cost and then reports failure without running the body, so
     /// the worker re-executes under its retry budget.
     async fn run_smp_body(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         rec: &TaskRecord,
         space: SpaceId,
         node: NodeId,
@@ -346,7 +345,7 @@ impl RtShared {
     /// Run `task` on a GPU through its manager's stream, with optional
     /// prefetch of `next` while the kernel executes.
     async fn run_gpu_body(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         rec: &TaskRecord,
         space: SpaceId,
         node: NodeId,
@@ -457,7 +456,7 @@ impl RtShared {
     ) {
         crate::stats::Counters::add(&self.counters.devices_lost, 1);
         {
-            let mut m = self.master.lock();
+            let mut m = self.master.borrow_mut();
             m.sched.deactivate(res);
             for t in std::iter::once(tid).chain(prefetched) {
                 m.graph.reset_running(t);
@@ -477,14 +476,14 @@ impl RtShared {
     /// scheduler, wake everyone.
     pub(crate) fn complete_on_master(&self, id: TaskId, res: ResourceId) {
         let rec = {
-            let mut m = self.master.lock();
+            let mut m = self.master.borrow_mut();
             let mut newly = std::mem::take(&mut m.newly_scratch);
             m.graph.complete_into(id, &mut newly);
             if newly.is_empty() {
                 // Common case: nothing released — no allocation at all.
                 m.sched.task_completed(res, &[], &self.master_oracle);
             } else {
-                let descs: Vec<Arc<TaskRecord>> =
+                let descs: Vec<Rc<TaskRecord>> =
                     newly.iter().map(|t| m.records[t].clone()).collect();
                 let desc_refs: Vec<&ompss_core::TaskDesc> = descs.iter().map(|r| &r.desc).collect();
                 m.sched.task_completed(res, &desc_refs, &self.master_oracle);
@@ -502,20 +501,20 @@ impl RtShared {
 }
 
 /// SMP worker loop for the master node.
-pub(crate) async fn master_smp_worker(shared: Arc<RtShared>, res: ResourceId) {
+pub(crate) async fn master_smp_worker(shared: Rc<RtShared>, res: ResourceId) {
     let space = shared.hosts[0];
     // Rendered at the first completed task: set-up runs start every
     // loop and complete none.
     let mut name: Option<String> = None;
     loop {
-        let tid = { shared.master.lock().sched.next(res) };
+        let tid = { shared.master.borrow_mut().sched.next(res) };
         let Some(tid) = tid else {
             if shared.master_bell.wait().await.is_err() {
                 return;
             }
             continue;
         };
-        shared.master.lock().graph.start(tid);
+        shared.master.borrow_mut().graph.start(tid);
         let rec = shared.record(tid);
         let mut attempts = 0u32;
         loop {
@@ -546,7 +545,7 @@ pub(crate) async fn master_smp_worker(shared: Arc<RtShared>, res: ResourceId) {
 }
 
 /// GPU manager loop for a master-node GPU.
-pub(crate) async fn master_gpu_manager(shared: Arc<RtShared>, res: ResourceId, space: SpaceId) {
+pub(crate) async fn master_gpu_manager(shared: Rc<RtShared>, res: ResourceId, space: SpaceId) {
     let dev = shared.gpus[&space].clone();
     let stream = dev.create_stream(format!("mgr{}", space.0));
     // Rendered at the first completed task: set-up runs start every
@@ -557,10 +556,10 @@ pub(crate) async fn master_gpu_manager(shared: Arc<RtShared>, res: ResourceId, s
         let tid = match next.take() {
             Some(t) => t,
             None => {
-                let t = { shared.master.lock().sched.next(res) };
+                let t = { shared.master.borrow_mut().sched.next(res) };
                 match t {
                     Some(t) => {
-                        shared.master.lock().graph.start(t);
+                        shared.master.borrow_mut().graph.start(t);
                         t
                     }
                     None => {
@@ -582,9 +581,9 @@ pub(crate) async fn master_gpu_manager(shared: Arc<RtShared>, res: ResourceId, s
             );
         }
         // Pick (and start) a prefetch candidate before launching.
-        let pf: Option<Arc<TaskRecord>> = if shared.cfg.prefetch {
+        let pf: Option<Rc<TaskRecord>> = if shared.cfg.prefetch {
             let t = {
-                let mut m = shared.master.lock();
+                let mut m = shared.master.borrow_mut();
                 match m.sched.next(res) {
                     Some(n) => {
                         m.graph.start(n);
@@ -635,7 +634,7 @@ pub(crate) async fn master_gpu_manager(shared: Arc<RtShared>, res: ResourceId, s
 /// The master's communication thread: drains node-proxy queues round
 /// robin, staging data and dispatching `Exec` messages, keeping each
 /// node at `resources + presend` tasks in flight.
-pub(crate) async fn comm_thread(shared: Arc<RtShared>, ep: AmEndpoint<ClusterMsg>) {
+pub(crate) async fn comm_thread(shared: Rc<RtShared>, ep: AmEndpoint<ClusterMsg>) {
     let nodes = shared.cfg.nodes;
     // "Presend" dispatches work to a node before its resources go idle:
     // the cap per device kind is the resource count plus the presend
@@ -654,7 +653,7 @@ pub(crate) async fn comm_thread(shared: Arc<RtShared>, ep: AmEndpoint<ClusterMsg
             let node = 1 + (cursor + step) % (nodes - 1);
             {
                 let tid = {
-                    let mut m = shared.master.lock();
+                    let mut m = shared.master.borrow_mut();
                     if m.node_dead[node as usize] || m.node_absent[node as usize] {
                         continue;
                     }
@@ -739,7 +738,7 @@ pub(crate) async fn comm_thread(shared: Arc<RtShared>, ep: AmEndpoint<ClusterMsg
 
 /// The master's AM dispatcher: completion notifications and inbound
 /// data-message sinks.
-pub(crate) async fn master_dispatcher(shared: Arc<RtShared>, ep: AmEndpoint<ClusterMsg>) {
+pub(crate) async fn master_dispatcher(shared: Rc<RtShared>, ep: AmEndpoint<ClusterMsg>) {
     while let Ok((src, msg)) = ep.poll().await {
         match msg {
             ClusterMsg::Done { task, rel } => {
@@ -747,7 +746,7 @@ pub(crate) async fn master_dispatcher(shared: Arc<RtShared>, ep: AmEndpoint<Clus
                     continue;
                 }
                 let stale = {
-                    let mut m = shared.master.lock();
+                    let mut m = shared.master.borrow_mut();
                     if m.node_dead[src as usize] {
                         // The node was declared dead and this task was
                         // already re-homed; the straggler is dropped.
@@ -773,7 +772,7 @@ pub(crate) async fn master_dispatcher(shared: Arc<RtShared>, ep: AmEndpoint<Clus
                 // The node hands the task back: put it into the graph
                 // and scheduler again, free its in-flight slot.
                 {
-                    let mut m = shared.master.lock();
+                    let mut m = shared.master.borrow_mut();
                     if m.node_dead[src as usize] {
                         continue;
                     }
@@ -794,7 +793,7 @@ pub(crate) async fn master_dispatcher(shared: Arc<RtShared>, ep: AmEndpoint<Clus
                     continue;
                 }
                 {
-                    let mut m = shared.master.lock();
+                    let mut m = shared.master.borrow_mut();
                     if m.node_dead[src as usize] {
                         continue;
                     }
@@ -812,7 +811,7 @@ pub(crate) async fn master_dispatcher(shared: Arc<RtShared>, ep: AmEndpoint<Clus
             }
             ClusterMsg::Pong { node } => {
                 if let Some(lease) = &shared.lease {
-                    lease.lock().beat(node, now());
+                    lease.borrow_mut().beat(node, now());
                 }
             }
             ClusterMsg::Ack { id } => {
@@ -831,7 +830,7 @@ pub(crate) async fn master_dispatcher(shared: Arc<RtShared>, ep: AmEndpoint<Clus
 /// A slave node's AM dispatcher: receives `Exec` requests and submits
 /// them to the local scheduler.
 pub(crate) async fn slave_dispatcher(
-    shared: Arc<RtShared>,
+    shared: Rc<RtShared>,
     node: NodeId,
     ep: AmEndpoint<ClusterMsg>,
 ) {
@@ -850,9 +849,9 @@ pub(crate) async fn slave_dispatcher(
                 let rec = shared.record(task);
                 let slave = &shared.slaves[node as usize];
                 let orphans = {
-                    let mut s = slave.sched.lock();
+                    let mut s = slave.sched.borrow_mut();
                     s.submit(&rec.desc, &shared.slave_oracles[node as usize]);
-                    if slave.gpu_lost.load(Relaxed) {
+                    if slave.gpu_lost.get() {
                         // This Exec may have raced the GpuDown notice:
                         // hand back anything no local resource serves.
                         s.drain_unservable()
@@ -891,7 +890,7 @@ pub(crate) async fn slave_dispatcher(
 
 /// SMP worker loop on a slave node.
 pub(crate) async fn slave_smp_worker(
-    shared: Arc<RtShared>,
+    shared: Rc<RtShared>,
     node: NodeId,
     res: ResourceId,
     ep: AmEndpoint<ClusterMsg>,
@@ -904,7 +903,7 @@ pub(crate) async fn slave_smp_worker(
         if shared.node_down(node) {
             return;
         }
-        let tid = { shared.slaves[node as usize].sched.lock().next(res) };
+        let tid = { shared.slaves[node as usize].sched.borrow_mut().next(res) };
         let Some(tid) = tid else {
             if shared.slaves[node as usize].bell.wait().await.is_err() {
                 return;
@@ -944,7 +943,7 @@ pub(crate) async fn slave_smp_worker(
 
 /// GPU manager loop on a slave node.
 pub(crate) async fn slave_gpu_manager(
-    shared: Arc<RtShared>,
+    shared: Rc<RtShared>,
     node: NodeId,
     res: ResourceId,
     space: SpaceId,
@@ -963,7 +962,7 @@ pub(crate) async fn slave_gpu_manager(
         let tid = match next.take() {
             Some(t) => t,
             None => {
-                let t = { shared.slaves[node as usize].sched.lock().next(res) };
+                let t = { shared.slaves[node as usize].sched.borrow_mut().next(res) };
                 match t {
                     Some(t) => t,
                     None => {
@@ -984,8 +983,8 @@ pub(crate) async fn slave_gpu_manager(
                 tid.0
             );
         }
-        let pf: Option<Arc<TaskRecord>> = if shared.cfg.prefetch {
-            let t = { shared.slaves[node as usize].sched.lock().next(res) };
+        let pf: Option<Rc<TaskRecord>> = if shared.cfg.prefetch {
+            let t = { shared.slaves[node as usize].sched.borrow_mut().next(res) };
             next = t;
             t.map(|n| shared.record(n))
         } else {
@@ -1032,7 +1031,7 @@ pub(crate) async fn slave_gpu_manager(
 /// the master throttles CUDA dispatch to this node.
 #[allow(clippy::too_many_arguments)]
 fn slave_gpu_lost(
-    shared: &Arc<RtShared>,
+    shared: &Rc<RtShared>,
     node: NodeId,
     res: ResourceId,
     space: SpaceId,
@@ -1042,11 +1041,11 @@ fn slave_gpu_lost(
 ) {
     crate::stats::Counters::add(&shared.counters.devices_lost, 1);
     let slave = &shared.slaves[node as usize];
-    slave.gpu_lost.store(true, Relaxed);
-    let requeue: Vec<Arc<TaskRecord>> =
+    slave.gpu_lost.set(true);
+    let requeue: Vec<Rc<TaskRecord>> =
         std::iter::once(tid).chain(prefetched).map(|t| shared.record(t)).collect();
     let orphans = {
-        let mut s = slave.sched.lock();
+        let mut s = slave.sched.borrow_mut();
         s.deactivate(res);
         for rec in &requeue {
             s.submit(&rec.desc, &shared.slave_oracles[node as usize]);
@@ -1074,7 +1073,7 @@ fn slave_gpu_lost(
 /// occupy the wire but never deliver. Nothing on the master changes
 /// here: detection is the lease protocol's job.
 pub(crate) async fn node_kill(
-    shared: Arc<RtShared>,
+    shared: Rc<RtShared>,
     fabric: Fabric<ClusterMsg>,
     node: NodeId,
     at: SimDuration,
@@ -1083,7 +1082,7 @@ pub(crate) async fn node_kill(
         Ok(false) => {} // the planned instant arrived mid-run: kill
         _ => return,    // program finished first (or shutdown): stand down
     }
-    shared.slaves[node as usize].dead.store(true, Relaxed);
+    shared.slaves[node as usize].dead.set(true);
     fabric.kill_node(node);
     if let Some(plan) = &shared.faults {
         plan.note_injected(FaultClass::NodeLoss);
@@ -1103,7 +1102,7 @@ pub(crate) async fn node_kill(
 /// either the pre-join cluster or the fully joined one; the epoch's
 /// handoff window opens and seals inside that same section.
 pub(crate) async fn node_join(
-    shared: Arc<RtShared>,
+    shared: Rc<RtShared>,
     fabric: Fabric<ClusterMsg>,
     node: NodeId,
     at: SimDuration,
@@ -1119,15 +1118,15 @@ pub(crate) async fn node_join(
     let mut regions_moved = 0u64;
     let mut bytes_moved = 0u64;
     {
-        let mut m = shared.master.lock();
+        let mut m = shared.master.borrow_mut();
         m.node_absent[node as usize] = false;
         m.sched.adopt(shared.proxy_res[node as usize]);
         if let Some(lease) = &shared.lease {
             // The joiner's lease begins now — silence before the join
             // was absence, not failure.
-            lease.lock().track(node, now());
+            lease.borrow_mut().track(node, now());
         }
-        let mut ms = shared.membership.lock();
+        let mut ms = shared.membership.borrow_mut();
         ms.join(node);
         // Rebalance: every slice whose owner the new epoch changed
         // is re-homed, registry first. A slice whose copies are
@@ -1196,7 +1195,7 @@ pub(crate) async fn node_join(
 ///    still stranded fails closed), retire its lease, and take it off
 ///    the wire.
 pub(crate) async fn node_drain(
-    shared: Arc<RtShared>,
+    shared: Rc<RtShared>,
     fabric: Fabric<ClusterMsg>,
     node: NodeId,
     at: SimDuration,
@@ -1207,7 +1206,7 @@ pub(crate) async fn node_drain(
     }
     // 1. Quiesce: no new dispatch to the leaver.
     {
-        let mut m = shared.master.lock();
+        let mut m = shared.master.borrow_mut();
         if m.node_dead[node as usize] || m.node_absent[node as usize] || shared.node_down(node) {
             return; // already gone (killed, or never joined): nothing to drain
         }
@@ -1226,7 +1225,7 @@ pub(crate) async fn node_drain(
     let poll = SimDuration::from_micros(50);
     loop {
         {
-            let m = shared.master.lock();
+            let m = shared.master.borrow();
             if m.node_dead[node as usize] || shared.node_down(node) {
                 return; // killed mid-drain: crash recovery owns the node now
             }
@@ -1256,24 +1255,24 @@ pub(crate) async fn node_drain(
     // and atomic in virtual time, so neither registry ever points at
     // bytes that are not there.
     {
-        let m = shared.master.lock();
+        let m = shared.master.borrow();
         if m.node_dead[node as usize] || shared.node_down(node) {
             return;
         }
-        shared.membership.lock().drain(node);
+        shared.membership.borrow_mut().drain(node);
     }
     let leaver_host = shared.hosts[node as usize];
     let mut regions_moved = 0u64;
     let mut attempts = 0u32;
     loop {
         let busy = {
-            let m = shared.master.lock();
+            let m = shared.master.borrow();
             if m.node_dead[node as usize] || shared.node_down(node) {
                 return;
             }
             let mut busy = 0usize;
             for (data, size) in shared.mem.datas_homed_at(leaver_host) {
-                let owner = shared.membership.lock().owner(data);
+                let owner = shared.membership.borrow().owner(data);
                 // A *crashed* member is invisible to the epoch map
                 // (only joins and drains advance it). Never re-home
                 // onto a dead node: the master adopts those slices.
@@ -1324,11 +1323,11 @@ pub(crate) async fn node_drain(
     }
     // 5. Depart.
     {
-        let mut m = shared.master.lock();
+        let mut m = shared.master.borrow_mut();
         if m.node_dead[node as usize] || shared.node_down(node) {
             return;
         }
-        shared.membership.lock().seal();
+        shared.membership.borrow_mut().seal();
         let lost = shared.coh.purge_spaces(&shared.node_spaces[node as usize]);
         if !lost.is_empty() {
             drop(m);
@@ -1342,10 +1341,10 @@ pub(crate) async fn node_drain(
         m.cuda_alive[node as usize] = 0;
         m.inflight[node as usize] = (0, 0);
         if let Some(lease) = &shared.lease {
-            lease.lock().untrack(node);
+            lease.borrow_mut().untrack(node);
         }
     }
-    shared.slaves[node as usize].dead.store(true, Relaxed);
+    shared.slaves[node as usize].dead.set(true);
     fabric.set_offline(node);
     crate::stats::Counters::add(&shared.counters.nodes_drained, 1);
     crate::stats::Counters::add(&shared.counters.regions_rebalanced, regions_moved);
@@ -1361,16 +1360,16 @@ pub(crate) async fn node_drain(
 /// The master's lease monitor (armed-only): probes every live slave on
 /// the heartbeat period, charges missed renewals, and hands nodes whose
 /// lease expired to [`master_node_lost`].
-pub(crate) async fn lease_monitor(shared: Arc<RtShared>, ep: AmEndpoint<ClusterMsg>) {
+pub(crate) async fn lease_monitor(shared: Rc<RtShared>, ep: AmEndpoint<ClusterMsg>) {
     let Some(lease) = &shared.lease else { return };
-    let period = lease.lock().config().period;
+    let period = lease.borrow().config().period;
     loop {
         match shared.done.wait_timeout(period).await {
             Ok(false) => {} // a full period elapsed mid-run: probe
             _ => return,    // program finished (or shutdown): stand down
         }
         let dead = {
-            let mut l = lease.lock();
+            let mut l = lease.borrow_mut();
             let before = l.missed();
             let dead = l.expired(now());
             crate::stats::Counters::add(&shared.counters.heartbeats_missed, l.missed() - before);
@@ -1385,7 +1384,7 @@ pub(crate) async fn lease_monitor(shared: Arc<RtShared>, ep: AmEndpoint<ClusterM
             // lease until it comes up, a drained node retired its lease
             // at departure — silence from either is not a failure.
             let live = {
-                let l = lease.lock();
+                let l = lease.borrow();
                 l.is_tracked(n) && !l.is_declared_dead(n)
             };
             if live {
@@ -1411,13 +1410,13 @@ pub(crate) async fn lease_monitor(shared: Arc<RtShared>, ep: AmEndpoint<ClusterM
 /// 5. reconstruct regions whose latest version lived only there by
 ///    lineage re-execution ([`crate::lineage`]), rolling the version
 ///    back to the rebuilt point so re-homed writers re-commit on top.
-pub(crate) fn master_node_lost(shared: &Arc<RtShared>, node: NodeId) {
+pub(crate) fn master_node_lost(shared: &Rc<RtShared>, node: NodeId) {
     crate::stats::Counters::add(&shared.counters.nodes_lost, 1);
     if let Some(tr) = &shared.tracer {
         tr.record(TraceEvent::Recovery { kind: "node_lost", task: None, at: now() });
     }
     {
-        let mut m = shared.master.lock();
+        let mut m = shared.master.borrow_mut();
         m.node_dead[node as usize] = true;
         m.cuda_alive[node as usize] = 0;
         m.inflight[node as usize] = (0, 0);
@@ -1483,7 +1482,7 @@ pub(crate) fn master_node_lost(shared: &Arc<RtShared>, node: NodeId) {
 /// retransmitting on timeout) when chaos is armed, as a plain
 /// fire-and-forget active message otherwise.
 async fn send_msg(
-    shared: &Arc<RtShared>,
+    shared: &Rc<RtShared>,
     ep: &AmEndpoint<ClusterMsg>,
     dst: NodeId,
     what: &str,
@@ -1507,7 +1506,7 @@ async fn send_msg(
 /// (first delivery). Duplicates are re-acked — the sender may have
 /// missed the first ack — but must not be reprocessed.
 fn ack_fresh(
-    shared: &Arc<RtShared>,
+    shared: &Rc<RtShared>,
     ep: &AmEndpoint<ClusterMsg>,
     src: NodeId,
     rel: Option<u64>,

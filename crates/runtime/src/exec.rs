@@ -14,11 +14,9 @@
 //! so functional results survive arbitrary routings.
 
 use std::collections::HashMap;
-use std::future::Future;
-use std::pin::Pin;
-use std::sync::Arc;
+use std::rc::Rc;
 
-use ompss_coherence::{HopKind, Loc, TransferExec, TransferPurpose};
+use ompss_coherence::{HopExec, HopFuture, HopKind, Loc, TransferPurpose};
 use ompss_core::TaskId;
 use ompss_cudasim::{CopyDir, GpuDevice, GpuFault, PinnedPool};
 use ompss_mem::{MemoryManager, SpaceId};
@@ -88,47 +86,47 @@ pub enum ClusterMsg {
     Data,
 }
 
-/// The runtime's [`TransferExec`].
+/// The runtime's [`HopExec`].
 pub struct RtExec {
-    mem: Arc<MemoryManager>,
+    mem: MemoryManager,
     /// GPU space → device.
     gpus: HashMap<SpaceId, GpuDevice>,
     /// Any space → owning node.
     node_of: HashMap<SpaceId, NodeId>,
     /// Per-node pinned staging pools.
-    pinned: Vec<Arc<PinnedPool>>,
+    pinned: Vec<Rc<PinnedPool>>,
     fabric: Fabric<ClusterMsg>,
     overlap: bool,
     tracer: Option<Tracer>,
-    counters: Arc<Counters>,
+    counters: Rc<Counters>,
 }
 
 impl RtExec {
     /// Assemble the executor from machine parts.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
-        mem: Arc<MemoryManager>,
+        mem: MemoryManager,
         gpus: HashMap<SpaceId, GpuDevice>,
         node_of: HashMap<SpaceId, NodeId>,
-        pinned: Vec<Arc<PinnedPool>>,
+        pinned: Vec<Rc<PinnedPool>>,
         fabric: Fabric<ClusterMsg>,
         overlap: bool,
         tracer: Option<Tracer>,
-        counters: Arc<Counters>,
+        counters: Rc<Counters>,
     ) -> Self {
         RtExec { mem, gpus, node_of, pinned, fabric, overlap, tracer, counters }
     }
 }
 
-impl TransferExec for RtExec {
-    fn transfer<'a>(
+impl HopExec for RtExec {
+    fn hop<'a>(
         &'a self,
         kind: HopKind,
         purpose: TransferPurpose,
         src: Loc,
         dst: Loc,
         bytes: u64,
-    ) -> Pin<Box<dyn Future<Output = SimResult<bool>> + Send + 'a>> {
+    ) -> HopFuture<'a> {
         Box::pin(async move {
             let t0 = now();
             match kind {

@@ -31,7 +31,7 @@
 //! Wrong bytes are never an outcome.
 
 use std::collections::{BTreeMap, HashSet};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use ompss_coherence::LostRegion;
 use ompss_core::{TaskId, TaskState};
@@ -42,11 +42,11 @@ use crate::engine::{MasterState, RtShared};
 use crate::stats::Counters;
 use crate::trace::TraceEvent;
 
-/// Rebuild every region in `lost` at the root home. Called under the
-/// master lock with no simulator yields; on error the caller aborts the
+/// Rebuild every region in `lost` at the root home. Called with the
+/// master state borrowed and no simulator yields; on error the caller aborts the
 /// run (fail closed).
 pub(crate) fn reconstruct(
-    shared: &Arc<RtShared>,
+    shared: &Rc<RtShared>,
     m: &MasterState,
     lost: &[LostRegion],
 ) -> Result<(), RunError> {
@@ -64,7 +64,7 @@ pub(crate) fn reconstruct(
 }
 
 struct Reconstructor<'a> {
-    shared: &'a Arc<RtShared>,
+    shared: &'a Rc<RtShared>,
     m: &'a MasterState,
     /// The purge report, keyed by region.
     lost: BTreeMap<Region, LostRegion>,

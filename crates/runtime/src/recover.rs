@@ -16,11 +16,9 @@
 //! When faults are off the runtime sends plain messages and none of
 //! this state exists — the zero-cost contract.
 
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::future::Future;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
-use parking_lot::Mutex;
 
 use ompss_sim::{abort_run, Backoff, RunError, Signal, SimDuration, SimResult};
 
@@ -30,18 +28,18 @@ use crate::stats::Counters;
 /// node image (the simulation is one process, so ids are globally
 /// unique by construction).
 pub(crate) struct Reliability {
-    next_id: AtomicU64,
+    next_id: Cell<u64>,
     /// Unacknowledged sends, keyed by message id; each carries its
     /// endpoint nodes `(src, dst)` (so node-loss recovery can abandon
     /// every exchange touching a dead peer — aimed at it, or stuck on
     /// it when it died) and the signal that wakes the blocked sender
     /// when the ack arrives.
-    pending: Mutex<HashMap<u64, (u32, u32, Signal)>>,
+    pending: RefCell<HashMap<u64, (u32, u32, Signal)>>,
     /// Every id already processed by a receiver (dedup).
-    seen: Mutex<HashSet<u64>>,
+    seen: RefCell<HashSet<u64>>,
     /// Nodes declared dead: sends to them resolve immediately instead
     /// of burning the retransmit budget on a peer that cannot answer.
-    dead: Mutex<HashSet<u32>>,
+    dead: RefCell<HashSet<u32>>,
     /// First ack wait; doubles per retransmission.
     base_timeout: SimDuration,
     /// Retransmissions allowed before the run aborts.
@@ -53,10 +51,10 @@ impl Reliability {
     /// an initial ack timeout of `base_timeout`.
     pub fn new(base_timeout: SimDuration, budget: u32) -> Self {
         Reliability {
-            next_id: AtomicU64::new(0),
-            pending: Mutex::new(HashMap::new()),
-            seen: Mutex::new(HashSet::new()),
-            dead: Mutex::new(HashSet::new()),
+            next_id: Cell::new(0),
+            pending: RefCell::default(),
+            seen: RefCell::default(),
+            dead: RefCell::default(),
             base_timeout,
             budget,
         }
@@ -84,14 +82,15 @@ impl Reliability {
         Fut: Future<Output = SimResult<()>>,
     {
         {
-            let dead = self.dead.lock();
+            let dead = self.dead.borrow();
             if dead.contains(&dst) || dead.contains(&src) {
                 return Ok(());
             }
         }
-        let id = self.next_id.fetch_add(1, Relaxed);
+        let id = self.next_id.get();
+        self.next_id.set(id + 1);
         let sig = Signal::new();
-        self.pending.lock().insert(id, (src, dst, sig.clone()));
+        self.pending.borrow_mut().insert(id, (src, dst, sig.clone()));
         // One ack wait per attempt, doubling: the shared deterministic
         // backoff schedule (also used by `ompss-serve` job retries).
         let attempts = self.budget.saturating_add(1);
@@ -101,11 +100,11 @@ impl Reliability {
             }
             send(id).await?;
             if sig.wait_timeout(timeout).await? {
-                self.pending.lock().remove(&id);
+                self.pending.borrow_mut().remove(&id);
                 return Ok(());
             }
         }
-        self.pending.lock().remove(&id);
+        self.pending.borrow_mut().remove(&id);
         Err(abort_run(RunError::Exhausted { what: format!("{what} retransmissions"), attempts }))
     }
 
@@ -115,8 +114,8 @@ impl Reliability {
     /// of exchange can ever complete) — and short-circuit all future
     /// sends involving it. Idempotent.
     pub fn abandon_node(&self, node: u32) {
-        self.dead.lock().insert(node);
-        let mut pending = self.pending.lock();
+        self.dead.borrow_mut().insert(node);
+        let mut pending = self.pending.borrow_mut();
         for (_, (src, dst, sig)) in pending.iter() {
             if *dst == node || *src == node {
                 sig.set();
@@ -128,7 +127,7 @@ impl Reliability {
     /// An ack for `id` arrived: wake its sender. Idempotent (duplicate
     /// acks, or acks racing a concurrent timeout, are no-ops).
     pub fn on_ack(&self, id: u64) {
-        if let Some((_, _, sig)) = self.pending.lock().remove(&id) {
+        if let Some((_, _, sig)) = self.pending.borrow_mut().remove(&id) {
             sig.set();
         }
     }
@@ -137,15 +136,14 @@ impl Reliability {
     /// regardless (the sender may have missed the first ack) but only
     /// acts when this returns true.
     pub fn should_process(&self, id: u64) -> bool {
-        self.seen.lock().insert(id)
+        self.seen.borrow_mut().insert(id)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
     use std::future::{ready, Ready};
+    use std::rc::Rc;
 
     use ompss_sim::{delay, now, process, Sim};
 
@@ -153,15 +151,16 @@ mod tests {
 
     #[test]
     fn retransmission_recovers_a_dropped_message() {
-        let rel = Arc::new(Reliability::new(SimDuration::from_micros(10), 3));
-        let counters = Arc::new(Counters::new());
-        let sent = Arc::new(AtomicU64::new(0));
+        let rel = Rc::new(Reliability::new(SimDuration::from_micros(10), 3));
+        let counters = Rc::new(Counters::new());
+        let sent = Rc::new(Cell::new(0u64));
         let (r2, c2, s2) = (rel.clone(), counters.clone(), sent.clone());
         let sim = Sim::new();
         sim.spawn("sender", async move {
             let r3 = &r2;
             r2.send_reliable(&c2, "test", 0, 1, |id| {
-                if s2.fetch_add(1, Relaxed) == 0 {
+                s2.set(s2.get() + 1);
+                if s2.get() == 1 {
                     return ready(Ok(())); // the first copy vanishes on the wire
                 }
                 let r4 = r3.clone();
@@ -175,14 +174,14 @@ mod tests {
             .expect("retransmission must recover the message");
         });
         sim.run().expect("run completes");
-        assert_eq!(sent.load(Relaxed), 2, "exactly one retransmission");
+        assert_eq!(sent.get(), 2, "exactly one retransmission");
         assert_eq!(counters.snapshot().am_retries, 1);
     }
 
     #[test]
     fn exhausted_budget_aborts_the_run() {
-        let rel = Arc::new(Reliability::new(SimDuration::from_micros(5), 2));
-        let counters = Arc::new(Counters::new());
+        let rel = Rc::new(Reliability::new(SimDuration::from_micros(5), 2));
+        let counters = Rc::new(Counters::new());
         let sim = Sim::new();
         sim.spawn("sender", async move {
             let r = rel.send_reliable(&counters, "exec", 0, 1, |_| ready(Ok(()))).await;
@@ -196,8 +195,8 @@ mod tests {
 
     #[test]
     fn abandon_to_resolves_pending_and_future_sends_to_a_dead_node() {
-        let rel = Arc::new(Reliability::new(SimDuration::from_micros(50), 2));
-        let counters = Arc::new(Counters::new());
+        let rel = Rc::new(Reliability::new(SimDuration::from_micros(50), 2));
+        let counters = Rc::new(Counters::new());
         let (r2, c2) = (rel.clone(), counters.clone());
         let sim = Sim::new();
         sim.spawn("sender", async move {

@@ -8,13 +8,12 @@
 //! multi-GPU node, or a cluster of GPU nodes — only the config differs
 //! (the paper's central productivity claim).
 
+use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::marker::PhantomData;
 use std::ops::Range;
-use std::sync::atomic::AtomicBool;
+use std::rc::Rc;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use ompss_coherence::{CachePolicy, Coherence, CoherenceStats, MembershipEpochs, Topology};
 use ompss_core::{TaskGraph, TaskId};
@@ -40,6 +39,15 @@ use crate::stats::{CounterSnapshot, Counters};
 use crate::task::TaskSpec;
 use crate::trace::{TraceEvent, Tracer};
 use crate::verify::{VerifyData, VerifySink};
+
+// Everything a run owns stays on its simulation thread; what enters and
+// leaves it crosses threads (sweeps and the job server run jobs on
+// worker threads), so the config and the report must stay `Send`.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<RuntimeConfig>();
+    assert_send::<RunReport>();
+};
 
 /// Measured outcome of a run.
 #[derive(Debug, Clone)]
@@ -284,10 +292,18 @@ impl<T: Scalar> From<&ArrayHandle<T>> for Region {
 /// The OmpSs programming-model handle passed to the user program.
 ///
 /// Clones share the same runtime; the handle is freely movable into
-/// helper processes spawned by the program.
+/// helper processes spawned by the program. Like the run it drives, it
+/// stays on the simulation thread:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>(_: &T) {}
+/// ompss_runtime::Runtime::run(ompss_runtime::RuntimeConfig::multi_gpu(1), |omp| async move {
+///     assert_send(&omp);
+/// });
+/// ```
 #[derive(Clone)]
 pub struct Omp {
-    shared: Arc<RtShared>,
+    shared: Rc<RtShared>,
 }
 
 impl Omp {
@@ -298,7 +314,7 @@ impl Omp {
 
     /// The machine's memory manager (host-side initialisation and
     /// validation go straight to the home allocations).
-    pub fn mem(&self) -> &Arc<MemoryManager> {
+    pub fn mem(&self) -> &MemoryManager {
         &self.shared.mem
     }
 
@@ -315,7 +331,7 @@ impl Omp {
     /// plane.
     pub fn alloc_array<T: Scalar>(&self, len: usize) -> ArrayHandle<T> {
         let bytes = (len * std::mem::size_of::<T>()) as u64;
-        let owner = self.shared.membership.lock().owner(self.shared.mem.next_data_id());
+        let owner = self.shared.membership.borrow().owner(self.shared.mem.next_data_id());
         Counters::add(&self.shared.counters.shard_lookups, 1);
         let home = self.shared.hosts[owner as usize];
         let data = self.shared.mem.register_data(bytes, home).expect("home host out of memory");
@@ -347,8 +363,8 @@ impl Omp {
     /// Run `f` over elements of an array's home copy in place, without
     /// copying them out (call after a flushing `taskwait` for
     /// up-to-date values). Returns `None`, and does not call `f`, under
-    /// phantom backing. `f` runs under the array's lock, so it must not
-    /// read or write any array through this `Omp`: that deadlocks.
+    /// phantom backing. `f` runs under a borrow of the array, so it must
+    /// not write that array through this `Omp`: that panics.
     pub fn with_array<T: Scalar, R>(
         &self,
         h: &ArrayHandle<T>,
@@ -380,10 +396,10 @@ impl Omp {
         delay(self.shared.cfg.task_overhead).await.expect("submit during shutdown");
         self.latch().add(1);
         let handle = {
-            let mut m = self.shared.master.lock();
+            let mut m = self.shared.master.borrow_mut();
             let id = TaskId(m.next_id);
             m.next_id += 1;
-            let rec = Arc::new(spec.into_record(id));
+            let rec = Rc::new(spec.into_record(id));
             let handle = TaskHandle { id, done: rec.done.clone() };
             let ready = match m.graph.add_task_labeled(id, &rec.desc.label, &rec.desc.deps) {
                 Ok(r) => r,
@@ -445,7 +461,7 @@ impl Omp {
     /// then flush that region home (`taskwait on(...)`).
     pub async fn taskwait_on(&self, region: Region) {
         let writer = {
-            let m = self.shared.master.lock();
+            let m = self.shared.master.borrow();
             m.graph.pending_writer(&region).map(|t| m.records[&t].clone())
         };
         if let Some(rec) = writer {
@@ -500,7 +516,7 @@ impl Omp {
                 .or_else(|| spec.deps.first())
                 .map(|a| a.region.data)
                 .unwrap_or(DataId(0));
-            parts[self.shared.membership.lock().owner(key) as usize].push(spec);
+            parts[self.shared.membership.borrow().owner(key) as usize].push(spec);
             start = end;
         }
         // Master-inline rule: when node 0 owns every block (always, with
@@ -542,8 +558,8 @@ impl Runtime {
     /// handle those outcomes as values.
     pub fn run<F, Fut>(cfg: RuntimeConfig, program: F) -> RunReport
     where
-        F: FnOnce(Omp) -> Fut + Send + 'static,
-        Fut: Future<Output = ()> + Send + 'static,
+        F: FnOnce(Omp) -> Fut + 'static,
+        Fut: Future<Output = ()> + 'static,
     {
         match Self::try_run(cfg, program) {
             Ok(report) => report,
@@ -563,8 +579,8 @@ impl Runtime {
     /// schedules want the error, not a crash.
     pub fn try_run<F, Fut>(cfg: RuntimeConfig, program: F) -> Result<RunReport, RunError>
     where
-        F: FnOnce(Omp) -> Fut + Send + 'static,
-        Fut: Future<Output = ()> + Send + 'static,
+        F: FnOnce(Omp) -> Fut + 'static,
+        Fut: Future<Output = ()> + 'static,
     {
         assert!(cfg.nodes >= 1, "need at least the master node");
 
@@ -630,7 +646,7 @@ impl Runtime {
         let cfg = cfg;
 
         // ---- machine construction ------------------------------------
-        let mem = Arc::new(MemoryManager::new(cfg.backing));
+        let mem = MemoryManager::new(cfg.backing);
         let mut hosts = Vec::new();
         let mut gpu_spaces: Vec<Vec<SpaceId>> = Vec::new();
         for n in 0..cfg.nodes {
@@ -672,7 +688,7 @@ impl Runtime {
         }
 
         let tracer = cfg.tracing.then(Tracer::new);
-        let counters = Arc::new(Counters::new());
+        let counters = Rc::new(Counters::new());
         let am: AmNet<crate::exec::ClusterMsg> = AmNet::new(cfg.fabric.clone());
         if let Some(plan) = &faults {
             am.set_fault_plan(plan.clone());
@@ -680,15 +696,15 @@ impl Runtime {
         let rel = faults.as_ref().map(|_| {
             // Base ack timeout: a generous round trip on the configured
             // fabric; doubles per retransmission.
-            Arc::new(Reliability::new(
+            Rc::new(Reliability::new(
                 cfg.fabric.latency * 8 + SimDuration::from_micros(100),
                 cfg.am_retry_budget,
             ))
         });
-        let pinned: Vec<Arc<PinnedPool>> =
-            (0..cfg.nodes).map(|_| Arc::new(PinnedPool::new(cfg.pinned_pool))).collect();
+        let pinned: Vec<Rc<PinnedPool>> =
+            (0..cfg.nodes).map(|_| Rc::new(PinnedPool::new(cfg.pinned_pool))).collect();
         // The fabric inside the AM net is what the executor shares.
-        let exec = Arc::new(RtExec::new(
+        let exec = Rc::new(RtExec::new(
             mem.clone(),
             gpus.clone(),
             node_of.clone(),
@@ -698,7 +714,7 @@ impl Runtime {
             tracer.clone(),
             counters.clone(),
         ));
-        let coh = Arc::new(
+        let coh = Rc::new(
             Coherence::new(mem.clone(), topo, cfg.cache_policy)
                 .with_evict_slack(cfg.eviction_slack)
                 .with_validation(cfg.verify),
@@ -753,11 +769,11 @@ impl Runtime {
 
         // ---- slave schedulers ----------------------------------------
         let mut slaves = vec![SlaveState {
-            sched: Mutex::new(Scheduler::new(cfg.sched_policy).with_seed(cfg.sched_seed)),
+            sched: RefCell::new(Scheduler::new(cfg.sched_policy).with_seed(cfg.sched_seed)),
             bell: Bell::new(),
             host: hosts[0],
-            gpu_lost: AtomicBool::new(false),
-            dead: AtomicBool::new(false),
+            gpu_lost: Cell::new(false),
+            dead: Cell::new(false),
         }];
         let mut slave_oracles =
             vec![SpanOracle { coh: coh.clone(), span_key: std::collections::HashMap::new() }];
@@ -785,11 +801,11 @@ impl Runtime {
                 ));
             }
             slaves.push(SlaveState {
-                sched: Mutex::new(s),
+                sched: RefCell::new(s),
                 bell: Bell::new(),
                 host: hosts[n],
-                gpu_lost: AtomicBool::new(false),
-                dead: AtomicBool::new(false),
+                gpu_lost: Cell::new(false),
+                dead: Cell::new(false),
             });
             slave_oracles
                 .push(SpanOracle { coh: coh.clone(), span_key: std::collections::HashMap::new() });
@@ -809,12 +825,12 @@ impl Runtime {
         if cfg.node_loss.is_some() {
             graph.enable_lineage(cfg.lineage_depth_budget);
         }
-        let shared = Arc::new(RtShared {
+        let shared = Rc::new(RtShared {
             cfg: cfg.clone(),
             mem: mem.clone(),
             coh: coh.clone(),
             exec,
-            master: Mutex::new(MasterState {
+            master: RefCell::new(MasterState {
                 graph,
                 sched,
                 records: std::collections::HashMap::new(),
@@ -844,7 +860,7 @@ impl Runtime {
             hosts: hosts.clone(),
             tracer: tracer.clone(),
             counters: counters.clone(),
-            verify: cfg.verify.then(|| Arc::new(VerifySink::new())),
+            verify: cfg.verify.then(|| Rc::new(VerifySink::new())),
             faults: faults.clone(),
             rel,
             lease: (cfg.node_loss.is_some() || cfg.membership_enabled()).then(|| {
@@ -853,7 +869,7 @@ impl Runtime {
                 // is absence, not failure.
                 let tracked: Vec<ompss_net::NodeId> =
                     (1..cfg.nodes).filter(|&n| cfg.node_join.is_none_or(|(j, _)| j != n)).collect();
-                Mutex::new(ompss_net::LeaseTracker::new(
+                RefCell::new(ompss_net::LeaseTracker::new(
                     ompss_net::LeaseConfig {
                         period: cfg.heartbeat_period,
                         window: cfg.lease_window,
@@ -864,7 +880,7 @@ impl Runtime {
             }),
             // Epoch 0: every node but an armed joiner — a static
             // cluster is just epoch 0 of an elastic one.
-            membership: Mutex::new(MembershipEpochs::new(
+            membership: RefCell::new(MembershipEpochs::new(
                 cfg.shards,
                 (0..cfg.nodes).filter(|&n| cfg.node_join.is_none_or(|(j, _)| j != n)).collect(),
             )),
@@ -940,7 +956,7 @@ impl Runtime {
         }
 
         // ---- main program ---------------------------------------------
-        let result: Arc<Mutex<Option<(SimTime, SimTime)>>> = Arc::new(Mutex::new(None));
+        let result: Rc<RefCell<Option<(SimTime, SimTime)>>> = Rc::new(RefCell::new(None));
         let result2 = result.clone();
         let sh_main = shared.clone();
         sim.spawn("main", async move {
@@ -949,7 +965,7 @@ impl Runtime {
             program(omp.clone()).await;
             // Implicit final taskwait with flush (end of OmpSs program).
             omp.taskwait().await;
-            *result2.lock() = Some((start, now()));
+            *result2.borrow_mut() = Some((start, now()));
             // Program over: release the chaos daemons (lease monitor,
             // planned kill) so their timers stop driving virtual time.
             omp.shared.done.set();
@@ -968,8 +984,8 @@ impl Runtime {
         if let Some(plan) = &faults {
             Counters::add(&counters.msgs_dropped, plan.stats().count(FaultClass::NetDrop));
         }
-        let (start, end) = result.lock().take().expect("main completed");
-        let m = shared.master.lock();
+        let (start, end) = result.borrow_mut().take().expect("main completed");
+        let m = shared.master.borrow();
         let verify = shared.verify.as_ref().map(|sink| {
             let tasks = sink.take();
             let races = m.graph.races(&VerifySink::observations(&tasks));

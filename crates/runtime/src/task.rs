@@ -1,7 +1,7 @@
 //! Runtime task records and the task-builder API — the calls Mercurium
 //! would emit for `#pragma omp target` + `#pragma omp task`.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use ompss_core::{Device, TaskDesc, TaskId};
 use ompss_cudasim::KernelCost;
@@ -28,7 +28,7 @@ pub enum TaskCost {
 /// The functional body of a task: receives one mutable byte view per
 /// *copy access*, in clause order. Under phantom backing the body is
 /// skipped entirely (timing comes from [`TaskCost`] alone).
-pub type TaskBody = Arc<dyn Fn(&mut [&mut [u8]]) + Send + Sync>;
+pub type TaskBody = Rc<dyn Fn(&mut [&mut [u8]])>;
 
 /// Full runtime record of one task instance.
 pub struct TaskRecord {
@@ -161,8 +161,8 @@ impl TaskSpec {
     /// Attach the functional body. It receives one `&mut [u8]` view per
     /// copy access, in clause order (dependence clauses first when
     /// `copy_deps`, then explicit copy clauses).
-    pub fn body(mut self, f: impl Fn(&mut [&mut [u8]]) + Send + Sync + 'static) -> Self {
-        self.body = Some(Arc::new(f));
+    pub fn body(mut self, f: impl Fn(&mut [&mut [u8]]) + 'static) -> Self {
+        self.body = Some(Rc::new(f));
         self
     }
 

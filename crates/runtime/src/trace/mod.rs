@@ -13,9 +13,8 @@ mod paraver;
 
 pub use paraver::ParaverTrace;
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use ompss_sim::{SimDuration, SimTime};
 
@@ -76,10 +75,11 @@ impl TraceEvent {
     }
 }
 
-/// A shared, append-only event sink.
+/// A shared, append-only event sink. Clones share the sink; it belongs
+/// to the simulation thread, like the run it traces.
 #[derive(Clone, Default)]
 pub struct Tracer {
-    events: Arc<Mutex<Vec<TraceEvent>>>,
+    events: Rc<RefCell<Vec<TraceEvent>>>,
 }
 
 impl Tracer {
@@ -90,12 +90,12 @@ impl Tracer {
 
     /// Append an event.
     pub fn record(&self, ev: TraceEvent) {
-        self.events.lock().push(ev);
+        self.events.borrow_mut().push(ev);
     }
 
     /// Drain all events, sorted by start time.
     pub fn take(&self) -> Vec<TraceEvent> {
-        let mut v = std::mem::take(&mut *self.events.lock());
+        let mut v = self.events.take();
         v.sort_by_key(|e| e.start());
         v
     }

@@ -26,7 +26,7 @@
 //!
 //! [`RuntimeConfig::verify`]: crate::RuntimeConfig::verify
 
-use parking_lot::Mutex;
+use std::cell::RefCell;
 
 use ompss_core::{GraphLint, TaskId};
 use ompss_mem::{track, Access, AllocId, MemoryManager, Region, SpaceId};
@@ -69,16 +69,16 @@ pub struct VerifyData {
 /// Run-wide collector of task observations. One per runtime instance;
 /// shared by every worker and GPU-stream process.
 pub(crate) struct VerifySink {
-    tasks: Mutex<Vec<TaskAccess>>,
+    tasks: RefCell<Vec<TaskAccess>>,
 }
 
 impl VerifySink {
     pub(crate) fn new() -> Self {
-        VerifySink { tasks: Mutex::new(Vec::new()) }
+        VerifySink { tasks: RefCell::default() }
     }
 
     pub(crate) fn take(&self) -> Vec<TaskAccess> {
-        std::mem::take(&mut self.tasks.lock())
+        self.tasks.take()
     }
 
     /// Execute `body` over the mapped views with observation: snapshot,
@@ -112,7 +112,7 @@ impl VerifySink {
             (reads, writes)
         });
         let Some((reads, writes)) = observed else { return };
-        self.tasks.lock().push(TaskAccess {
+        self.tasks.borrow_mut().push(TaskAccess {
             task,
             label: label.to_string(),
             declared,

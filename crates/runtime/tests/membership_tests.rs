@@ -16,7 +16,7 @@ fn run_two_wave(cfg: RuntimeConfig) -> (Vec<Vec<f32>>, RunReport) {
     const N: usize = 512;
     const BS: usize = 128;
     const ARRAYS: usize = 8;
-    let out = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let out = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
     let out2 = out.clone();
     let report = Runtime::run(cfg, move |omp| async move {
         let arrays: Vec<_> = (0..ARRAYS).map(|_| omp.alloc_array::<f32>(N)).collect();
@@ -40,9 +40,10 @@ fn run_two_wave(cfg: RuntimeConfig) -> (Vec<Vec<f32>>, RunReport) {
             }
             omp.taskwait().await;
         }
-        *out2.lock() = arrays.iter().map(|a| omp.read_array(a, 0..N).unwrap()).collect::<Vec<_>>();
+        *out2.borrow_mut() =
+            arrays.iter().map(|a| omp.read_array(a, 0..N).unwrap()).collect::<Vec<_>>();
     });
-    let v = out.lock().clone();
+    let v = out.borrow().clone();
     (v, report)
 }
 

@@ -10,7 +10,7 @@ use ompss_runtime::{
 
 /// A blocked "scale by 2" over a float array on the chosen device.
 fn run_scale(cfg: RuntimeConfig, device: Device, n: usize, bs: usize) -> (Vec<f32>, u64) {
-    let out = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let out = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
     let out2 = out.clone();
     let report = Runtime::run(cfg, move |omp| async move {
         let a = omp.alloc_array::<f32>(n);
@@ -29,9 +29,9 @@ fn run_scale(cfg: RuntimeConfig, device: Device, n: usize, bs: usize) -> (Vec<f3
             omp.submit(spec).await;
         }
         omp.taskwait().await;
-        *out2.lock() = omp.read_array(&a, 0..n).unwrap();
+        *out2.borrow_mut() = omp.read_array(&a, 0..n).unwrap();
     });
-    let v = out.lock().clone();
+    let v = out.borrow().clone();
     (v, report.tasks)
 }
 
@@ -107,7 +107,7 @@ fn dependency_chain_executes_in_order_across_gpus() {
     // then add 1; validates RAW chains through device caches.
     let n = 512usize;
     let bs = 128usize;
-    let out = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let out = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
     let out2 = out.clone();
     Runtime::run(RuntimeConfig::multi_gpu(2), move |omp| async move {
         let a = omp.alloc_array::<f32>(n);
@@ -164,9 +164,9 @@ fn dependency_chain_executes_in_order_across_gpus() {
             .await;
         }
         omp.taskwait().await;
-        *out2.lock() = omp.read_array(&c, 0..n).unwrap();
+        *out2.borrow_mut() = omp.read_array(&c, 0..n).unwrap();
     });
-    let got = out.lock().clone();
+    let got = out.borrow().clone();
     let expect: Vec<f32> = (0..n).map(|i| i as f32 * 3.0 + 1.0).collect();
     assert_eq!(got, expect);
 }
@@ -359,7 +359,7 @@ fn phantom_backing_times_without_moving_bytes() {
 #[test]
 fn with_array_sees_what_read_array_returns() {
     let (n, bs) = (1000, 250);
-    let out = std::sync::Arc::new(parking_lot::Mutex::new(None));
+    let out = std::rc::Rc::new(std::cell::RefCell::new(None));
     let out2 = out.clone();
     Runtime::run(RuntimeConfig::multi_gpu(2), move |omp| async move {
         let a = omp.alloc_array::<f32>(n);
@@ -377,9 +377,9 @@ fn with_array_sees_what_read_array_returns() {
         omp.taskwait().await;
         let read = omp.read_array(&a, 100..900).unwrap();
         let seen = omp.with_array(&a, 100..900, |s| s.to_vec()).unwrap();
-        *out2.lock() = Some((read, seen));
+        *out2.borrow_mut() = Some((read, seen));
     });
-    let (read, seen) = out.lock().take().unwrap();
+    let (read, seen) = out.take().unwrap();
     assert_eq!(read, (100..900).map(|i| -(i as f32)).collect::<Vec<_>>());
     assert_eq!(seen, read);
 }
@@ -470,7 +470,7 @@ fn tracing_off_by_default_costs_nothing() {
 fn priority_clause_reorders_ready_tasks() {
     // One SMP worker; three independent tasks submitted low-first. The
     // high-priority one must run before the earlier-submitted low one.
-    let order = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let order = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
     let o = order.clone();
     let mut cfg = RuntimeConfig::multi_gpu(1);
     cfg.cpu_workers_per_node = 1;
@@ -484,7 +484,7 @@ fn priority_clause_reorders_ready_tasks() {
                     .inout(a.region(i..i + 1))
                     .priority(prio)
                     .cost_smp(SimDuration::from_micros(10))
-                    .body(move |_| o2.lock().push(i)),
+                    .body(move |_| o2.borrow_mut().push(i)),
             )
             .await;
         }
@@ -492,7 +492,7 @@ fn priority_clause_reorders_ready_tasks() {
     });
     // Task 0 may already be running when 1 and 2 arrive; among the
     // queued ones, priority decides: 1 (prio 10) before 2 (prio 5).
-    let got = order.lock().clone();
+    let got = order.borrow().clone();
     let p1 = got.iter().position(|&x| x == 1).unwrap();
     let p2 = got.iter().position(|&x| x == 2).unwrap();
     assert!(p1 < p2, "priority 10 must run before priority 5: {got:?}");
@@ -500,7 +500,7 @@ fn priority_clause_reorders_ready_tasks() {
 
 #[test]
 fn for_each_block_worksharing_helper() {
-    let sum = std::sync::Arc::new(parking_lot::Mutex::new(0.0f32));
+    let sum = std::rc::Rc::new(std::cell::RefCell::new(0.0f32));
     let s2 = sum.clone();
     Runtime::run(RuntimeConfig::multi_gpu(2), move |omp| async move {
         let a = omp.alloc_array::<f32>(1000);
@@ -516,10 +516,10 @@ fn for_each_block_worksharing_helper() {
         })
         .await;
         omp.taskwait().await;
-        *s2.lock() = omp.read_array(&a, 0..1000).unwrap().iter().sum();
+        *s2.borrow_mut() = omp.read_array(&a, 0..1000).unwrap().iter().sum();
     });
     let expect: f32 = (0..1000).map(|i| i as f32).sum();
-    assert_eq!(*sum.lock(), expect);
+    assert_eq!(*sum.borrow(), expect);
 }
 
 #[test]

@@ -23,10 +23,8 @@
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::{Condvar, Mutex};
 
 use ompss_json::{Json, ToJson};
 use ompss_runtime::{Backoff, Counters, RunError, SimDuration};
@@ -34,6 +32,13 @@ use ompss_sweep::{CancelToken, WorkerPool};
 
 use crate::queue::{Admit, AdmitQueue, QueuedJob};
 use crate::spec::JobSpec;
+
+/// Lock `m`, ignoring poison: a job panic is caught and reported per
+/// job, so a worker that panicked while holding a lock leaves state
+/// that is still consistent at every step.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Server tuning.
 #[derive(Debug, Clone)]
@@ -228,7 +233,7 @@ struct Shared {
 impl Shared {
     /// Send a progress event if the job is still live.
     fn emit(&self, id: u64, tag: &Option<String>, kind: EventKind) {
-        let sink = self.jobs.lock().get(&id).map(|s| s.sink.clone());
+        let sink = lock(&self.jobs).get(&id).map(|s| s.sink.clone());
         if let Some(sink) = sink {
             sink(&Event { id, tag: tag.clone(), kind });
         }
@@ -238,7 +243,7 @@ impl Shared {
     /// A second call for the same id is a silent no-op — the entry is
     /// gone — which is exactly the once-semantics the protocol promises.
     fn emit_terminal(&self, id: u64, tag: &Option<String>, kind: EventKind) {
-        let state = self.jobs.lock().remove(&id);
+        let state = lock(&self.jobs).remove(&id);
         if let Some(state) = state {
             let ev = Event { id, tag: tag.clone(), kind };
             debug_assert!(ev.is_terminal());
@@ -256,7 +261,7 @@ impl Shared {
     fn run_job(&self, job: QueuedJob) {
         let id = job.id;
         let tag = job.spec.tag.clone();
-        let token = match self.jobs.lock().get(&id) {
+        let token = match lock(&self.jobs).get(&id) {
             Some(s) => s.token.clone(),
             // Already terminal (a cancel raced the pop) — nothing owed.
             None => return,
@@ -317,7 +322,7 @@ impl Shared {
     fn worker_loop(self: &Arc<Self>) {
         loop {
             let job = {
-                let mut q = self.queue.lock();
+                let mut q = lock(&self.queue);
                 loop {
                     if let Some(j) = q.pop() {
                         break Some(j);
@@ -325,7 +330,7 @@ impl Shared {
                     if self.draining.load(Relaxed) {
                         break None;
                     }
-                    self.ready.wait(&mut q);
+                    q = self.ready.wait(q).unwrap_or_else(PoisonError::into_inner);
                 }
             };
             match job {
@@ -383,7 +388,7 @@ impl Server {
         let shared = &self.shared;
         let id = shared.next_id.fetch_add(1, Relaxed) + 1;
         let tag = spec.tag.clone();
-        shared.jobs.lock().insert(id, JobState { sink, token: CancelToken::new() });
+        lock(&shared.jobs).insert(id, JobState { sink, token: CancelToken::new() });
         if shared.draining.load(Relaxed) {
             Counters::add(&shared.counters.serve_rejected, 1);
             shared.emit_terminal(id, &tag, EventKind::Rejected { reason: "draining" });
@@ -392,7 +397,7 @@ impl Server {
         let deadline = spec.deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
         let job = QueuedJob::new(id, spec, deadline);
         let (admitted_depth, victim) = {
-            let mut q = shared.queue.lock();
+            let mut q = lock(&shared.queue);
             match q.push(job) {
                 Admit::Admitted => (Some(q.len() as u64), None),
                 Admit::Shed { victim } => (Some(q.len() as u64), Some(victim)),
@@ -431,11 +436,11 @@ impl Server {
     /// terminal.
     pub fn cancel(&self, id: u64) -> bool {
         let shared = &self.shared;
-        let Some(token) = shared.jobs.lock().get(&id).map(|s| s.token.clone()) else {
+        let Some(token) = lock(&shared.jobs).get(&id).map(|s| s.token.clone()) else {
             return false;
         };
         token.cancel();
-        let removed = shared.queue.lock().remove(id);
+        let removed = lock(&shared.queue).remove(id);
         if let Some(job) = removed {
             Counters::add(&shared.counters.serve_cancelled, 1);
             shared.emit_terminal(id, &job.spec.tag, EventKind::Cancelled);
@@ -446,7 +451,7 @@ impl Server {
     /// Snapshot of queue state and counters for the `stats` op.
     pub fn stats_json(&self) -> Json {
         let (depth, cap, peak) = {
-            let q = self.shared.queue.lock();
+            let q = lock(&self.shared.queue);
             (q.len() as u64, q.cap() as u64, q.peak() as u64)
         };
         Json::object()
@@ -461,7 +466,7 @@ impl Server {
     /// (stdin mode waits this out on EOF, so piped clients get their
     /// results instead of drain rejections).
     pub fn quiesce(&self) {
-        while !self.shared.jobs.lock().is_empty() {
+        while !lock(&self.shared.jobs).is_empty() {
             std::thread::sleep(Duration::from_millis(1));
         }
     }
@@ -476,7 +481,7 @@ impl Server {
     fn drain(&mut self) {
         let shared = &self.shared;
         shared.draining.store(true, Relaxed);
-        let queued = shared.queue.lock().drain_all();
+        let queued = lock(&shared.queue).drain_all();
         for job in queued {
             Counters::add(&shared.counters.serve_rejected, 1);
             shared.emit_terminal(job.id, &job.spec.tag, EventKind::Rejected { reason: "draining" });
@@ -517,7 +522,7 @@ where
 {
     let writer = Arc::new(Mutex::new(writer));
     let respond = |j: &Json| {
-        let mut w = writer.lock();
+        let mut w = lock(&writer);
         let _ = writeln!(w, "{}", j.to_compact_string());
         let _ = w.flush();
     };
@@ -554,7 +559,7 @@ where
                     Ok(spec) => {
                         let w = writer.clone();
                         let sink: Sink = Arc::new(move |ev: &Event| {
-                            let mut w = w.lock();
+                            let mut w = lock(&w);
                             let _ = writeln!(w, "{}", ev.to_json().to_compact_string());
                             let _ = w.flush();
                         });

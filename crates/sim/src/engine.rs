@@ -85,11 +85,8 @@ use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::Arc;
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 use crate::error::{ProcState, RunError, RunReport, SimError, SimResult};
 use crate::time::{SimDuration, SimTime};
@@ -145,7 +142,7 @@ impl From<(&'static str, u64)> for ProcName {
 
 /// A process body, type-erased: the `async` block the user spawned,
 /// with its output normalised to `SimResult<()>` (see [`ProcessExit`]).
-type TaskFut = Pin<Box<dyn Future<Output = SimResult<()>> + Send>>;
+type TaskFut = Pin<Box<dyn Future<Output = SimResult<()>>>>;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -228,7 +225,7 @@ impl StepFootprint {
 /// number — spawn/schedule order). After each dispatched poll the
 /// controller also observes the step's [`StepFootprint`], which is what
 /// the model checker's independence oracle is built from.
-pub trait TieBreak: Send {
+pub trait TieBreak {
     /// Pick one of `candidates` (ordered by sequence number, so index 0
     /// is the default schedule's choice) to dispatch at time `now`.
     /// Returns an index into `candidates`.
@@ -242,13 +239,13 @@ pub trait TieBreak: Send {
 /// thread (loom-style: the checker arms the thread, then calls into
 /// code that constructs the simulation internally).
 struct McInstall {
-    controller: Arc<Mutex<dyn TieBreak>>,
+    controller: Rc<RefCell<dyn TieBreak>>,
     validate: bool,
 }
 
 /// Per-sim model-checking state.
 struct McState {
-    controller: Arc<Mutex<dyn TieBreak>>,
+    controller: Rc<RefCell<dyn TieBreak>>,
     /// Check kernel invariants on every dispatch (stale events must be
     /// dropped; a valid pop must match the tracked pending wake).
     validate: bool,
@@ -271,7 +268,7 @@ thread_local! {
 /// are identical across replays of the same program. `validate` turns
 /// on per-dispatch kernel invariant checking (surfaced as
 /// [`RunError::InvariantViolation`]).
-pub fn install_tie_break(controller: Arc<Mutex<dyn TieBreak>>, validate: bool) {
+pub fn install_tie_break(controller: Rc<RefCell<dyn TieBreak>>, validate: bool) {
     RESOURCE_IDS.with(|c| c.set(0));
     MC_INSTALL.with(|slot| *slot.borrow_mut() = Some(McInstall { controller, validate }));
 }
@@ -591,7 +588,7 @@ impl Shared {
                 0
             } else {
                 let pids: Vec<Pid> = live.iter().map(|e| e.pid).collect();
-                let c = mc.controller.lock().choose(t, &pids);
+                let c = mc.controller.borrow_mut().choose(t, &pids);
                 assert!(
                     c < live.len(),
                     "TieBreak::choose returned {c} for {} candidates",
@@ -647,7 +644,7 @@ impl Shared {
         };
         let step = self.kernel.borrow_mut().step.take();
         if let Some(step) = step {
-            mc.controller.lock().observe(step);
+            mc.controller.borrow_mut().observe(step);
         }
     }
 
@@ -730,7 +727,7 @@ pub fn abort_run(err: RunError) -> SimError {
 /// `()` for infallible bodies, `SimResult<()>` for bodies that use `?`
 /// on blocking calls — [`SimError::Shutdown`] (daemon teardown) and
 /// [`SimError::Closed`] (drained channel) are clean exits, not errors.
-pub trait ProcessExit: Send + 'static {
+pub trait ProcessExit: 'static {
     /// Normalise to the kernel's internal exit type.
     fn into_exit(self) -> SimResult<()>;
 }
@@ -797,7 +794,7 @@ fn spawn_impl(shared: &Rc<Shared>, name: ProcName, daemon: bool, fut: TaskFut) -
 
 fn box_body<F>(fut: F) -> TaskFut
 where
-    F: Future + Send + 'static,
+    F: Future + 'static,
     F::Output: ProcessExit,
 {
     Box::pin(async move { fut.await.into_exit() })
@@ -832,7 +829,7 @@ impl ProcessBuilder {
     /// current virtual time. Returns its pid.
     pub fn spawn<F>(self, fut: F) -> Pid
     where
-        F: Future + Send + 'static,
+        F: Future + 'static,
         F::Output: ProcessExit,
     {
         spawn_impl(&self.shared, self.name, self.daemon, box_body(fut))
@@ -853,7 +850,7 @@ pub fn process(name: impl Into<ProcName>) -> ProcessBuilder {
 /// process, runnable at the current virtual time.
 pub fn spawn<F>(name: impl Into<ProcName>, fut: F) -> Pid
 where
-    F: Future + Send + 'static,
+    F: Future + 'static,
     F::Output: ProcessExit,
 {
     process(name).spawn(fut)
@@ -1018,7 +1015,8 @@ where
 /// ```
 ///
 /// A simulation is single-threaded by construction: it stays on the
-/// thread that built it (process bodies themselves are still `Send`).
+/// thread that built it, and so do its process bodies, which need not
+/// be `Send`.
 ///
 /// ```compile_fail
 /// fn assert_send<T: Send>(_: T) {}
@@ -1091,7 +1089,7 @@ impl Sim {
     /// non-daemon process has returned.
     pub fn spawn<F>(&self, name: impl Into<ProcName>, fut: F) -> Pid
     where
-        F: Future + Send + 'static,
+        F: Future + 'static,
         F::Output: ProcessExit,
     {
         self.process(name).spawn(fut)
@@ -1277,6 +1275,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     /// Park forever (test helper): the old engine's bare `ctx.park()`.
     async fn park_forever() -> SimResult<()> {
@@ -1306,32 +1305,32 @@ mod tests {
 
     #[test]
     fn events_fire_in_time_order_across_processes() {
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let log = Rc::new(RefCell::new(Vec::new()));
         let sim = Sim::new();
         for (name, d) in [("a", 30u64), ("b", 10), ("c", 20)] {
             let log = log.clone();
             sim.spawn(name, async move {
                 delay(SimDuration::from_nanos(d)).await.unwrap();
-                log.lock().push(name);
+                log.borrow_mut().push(name);
             });
         }
         sim.run().unwrap();
-        assert_eq!(*log.lock(), vec!["b", "c", "a"]);
+        assert_eq!(*log.borrow(), vec!["b", "c", "a"]);
     }
 
     #[test]
     fn same_time_events_fire_in_spawn_order() {
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let log = Rc::new(RefCell::new(Vec::new()));
         let sim = Sim::new();
         for name in ["first", "second", "third"] {
             let log = log.clone();
             sim.spawn(name, async move {
                 delay(SimDuration::from_nanos(7)).await.unwrap();
-                log.lock().push(name);
+                log.borrow_mut().push(name);
             });
         }
         sim.run().unwrap();
-        assert_eq!(*log.lock(), vec!["first", "second", "third"]);
+        assert_eq!(*log.borrow(), vec!["first", "second", "third"]);
     }
 
     #[test]
@@ -1414,19 +1413,19 @@ mod tests {
 
     #[test]
     fn yield_now_interleaves_same_time_processes() {
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let log = Rc::new(RefCell::new(Vec::new()));
         let sim = Sim::new();
         for name in ["a", "b"] {
             let log = log.clone();
             sim.spawn(name, async move {
                 for i in 0..3 {
-                    log.lock().push(format!("{name}{i}"));
+                    log.borrow_mut().push(format!("{name}{i}"));
                     yield_now().await.unwrap();
                 }
             });
         }
         sim.run().unwrap();
-        let got = log.lock().clone();
+        let got = log.borrow().clone();
         assert_eq!(got, vec!["a0", "b0", "a1", "b1", "a2", "b2"]);
     }
 
@@ -1548,7 +1547,7 @@ mod tests {
         });
         let report = sim.run().unwrap();
         assert_eq!(report.processes, 51, "processes must count spawns, not slots");
-        let slots = shared.kernel.borrow_mut().procs.len();
+        let slots = shared.kernel.borrow().procs.len();
         assert!(slots <= 3, "sequential spawn/finish must recycle slots; got {slots} of 51");
     }
 
@@ -1570,7 +1569,7 @@ mod tests {
             Err(RunError::ProcessPanic(name, _)) => assert_eq!(name, "bad0"),
             other => panic!("expected panic report, got {other:?}"),
         }
-        let slots = shared.kernel.borrow_mut().procs.len();
+        let slots = shared.kernel.borrow().procs.len();
         assert_eq!(slots, 6, "each panicked process must keep its own slot");
     }
 
@@ -1600,7 +1599,7 @@ mod tests {
         assert_eq!(report.end_time.as_nanos(), 230);
         assert_eq!(report.processes, 3);
         assert_eq!(
-            shared.kernel.borrow_mut().procs.len(),
+            shared.kernel.borrow().procs.len(),
             2,
             "the reincarnation must reuse the waiter's slot"
         );
@@ -1612,21 +1611,21 @@ mod tests {
         // and a wake at t=10, so it holds the lower sequence number and
         // must run first from the heap; the two same-instant events
         // then run from the lane in the order they were made.
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let log = Rc::new(RefCell::new(Vec::new()));
         let sim = Sim::new();
         let sig = crate::sync::Signal::new();
         let (l, s) = (log.clone(), sig.clone());
         sim.spawn("waiter", async move {
             s.wait().await.unwrap();
-            l.lock().push("waiter");
+            l.borrow_mut().push("waiter");
         });
         let (l, s) = (log.clone(), sig.clone());
         sim.spawn("maker", async move {
             delay(SimDuration::from_nanos(10)).await.unwrap();
-            l.lock().push("maker");
+            l.borrow_mut().push("maker");
             let l2 = l.clone();
             spawn("child", async move {
-                l2.lock().push("child");
+                l2.borrow_mut().push("child");
             });
             s.set();
             let (heap, lane) = with_current_shared(|shared| {
@@ -1638,10 +1637,10 @@ mod tests {
         let l = log.clone();
         sim.spawn("late", async move {
             delay(SimDuration::from_nanos(10)).await.unwrap();
-            l.lock().push("late");
+            l.borrow_mut().push("late");
         });
         let report = sim.run().unwrap();
-        assert_eq!(*log.lock(), vec!["maker", "late", "child", "waiter"]);
+        assert_eq!(*log.borrow(), vec!["maker", "late", "child", "waiter"]);
         assert_eq!(report.end_time.as_nanos(), 10);
     }
 

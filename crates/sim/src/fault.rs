@@ -14,8 +14,9 @@
 //! migration). Layers that were handed no plan take the exact legacy
 //! code path — zero cost when chaos is off.
 
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
 
 /// The failure classes the injector knows how to produce, one per
 /// device-dependent mechanism of the stack.
@@ -247,36 +248,32 @@ impl FaultStats {
 /// Cluster-wide guard that keeps at least one CUDA device alive: device
 /// loss is only allowed while more than one survivor remains, so
 /// migration always has somewhere to go and "graceful degradation"
-/// cannot degrade to "no GPUs at all".
+/// cannot degrade to "no GPUs at all". Per run, so single-threaded.
 #[derive(Debug)]
 pub struct DeviceFuse {
-    survivors: AtomicU64,
+    survivors: Cell<u64>,
 }
 
 impl DeviceFuse {
     /// A fuse over `devices` CUDA devices.
-    pub fn new(devices: u64) -> Arc<Self> {
-        Arc::new(DeviceFuse { survivors: AtomicU64::new(devices) })
+    pub fn new(devices: u64) -> Rc<Self> {
+        Rc::new(DeviceFuse { survivors: Cell::new(devices) })
     }
 
     /// Try to claim one device loss. Fails (returns `false`) when it
     /// would leave fewer than one survivor.
     pub fn try_claim(&self) -> bool {
-        let mut cur = self.survivors.load(Relaxed);
-        loop {
-            if cur <= 1 {
-                return false;
-            }
-            match self.survivors.compare_exchange(cur, cur - 1, Relaxed, Relaxed) {
-                Ok(_) => return true,
-                Err(now) => cur = now,
-            }
+        let cur = self.survivors.get();
+        if cur <= 1 {
+            return false;
         }
+        self.survivors.set(cur - 1);
+        true
     }
 
     /// Devices still alive.
     pub fn survivors(&self) -> u64 {
-        self.survivors.load(Relaxed)
+        self.survivors.get()
     }
 }
 

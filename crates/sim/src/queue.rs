@@ -7,11 +7,10 @@
 //! unbounded in Nanos++ too); `recv().await` parks the calling process
 //! until an item arrives.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::future::Future;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use crate::engine::{mc_resource_id, mc_touch, park_while, with_current_shared, Pid};
 use crate::error::{SimError, SimResult};
@@ -32,7 +31,7 @@ struct Inner<T> {
 ///
 /// Clones share the same queue.
 pub struct Channel<T> {
-    inner: Arc<Mutex<Inner<T>>>,
+    inner: Rc<RefCell<Inner<T>>>,
     /// Stable resource id for the model checker's independence oracle.
     id: u64,
 }
@@ -53,7 +52,7 @@ impl<T> Channel<T> {
     /// Create an empty channel.
     pub fn new() -> Self {
         Channel {
-            inner: Arc::new(Mutex::new(Inner {
+            inner: Rc::new(RefCell::new(Inner {
                 items: VecDeque::new(),
                 waiters: VecDeque::new(),
                 handoff: Vec::new(),
@@ -68,7 +67,7 @@ impl<T> Channel<T> {
     pub fn send(&self, item: T) {
         mc_touch(self.id);
         let wake = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             match inner.waiters.pop_front() {
                 Some(pid) => {
                     inner.handoff.push((pid, item));
@@ -93,7 +92,7 @@ impl<T> Channel<T> {
         let mut registered = false;
         park_while(move |_, pid| {
             mc_touch(self.id);
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             if let Some(i) = inner.handoff.iter().position(|(p, _)| *p == pid) {
                 return Some(Ok(inner.handoff.swap_remove(i).1));
             }
@@ -114,7 +113,7 @@ impl<T> Channel<T> {
     /// Dequeue an item if one is immediately available.
     pub fn try_recv(&self) -> Option<T> {
         mc_touch(self.id);
-        self.inner.lock().items.pop_front()
+        self.inner.borrow_mut().items.pop_front()
     }
 
     /// Number of queued items, including those already handed to a woken
@@ -122,14 +121,14 @@ impl<T> Channel<T> {
     /// as "queued" before the handoff optimisation, and must stay so).
     pub fn len(&self) -> usize {
         mc_touch(self.id);
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         inner.items.len() + inner.handoff.len()
     }
 
     /// True if no items are queued (see [`Channel::len`]).
     pub fn is_empty(&self) -> bool {
         mc_touch(self.id);
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         inner.items.is_empty() && inner.handoff.is_empty()
     }
 
@@ -139,7 +138,7 @@ impl<T> Channel<T> {
     pub fn close(&self) {
         mc_touch(self.id);
         let wakes: Vec<Pid> = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             inner.closed = true;
             inner.waiters.drain(..).collect()
         };
@@ -157,7 +156,6 @@ impl<T> Channel<T> {
 mod tests {
     use super::*;
     use crate::{delay, now, Sim, SimDuration};
-    use parking_lot::Mutex as PMutex;
 
     #[test]
     fn send_then_recv_same_process() {
@@ -194,7 +192,7 @@ mod tests {
     fn fifo_order_preserved() {
         let sim = Sim::new();
         let ch = Channel::new();
-        let got = Arc::new(PMutex::new(Vec::new()));
+        let got = Rc::new(RefCell::new(Vec::new()));
         let (c1, c2, g) = (ch.clone(), ch.clone(), got.clone());
         sim.spawn("producer", async move {
             for i in 0..100 {
@@ -204,24 +202,24 @@ mod tests {
         sim.spawn("consumer", async move {
             for _ in 0..100 {
                 let v = c2.recv().await.unwrap();
-                g.lock().push(v);
+                g.borrow_mut().push(v);
             }
         });
         sim.run().unwrap();
-        assert_eq!(*got.lock(), (0..100).collect::<Vec<_>>());
+        assert_eq!(*got.borrow(), (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn blocked_receivers_served_in_block_order() {
         let sim = Sim::new();
         let ch: Channel<u32> = Channel::new();
-        let got = Arc::new(PMutex::new(Vec::new()));
+        let got = Rc::new(RefCell::new(Vec::new()));
         for name in ["r1", "r2"] {
             let c = ch.clone();
             let g = got.clone();
             sim.spawn(name, async move {
                 let v = c.recv().await.unwrap();
-                g.lock().push((name, v));
+                g.borrow_mut().push((name, v));
             });
         }
         let c = ch.clone();
@@ -231,7 +229,7 @@ mod tests {
             c.send(200);
         });
         sim.run().unwrap();
-        assert_eq!(*got.lock(), vec![("r1", 100), ("r2", 200)]);
+        assert_eq!(*got.borrow(), vec![("r1", 100), ("r2", 200)]);
     }
 
     #[test]
@@ -280,11 +278,11 @@ mod tests {
     fn daemon_worker_loop_drains_then_shuts_down() {
         let sim = Sim::new();
         let ch: Channel<u32> = Channel::new();
-        let done = Arc::new(PMutex::new(0u32));
+        let done = Rc::new(RefCell::new(0u32));
         let (c1, c2, d) = (ch.clone(), ch.clone(), done.clone());
         sim.process("worker").daemon().spawn(async move {
             while let Ok(v) = c1.recv().await {
-                *d.lock() += v;
+                *d.borrow_mut() += v;
             }
         });
         sim.spawn("main", async move {
@@ -294,6 +292,6 @@ mod tests {
             }
         });
         sim.run().unwrap();
-        assert_eq!(*done.lock(), 10);
+        assert_eq!(*done.borrow(), 10);
     }
 }

@@ -7,11 +7,10 @@
 //! futures; waking operations (`release`, `set`, `done`, `ring`) are
 //! plain synchronous calls that schedule the waiters' resume events.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::future::Future;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use crate::engine::{mc_resource_id, mc_touch, park_while, with_current, with_current_shared, Pid};
 use crate::error::SimResult;
@@ -36,7 +35,7 @@ struct SemInner {
 /// serialises contending processes and accumulates queueing time on the
 /// virtual clock exactly like a busy device would.
 pub struct Semaphore {
-    inner: Arc<Mutex<SemInner>>,
+    inner: Rc<RefCell<SemInner>>,
     /// Stable resource id for the model checker's independence oracle.
     id: u64,
 }
@@ -51,7 +50,7 @@ impl Semaphore {
     /// Create a semaphore holding `permits` permits.
     pub fn new(permits: u64) -> Self {
         Semaphore {
-            inner: Arc::new(Mutex::new(SemInner { permits, waiters: VecDeque::new() })),
+            inner: Rc::new(RefCell::new(SemInner { permits, waiters: VecDeque::new() })),
             id: mc_resource_id(),
         }
     }
@@ -69,7 +68,7 @@ impl Semaphore {
         let mut registered = false;
         park_while(move |shared, pid| {
             mc_touch(self.id);
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             let at_head = inner.waiters.front().map(|&(p, _)| p) == Some(pid);
             if inner.permits >= n
                 && (!registered || at_head)
@@ -104,7 +103,7 @@ impl Semaphore {
     pub fn release_n(&self, n: u64) {
         mc_touch(self.id);
         let wake = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             inner.permits += n;
             match inner.waiters.front() {
                 Some(&(pid, want)) if inner.permits >= want => Some(pid),
@@ -119,7 +118,7 @@ impl Semaphore {
     /// Permits currently available.
     pub fn available(&self) -> u64 {
         mc_touch(self.id);
-        self.inner.lock().permits
+        self.inner.borrow().permits
     }
 }
 
@@ -137,8 +136,16 @@ struct SignalInner {
 /// already-set signal returns immediately. Used for completion
 /// notifications (a transfer finished, a kernel retired, a remote task
 /// acknowledged).
+///
+/// Like every primitive, a signal belongs to the simulation thread; it
+/// is not `Send`:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>(_: T) {}
+/// assert_send(ompss_sim::Signal::new());
+/// ```
 pub struct Signal {
-    inner: Arc<Mutex<SignalInner>>,
+    inner: Rc<RefCell<SignalInner>>,
     /// Stable resource id for the model checker's independence oracle.
     id: u64,
 }
@@ -159,7 +166,7 @@ impl Signal {
     /// Create an unset signal.
     pub fn new() -> Self {
         Signal {
-            inner: Arc::new(Mutex::new(SignalInner { set: false, waiters: Vec::new() })),
+            inner: Rc::new(RefCell::new(SignalInner { set: false, waiters: Vec::new() })),
             id: mc_resource_id(),
         }
     }
@@ -168,7 +175,7 @@ impl Signal {
     pub fn set(&self) {
         mc_touch(self.id);
         let wakes: Vec<Pid> = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             if inner.set {
                 return;
             }
@@ -193,14 +200,14 @@ impl Signal {
     /// True if the signal has been set.
     pub fn is_set(&self) -> bool {
         mc_touch(self.id);
-        self.inner.lock().set
+        self.inner.borrow().set
     }
 
     /// Park until the signal is set.
     pub fn wait(&self) -> impl Future<Output = SimResult<()>> + '_ {
         park_while(move |_, pid| {
             mc_touch(self.id);
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             if inner.set {
                 return Some(Ok(()));
             }
@@ -222,7 +229,7 @@ impl Signal {
         park_while(move |shared, pid| {
             mc_touch(self.id);
             let deadline = *deadline.get_or_insert_with(|| shared.now() + timeout);
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             if inner.set {
                 inner.waiters.retain(|&p| p != pid);
                 return Some(Ok(true));
@@ -258,7 +265,7 @@ struct LatchInner {
 /// one-shot signal the count may rise again after reaching zero (a
 /// second `taskwait` region).
 pub struct Latch {
-    inner: Arc<Mutex<LatchInner>>,
+    inner: Rc<RefCell<LatchInner>>,
     /// Stable resource id for the model checker's independence oracle.
     id: u64,
 }
@@ -279,7 +286,7 @@ impl Latch {
     /// Create a latch with count zero.
     pub fn new() -> Self {
         Latch {
-            inner: Arc::new(Mutex::new(LatchInner { count: 0, waiters: Vec::new() })),
+            inner: Rc::new(RefCell::new(LatchInner { count: 0, waiters: Vec::new() })),
             id: mc_resource_id(),
         }
     }
@@ -287,14 +294,14 @@ impl Latch {
     /// Raise the count by `n`.
     pub fn add(&self, n: u64) {
         mc_touch(self.id);
-        self.inner.lock().count += n;
+        self.inner.borrow_mut().count += n;
     }
 
     /// Lower the count by one; at zero, wake all waiters.
     pub fn done(&self) {
         mc_touch(self.id);
         let wakes: Vec<Pid> = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             assert!(inner.count > 0, "Latch::done without matching add");
             inner.count -= 1;
             if inner.count == 0 {
@@ -315,7 +322,7 @@ impl Latch {
     /// Current count.
     pub fn count(&self) -> u64 {
         mc_touch(self.id);
-        self.inner.lock().count
+        self.inner.borrow().count
     }
 
     /// Park until the count reaches zero. Returns immediately if already
@@ -323,7 +330,7 @@ impl Latch {
     pub fn wait_zero(&self) -> impl Future<Output = SimResult<()>> + '_ {
         park_while(move |_, pid| {
             mc_touch(self.id);
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             if inner.count == 0 {
                 return Some(Ok(()));
             }
@@ -350,7 +357,7 @@ struct BellInner {
 /// checking a queue and parking on the bell), the classic lost-wakeup
 /// race cannot occur.
 pub struct Bell {
-    inner: Arc<Mutex<BellInner>>,
+    inner: Rc<RefCell<BellInner>>,
     /// Stable resource id for the model checker's independence oracle.
     id: u64,
 }
@@ -371,7 +378,7 @@ impl Bell {
     /// Create a bell with no waiters.
     pub fn new() -> Self {
         Bell {
-            inner: Arc::new(Mutex::new(BellInner { waiters: Vec::new() })),
+            inner: Rc::new(RefCell::new(BellInner { waiters: Vec::new() })),
             id: mc_resource_id(),
         }
     }
@@ -385,7 +392,7 @@ impl Bell {
             if registered {
                 return Some(Ok(()));
             }
-            self.inner.lock().waiters.push(pid);
+            self.inner.borrow_mut().waiters.push(pid);
             registered = true;
             None
         })
@@ -394,7 +401,7 @@ impl Bell {
     /// Wake every process currently waiting.
     pub fn ring(&self) {
         mc_touch(self.id);
-        let wakes: Vec<Pid> = std::mem::take(&mut self.inner.lock().waiters);
+        let wakes: Vec<Pid> = std::mem::take(&mut self.inner.borrow_mut().waiters);
         if !wakes.is_empty() {
             with_current(|shared, _| {
                 for pid in wakes {
@@ -409,7 +416,6 @@ impl Bell {
 mod tests {
     use super::*;
     use crate::{delay, now, spawn, Sim, SimDuration};
-    use parking_lot::Mutex as PMutex;
 
     #[test]
     fn semaphore_serialises_contenders() {
@@ -417,7 +423,7 @@ mod tests {
         // second must finish at 20ns.
         let sim = Sim::new();
         let sem = Semaphore::new(1);
-        let ends = Arc::new(PMutex::new(Vec::new()));
+        let ends = Rc::new(RefCell::new(Vec::new()));
         for name in ["a", "b"] {
             let s = sem.clone();
             let e = ends.clone();
@@ -425,18 +431,18 @@ mod tests {
                 s.acquire().await.unwrap();
                 delay(SimDuration::from_nanos(10)).await.unwrap();
                 s.release();
-                e.lock().push((name, now().as_nanos()));
+                e.borrow_mut().push((name, now().as_nanos()));
             });
         }
         sim.run().unwrap();
-        assert_eq!(*ends.lock(), vec![("a", 10), ("b", 20)]);
+        assert_eq!(*ends.borrow(), vec![("a", 10), ("b", 20)]);
     }
 
     #[test]
     fn semaphore_two_permits_run_concurrently() {
         let sim = Sim::new();
         let sem = Semaphore::new(2);
-        let ends = Arc::new(PMutex::new(Vec::new()));
+        let ends = Rc::new(RefCell::new(Vec::new()));
         for name in ["a", "b"] {
             let s = sem.clone();
             let e = ends.clone();
@@ -444,11 +450,11 @@ mod tests {
                 s.acquire().await.unwrap();
                 delay(SimDuration::from_nanos(10)).await.unwrap();
                 s.release();
-                e.lock().push(now().as_nanos());
+                e.borrow_mut().push(now().as_nanos());
             });
         }
         sim.run().unwrap();
-        assert_eq!(*ends.lock(), vec![10, 10]);
+        assert_eq!(*ends.borrow(), vec![10, 10]);
     }
 
     #[test]
@@ -457,7 +463,7 @@ mod tests {
         // permit (total available 1) must NOT let small barge past big.
         let sim = Sim::new();
         let sem = Semaphore::new(2);
-        let order = Arc::new(PMutex::new(Vec::new()));
+        let order = Rc::new(RefCell::new(Vec::new()));
         {
             let s = sem.clone();
             sim.spawn("holder", async move {
@@ -474,7 +480,7 @@ mod tests {
             sim.spawn("big", async move {
                 delay(SimDuration::from_nanos(1)).await.unwrap();
                 s.acquire_n(2).await.unwrap();
-                o.lock().push(("big", now().as_nanos()));
+                o.borrow_mut().push(("big", now().as_nanos()));
                 s.release_n(2);
             });
         }
@@ -484,12 +490,12 @@ mod tests {
             sim.spawn("small", async move {
                 delay(SimDuration::from_nanos(2)).await.unwrap();
                 s.acquire().await.unwrap();
-                o.lock().push(("small", now().as_nanos()));
+                o.borrow_mut().push(("small", now().as_nanos()));
                 s.release();
             });
         }
         sim.run().unwrap();
-        let got = order.lock().clone();
+        let got = order.borrow().clone();
         assert_eq!(got[0].0, "big", "FIFO order violated: {got:?}");
         assert_eq!(got[0].1, 20);
         assert_eq!(got[1].0, "small");
@@ -514,13 +520,13 @@ mod tests {
     fn signal_wakes_all_waiters() {
         let sim = Sim::new();
         let sig = Signal::new();
-        let done = Arc::new(PMutex::new(Vec::new()));
+        let done = Rc::new(RefCell::new(Vec::new()));
         for name in ["w1", "w2", "w3"] {
             let s = sig.clone();
             let d = done.clone();
             sim.spawn(name, async move {
                 s.wait().await.unwrap();
-                d.lock().push((name, now().as_nanos()));
+                d.borrow_mut().push((name, now().as_nanos()));
             });
         }
         let s = sig.clone();
@@ -529,7 +535,7 @@ mod tests {
             s.set();
         });
         sim.run().unwrap();
-        let got = done.lock().clone();
+        let got = done.borrow().clone();
         assert_eq!(got.len(), 3);
         assert!(got.iter().all(|&(_, t)| t == 30));
     }
@@ -641,15 +647,15 @@ mod tests {
     fn bell_wakes_all_waiters_and_is_reusable() {
         let sim = Sim::new();
         let bell = Bell::new();
-        let wakeups = Arc::new(PMutex::new(Vec::new()));
+        let wakeups = Rc::new(RefCell::new(Vec::new()));
         for name in ["w1", "w2"] {
             let b = bell.clone();
             let w = wakeups.clone();
             sim.spawn(name, async move {
                 b.wait().await.unwrap();
-                w.lock().push((name, now().as_nanos()));
+                w.borrow_mut().push((name, now().as_nanos()));
                 b.wait().await.unwrap();
-                w.lock().push((name, now().as_nanos()));
+                w.borrow_mut().push((name, now().as_nanos()));
             });
         }
         let b = bell.clone();
@@ -660,7 +666,7 @@ mod tests {
             b.ring();
         });
         sim.run().unwrap();
-        let got = wakeups.lock().clone();
+        let got = wakeups.borrow().clone();
         assert_eq!(got, vec![("w1", 10), ("w2", 10), ("w1", 20), ("w2", 20)]);
     }
 

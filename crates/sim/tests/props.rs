@@ -1,9 +1,10 @@
 //! Property tests of the DES primitives: conservation and fairness
 //! invariants under randomized schedules.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 
 use ompss_sim::{delay, spawn, Channel, Semaphore, Sim, SimDuration};
@@ -30,16 +31,16 @@ proptest! {
                 }
             });
         }
-        let got = Arc::new(Mutex::new(Vec::new()));
+        let got = Rc::new(RefCell::new(Vec::new()));
         let g = got.clone();
         let rx = ch.clone();
         sim.process("consumer").daemon().spawn(async move {
             while let Ok(v) = rx.recv().await {
-                g.lock().push(v);
+                g.borrow_mut().push(v);
             }
         });
         sim.run().unwrap();
-        let received = got.lock().clone();
+        let received = got.borrow().clone();
         prop_assert_eq!(received.len(), n_producers * msgs_per as usize);
         // Per-producer FIFO.
         for p in 0..n_producers {
@@ -59,8 +60,8 @@ proptest! {
     ) {
         let sim = Sim::new();
         let sem = Semaphore::new(cap);
-        let active = Arc::new(Mutex::new((0i64, 0i64))); // (current, max)
-        let served = Arc::new(Mutex::new(0usize));
+        let active = Rc::new(RefCell::new((0i64, 0i64))); // (current, max)
+        let served = Rc::new(RefCell::new(0usize));
         for w in 0..workers {
             let s = sem.clone();
             let a = active.clone();
@@ -69,21 +70,21 @@ proptest! {
                 delay(SimDuration::from_nanos((w as u64 * 7) % 13)).await.unwrap();
                 s.acquire().await.unwrap();
                 {
-                    let mut g = a.lock();
+                    let mut g = a.borrow_mut();
                     g.0 += 1;
                     g.1 = g.1.max(g.0);
                 }
                 delay(SimDuration::from_nanos(hold)).await.unwrap();
-                a.lock().0 -= 1;
+                a.borrow_mut().0 -= 1;
                 s.release();
-                *done.lock() += 1;
+                *done.borrow_mut() += 1;
             });
         }
         sim.run().unwrap();
-        let (cur, max) = *active.lock();
+        let (cur, max) = *active.borrow();
         prop_assert_eq!(cur, 0);
         prop_assert!(max as u64 <= cap, "max holders {} exceeded capacity {}", max, cap);
-        prop_assert_eq!(*served.lock(), workers);
+        prop_assert_eq!(*served.borrow(), workers);
     }
 
     /// Determinism: any program built from random delays produces the
@@ -115,7 +116,7 @@ proptest! {
         groups in proptest::collection::vec((1u64..60, 1u64..8, 1u64..6), 1..12)
     ) {
         let run = |groups: &[(u64, u64, u64)]| {
-            let trace = Arc::new(Mutex::new(Vec::new()));
+            let trace = Rc::new(RefCell::new(Vec::new()));
             let sim = Sim::new();
             let ch: Channel<u64> = Channel::new();
             for (g, &(d, msgs, kids)) in groups.iter().enumerate() {
@@ -131,7 +132,7 @@ proptest! {
                                 tx.send(g as u64 * 1000 + k * 100 + m);
                                 delay(SimDuration::from_nanos(d % 7 + 1)).await.unwrap();
                             }
-                            tr.lock().push((ompss_sim::now().as_nanos(), g as u64, k));
+                            tr.borrow_mut().push((ompss_sim::now().as_nanos(), g as u64, k));
                         });
                     }
                     delay(SimDuration::from_nanos(d)).await.unwrap();
@@ -143,11 +144,11 @@ proptest! {
             sim.spawn("drain", async move {
                 for _ in 0..total {
                     let v = rx.recv().await.unwrap();
-                    tr.lock().push((ompss_sim::now().as_nanos(), u64::MAX, v));
+                    tr.borrow_mut().push((ompss_sim::now().as_nanos(), u64::MAX, v));
                 }
             });
             let r = sim.run().unwrap();
-            let t = trace.lock().clone();
+            let t = trace.borrow().clone();
             (t, (r.end_time.as_nanos(), r.events, r.clock_advances, r.processes as u64))
         };
         let (trace_a, fp_a) = run(&groups);
@@ -210,13 +211,22 @@ fn stale_wake_is_inert_after_abort_run() {
 /// no more (delays and spawns never coalesce: each targets a fresh
 /// epoch or a distinct pid). A semaphore's head waiter stays
 /// registered until it polls, so two releases at one instant both
-/// wake it: the second wake is the coalesced one.
+/// wake it: the second wake is the coalesced one. With
+/// `OMPSS_SIM_NO_FASTPATH=1` both wakes are queued and the second pops
+/// stale, so nothing is coalesced; either way the waiter resumes once.
 #[test]
 fn same_instant_double_wake_coalesces_exactly_once() {
+    let fast_paths = std::env::var_os("OMPSS_SIM_NO_FASTPATH").is_none_or(|v| v == "0");
+    let resumed = Rc::new(RefCell::new(0u32));
     let sim = Sim::new();
     let sem = Semaphore::new(0);
     let s = sem.clone();
-    sim.spawn("waiter", async move { s.acquire().await });
+    let r = resumed.clone();
+    sim.spawn("waiter", async move {
+        s.acquire().await?;
+        *r.borrow_mut() += 1;
+        Ok(())
+    });
     for i in 0..2u64 {
         let s = sem.clone();
         sim.spawn(("releaser", i), async move {
@@ -227,9 +237,13 @@ fn same_instant_double_wake_coalesces_exactly_once() {
     }
     let rep = sim.run().unwrap();
     assert_eq!(
-        rep.wakes_coalesced, 1,
-        "two releases at one instant are one event plus one coalesced wake"
+        rep.wakes_coalesced,
+        u64::from(fast_paths),
+        "two releases at one instant are one event plus one coalesced wake (none without fast \
+         paths)"
     );
+    assert_eq!(*resumed.borrow(), 1, "the waiter resumes exactly once");
+    assert_eq!(rep.end_time.as_nanos(), 10, "the run ends at the releases' instant");
 }
 
 /// Daemons are torn down only after the last non-daemon event: every
@@ -237,7 +251,7 @@ fn same_instant_double_wake_coalesces_exactly_once() {
 /// does not advance the virtual clock.
 #[test]
 fn daemon_teardown_follows_the_last_worker_event() {
-    let log: Arc<Mutex<Vec<(u64, &'static str)>>> = Arc::new(Mutex::new(Vec::new()));
+    let log: Rc<RefCell<Vec<(u64, &'static str)>>> = Rc::new(RefCell::new(Vec::new()));
     let sim = Sim::new();
     let ch: Channel<u64> = Channel::new();
     for i in 0..2u64 {
@@ -248,7 +262,7 @@ fn daemon_teardown_follows_the_last_worker_event() {
                 match rx.recv().await {
                     Ok(_) => {}
                     Err(e) => {
-                        l.lock().push((ompss_sim::now().as_nanos(), "daemon-shutdown"));
+                        l.borrow_mut().push((ompss_sim::now().as_nanos(), "daemon-shutdown"));
                         return Err(e);
                     }
                 }
@@ -260,11 +274,11 @@ fn daemon_teardown_follows_the_last_worker_event() {
     sim.spawn("worker", async move {
         delay(SimDuration::from_nanos(50)).await?;
         tx.send(7);
-        l.lock().push((ompss_sim::now().as_nanos(), "worker-done"));
+        l.borrow_mut().push((ompss_sim::now().as_nanos(), "worker-done"));
         Ok(())
     });
     let rep = sim.run().unwrap();
-    let log = log.lock().clone();
+    let log = log.borrow().clone();
     let worker_done = log.iter().position(|&(_, what)| what == "worker-done").expect("worker ran");
     let shutdowns: Vec<usize> = log
         .iter()

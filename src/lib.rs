@@ -114,7 +114,9 @@ pub use ompss_verify as verify;
 
 /// The simulation substrates, for building custom machines.
 pub mod substrate {
-    pub use ompss_coherence::{Coherence, HopKind, Loc, Topology, TransferExec};
+    pub use ompss_coherence::{
+        Coherence, HopExec, HopFuture, HopKind, Loc, Topology, TransferExec,
+    };
     pub use ompss_cudasim::{CopyDir, CudaEvent, GpuDevice, PinnedPool, Stream};
     pub use ompss_mem::{MemoryManager, SpaceId, SpaceKind};
     pub use ompss_net::{AmEndpoint, AmNet, Fabric, FabricConfig, Mpi, MpiRank};
