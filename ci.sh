@@ -8,8 +8,8 @@
 #   ./ci.sh verify   # only the ompss-verify sweep over the apps
 #   ./ci.sh chaos    # only the fault-injection sweep over the apps
 #   ./ci.sh churn    # elastic-membership grid: joins/drains/kill races
-#   ./ci.sh bench    # wall-clock spine: fail on >20% macro regression
-#   ./ci.sh scale    # 1000-node demo + 64-node weak-scaling gate (release)
+#   ./ci.sh bench    # host-time gate: benchmark medians vs BENCH_baseline.json
+#   ./ci.sh scale    # 1000-node demo, 1M-process RSS bound, 64-node weak scaling (release)
 #   ./ci.sh figures  # regenerate results/ and fail if any committed byte moved
 #   ./ci.sh mc       # bounded model-check of matmul+stream schedules
 #   ./ci.sh mc_defects  # seeded-defect corpus the model checker must catch
@@ -36,10 +36,8 @@ churn() {
 }
 
 bench() {
-    echo "==> bench_sim (host wall-clock vs committed BENCH_sim.json, +20% budget)"
-    cargo run -q --release -p ompss-bench --bin bench_sim -- --check
-    echo "==> serve --bench (daemon throughput vs committed BENCH_serve.json, -20% budget)"
-    cargo run -q --release -p ompss-serve --bin serve -- --bench --check --jobs 4
+    echo "==> bench_gate (BENCHMARK.json workloads, 5 runs each, medians vs committed BENCH_baseline.json)"
+    cargo run -q --release -p ompss-bench --bin bench_gate -- --check
 }
 
 serve() {
@@ -50,6 +48,8 @@ serve() {
 scale() {
     echo "==> 1000-node cluster demonstration (release, in-memory)"
     cargo test -q --release -p ompss-runtime --test runtime_tests -- --ignored thousand_node
+    echo "==> 1M stackless processes within the peak-RSS bound (release)"
+    cargo test -q --release -p ompss-sim --test spawn_scale -- --ignored
     echo "==> weak scaling at 64 nodes (sharded control plane must beat the flat master)"
     cargo test -q --release -p ompss-apps --lib -- --ignored weak_scaling
 }

@@ -14,35 +14,40 @@ use ompss_runtime::{Backing, CachePolicy, ParaverTrace, Policy, RuntimeConfig, S
 
 const USAGE: &str = "usage: all_figures [--jobs N] [figure-id...]";
 
+type Entry = (&'static str, fn() -> ompss_bench::FigureData);
+
+const ALL: [Entry; 11] = [
+    ("fig05", ompss_bench::figures::fig05),
+    ("fig06", ompss_bench::figures::fig06),
+    ("fig07", ompss_bench::figures::fig07),
+    ("fig08", ompss_bench::figures::fig08),
+    ("fig09", ompss_bench::figures::fig09),
+    ("fig10", ompss_bench::figures::fig10),
+    ("fig11", ompss_bench::figures::fig11),
+    ("fig12", ompss_bench::figures::fig12),
+    ("fig13", ompss_bench::figures::fig13),
+    ("figWS", ompss_bench::figures::figws),
+    ("table1", ompss_bench::figures::table1),
+];
+
+/// The figures `args` names, in table order; every one when it names none.
+fn select(args: &[String]) -> Result<Vec<Entry>, String> {
+    if let Some(a) = args.iter().find(|a| !ALL.iter().any(|(id, _)| id == a)) {
+        return Err(format!("unknown figure id '{a}'"));
+    }
+    Ok(ALL.into_iter().filter(|(id, _)| args.is_empty() || args.iter().any(|a| a == id)).collect())
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = ompss_sweep::parse_jobs_flag(&mut args) {
+    let selected = ompss_sweep::parse_jobs_flag(&mut args).and_then(|_| select(&args));
+    let selected = selected.unwrap_or_else(|e| {
         eprintln!("all_figures: {e}; {USAGE}");
         std::process::exit(2);
-    }
+    });
     let dir = ompss_bench::results_dir();
-    type Entry = (&'static str, fn() -> ompss_bench::FigureData);
-    let all: [Entry; 11] = [
-        ("fig05", ompss_bench::figures::fig05),
-        ("fig06", ompss_bench::figures::fig06),
-        ("fig07", ompss_bench::figures::fig07),
-        ("fig08", ompss_bench::figures::fig08),
-        ("fig09", ompss_bench::figures::fig09),
-        ("fig10", ompss_bench::figures::fig10),
-        ("fig11", ompss_bench::figures::fig11),
-        ("fig12", ompss_bench::figures::fig12),
-        ("fig13", ompss_bench::figures::fig13),
-        ("figWS", ompss_bench::figures::figws),
-        ("table1", ompss_bench::figures::table1),
-    ];
-    for a in &args {
-        assert!(all.iter().any(|(id, _)| id == a), "unknown figure id '{a}'; {USAGE}");
-    }
     let mut saved = 0;
-    for (id, make) in all {
-        if !args.is_empty() && !args.iter().any(|a| a == id) {
-            continue;
-        }
+    for (id, make) in selected {
         let fig = make();
         fig.print();
         fig.save(&dir);
@@ -89,5 +94,21 @@ fn export_trace(dir: &Path, name: &str, cfg: RuntimeConfig, init: InitMode) {
     match ParaverTrace::from_events(events, rep.makespan).save(dir, name) {
         Ok((p, _)) => println!("paraver trace: {}", p.display()),
         Err(e) => eprintln!("paraver trace export failed: {e}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn figure_ids_select_in_table_order() {
+        let ids = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            select(&args).map(|v| v.into_iter().map(|(id, _)| id).collect::<Vec<_>>())
+        };
+        assert_eq!(ids(&["figWS", "fig05"]), Ok(vec!["fig05", "figWS"]));
+        assert_eq!(ids(&[]).map(|v| v.len()), Ok(11));
+        assert_eq!(ids(&["fig5"]), Err("unknown figure id 'fig5'".into()));
     }
 }

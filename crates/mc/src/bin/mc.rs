@@ -30,30 +30,14 @@ fn main() {
         eprintln!("{USAGE}\napps: {}", apps::APPS.join(" "));
         return;
     }
-    if let Err(e) = ompss_sweep::parse_jobs_flag(&mut args) {
-        eprintln!("mc: {e}; {USAGE}");
-        std::process::exit(2);
-    }
-    let nodes = flag_u64(&mut args, "--nodes").unwrap_or(2) as u32;
-    let mut cfg = McConfig::default();
-    if let Some(d) = flag_u64(&mut args, "--depth") {
-        cfg.depth = d as usize;
-    }
-    if let Some(p) = flag_u64(&mut args, "--preemptions") {
-        cfg.preemptions = p as usize;
-    }
-    if let Some(m) = flag_u64(&mut args, "--max-interleavings") {
-        cfg.max_interleavings = m;
-    }
-    let min_interleavings = flag_u64(&mut args, "--min-interleavings").unwrap_or(0);
-    let verify_oracle = !take_flag(&mut args, "--no-verify-oracle");
-    let replay_trace = flag_str(&mut args, "--replay");
-    let selected = parse_apps(&mut args);
+    let parsed = ompss_sweep::parse_jobs_flag(&mut args).and_then(|_| parse_args(args));
+    let Args { nodes, cfg, min_interleavings, verify_oracle, replay: replay_trace, apps: selected } =
+        parsed.unwrap_or_else(|e| {
+            eprintln!("mc: {e}; {USAGE}");
+            std::process::exit(2);
+        });
 
-    if let Some(trace) = replay_trace {
-        let trace = parse_trace(&trace).unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(selected.len(), 1, "--replay needs exactly one app (--apps NAME)");
-        let app = selected[0];
+    if let Some((trace, app)) = replay_trace {
         match replay(&trace, || apps::run_once(app, nodes, verify_oracle)) {
             Ok(out) => {
                 println!(
@@ -142,37 +126,68 @@ fn main() {
     }
 }
 
-/// Resolve `--apps a,b` (default: all) against the known app list.
-fn parse_apps(args: &mut Vec<String>) -> Vec<&'static str> {
-    let list = flag_str(args, "--apps");
-    assert!(
-        args.iter().all(|a| !a.starts_with("--")),
-        "unknown flags: {:?}",
-        args.iter().filter(|a| a.starts_with("--")).collect::<Vec<_>>()
-    );
-    let names: Vec<String> = match list {
-        Some(l) => l.split(',').filter(|s| !s.is_empty()).map(str::to_string).collect(),
-        None => return apps::APPS.to_vec(),
+/// The parsed command line (after `--jobs`).
+struct Args {
+    nodes: u32,
+    cfg: McConfig,
+    min_interleavings: u64,
+    verify_oracle: bool,
+    /// A recorded counterexample to re-run, and the one app it is for.
+    replay: Option<(Vec<usize>, &'static str)>,
+    apps: Vec<&'static str>,
+}
+
+fn parse_args(mut args: Vec<String>) -> Result<Args, String> {
+    let nodes = flag_u64(&mut args, "--nodes")?.unwrap_or(2) as u32;
+    let mut cfg = McConfig::default();
+    if let Some(d) = flag_u64(&mut args, "--depth")? {
+        cfg.depth = d as usize;
+    }
+    if let Some(p) = flag_u64(&mut args, "--preemptions")? {
+        cfg.preemptions = p as usize;
+    }
+    if let Some(m) = flag_u64(&mut args, "--max-interleavings")? {
+        cfg.max_interleavings = m;
+    }
+    let min_interleavings = flag_u64(&mut args, "--min-interleavings")?.unwrap_or(0);
+    let verify_oracle = !take_flag(&mut args, "--no-verify-oracle");
+    let trace = flag_str(&mut args, "--replay")?.map(|t| parse_trace(&t)).transpose()?;
+    let apps = parse_apps(&mut args)?;
+    let replay = match (trace, apps.as_slice()) {
+        (None, _) => None,
+        (Some(trace), [app]) => Some((trace, *app)),
+        (Some(_), _) => return Err("--replay needs exactly one app (--apps NAME)".into()),
     };
-    names
-        .iter()
+    Ok(Args { nodes, cfg, min_interleavings, verify_oracle, replay, apps })
+}
+
+/// Resolve `--apps a,b` (default: all) against the known app list.
+fn parse_apps(args: &mut Vec<String>) -> Result<Vec<&'static str>, String> {
+    let list = flag_str(args, "--apps")?;
+    if let Some(a) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(format!("unknown flag '{a}'"));
+    }
+    let Some(list) = list else { return Ok(apps::APPS.to_vec()) };
+    list.split(',')
+        .filter(|s| !s.is_empty())
         .map(|a| {
-            *apps::APPS
+            apps::APPS
                 .iter()
-                .find(|x| **x == a.as_str())
-                .unwrap_or_else(|| panic!("unknown app '{a}'; expected one of {:?}", apps::APPS))
+                .find(|x| **x == a)
+                .copied()
+                .ok_or_else(|| format!("unknown app '{a}'; expected one of {:?}", apps::APPS))
         })
         .collect()
 }
 
 /// Consume `--name V` / `--name=V` returning the raw value.
-fn flag_str(args: &mut Vec<String>, name: &str) -> Option<String> {
+fn flag_str(args: &mut Vec<String>, name: &str) -> Result<Option<String>, String> {
     let eq = format!("{name}=");
     let mut out = None;
     let mut i = 0;
     while i < args.len() {
         if args[i] == name {
-            out = Some(args.get(i + 1).unwrap_or_else(|| panic!("{name} needs a value")).clone());
+            out = Some(args.get(i + 1).ok_or_else(|| format!("{name} needs a value"))?.clone());
             args.drain(i..i + 2);
         } else if let Some(v) = args[i].strip_prefix(&eq) {
             out = Some(v.to_string());
@@ -181,13 +196,14 @@ fn flag_str(args: &mut Vec<String>, name: &str) -> Option<String> {
             i += 1;
         }
     }
-    out
+    Ok(out)
 }
 
 /// Consume `--name V` / `--name=V` as an integer.
-fn flag_u64(args: &mut Vec<String>, name: &str) -> Option<u64> {
-    flag_str(args, name)
-        .map(|v| v.parse::<u64>().unwrap_or_else(|e| panic!("{name} expects an integer: {e}")))
+fn flag_u64(args: &mut Vec<String>, name: &str) -> Result<Option<u64>, String> {
+    flag_str(args, name)?
+        .map(|v| v.parse::<u64>().map_err(|e| format!("{name} expects an integer: {e}")))
+        .transpose()
 }
 
 /// Consume a bare `--name` flag; true when present.
@@ -195,4 +211,35 @@ fn take_flag(args: &mut Vec<String>, name: &str) -> bool {
     let before = args.len();
     args.retain(|a| a != name);
     args.len() != before
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()).collect())
+    }
+
+    #[test]
+    fn bad_input_is_an_error_not_a_panic() {
+        let args = parse(&["--apps", "matmul,stream", "--nodes=3", "--max-interleavings", "9"])
+            .expect("well-formed");
+        assert_eq!(
+            (args.apps, args.nodes, args.cfg.max_interleavings),
+            (vec!["matmul", "stream"], 3, 9)
+        );
+        let args = parse(&["--replay", "0,3,1", "--apps", "matmul"]).expect("one app");
+        assert_eq!(args.replay, Some((vec![0, 3, 1], "matmul")));
+        for bad in [
+            &["--apps", "matmull"][..],
+            &["--depth"],
+            &["--depth", "deep"],
+            &["--replay", "0,x", "--apps", "matmul"],
+            &["--replay", "0,3"],
+            &["--verbose"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
 }

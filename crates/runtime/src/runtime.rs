@@ -79,7 +79,8 @@ pub struct RunReport {
     /// Host wall-clock nanoseconds the DES kernel spent running this
     /// program. **Not deterministic** — it varies run to run and host
     /// to host, so [`ToJson`] leaves it out; use [`Self::events_per_sec`]
-    /// or read it directly for wall-clock reporting (`bench_sim`).
+    /// or read it directly for wall-clock reporting (the benchmark's
+    /// `sim.host_s` and `sim.ns_per_event`).
     pub host_ns: u64,
     /// Wakeups the kernel's dedup fast path skipped (they could only
     /// ever have popped stale). Zero under `OMPSS_SIM_NO_FASTPATH=1`;

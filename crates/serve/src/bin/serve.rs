@@ -4,16 +4,14 @@
 //! serve                          # line protocol on stdin/stdout
 //! serve --socket PATH            # daemon on a Unix socket, one client per connection
 //! serve --soak [N]               # in-process robustness soak (default 500 jobs)
-//! serve --bench [--check]        # daemon throughput baseline / regression gate
 //! ```
 //!
 //! Common flags: `--jobs N` (worker threads), `--queue-cap N`.
 //!
 //! The protocol is one JSON object per line in each direction; see
-//! [`ompss_serve::serve_connection`]. The soak and bench modes are the
-//! CI faces of the daemon: `./ci.sh serve` runs the soak, `./ci.sh
-//! bench` runs `--bench --check` against the committed
-//! `BENCH_serve.json`.
+//! [`ompss_serve::serve_connection`]. The soak is the daemon's CI face:
+//! `./ci.sh serve` runs it. Its host-time costs are measured by the
+//! benchmark's `serve_open` workload.
 
 use std::collections::HashMap;
 use std::io::BufReader;
@@ -43,13 +41,6 @@ fn fairness_bound(queue_cap: usize) -> u64 {
     queue_cap as u64 + 3 * PRIORITY_MAX as u64 * AGING_POPS
 }
 
-/// Bench: `--check` fails when throughput drops below baseline by more
-/// than this factor.
-const REGRESSION_HEADROOM: f64 = 1.20;
-
-/// Bench: jobs pushed through the daemon.
-const BENCH_JOBS: usize = 96;
-
 /// Peak resident set size of this process so far, in bytes (Linux
 /// `VmHWM`; 0 where unavailable).
 fn peak_rss_bytes() -> u64 {
@@ -61,14 +52,6 @@ fn peak_rss_bytes() -> u64 {
         .and_then(|kb| kb.parse::<u64>().ok())
         .map(|kb| kb * 1024)
         .unwrap_or(0)
-}
-
-/// Path of the committed baseline: `<workspace>/BENCH_serve.json`.
-fn bench_path() -> std::path::PathBuf {
-    match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(m) => std::path::Path::new(&m).join("../../BENCH_serve.json"),
-        Err(_) => std::path::PathBuf::from("BENCH_serve.json"),
-    }
 }
 
 /// Deterministic 64-bit xorshift for the soak's job mix.
@@ -308,96 +291,6 @@ fn run_soak(n: usize) -> i32 {
     }
 }
 
-/// Pull a numeric field out of a committed `BENCH_serve.json`.
-fn baseline_field(text: &str, key: &str) -> Option<f64> {
-    match Json::parse(text).ok()?.get(key)? {
-        Json::F64(v) => Some(*v),
-        Json::U64(v) => Some(*v as f64),
-        _ => None,
-    }
-}
-
-fn run_bench(check: bool) -> i32 {
-    let cfg = ServeConfig { queue_cap: BENCH_JOBS, ..ServeConfig::default() };
-    let workers = cfg.workers;
-    println!("serve bench: {BENCH_JOBS} jobs, {workers} worker(s)");
-    let server = Server::new(cfg);
-
-    let waits: Arc<Mutex<Vec<Duration>>> = Arc::default();
-    let done: Arc<Mutex<usize>> = Arc::default();
-    let submitted_at: Arc<Mutex<HashMap<u64, Instant>>> = Arc::default();
-    let sink: Sink = {
-        let waits = waits.clone();
-        let done = done.clone();
-        let submitted_at = submitted_at.clone();
-        Arc::new(move |ev: &Event| {
-            if let EventKind::Started { .. } = ev.kind {
-                if let Some(t) = submitted_at.lock().expect("submits").get(&ev.id) {
-                    waits.lock().expect("waits").push(t.elapsed());
-                }
-            }
-            if ev.is_terminal() {
-                *done.lock().expect("done") += 1;
-            }
-        })
-    };
-
-    let spec = JobSpec::parse(r#"{"app":"stream"}"#).expect("bench spec");
-    let t0 = Instant::now();
-    for _ in 0..BENCH_JOBS {
-        let before = Instant::now();
-        let id = server.submit(spec.clone(), sink.clone());
-        submitted_at.lock().expect("submits").insert(id, before);
-    }
-    while *done.lock().expect("done") < BENCH_JOBS {
-        assert!(t0.elapsed() < Duration::from_secs(600), "bench stalled");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let wall = t0.elapsed().as_secs_f64();
-    server.shutdown();
-
-    let jobs_per_sec = BENCH_JOBS as f64 / wall;
-    let mut waits: Vec<u64> =
-        waits.lock().expect("waits").iter().map(|d| d.as_micros() as u64).collect();
-    waits.sort_unstable();
-    let pct = |p: f64| waits[((waits.len() - 1) as f64 * p) as usize];
-    let (p50, p99) = (pct(0.50), pct(0.99));
-    println!("  jobs/s      {jobs_per_sec:>10.2}");
-    println!("  queue wait  p50 {p50} us, p99 {p99} us");
-
-    let path = bench_path();
-    let baseline =
-        std::fs::read_to_string(&path).ok().and_then(|t| baseline_field(&t, "jobs_per_sec"));
-    if let Some(b) = baseline {
-        println!("  baseline    {b:>10.2} jobs/s ({:+.1}%)", (jobs_per_sec / b - 1.0) * 100.0);
-    }
-
-    if check {
-        let b = baseline
-            .unwrap_or_else(|| panic!("--check needs a committed baseline at {}", path.display()));
-        if jobs_per_sec * REGRESSION_HEADROOM < b {
-            eprintln!(
-                "serve bench: {jobs_per_sec:.2} jobs/s is more than {:.0}% below baseline {b:.2}",
-                (REGRESSION_HEADROOM - 1.0) * 100.0
-            );
-            return 1;
-        }
-        println!("serve bench: within {:.0}% of baseline", (REGRESSION_HEADROOM - 1.0) * 100.0);
-        return 0;
-    }
-
-    let doc = Json::object()
-        .field("bench", "serve")
-        .field("jobs", BENCH_JOBS as u64)
-        .field("workers", workers as u64)
-        .field("jobs_per_sec", jobs_per_sec)
-        .field("wait_p50_us", p50)
-        .field("wait_p99_us", p99);
-    std::fs::write(&path, doc.to_pretty_string() + "\n").expect("write BENCH_serve.json");
-    println!("serve bench: wrote {}", path.display());
-    0
-}
-
 fn run_stdin(cfg: ServeConfig) {
     let server = Server::new(cfg);
     let stdin = std::io::stdin().lock();
@@ -446,8 +339,38 @@ fn run_socket(path: &str, cfg: ServeConfig) {
     println!("serve: drained, bye");
 }
 
-const USAGE: &str =
-    "usage: serve [--jobs N] [--queue-cap N] [--socket PATH | --soak [N] | --bench [--check]]";
+const USAGE: &str = "usage: serve [--jobs N] [--queue-cap N] [--socket PATH | --soak [N]]";
+
+/// The command line after `--jobs`.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    queue_cap: Option<usize>,
+    socket: Option<String>,
+    soak: Option<usize>,
+}
+
+fn parse_args(args: Vec<String>) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    let mut it = args.into_iter().peekable();
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            "--queue-cap" => {
+                let cap = it.next().and_then(|v| v.parse().ok()).filter(|&c: &usize| c > 0);
+                parsed.queue_cap = Some(cap.ok_or("--queue-cap needs a positive integer")?);
+            }
+            "--socket" => parsed.socket = Some(it.next().ok_or("--socket needs a path")?),
+            "--soak" => {
+                let n = it.peek().and_then(|v| v.parse().ok());
+                if n.is_some() {
+                    it.next();
+                }
+                parsed.soak = Some(n.unwrap_or(500));
+            }
+            other => return Err(format!("unknown flag '{other}'")),
+        }
+    }
+    Ok(parsed)
+}
 
 fn main() {
     // Panics inside simulated processes (fault injection tripping an
@@ -460,49 +383,12 @@ fn main() {
         eprintln!("serve: panic in {thread}: {info}");
     }));
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = ompss_sweep::parse_jobs_flag(&mut args).unwrap_or_else(|e| {
+    let parsed =
+        ompss_sweep::parse_jobs_flag(&mut args).and_then(|jobs| Ok((jobs, parse_args(args)?)));
+    let (jobs, Args { queue_cap, socket, soak }) = parsed.unwrap_or_else(|e| {
         eprintln!("serve: {e}; {USAGE}");
         std::process::exit(2);
     });
-
-    let mut queue_cap: Option<usize> = None;
-    let mut socket: Option<String> = None;
-    let mut soak: Option<usize> = None;
-    let mut bench = false;
-    let mut check = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--queue-cap" => {
-                queue_cap = Some(
-                    args.get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("--queue-cap needs a positive integer")),
-                );
-                i += 2;
-            }
-            "--socket" => {
-                socket = Some(
-                    args.get(i + 1).unwrap_or_else(|| panic!("--socket needs a path")).clone(),
-                );
-                i += 2;
-            }
-            "--soak" => {
-                let n = args.get(i + 1).and_then(|v| v.parse().ok());
-                soak = Some(n.unwrap_or(500));
-                i += if n.is_some() { 2 } else { 1 };
-            }
-            "--bench" => {
-                bench = true;
-                i += 1;
-            }
-            "--check" => {
-                check = true;
-                i += 1;
-            }
-            other => panic!("serve: unknown flag '{other}'; {USAGE}"),
-        }
-    }
 
     let mut cfg = ServeConfig { workers: jobs, ..ServeConfig::default() };
     if let Some(cap) = queue_cap {
@@ -512,11 +398,35 @@ fn main() {
     if let Some(n) = soak {
         std::process::exit(run_soak(n));
     }
-    if bench {
-        std::process::exit(run_bench(check));
-    }
     match socket {
         Some(path) => run_socket(&path, cfg),
         None => run_stdin(cfg),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()).collect())
+    }
+
+    #[test]
+    fn bad_input_is_an_error_not_a_panic() {
+        let args = parse(&["--queue-cap", "8", "--socket", "serve.sock", "--soak"]).unwrap();
+        let socket = Some("serve.sock".to_string());
+        assert_eq!(args, Args { queue_cap: Some(8), socket, soak: Some(500) });
+        assert_eq!(parse(&["--soak", "40"]).unwrap().soak, Some(40));
+        for bad in [
+            &["--queue-cap"][..],
+            &["--queue-cap", "many"],
+            &["--queue-cap", "0"],
+            &["--socket"],
+            &["--bench"],
+            &["--soak", "--check"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 }

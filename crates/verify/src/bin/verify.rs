@@ -62,27 +62,11 @@ fn main() {
         eprintln!("{USAGE}\napps: {}", APPS.join(" "));
         return;
     }
-    if let Err(e) = ompss_sweep::parse_jobs_flag(&mut args) {
+    let parsed = ompss_sweep::parse_jobs_flag(&mut args).and_then(|_| parse_args(args));
+    let Args { seeds, schedules, apps: selected } = parsed.unwrap_or_else(|e| {
         eprintln!("verify: {e}; {USAGE}");
         std::process::exit(2);
-    }
-    let seeds = parse_seeds_flag(&mut args);
-    let schedules = !args.iter().any(|a| a == "--no-schedules");
-    // Resolve names against APPS so the closures below capture
-    // `&'static str`, not borrows of `args`.
-    let named: Vec<&'static str> = args
-        .iter()
-        .map(String::as_str)
-        .filter(|a| !a.starts_with("--"))
-        .map(|a| {
-            *APPS
-                .iter()
-                .find(|x| **x == a)
-                .unwrap_or_else(|| panic!("unknown app '{a}'; expected one of {APPS:?}"))
-        })
-        .collect();
-    let selected: Vec<&'static str> =
-        if named.is_empty() || args.iter().any(|a| a == "--all") { APPS.to_vec() } else { named };
+    });
 
     // One sweep task per report section, queued in report order.
     type SectionTask = Box<dyn FnOnce() -> (String, Vec<Finding>) + Send>;
@@ -118,32 +102,67 @@ fn main() {
     }
 }
 
+/// The parsed command line (after `--jobs`).
+#[derive(Debug, PartialEq)]
+struct Args {
+    seeds: Vec<u64>,
+    schedules: bool,
+    /// Resolved against [`APPS`], so the section closures capture
+    /// `&'static str`, not borrows of the arguments.
+    apps: Vec<&'static str>,
+}
+
+fn parse_args(mut args: Vec<String>) -> Result<Args, String> {
+    let seeds = parse_seeds_flag(&mut args)?;
+    let schedules = !args.iter().any(|a| a == "--no-schedules");
+    let named = args
+        .iter()
+        .map(String::as_str)
+        .filter(|a| !a.starts_with("--"))
+        .map(|a| {
+            APPS.iter()
+                .find(|x| **x == a)
+                .copied()
+                .ok_or_else(|| format!("unknown app '{a}'; expected one of {APPS:?}"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let apps =
+        if named.is_empty() || args.iter().any(|a| a == "--all") { APPS.to_vec() } else { named };
+    Ok(Args { seeds, schedules, apps })
+}
+
 /// Consume a `--seeds a,b,c` / `--seeds=a,b,c` flag; defaults to
 /// [`schedule::DEFAULT_SEEDS`] when absent.
-fn parse_seeds_flag(args: &mut Vec<String>) -> Vec<u64> {
-    let parse = |v: &str| -> Vec<u64> {
-        let seeds: Vec<u64> = v
+fn parse_seeds_flag(args: &mut Vec<String>) -> Result<Vec<u64>, String> {
+    let parse = |v: &str| -> Result<Vec<u64>, String> {
+        let seeds = v
             .split(',')
             .filter(|s| !s.is_empty())
-            .map(|s| s.trim().parse::<u64>().expect("--seeds expects comma-separated integers"))
-            .collect();
-        assert!(!seeds.is_empty(), "--seeds needs at least one seed");
-        seeds
+            .map(|s| {
+                s.trim()
+                    .parse::<u64>()
+                    .map_err(|_| format!("--seeds expects comma-separated integers, got '{s}'"))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        if seeds.is_empty() {
+            return Err("--seeds needs at least one seed".into());
+        }
+        Ok(seeds)
     };
     let mut seeds = schedule::DEFAULT_SEEDS.to_vec();
     let mut i = 0;
     while i < args.len() {
         if args[i] == "--seeds" {
-            seeds = parse(args.get(i + 1).unwrap_or_else(|| panic!("--seeds needs a value")));
+            seeds = parse(args.get(i + 1).ok_or("--seeds needs a value")?)?;
             args.drain(i..i + 2);
         } else if let Some(v) = args[i].strip_prefix("--seeds=") {
-            seeds = parse(v);
+            seeds = parse(v)?;
             args.remove(i);
         } else {
             i += 1;
         }
     }
-    seeds
+    Ok(seeds)
 }
 
 /// Rerun `app` on the multi-GPU topology across scheduler seeds and
@@ -156,4 +175,23 @@ fn explore_app(app: &str, seeds: &[u64]) -> Vec<Finding> {
         let tasks = run.report.as_ref().map_or(0, |r| r.tasks);
         Ok(Observation { check: run.check, tasks })
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()).collect())
+    }
+
+    #[test]
+    fn bad_input_is_an_error_not_a_panic() {
+        let args = parse(&["--seeds", "0,9", "--no-schedules", "stream"]).unwrap();
+        assert_eq!(args, Args { seeds: vec![0, 9], schedules: false, apps: vec!["stream"] });
+        assert_eq!(parse(&["--seeds=3"]).unwrap().apps, APPS.to_vec());
+        for bad in [&["matmull"][..], &["--seeds"], &["--seeds", "1,x"], &["--seeds=,"]] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
 }
