@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full CI gate: formatting, lints, build, tests, clause verification,
-# fault-injection sweep.
+# fault-injection sweep. The full and quick gates run every stage even
+# after one fails, then exit 1 naming each failed stage.
 #
 #   ./ci.sh          # everything
 #   ./ci.sh quick    # fmt + clippy + tests + nofastpath + verify + chaos + churn + mc
@@ -85,36 +86,63 @@ case "${1:-}" in
         ;;
 esac
 
-echo "==> cargo fmt --check"
-cargo fmt --all -- --check
+fmt() {
+    echo "==> cargo fmt --check"
+    cargo fmt --all -- --check
+}
 
-echo "==> cargo clippy (deny warnings)"
-cargo clippy --workspace --all-targets -- -D warnings
+clippy() {
+    echo "==> cargo clippy (deny warnings)"
+    cargo clippy --workspace --all-targets -- -D warnings
+}
 
-if [[ "${1:-}" != "quick" ]]; then
+build() {
     echo "==> cargo build --release"
     cargo build --release
-    scale
-    figures
-fi
+}
 
-echo "==> cargo test"
-cargo test --workspace -q
+tests() {
+    echo "==> cargo test"
+    cargo test --workspace -q
+}
 
-nofastpath
+# Run one stage with errexit in a subshell; record it if it fails and go
+# on with the next.
+failed=()
+stage() {
+    set +e
+    (
+        set -e
+        "$1"
+    )
+    local status=$?
+    set -e
+    if ((status != 0)); then
+        echo "==> stage '$1' FAILED (exit $status)"
+        failed+=("$1")
+    fi
+}
 
-verify
-
-chaos
-
-churn
-
-mc
-
-serve
-
+stage fmt
+stage clippy
 if [[ "${1:-}" != "quick" ]]; then
-    mc_defects
+    stage build
+    stage scale
+    stage figures
+fi
+stage tests
+stage nofastpath
+stage verify
+stage chaos
+stage churn
+stage mc
+stage serve
+if [[ "${1:-}" != "quick" ]]; then
+    stage mc_defects
 fi
 
+if ((${#failed[@]} > 0)); then
+    echo "CI red: failed stages: ${failed[*]}"
+    exit 1
+fi
 echo "CI green."

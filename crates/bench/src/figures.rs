@@ -469,8 +469,10 @@ pub fn figws() -> FigureData {
             let mut s = Series::new(format!("{app}/{mode}"));
             for nodes in WS_NODES {
                 let r = results.next().expect("one result per queued config");
-                if nodes == 64 {
-                    attach(&mut fig, format!("{}@64nodes", s.label), &r);
+                // 16 nodes: the tier-1 pin (`tests/integration.rs`)
+                // re-runs these points; 64: flat saturated.
+                if nodes == 16 || nodes == 64 {
+                    attach(&mut fig, format!("{}@{nodes}nodes", s.label), &r);
                 }
                 s.push(nodes.to_string(), r.metric);
             }

@@ -16,6 +16,14 @@
 //! scheduler, execute them with their own workers/GPU managers, and
 //! send `Done` back; the master releases successors and refills the
 //! node up to `resources + presend` tasks in flight.
+//!
+//! The master is event-driven. A sweep of the communication thread
+//! ([`ompss_sched::Dispatcher`]) keeps the round-robin order and the
+//! persistent cursor but polls only nodes that can take a task, and
+//! does nothing when none can. Every event that makes work ready or
+//! frees a slave's slot goes through [`RtShared::announce`], which
+//! wakes only the processes that can act on it, and decides by its ring
+//! order which of them polls first at one instant (DESIGN.md §10).
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashMap};
@@ -28,7 +36,7 @@ use ompss_cudasim::{GpuDevice, GpuFault, KernelCost};
 use ompss_mem::Region;
 use ompss_mem::{MemoryManager, SpaceId};
 use ompss_net::{AmEndpoint, Fabric, LeaseTracker, NodeId};
-use ompss_sched::{LocalityOracle, ResourceId, Scheduler};
+use ompss_sched::{Dispatcher, LocalityOracle, ResourceId, Scheduler};
 use ompss_sim::{
     abort_run, delay, now, process, yield_now, Bell, FaultClass, FaultPlan, Latch, RunError,
     Signal, SimDuration, SimResult,
@@ -82,28 +90,25 @@ pub(crate) struct MasterState {
     pub sched: Scheduler,
     pub records: HashMap<TaskId, Rc<TaskRecord>>,
     pub next_id: u64,
-    /// Dispatched-but-unfinished tasks per node and device kind
-    /// `(smp, cuda)` (index 0 unused).
-    pub inflight: Vec<(u32, u32)>,
+    /// What the comm thread knows of each slave — liveness, presence,
+    /// in-flight counts, live GPUs — and its round-robin cursor.
+    pub dispatch: Dispatcher,
     pub tasks_executed: u64,
     /// Reusable buffer for [`TaskGraph::complete_into`] on the
     /// completion hot path (always left empty between completions).
     pub newly_scratch: Vec<TaskId>,
-    /// Live CUDA devices per node as the master knows them (index 0
-    /// unused): decremented by `GpuDown` notifications so the comm
-    /// thread stops dispatching CUDA tasks to a GPU-less node.
-    pub cuda_alive: Vec<u32>,
     /// Tasks dispatched to each node and not yet completed or handed
     /// back (index 0 unused) — the re-home set when a node is lost.
     pub dispatched: Vec<BTreeSet<TaskId>>,
-    /// Nodes the lease protocol has declared dead (index 0 unused): the
-    /// comm thread stops dispatching to them and stale notifications
-    /// from them are ignored.
-    pub node_dead: Vec<bool>,
-    /// Nodes armed to join that have not yet come up (index 0 unused):
-    /// the comm thread never dispatches to an absent node; the planned
-    /// [`node_join`] clears the flag at the join instant.
-    pub node_absent: Vec<bool>,
+}
+
+impl MasterState {
+    /// Has the lease protocol declared `node` dead (or a drain retired
+    /// it)? The comm thread no longer dispatches to it, and stale
+    /// notifications from it are ignored. The master never dies.
+    pub fn node_dead(&self, node: NodeId) -> bool {
+        node != 0 && self.dispatch.is_dead(node)
+    }
 }
 
 /// Per-slave-node state.
@@ -129,7 +134,12 @@ pub(crate) struct RtShared {
     pub coh: Rc<Coherence>,
     pub exec: Rc<RtExec>,
     pub master: RefCell<MasterState>,
-    pub master_bell: Bell,
+    /// The master's SMP workers park here; see [`RtShared::announce`]
+    /// for when each of the three master bells rings.
+    pub smp_bell: Bell,
+    /// The master's GPU managers park here.
+    pub gpu_bell: Bell,
+    /// The communication thread parks here.
     pub comm_bell: Bell,
     pub master_oracle: SpanOracle,
     pub slaves: Vec<SlaveState>,
@@ -194,7 +204,50 @@ pub(crate) enum BodyOutcome {
     Abandoned,
 }
 
+/// A set of device kinds, `[smp, cuda]`.
+pub(crate) type Kinds = [bool; 2];
+
+/// Every device kind: recovery and membership sites re-queue work of
+/// any kind, or change where it may run.
+pub(crate) const ALL_KINDS: Kinds = [true, true];
+
+/// The device kinds of `tasks`.
+pub(crate) fn kinds_of<'a>(tasks: impl IntoIterator<Item = &'a TaskRecord>) -> Kinds {
+    let mut kinds = [false, false];
+    for t in tasks {
+        kinds[(t.desc.device == Device::Cuda) as usize] = true;
+    }
+    kinds
+}
+
 impl RtShared {
+    /// The master's wakeup rule, in one place (DESIGN.md §10). Work of
+    /// `kinds` became ready at this instant — submitted, released by a
+    /// completion, or re-queued — and `slot_freed` says a slave got an
+    /// in-flight slot back.
+    ///
+    /// - The SMP workers wake only for ready SMP work.
+    /// - The GPU managers wake at every announcement, as they did on the
+    ///   one shared bell: which idle manager takes a ready task at an
+    ///   instant follows the order they last parked in, and the
+    ///   multi-GPU figures are measured with that order.
+    /// - The communication thread wakes only when there is ready work
+    ///   or a freed slot — otherwise its sweep could dispatch nothing.
+    ///
+    /// Ring order decides the same-instant race: the kind bells ring
+    /// before the comm bell, so at the instant work becomes ready the
+    /// master's idle resources poll before the communication thread
+    /// sweeps the node proxies.
+    pub(crate) fn announce(&self, kinds: Kinds, slot_freed: bool) {
+        if kinds[0] {
+            self.smp_bell.ring();
+        }
+        self.gpu_bell.ring();
+        if slot_freed || kinds != [false, false] {
+            self.comm_bell.ring();
+        }
+    }
+
     /// Record a completed task body: always charges the counter
     /// registry's per-resource busy time, and additionally emits a
     /// trace event when tracing is on.
@@ -468,35 +521,36 @@ impl RtShared {
         if let Some(tr) = &self.tracer {
             tr.record(TraceEvent::Recovery { kind: "device_lost", task: Some(tid.0), at: now() });
         }
-        self.master_bell.ring();
-        self.comm_bell.ring();
+        self.announce(ALL_KINDS, true);
     }
 
     /// Master-side completion: release successors, update the
-    /// scheduler, wake everyone.
-    pub(crate) fn complete_on_master(&self, id: TaskId, res: ResourceId) {
-        let rec = {
+    /// scheduler, and announce the kinds released. `remote`: the task
+    /// ran on a slave, whose in-flight slot is now free.
+    pub(crate) fn complete_on_master(&self, id: TaskId, res: ResourceId, remote: bool) {
+        let (rec, released) = {
             let mut m = self.master.borrow_mut();
             let mut newly = std::mem::take(&mut m.newly_scratch);
             m.graph.complete_into(id, &mut newly);
+            let mut released = [false, false];
             if newly.is_empty() {
                 // Common case: nothing released — no allocation at all.
                 m.sched.task_completed(res, &[], &self.master_oracle);
             } else {
                 let descs: Vec<Rc<TaskRecord>> =
                     newly.iter().map(|t| m.records[t].clone()).collect();
+                released = kinds_of(descs.iter().map(|r| &**r));
                 let desc_refs: Vec<&ompss_core::TaskDesc> = descs.iter().map(|r| &r.desc).collect();
                 m.sched.task_completed(res, &desc_refs, &self.master_oracle);
             }
             newly.clear();
             m.newly_scratch = newly;
             m.tasks_executed += 1;
-            m.records[&id].clone()
+            (m.records[&id].clone(), released)
         };
         rec.done.set();
         self.latch.done();
-        self.master_bell.ring();
-        self.comm_bell.ring();
+        self.announce(released, remote);
     }
 }
 
@@ -509,7 +563,7 @@ pub(crate) async fn master_smp_worker(shared: Rc<RtShared>, res: ResourceId) {
     loop {
         let tid = { shared.master.borrow_mut().sched.next(res) };
         let Some(tid) = tid else {
-            if shared.master_bell.wait().await.is_err() {
+            if shared.smp_bell.wait().await.is_err() {
                 return;
             }
             continue;
@@ -529,7 +583,7 @@ pub(crate) async fn master_smp_worker(shared: Rc<RtShared>, res: ResourceId) {
                         t0,
                         now(),
                     );
-                    shared.complete_on_master(tid, res);
+                    shared.complete_on_master(tid, res, false);
                     break;
                 }
                 Ok(BodyOutcome::Failed) => {
@@ -563,7 +617,7 @@ pub(crate) async fn master_gpu_manager(shared: Rc<RtShared>, res: ResourceId, sp
                         t
                     }
                     None => {
-                        if shared.master_bell.wait().await.is_err() {
+                        if shared.gpu_bell.wait().await.is_err() {
                             return;
                         }
                         continue;
@@ -613,7 +667,7 @@ pub(crate) async fn master_gpu_manager(shared: Rc<RtShared>, res: ResourceId, sp
                         t0,
                         now(),
                     );
-                    shared.complete_on_master(tid, res);
+                    shared.complete_on_master(tid, res, false);
                     break;
                 }
                 Ok(BodyOutcome::Failed) => {
@@ -632,106 +686,75 @@ pub(crate) async fn master_gpu_manager(shared: Rc<RtShared>, res: ResourceId, sp
 }
 
 /// The master's communication thread: drains node-proxy queues round
-/// robin, staging data and dispatching `Exec` messages, keeping each
-/// node at `resources + presend` tasks in flight.
+/// robin ([`Dispatcher::sweep`]: at most one task per node per visit,
+/// from a persistent cursor), staging data and dispatching `Exec`
+/// messages, keeping each node at `resources + presend` tasks in
+/// flight. A sweep polls only the nodes that can take a task. After a
+/// sweep that dispatched, the thread yields and sweeps again; after one
+/// that dispatched nothing, it parks until [`RtShared::announce`] rings
+/// `comm_bell` for new ready work or a freed slot.
 pub(crate) async fn comm_thread(shared: Rc<RtShared>, ep: AmEndpoint<ClusterMsg>) {
-    let nodes = shared.cfg.nodes;
-    // "Presend" dispatches work to a node before its resources go idle:
-    // the cap per device kind is the resource count plus the presend
-    // depth (presend 0 = exactly one task per resource in flight).
-    let smp_cap = shared.cfg.cpu_workers_per_node + shared.cfg.presend;
-    let cuda_cap = shared.cfg.gpus_per_node + shared.cfg.presend;
-    let mut cursor = 0u32; // persistent round-robin position over slaves
+    let mut sent: Vec<(NodeId, Rc<TaskRecord>)> = Vec::new();
     loop {
-        let mut progressed = false;
-        // Round-robin: at most one task per node per visit ("polling the
-        // task pool for each node of the cluster in a round-robin
-        // fashion", §III-D1), with a persistent cursor so successive
-        // dispatches rotate over the nodes; the outer loop keeps
-        // sweeping while any node accepted work.
-        for step in 0..nodes.saturating_sub(1) {
-            let node = 1 + (cursor + step) % (nodes - 1);
-            {
-                let tid = {
-                    let mut m = shared.master.borrow_mut();
-                    if m.node_dead[node as usize] || m.node_absent[node as usize] {
-                        continue;
-                    }
-                    let (smp_in, cuda_in) = m.inflight[node as usize];
-                    if smp_in >= smp_cap && cuda_in >= cuda_cap {
-                        continue;
-                    }
-                    // A node the master knows to be GPU-less gets no
-                    // CUDA work (its dispatcher would only bounce it).
-                    let cuda_ok = m.cuda_alive[node as usize] > 0;
-                    let allow = |d: Device| match d {
-                        Device::Smp => smp_in < smp_cap,
-                        Device::Cuda => cuda_ok && cuda_in < cuda_cap,
-                    };
-                    match m.sched.next_matching(shared.proxy_res[node as usize], allow) {
-                        Some(t) => {
-                            m.graph.start(t);
-                            match m.records[&t].desc.device {
-                                Device::Smp => m.inflight[node as usize].0 += 1,
-                                Device::Cuda => m.inflight[node as usize].1 += 1,
-                            }
-                            m.dispatched[node as usize].insert(t);
-                            t
-                        }
-                        None => continue,
-                    }
-                };
-                progressed = true;
-                cursor = (cursor + step + 1) % (nodes - 1);
-                let rec = shared.record(tid);
-                let host = shared.slaves[node as usize].host;
-                let shared2 = shared.clone();
-                let ep2 = ep.clone();
-                // Helper process: data staging + Exec message, so sends
-                // to different nodes overlap (asynchronous GASNet puts).
-                // Staging is node-granular ("a whole remote cluster node
-                // is a single device", §III-C3): data already valid in
-                // any space of the node needs no push.
-                process(("comm:push:t", tid.0)).daemon().spawn(async move {
-                    let needed: Vec<_> = rec
-                        .copy_accesses()
-                        .into_iter()
-                        .filter(|a| a.kind.reads())
-                        .filter(|a| !shared2.master_oracle.span_holds(&a.region, host))
-                        .collect();
-                    // Asynchronous GASNet puts: stage every input at
-                    // once, then send the execution request.
-                    let latch = ompss_sim::Latch::new();
-                    latch.add(needed.len() as u64);
-                    for a in needed {
-                        let sh = shared2.clone();
-                        let latch = latch.clone();
-                        process(("comm:stage:D", a.region.data.0)).daemon().spawn(async move {
-                            let _ = sh.coh.presend(&*sh.exec, &a.region, host).await;
-                            latch.done();
-                        });
-                    }
-                    if latch.wait_zero().await.is_err() {
-                        return;
-                    }
-                    crate::stats::Counters::add(&shared2.counters.am_exec, 1);
-                    send_msg(&shared2, &ep2, node, "Exec", |rel| ClusterMsg::Exec {
-                        task: rec.desc.id,
-                        rel,
-                    })
-                    .await;
-                });
-            }
+        {
+            let mut guard = shared.master.borrow_mut();
+            let m = &mut *guard;
+            m.dispatch.sweep(&mut m.sched, |node, t| {
+                m.graph.start(t);
+                m.dispatched[node as usize].insert(t);
+                let rec = m.records[&t].clone();
+                let device = rec.desc.device;
+                sent.push((node, rec));
+                device
+            });
+        }
+        let progressed = !sent.is_empty();
+        for (node, rec) in sent.drain(..) {
+            let host = shared.slaves[node as usize].host;
+            let shared2 = shared.clone();
+            let ep2 = ep.clone();
+            // Helper process: data staging + Exec message, so sends to
+            // different nodes overlap (asynchronous GASNet puts).
+            // Staging is node-granular ("a whole remote cluster node is
+            // a single device", §III-C3): data already valid in any
+            // space of the node needs no push.
+            process(("comm:push:t", rec.desc.id.0)).daemon().spawn(async move {
+                let needed: Vec<_> = rec
+                    .copy_accesses()
+                    .into_iter()
+                    .filter(|a| a.kind.reads())
+                    .filter(|a| !shared2.master_oracle.span_holds(&a.region, host))
+                    .collect();
+                // Asynchronous GASNet puts: stage every input at once,
+                // then send the execution request.
+                let latch = ompss_sim::Latch::new();
+                latch.add(needed.len() as u64);
+                for a in needed {
+                    let sh = shared2.clone();
+                    let latch = latch.clone();
+                    process(("comm:stage:D", a.region.data.0)).daemon().spawn(async move {
+                        let _ = sh.coh.presend(&*sh.exec, &a.region, host).await;
+                        latch.done();
+                    });
+                }
+                if latch.wait_zero().await.is_err() {
+                    return;
+                }
+                crate::stats::Counters::add(&shared2.counters.am_exec, 1);
+                send_msg(&shared2, &ep2, node, "Exec", |rel| ClusterMsg::Exec {
+                    task: rec.desc.id,
+                    rel,
+                })
+                .await;
+            });
         }
         if !progressed && shared.comm_bell.wait().await.is_err() {
             return;
         }
-        if progressed {
-            // Yield so helpers and other processes advance before the
-            // next round-robin sweep.
-            if yield_now().await.is_err() {
-                return;
-            }
+        // Yield so helpers and other processes advance before the next
+        // sweep.
+        if progressed && yield_now().await.is_err() {
+            return;
         }
     }
 }
@@ -746,16 +769,14 @@ pub(crate) async fn master_dispatcher(shared: Rc<RtShared>, ep: AmEndpoint<Clust
                     continue;
                 }
                 let stale = {
-                    let mut m = shared.master.borrow_mut();
-                    if m.node_dead[src as usize] {
+                    let mut guard = shared.master.borrow_mut();
+                    let m = &mut *guard;
+                    if m.node_dead(src) {
                         // The node was declared dead and this task was
                         // already re-homed; the straggler is dropped.
                         true
                     } else {
-                        match m.records[&task].desc.device {
-                            Device::Smp => m.inflight[src as usize].0 -= 1,
-                            Device::Cuda => m.inflight[src as usize].1 -= 1,
-                        }
+                        m.dispatch.finished(&m.sched, src, m.records[&task].desc.device);
                         m.dispatched[src as usize].remove(&task);
                         false
                     }
@@ -763,7 +784,7 @@ pub(crate) async fn master_dispatcher(shared: Rc<RtShared>, ep: AmEndpoint<Clust
                 if stale {
                     continue;
                 }
-                shared.complete_on_master(task, shared.proxy_res[src as usize]);
+                shared.complete_on_master(task, shared.proxy_res[src as usize], true);
             }
             ClusterMsg::Failed { task, rel } => {
                 if !ack_fresh(&shared, &ep, src, rel) {
@@ -772,42 +793,36 @@ pub(crate) async fn master_dispatcher(shared: Rc<RtShared>, ep: AmEndpoint<Clust
                 // The node hands the task back: put it into the graph
                 // and scheduler again, free its in-flight slot.
                 {
-                    let mut m = shared.master.borrow_mut();
-                    if m.node_dead[src as usize] {
+                    let mut guard = shared.master.borrow_mut();
+                    let m = &mut *guard;
+                    if m.node_dead(src) {
                         continue;
                     }
-                    match m.records[&task].desc.device {
-                        Device::Smp => m.inflight[src as usize].0 -= 1,
-                        Device::Cuda => m.inflight[src as usize].1 -= 1,
-                    }
+                    m.dispatch.finished(&m.sched, src, m.records[&task].desc.device);
                     m.dispatched[src as usize].remove(&task);
                     m.graph.reset_running(task);
                     let rec = m.records[&task].clone();
                     m.sched.submit(&rec.desc, &shared.master_oracle);
                 }
-                shared.master_bell.ring();
-                shared.comm_bell.ring();
+                shared.announce(ALL_KINDS, true);
             }
             ClusterMsg::GpuDown { rel } => {
                 if !ack_fresh(&shared, &ep, src, rel) {
                     continue;
                 }
                 {
-                    let mut m = shared.master.borrow_mut();
-                    if m.node_dead[src as usize] {
+                    let mut guard = shared.master.borrow_mut();
+                    let m = &mut *guard;
+                    if m.node_dead(src) {
                         continue;
                     }
-                    m.cuda_alive[src as usize] = m.cuda_alive[src as usize].saturating_sub(1);
-                    if m.cuda_alive[src as usize] == 0 {
-                        // The node can never again serve CUDA: stop
-                        // placing/hinting CUDA tasks on its proxy and
-                        // migrate any already queued there to the
-                        // global queue for the surviving GPUs.
-                        m.sched.forbid(shared.proxy_res[src as usize], Device::Cuda);
-                    }
+                    // At the node's last GPU its proxy is forbidden CUDA
+                    // work: no more placing or hinting CUDA tasks there,
+                    // and any already queued there migrate to the global
+                    // queue for the surviving GPUs.
+                    m.dispatch.gpu_down(&mut m.sched, src);
                 }
-                shared.master_bell.ring();
-                shared.comm_bell.ring();
+                shared.announce(ALL_KINDS, true);
             }
             ClusterMsg::Pong { node } => {
                 if let Some(lease) = &shared.lease {
@@ -1118,9 +1133,9 @@ pub(crate) async fn node_join(
     let mut regions_moved = 0u64;
     let mut bytes_moved = 0u64;
     {
-        let mut m = shared.master.borrow_mut();
-        m.node_absent[node as usize] = false;
-        m.sched.adopt(shared.proxy_res[node as usize]);
+        let mut guard = shared.master.borrow_mut();
+        let m = &mut *guard;
+        m.dispatch.join(&mut m.sched, node);
         if let Some(lease) = &shared.lease {
             // The joiner's lease begins now — silence before the join
             // was absence, not failure.
@@ -1137,7 +1152,7 @@ pub(crate) async fn node_join(
         for h in 0..shared.cfg.nodes as usize {
             for (data, size) in shared.mem.datas_homed_at(shared.hosts[h]) {
                 let owner = ms.owner(data) as usize;
-                if m.node_dead[owner] {
+                if m.node_dead(owner as NodeId) {
                     continue; // crashed members never receive slices
                 }
                 let new_home = shared.hosts[owner];
@@ -1170,8 +1185,7 @@ pub(crate) async fn node_join(
     // Wake the joiner's parked workers and the master's dispatch loops:
     // there is a new node to feed.
     shared.slaves[node as usize].bell.ring();
-    shared.master_bell.ring();
-    shared.comm_bell.ring();
+    shared.announce(ALL_KINDS, true);
 }
 
 /// The planned node-drain — graceful elastic departure, the inverse of
@@ -1206,13 +1220,14 @@ pub(crate) async fn node_drain(
     }
     // 1. Quiesce: no new dispatch to the leaver.
     {
-        let mut m = shared.master.borrow_mut();
-        if m.node_dead[node as usize] || m.node_absent[node as usize] || shared.node_down(node) {
+        let mut guard = shared.master.borrow_mut();
+        let m = &mut *guard;
+        if m.node_dead(node) || m.dispatch.is_absent(node) || shared.node_down(node) {
             return; // already gone (killed, or never joined): nothing to drain
         }
-        let orphans = m.sched.withdraw(shared.proxy_res[node as usize]);
+        let orphans = m.dispatch.withdraw(&mut m.sched, node);
         if !orphans.is_empty() {
-            drop(m);
+            drop(guard);
             abort_run(RunError::Exhausted {
                 what: format!("placements for tasks only draining node {node} could serve"),
                 attempts: orphans.len() as u32,
@@ -1220,13 +1235,15 @@ pub(crate) async fn node_drain(
             return;
         }
     }
+    // The withdrawn proxy's queued work went to the global queue.
+    shared.announce(ALL_KINDS, true);
     // 2. Drain in-flight work. Polled on a short virtual period: cheap
     // in events, and immune to completions that ring no bell.
     let poll = SimDuration::from_micros(50);
     loop {
         {
             let m = shared.master.borrow();
-            if m.node_dead[node as usize] || shared.node_down(node) {
+            if m.node_dead(node) || shared.node_down(node) {
                 return; // killed mid-drain: crash recovery owns the node now
             }
             if m.dispatched[node as usize].is_empty() {
@@ -1256,7 +1273,7 @@ pub(crate) async fn node_drain(
     // bytes that are not there.
     {
         let m = shared.master.borrow();
-        if m.node_dead[node as usize] || shared.node_down(node) {
+        if m.node_dead(node) || shared.node_down(node) {
             return;
         }
         shared.membership.borrow_mut().drain(node);
@@ -1267,7 +1284,7 @@ pub(crate) async fn node_drain(
     loop {
         let busy = {
             let m = shared.master.borrow();
-            if m.node_dead[node as usize] || shared.node_down(node) {
+            if m.node_dead(node) || shared.node_down(node) {
                 return;
             }
             let mut busy = 0usize;
@@ -1276,7 +1293,7 @@ pub(crate) async fn node_drain(
                 // A *crashed* member is invisible to the epoch map
                 // (only joins and drains advance it). Never re-home
                 // onto a dead node: the master adopts those slices.
-                let owner = if m.node_dead[owner as usize] { 0 } else { owner };
+                let owner = if m.node_dead(owner) { 0 } else { owner };
                 let new_home = shared.hosts[owner as usize];
                 if !shared.coh.migrate_ready(data, new_home) {
                     busy += 1;
@@ -1324,7 +1341,7 @@ pub(crate) async fn node_drain(
     // 5. Depart.
     {
         let mut m = shared.master.borrow_mut();
-        if m.node_dead[node as usize] || shared.node_down(node) {
+        if m.node_dead(node) || shared.node_down(node) {
             return;
         }
         shared.membership.borrow_mut().seal();
@@ -1337,9 +1354,8 @@ pub(crate) async fn node_drain(
             });
             return;
         }
-        m.node_dead[node as usize] = true;
-        m.cuda_alive[node as usize] = 0;
-        m.inflight[node as usize] = (0, 0);
+        let m = &mut *m;
+        m.dispatch.retire(&m.sched, node);
         if let Some(lease) = &shared.lease {
             lease.borrow_mut().untrack(node);
         }
@@ -1353,8 +1369,7 @@ pub(crate) async fn node_drain(
         tr.record(TraceEvent::Recovery { kind: "node_drain", task: None, at: now() });
     }
     shared.slaves[node as usize].bell.ring();
-    shared.master_bell.ring();
-    shared.comm_bell.ring();
+    shared.announce(ALL_KINDS, true);
 }
 
 /// The master's lease monitor (armed-only): probes every live slave on
@@ -1416,13 +1431,12 @@ pub(crate) fn master_node_lost(shared: &Rc<RtShared>, node: NodeId) {
         tr.record(TraceEvent::Recovery { kind: "node_lost", task: None, at: now() });
     }
     {
-        let mut m = shared.master.borrow_mut();
-        m.node_dead[node as usize] = true;
-        m.cuda_alive[node as usize] = 0;
-        m.inflight[node as usize] = (0, 0);
-        let orphans = m.sched.withdraw(shared.proxy_res[node as usize]);
+        let mut guard = shared.master.borrow_mut();
+        let m = &mut *guard;
+        m.dispatch.retire(&m.sched, node);
+        let orphans = m.dispatch.withdraw(&mut m.sched, node);
         if !orphans.is_empty() {
-            drop(m);
+            drop(guard);
             abort_run(RunError::Exhausted {
                 what: format!("placements for tasks only lost node {node} could serve"),
                 attempts: orphans.len() as u32,
@@ -1451,7 +1465,7 @@ pub(crate) fn master_node_lost(shared: &Rc<RtShared>, node: NodeId) {
             let new_alloc = match shared.mem.rehome_data(data, shared.hosts[0]) {
                 Ok(a) => a,
                 Err(e) => {
-                    drop(m);
+                    drop(guard);
                     abort_run(RunError::Exhausted {
                         what: format!("master memory re-homing shard of node {node}: {e}"),
                         attempts: 1,
@@ -1460,7 +1474,7 @@ pub(crate) fn master_node_lost(shared: &Rc<RtShared>, node: NodeId) {
                 }
             };
             if let Err(e) = shared.coh.rehome_data(data, size, shared.hosts[0], new_alloc) {
-                drop(m);
+                drop(guard);
                 abort_run(RunError::Exhausted {
                     what: format!("re-homing {data:?} off dead node {node}: {e}"),
                     attempts: 1,
@@ -1468,14 +1482,13 @@ pub(crate) fn master_node_lost(shared: &Rc<RtShared>, node: NodeId) {
                 return;
             }
         }
-        if let Err(e) = crate::lineage::reconstruct(shared, &m, &lost) {
-            drop(m);
+        if let Err(e) = crate::lineage::reconstruct(shared, m, &lost) {
+            drop(guard);
             abort_run(e);
             return;
         }
     }
-    shared.master_bell.ring();
-    shared.comm_bell.ring();
+    shared.announce(ALL_KINDS, true);
 }
 
 /// Send one control message: reliably (park until the ack arrives,

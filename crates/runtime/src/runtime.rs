@@ -21,7 +21,7 @@ use ompss_cudasim::{GpuDevice, GpuStats, PinnedPool};
 use ompss_json::{Json, ToJson};
 use ompss_mem::{DataId, MemoryManager, Region, Scalar, SpaceId, SpaceKind};
 use ompss_net::{AmNet, AmStats, NetStats};
-use ompss_sched::{ResourceInfo, ResourceKind, SchedStats, Scheduler};
+use ompss_sched::{Dispatcher, ResourceInfo, ResourceKind, SchedStats, Scheduler};
 use ompss_sim::{
     delay, now, process, Bell, DeviceFuse, FaultClass, FaultPlan, FaultStats, Latch, RunError,
     Signal, Sim, SimDuration, SimTime,
@@ -29,9 +29,9 @@ use ompss_sim::{
 
 use crate::config::RuntimeConfig;
 use crate::engine::{
-    comm_thread, device_has_resource, lease_monitor, master_dispatcher, master_gpu_manager,
-    master_smp_worker, node_drain, node_join, node_kill, slave_dispatcher, slave_gpu_manager,
-    slave_smp_worker, MasterState, RtShared, SlaveState, SpanOracle,
+    comm_thread, device_has_resource, kinds_of, lease_monitor, master_dispatcher,
+    master_gpu_manager, master_smp_worker, node_drain, node_join, node_kill, slave_dispatcher,
+    slave_gpu_manager, slave_smp_worker, MasterState, RtShared, SlaveState, SpanOracle,
 };
 use crate::exec::RtExec;
 use crate::recover::Reliability;
@@ -396,7 +396,7 @@ impl Omp {
         );
         delay(self.shared.cfg.task_overhead).await.expect("submit during shutdown");
         self.latch().add(1);
-        let handle = {
+        let (handle, kinds) = {
             let mut m = self.shared.master.borrow_mut();
             let id = TaskId(m.next_id);
             m.next_id += 1;
@@ -406,14 +406,15 @@ impl Omp {
                 Ok(r) => r,
                 Err(e) => panic!("invalid task submission: {e}"),
             };
+            let mut kinds = [false, false];
             if ready {
                 m.sched.submit(&rec.desc, &self.shared.master_oracle);
+                kinds = kinds_of([&*rec]);
             }
             m.records.insert(id, rec);
-            handle
+            (handle, kinds)
         };
-        self.shared.master_bell.ring();
-        self.shared.comm_bell.ring();
+        self.shared.announce(kinds, false);
         handle
     }
 
@@ -760,11 +761,17 @@ impl Runtime {
                 span_key.insert(gs, hosts[n as usize]);
             }
         }
+        // "Presend" dispatches work to a node before its resources go
+        // idle: the cap per device kind is the resource count plus the
+        // presend depth (presend 0 = exactly one task per resource in
+        // flight).
+        let caps = [cfg.cpu_workers_per_node + cfg.presend, cfg.gpus_per_node + cfg.presend];
+        let mut dispatch = Dispatcher::new(&sched, &proxy_res[1..], caps, cfg.gpus_per_node);
         // An armed joiner starts absent: its proxy is out of service
         // (no placement, no affinity hints) until the planned join
         // adopts it back.
         if let Some((j, _)) = cfg.node_join {
-            sched.deactivate(proxy_res[j as usize]);
+            dispatch.arm_join(&mut sched, j);
         }
         let master_oracle = SpanOracle { coh: coh.clone(), span_key };
 
@@ -836,21 +843,13 @@ impl Runtime {
                 sched,
                 records: std::collections::HashMap::new(),
                 next_id: 0,
-                inflight: vec![(0, 0); cfg.nodes as usize],
+                dispatch,
                 tasks_executed: 0,
                 newly_scratch: Vec::new(),
-                cuda_alive: vec![cfg.gpus_per_node; cfg.nodes as usize],
                 dispatched: vec![std::collections::BTreeSet::new(); cfg.nodes as usize],
-                node_dead: vec![false; cfg.nodes as usize],
-                node_absent: {
-                    let mut v = vec![false; cfg.nodes as usize];
-                    if let Some((j, _)) = cfg.node_join {
-                        v[j as usize] = true;
-                    }
-                    v
-                },
             }),
-            master_bell: Bell::new(),
+            smp_bell: Bell::new(),
+            gpu_bell: Bell::new(),
             comm_bell: Bell::new(),
             master_oracle,
             slaves,

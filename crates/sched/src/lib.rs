@@ -26,10 +26,14 @@
 //! and parks/wakes worker processes itself. Resources are abstract — a
 //! host worker, a GPU manager thread, or (on the master) a *node proxy*
 //! drained by the communication thread, which is how the same policies
-//! do both intra-node and cluster-level placement.
+//! do both intra-node and cluster-level placement. [`Dispatcher`] is
+//! that thread's round-robin over the node proxies, polling only those
+//! that can take a task.
 
 #![warn(missing_docs)]
 
+mod bits;
+mod dispatch;
 mod ready;
 
 use std::collections::BTreeSet;
@@ -37,7 +41,10 @@ use std::collections::BTreeSet;
 use ompss_core::{Device, TaskDesc, TaskId};
 use ompss_mem::{Region, SpaceId};
 
+use bits::Bits;
 use ready::{Kinds, Queued, ReadyQueue, DEVICES};
+
+pub use dispatch::Dispatcher;
 
 /// Index of a schedulable resource within one scheduler instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -164,6 +171,9 @@ pub struct Scheduler {
     /// Resources whose local queue holds at least `STEAL_THRESHOLD`
     /// tasks — the only possible steal victims.
     backlog: BTreeSet<usize>,
+    /// Resources whose hint slot or local queue holds a task — the only
+    /// ones that can be handed work nobody else may take.
+    owning: Bits,
     /// `(space, resource)` for every resource, sorted: affinity
     /// placement scores only the resources on spaces holding data.
     by_space: Vec<(SpaceId, usize)>,
@@ -196,6 +206,7 @@ impl Scheduler {
             local: Vec::new(),
             hints: Vec::new(),
             backlog: BTreeSet::new(),
+            owning: Bits::default(),
             by_space: Vec::new(),
             score: Vec::new(),
             scored: Vec::new(),
@@ -231,14 +242,16 @@ impl Scheduler {
         id
     }
 
-    /// Re-file `resource` in or out of the steal backlog after its local
-    /// queue changed length.
-    fn sync_backlog(&mut self, resource: usize) {
+    /// Re-file `resource` in or out of the steal backlog and the owning
+    /// index after its hint slot or local queue changed length.
+    fn sync_index(&mut self, resource: usize) {
         if self.local[resource].len() >= STEAL_THRESHOLD {
             self.backlog.insert(resource);
         } else {
             self.backlog.remove(&resource);
         }
+        let owns = self.local[resource].len() + self.hints[resource].len() > 0;
+        self.owning.set(resource, owns);
     }
 
     /// Take `resource` out of service (an injected device loss): its
@@ -264,7 +277,7 @@ impl Scheduler {
         for t in orphans {
             self.global.push(t);
         }
-        self.sync_backlog(resource);
+        self.sync_index(resource);
     }
 
     /// Is `resource` still in service?
@@ -312,7 +325,7 @@ impl Scheduler {
     }
 
     /// Can `resource` currently be handed a `device`-kind task?
-    fn serves(&self, resource: usize, device: Device) -> bool {
+    pub(crate) fn serves(&self, resource: usize, device: Device) -> bool {
         self.active[resource]
             && self.resources[resource].kind.accepts(device)
             && self.forbidden[resource] != Some(device)
@@ -334,7 +347,7 @@ impl Scheduler {
         }
         self.queued -= drained.len();
         for i in 0..self.local.len() {
-            self.sync_backlog(i);
+            self.sync_index(i);
         }
         drained.into_iter().map(|t| t.id).collect()
     }
@@ -388,6 +401,7 @@ impl Scheduler {
                     self.note_enqueue();
                     if !hinted && self.serves(resource.0, task.device) {
                         self.hints[resource.0].push(task);
+                        self.owning.set(resource.0, true);
                         hinted = true;
                     } else {
                         self.global.push(task);
@@ -452,7 +466,7 @@ impl Scheduler {
         match best {
             Some((_, i)) if !tied => {
                 self.local[i].push(task);
-                self.sync_backlog(i);
+                self.sync_index(i);
             }
             _ => self.global.push(task),
         }
@@ -476,9 +490,7 @@ impl Scheduler {
         if !self.active[resource.0] {
             return None;
         }
-        let kind = self.resources[resource.0].kind;
-        let banned = self.forbidden[resource.0];
-        let eligible = DEVICES.map(|d| kind.accepts(d) && banned != Some(d) && allow(d));
+        let eligible = self.eligible(resource.0, allow);
         // Highest priority wins; FIFO within a priority level — unless a
         // perturbation seed is set, in which case the tie-break among
         // equal-priority eligible tasks is drawn from a deterministic
@@ -496,13 +508,14 @@ impl Scheduler {
         }
 
         if let Some(t) = self.hints[resource.0].pick(eligible, salt) {
+            self.sync_index(resource.0);
             self.queued -= 1;
             self.stats.successor_hits += 1;
             return Some(t);
         }
 
         if let Some(t) = self.local[resource.0].pick(eligible, salt) {
-            self.sync_backlog(resource.0);
+            self.sync_index(resource.0);
             self.queued -= 1;
             self.stats.local_hits += 1;
             return Some(t);
@@ -529,7 +542,7 @@ impl Scheduler {
                 .max_by_key(|&i| (self.local[i].len(), usize::MAX - i));
             if let Some(v) = victim {
                 let t = self.local[v].steal(eligible).expect("victim filtered to hold a task");
-                self.sync_backlog(v);
+                self.sync_index(v);
                 self.queued -= 1;
                 self.stats.steals += 1;
                 return Some(t);
@@ -537,6 +550,73 @@ impl Scheduler {
         }
 
         None
+    }
+
+    /// The device kinds `resource` may be handed under `allow`.
+    fn eligible(&self, resource: usize, allow: impl Fn(Device) -> bool) -> Kinds {
+        DEVICES.map(|d| self.serves(resource, d) && allow(d))
+    }
+
+    /// Would [`next_matching`](Scheduler::next_matching) hand `resource`
+    /// a task under `allow`? Exact, and it changes nothing — not even
+    /// the decision counter.
+    pub(crate) fn could_hand(&self, resource: ResourceId, allow: impl Fn(Device) -> bool) -> bool {
+        let r = resource.0;
+        let eligible = self.eligible(r, allow);
+        self.hints[r].holds_any(eligible)
+            || self.local[r].holds_any(eligible)
+            || self.global.holds_any(eligible)
+            || self.stealable(self.resources[r].steal_group, eligible, r)
+    }
+
+    /// Does a steal victim of `group` other than `except` hold a task of
+    /// a kind in `kinds`?
+    fn stealable(&self, group: u32, kinds: Kinds, except: usize) -> bool {
+        self.policy == Policy::Affinity
+            && self.backlog.iter().any(|&i| {
+                i != except
+                    && self.active[i]
+                    && self.resources[i].steal_group == group
+                    && self.local[i].holds_any(kinds)
+            })
+    }
+
+    /// The device kinds any in-service resource of steal group `group`
+    /// that serves them can be handed, whatever its own queues hold:
+    /// global work, or work it could steal. (A resource that is itself
+    /// the only victim holding a kind holds that kind locally.)
+    pub(crate) fn shared_kinds(&self, group: u32) -> Kinds {
+        [0, 1].map(|d| {
+            let kind = std::array::from_fn(|k| k == d);
+            self.global.holds_any(kind) || self.stealable(group, kind, usize::MAX)
+        })
+    }
+
+    /// The first resource in `from..to` whose hint slot or local queue
+    /// holds a task.
+    pub(crate) fn next_owning(&self, from: usize, to: usize) -> Option<usize> {
+        self.owning.next(from, to)
+    }
+
+    /// The steal group of `resource`.
+    pub(crate) fn steal_group(&self, resource: ResourceId) -> u32 {
+        self.resources[resource.0].steal_group
+    }
+
+    /// Decisions drawn so far from the perturbation stream (always 0
+    /// when unseeded).
+    pub fn decisions(&self) -> u64 {
+        self.decisions
+    }
+
+    /// Account `polls` hand-out polls the caller skipped because each
+    /// would have returned `None`: a seeded scheduler advances its
+    /// decision counter exactly as if they had been made, so skipping
+    /// them leaves every later tie-break unchanged.
+    pub(crate) fn skip_decisions(&mut self, polls: u64) {
+        if self.seed != 0 {
+            self.decisions += polls;
+        }
     }
 }
 

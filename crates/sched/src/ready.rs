@@ -18,7 +18,7 @@ pub(crate) const DEVICES: [Device; 2] = [Device::Smp, Device::Cuda];
 /// A set of device kinds, indexed like [`DEVICES`].
 pub(crate) type Kinds = [bool; 2];
 
-fn slot(device: Device) -> usize {
+pub(crate) fn slot(device: Device) -> usize {
     match device {
         Device::Smp => 0,
         Device::Cuda => 1,

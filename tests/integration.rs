@@ -236,3 +236,51 @@ fn large_cluster_mixed_device_accounting() {
     assert_eq!(kernels, 16, "every GPU task launched exactly one kernel");
     assert!(report.net.bytes_total > 0, "cluster execution moved data over the fabric");
 }
+
+/// Tier-1 pin of Fig. WS at 16 nodes — past every other tier-1 test's
+/// node count, where the comm thread's dispatch and the master's
+/// wakeups decide the schedule. Each app, flat and sharded, must
+/// reproduce the committed `results/figWS.json` bit for bit: the
+/// metric, and the report's makespan, task count and event count.
+#[test]
+fn figws_16_nodes_matches_committed_results() {
+    use ompss::apps::ws::{self, WsParams};
+    use ompss_json::Json;
+
+    let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/results/figWS.json"))
+        .expect("results/figWS.json is committed");
+    let fig = Json::parse(&text).expect("figWS.json parses");
+    let Some(Json::Arr(series)) = fig.get("series") else { panic!("figWS.json has no series") };
+    let committed_y = |label: &str| {
+        let s = series.iter().find(|s| s.get("label") == Some(&Json::Str(label.into())));
+        let Some(Json::Arr(points)) = s.and_then(|s| s.get("points")) else {
+            panic!("no series {label}")
+        };
+        let p = points.iter().find(|p| p.get("x") == Some(&Json::Str("16".into())));
+        match p.and_then(|p| p.get("y")) {
+            Some(Json::F64(y)) => *y,
+            other => panic!("{label}@16: no y ({other:?})"),
+        }
+    };
+    let reports = fig.get("reports").expect("figWS.json has reports");
+    let p = WsParams::paper();
+    type WsApp = fn(RuntimeConfig, WsParams) -> ompss::apps::common::AppRun;
+    let apps: [(&str, WsApp); 2] = [("stream_ws", ws::run_stream), ("matmul_ws", ws::run_matmul)];
+    for (app, run) in apps {
+        for sharded in [false, true] {
+            let label = format!("{app}/{}", if sharded { "sharded" } else { "flat" });
+            let r = run(ws::ws_config(16, sharded), p);
+            let want = committed_y(&label);
+            assert_eq!(r.metric.to_bits(), want.to_bits(), "{label}@16: {} vs {want}", r.metric);
+            let rep = r.report.expect("ws runs carry a report");
+            let committed = reports.get(&format!("{label}@16nodes")).expect("16-node report");
+            for (key, got) in [
+                ("makespan_ns", rep.makespan.as_nanos()),
+                ("tasks", rep.tasks),
+                ("events", rep.events),
+            ] {
+                assert_eq!(Some(&Json::U64(got)), committed.get(key), "{label}@16: {key}");
+            }
+        }
+    }
+}
