@@ -9,6 +9,8 @@
 #   ./ci.sh verify   # only the ompss-verify sweep over the apps
 #   ./ci.sh chaos    # only the fault-injection sweep over the apps
 #   ./ci.sh churn    # elastic-membership grid: joins/drains/kill races
+#                    # (verify, chaos, churn and mc each fail if their stdout
+#                    # moved from the committed tests/golden/*.json)
 #   ./ci.sh bench    # host-time gate: benchmark medians vs BENCH_baseline.json
 #   ./ci.sh scale    # 1000-node demo, 1M-process RSS bound, 64-node weak scaling (release)
 #   ./ci.sh figures  # regenerate results/ and fail if any committed byte moved
@@ -19,21 +21,31 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Run a deterministic command and fail if its stdout moved from the
+# committed tests/golden/<name>.json, the way `figures` guards results/.
+golden() {
+    local out="tests/golden/$1.json"
+    shift
+    "$@" >"$out"
+    git diff --exit-code -- "$out"
+}
+
 verify() {
     echo "==> ompss-verify (all apps, multi-GPU + flat cluster + sharded cluster, schedule sweep)"
-    cargo run -q --release -p ompss-verify --bin verify -- --all
+    golden verify cargo run -q --release -p ompss-verify --bin verify -- --all
 }
 
 chaos() {
     echo "==> ompss-chaos (all apps, two rates x three seeds, both topologies)"
-    cargo run -q --release -p ompss-chaos --bin chaos -- --rates 0.05,0.1 --seeds 1,2,3
+    golden chaos cargo run -q --release -p ompss-chaos --bin chaos -- --rates 0.05,0.1 --seeds 1,2,3
     echo "==> ompss-chaos --node-kill (all apps, flat clusters 2+3 + sharded cluster 3, every slave, three kill points)"
-    cargo run -q --release -p ompss-chaos --bin chaos -- --node-kill --kill-points 20,45,70
+    golden node_kill cargo run -q --release -p ompss-chaos --bin chaos -- \
+        --node-kill --kill-points 20,45,70
 }
 
 churn() {
     echo "==> ompss-chaos --churn (perlin+stream, flat + sharded 3-node cluster, join/drain/kill races)"
-    cargo run -q --release -p ompss-chaos --bin chaos -- --churn perlin stream
+    golden churn cargo run -q --release -p ompss-chaos --bin chaos -- --churn perlin stream
 }
 
 bench() {
@@ -63,7 +75,7 @@ figures() {
 
 mc() {
     echo "==> ompss-mc (matmul+stream, 2-node cluster, >=1000 interleavings each)"
-    cargo run -q --release -p ompss-mc --bin mc -- \
+    golden mc cargo run -q --release -p ompss-mc --bin mc -- \
         --apps matmul,stream --nodes 2 --max-interleavings 1200 --min-interleavings 1000
 }
 

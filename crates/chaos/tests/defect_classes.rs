@@ -10,7 +10,7 @@ use ompss_chaos::{chaos_run, output_of, run_app};
 use ompss_core::Device;
 use ompss_mem::cast_slice_mut;
 use ompss_runtime::{
-    FaultClass, FaultPlan, KernelCost, RunError, Runtime, RuntimeConfig, TaskSpec,
+    FaultClass, FaultPlan, KernelCost, RunError, Runtime, RuntimeConfig, TaskSpec, TraceEvent,
 };
 
 #[test]
@@ -58,6 +58,47 @@ fn device_loss_migrates_queued_work() {
     let rep = run.report.as_ref().expect("report");
     assert_eq!(rep.counters.devices_lost, 1, "the forced loss takes one device");
     assert_eq!(output_of(&run), reference.as_slice(), "migration must be lossless");
+}
+
+#[test]
+fn slave_device_loss_hands_cuda_work_back() {
+    // Stream on two nodes, one GPU each. Kernel retirements draw the
+    // device-loss stream in a fixed order; draw 0 is the master's GPU
+    // (which `device_loss_migrates_queued_work` covers on one node) and
+    // draw 5 is node 1's third kernel. Seed 416 at rate 0.02 fires
+    // draw 5 and no other of the run's 73 draws, so exactly node 1's
+    // GPU is lost mid-run: the slave re-queues its work, tells the
+    // master `GpuDown`, and hands its CUDA tasks back as `Failed`.
+    let cfg = RuntimeConfig::gpu_cluster(2).with_tracing(true);
+    let reference = output_of(&run_app("stream", cfg.clone())).to_vec();
+    let plan = Arc::new(FaultPlan::quiet(416).with_rate(FaultClass::DeviceLoss, 0.02));
+    let run = chaos_run("stream", cfg, plan.clone());
+    assert_eq!(plan.stats().count(FaultClass::DeviceLoss), 1, "one drawn loss");
+    let rep = run.report.as_ref().expect("report");
+    assert_eq!(rep.counters.devices_lost, 1, "the drawn loss takes one device");
+    assert_eq!(output_of(&run), reference.as_slice(), "hand-back must be lossless");
+
+    let trace = rep.trace.as_ref().expect("traced run");
+    let lost_at = trace
+        .iter()
+        .find_map(|e| match e {
+            TraceEvent::Recovery { kind: "device_lost", at, .. } => Some(*at),
+            _ => None,
+        })
+        .expect("the loss is traced");
+    let gpu_spans = |node: u32| {
+        trace.iter().filter_map(move |e| match e {
+            TraceEvent::Task { resource, start, .. }
+                if resource.node == node && resource.name.starts_with("gpu") =>
+            {
+                Some(*start)
+            }
+            _ => None,
+        })
+    };
+    assert!(gpu_spans(1).any(|s| s < lost_at), "node 1's GPU ran kernels before the loss");
+    assert!(gpu_spans(1).all(|s| s < lost_at), "no task runs on node 1's GPU after its loss");
+    assert!(gpu_spans(0).any(|s| s > lost_at), "CUDA tasks still complete after the loss");
 }
 
 #[test]

@@ -11,7 +11,7 @@ use ompss_cudasim::GpuSpec;
 use ompss_mem::Backing;
 use ompss_net::FabricConfig;
 use ompss_sched::Policy;
-use ompss_sim::{FaultPlan, SimDuration};
+use ompss_sim::{FaultPlan, RunError, SimDuration};
 
 pub use ompss_coherence::{CachePolicy, SlaveRouting};
 
@@ -412,108 +412,91 @@ impl RuntimeConfig {
     /// | `OMPSS_NODE_JOIN` | `node@micros` planned join (e.g. `2@500`) |
     /// | `OMPSS_NODE_DRAIN` | `node@micros` planned drain (e.g. `1@800`) |
     ///
-    /// Unknown values panic (a typo silently ignored would invalidate an
-    /// experiment).
-    pub fn overridden_from_env(mut self) -> Self {
-        use std::env;
-        if let Ok(v) = env::var("OMPSS_SCHEDULE") {
-            self.sched_policy = match v.as_str() {
-                "bf" => Policy::BreadthFirst,
-                "default" => Policy::Dependencies,
-                "affinity" => Policy::Affinity,
-                other => panic!("OMPSS_SCHEDULE: unknown policy '{other}'"),
-            };
-        }
-        if let Ok(v) = env::var("OMPSS_CACHE_POLICY") {
-            self.cache_policy = match v.as_str() {
-                "nocache" => CachePolicy::NoCache,
-                "wt" => CachePolicy::WriteThrough,
-                "wb" => CachePolicy::WriteBack,
-                other => panic!("OMPSS_CACHE_POLICY: unknown policy '{other}'"),
-            };
-        }
-        if let Ok(v) = env::var("OMPSS_ROUTING") {
-            self.routing = match v.as_str() {
-                "mtos" => SlaveRouting::ViaMaster,
-                "stos" => SlaveRouting::Direct,
-                other => panic!("OMPSS_ROUTING: unknown mode '{other}'"),
-            };
-        }
-        if let Ok(v) = env::var("OMPSS_PRESEND") {
-            self.presend = v.parse().expect("OMPSS_PRESEND: not an integer");
-        }
-        let flag = |name: &str| -> Option<bool> {
-            env::var(name).ok().map(|v| match v.as_str() {
-                "1" | "true" | "on" => true,
-                "0" | "false" | "off" => false,
-                other => panic!("{name}: expected 0/1, got '{other}'"),
-            })
+    /// A value that does not parse, or that a builder would reject (a
+    /// fault rate outside `[0, 1]`, node 0 as a kill, join or drain
+    /// target, zero shards), is a [`RunError::InvalidConfig`] naming the
+    /// variable and the value: a typo silently ignored would invalidate
+    /// an experiment.
+    pub fn overridden_from_env(mut self) -> Result<Self, RunError> {
+        let flag = |v: &str| match v {
+            "1" | "true" | "on" => Some(true),
+            "0" | "false" | "off" => Some(false),
+            _ => None,
         };
-        if let Some(b) = flag("OMPSS_OVERLAP") {
-            self.overlap = b;
-        }
-        if let Some(b) = flag("OMPSS_PREFETCH") {
-            self.prefetch = b;
-        }
-        if let Some(b) = flag("OMPSS_TRACE") {
-            self.tracing = b;
-        }
-        if let Some(b) = flag("OMPSS_VERIFY") {
-            self.verify = b;
-        }
-        if let Ok(v) = env::var("OMPSS_SCHED_SEED") {
-            self.sched_seed = v.parse().expect("OMPSS_SCHED_SEED: not an integer");
-        }
-        if let Ok(v) = env::var("OMPSS_FAULT_RATE") {
-            let rate: f64 = v.parse().expect("OMPSS_FAULT_RATE: not a number");
-            assert!((0.0..=1.0).contains(&rate), "OMPSS_FAULT_RATE: must be in [0, 1]");
-            self.fault_rate = rate;
-        }
-        if let Ok(v) = env::var("OMPSS_FAULT_SEED") {
-            self.fault_seed = v.parse().expect("OMPSS_FAULT_SEED: not an integer");
-        }
-        if let Ok(v) = env::var("OMPSS_TASK_RETRIES") {
-            self.task_retry_budget = v.parse().expect("OMPSS_TASK_RETRIES: not an integer");
-        }
-        if let Ok(v) = env::var("OMPSS_AM_RETRIES") {
-            self.am_retry_budget = v.parse().expect("OMPSS_AM_RETRIES: not an integer");
-        }
-        if let Ok(v) = env::var("OMPSS_FAULT_NODE_LOSS") {
-            let (node, micros) =
-                v.split_once('@').expect("OMPSS_FAULT_NODE_LOSS: expected node@micros");
-            let node: u32 = node.parse().expect("OMPSS_FAULT_NODE_LOSS: node not an integer");
-            let micros: u64 = micros.parse().expect("OMPSS_FAULT_NODE_LOSS: not microseconds");
-            self = self.with_node_loss(node, SimDuration::from_micros(micros));
-        }
-        if let Ok(v) = env::var("OMPSS_HEARTBEAT_PERIOD_US") {
-            self.heartbeat_period = SimDuration::from_micros(
-                v.parse().expect("OMPSS_HEARTBEAT_PERIOD_US: not an integer"),
-            );
-        }
-        if let Ok(v) = env::var("OMPSS_LEASE_WINDOW_US") {
-            self.lease_window =
-                SimDuration::from_micros(v.parse().expect("OMPSS_LEASE_WINDOW_US: not an integer"));
-        }
-        if let Ok(v) = env::var("OMPSS_LINEAGE_DEPTH") {
-            self.lineage_depth_budget = v.parse().expect("OMPSS_LINEAGE_DEPTH: not an integer");
-        }
-        if let Ok(v) = env::var("OMPSS_SHARDS") {
-            self.shards = v.parse().expect("OMPSS_SHARDS: not an integer");
-        }
-        if let Ok(v) = env::var("OMPSS_NODE_JOIN") {
-            let (node, micros) = v.split_once('@').expect("OMPSS_NODE_JOIN: expected node@micros");
-            let node: u32 = node.parse().expect("OMPSS_NODE_JOIN: node not an integer");
-            let micros: u64 = micros.parse().expect("OMPSS_NODE_JOIN: not microseconds");
-            self = self.with_node_join(node, SimDuration::from_micros(micros));
-        }
-        if let Ok(v) = env::var("OMPSS_NODE_DRAIN") {
-            let (node, micros) = v.split_once('@').expect("OMPSS_NODE_DRAIN: expected node@micros");
-            let node: u32 = node.parse().expect("OMPSS_NODE_DRAIN: node not an integer");
-            let micros: u64 = micros.parse().expect("OMPSS_NODE_DRAIN: not microseconds");
-            self = self.with_node_drain(node, SimDuration::from_micros(micros));
-        }
-        self
+        let micros = |v: &str| v.parse().ok().map(SimDuration::from_micros);
+        const INT: &str = "an integer";
+        const FLAG: &str = "0|1";
+        const NODE_AT: &str = "node@micros with node >= 1";
+        from_env(&mut self.sched_policy, "OMPSS_SCHEDULE", "bf|default|affinity", |v| match v {
+            "bf" => Some(Policy::BreadthFirst),
+            "default" => Some(Policy::Dependencies),
+            "affinity" => Some(Policy::Affinity),
+            _ => None,
+        })?;
+        from_env(&mut self.cache_policy, "OMPSS_CACHE_POLICY", "nocache|wt|wb", |v| match v {
+            "nocache" => Some(CachePolicy::NoCache),
+            "wt" => Some(CachePolicy::WriteThrough),
+            "wb" => Some(CachePolicy::WriteBack),
+            _ => None,
+        })?;
+        from_env(&mut self.routing, "OMPSS_ROUTING", "mtos|stos", |v| match v {
+            "mtos" => Some(SlaveRouting::ViaMaster),
+            "stos" => Some(SlaveRouting::Direct),
+            _ => None,
+        })?;
+        from_env(&mut self.presend, "OMPSS_PRESEND", INT, int)?;
+        from_env(&mut self.overlap, "OMPSS_OVERLAP", FLAG, flag)?;
+        from_env(&mut self.prefetch, "OMPSS_PREFETCH", FLAG, flag)?;
+        from_env(&mut self.tracing, "OMPSS_TRACE", FLAG, flag)?;
+        from_env(&mut self.verify, "OMPSS_VERIFY", FLAG, flag)?;
+        from_env(&mut self.sched_seed, "OMPSS_SCHED_SEED", INT, int)?;
+        from_env(&mut self.fault_rate, "OMPSS_FAULT_RATE", "a number in [0, 1]", |v| {
+            v.parse().ok().filter(|r| (0.0..=1.0).contains(r))
+        })?;
+        from_env(&mut self.fault_seed, "OMPSS_FAULT_SEED", INT, int)?;
+        from_env(&mut self.task_retry_budget, "OMPSS_TASK_RETRIES", INT, int)?;
+        from_env(&mut self.am_retry_budget, "OMPSS_AM_RETRIES", INT, int)?;
+        from_env(&mut self.node_loss, "OMPSS_FAULT_NODE_LOSS", NODE_AT, node_at)?;
+        from_env(&mut self.heartbeat_period, "OMPSS_HEARTBEAT_PERIOD_US", INT, micros)?;
+        from_env(&mut self.lease_window, "OMPSS_LEASE_WINDOW_US", INT, micros)?;
+        from_env(&mut self.lineage_depth_budget, "OMPSS_LINEAGE_DEPTH", INT, int)?;
+        from_env(&mut self.shards, "OMPSS_SHARDS", "an integer >= 1", |v| {
+            v.parse().ok().filter(|&n| n > 0)
+        })?;
+        from_env(&mut self.node_join, "OMPSS_NODE_JOIN", NODE_AT, node_at)?;
+        from_env(&mut self.node_drain, "OMPSS_NODE_DRAIN", NODE_AT, node_at)?;
+        Ok(self)
     }
+}
+
+/// Overwrite `field` with environment variable `name` parsed by
+/// `parse`; leave it when the variable is unset. A value `parse`
+/// rejects (or one that is not Unicode) is an
+/// [`RunError::InvalidConfig`] naming the variable, the value and what
+/// was `expected`.
+fn from_env<T>(
+    field: &mut T,
+    name: &str,
+    expected: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<(), RunError> {
+    let Some(raw) = std::env::var_os(name) else { return Ok(()) };
+    *field = raw.to_str().and_then(parse).ok_or_else(|| RunError::InvalidConfig {
+        what: format!("{name}={raw:?}: expected {expected}"),
+    })?;
+    Ok(())
+}
+
+/// An integer of the field's width.
+fn int<T: std::str::FromStr>(v: &str) -> Option<T> {
+    v.parse().ok()
+}
+
+/// A planned membership event, `node@micros`, aimed at a slave.
+fn node_at(v: &str) -> Option<Option<(u32, SimDuration)>> {
+    let (node, micros) = v.split_once('@')?;
+    let node = node.parse().ok().filter(|&n: &u32| n > 0)?;
+    Some(Some((node, SimDuration::from_micros(micros.parse().ok()?))))
 }
 
 #[cfg(test)]

@@ -7,8 +7,16 @@
 //! layer stages its data in the execution space; the task runs; its
 //! completion releases successors.
 //!
-//! Cluster protocol (§III-D1): the master image runs the program and
-//! owns the task graph. One *communication thread* drains the per-node
+//! One runtime image per node (§III-D1, §III-D2): every node, master and
+//! slaves alike, runs the same [`smp_worker`] loop per worker thread and
+//! the same [`gpu_manager`] loop per GPU. A [`Home`] makes the four
+//! decisions that depend on the node, in one place: where its ready
+//! queue lives ([`Home::take`]), which bell an idle resource parks on
+//! ([`Home::bell`]), how a completion is reported ([`Home::finish`]),
+//! and what follows a lost GPU ([`RtShared::gpu_lost`]).
+//!
+//! Cluster protocol (§III-D1): the master image also runs the program
+//! and owns the task graph. One *communication thread* drains the per-node
 //! proxy queues round-robin, staging each dispatched task's input data
 //! in the remote node's host memory (concurrently, via helper
 //! processes — GASNet sends are asynchronous) before sending the `Exec`
@@ -25,7 +33,7 @@
 //! wakes only the processes that can act on it, and decides by its ring
 //! order which of them polls first at one instant (DESIGN.md §10).
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, RefCell, RefMut};
 use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -115,7 +123,6 @@ impl MasterState {
 pub(crate) struct SlaveState {
     pub sched: RefCell<Scheduler>,
     pub bell: Bell,
-    pub host: SpaceId,
     /// Set once this node has lost a GPU: its dispatcher then bounces
     /// freshly arrived CUDA tasks the node can no longer serve back to
     /// the master (covers `Exec`s that raced the `GpuDown` notice).
@@ -186,6 +193,33 @@ pub(crate) struct RtShared {
     /// `OMPSS_RT_DEBUG` is set: print every GPU task launch to stderr.
     /// Read once, when the runtime is built.
     pub debug_launches: bool,
+}
+
+/// Run `rec`'s body, if it has one, over the bytes its copy `accesses`
+/// were mapped to (`locs`, in access order), observed by the
+/// verification sink in verify mode. An SMP worker calls it inline; a
+/// GPU manager boxes it as the kernel's effect.
+fn run_body(
+    mem: &MemoryManager,
+    verify: Option<&crate::verify::VerifySink>,
+    rec: &TaskRecord,
+    accesses: &[ompss_mem::Access],
+    locs: &[ompss_coherence::Loc],
+) {
+    let Some(body) = &rec.body else { return };
+    let requests: Vec<_> = locs
+        .iter()
+        .zip(accesses)
+        .map(|(l, a)| (l.space, l.alloc, l.offset, a.region.len))
+        .collect();
+    match verify {
+        Some(sink) => {
+            sink.run_observed(mem, rec.desc.id, &rec.desc.label, accesses, &requests, body)
+        }
+        None => {
+            mem.with_bytes_many(&requests, |views| body(views));
+        }
+    }
 }
 
 /// How one attempt at a task body ended.
@@ -371,26 +405,7 @@ impl RtShared {
         if self.node_down(node) {
             return Ok(BodyOutcome::Abandoned);
         }
-        if let Some(body) = &rec.body {
-            let requests: Vec<_> = locs
-                .iter()
-                .zip(&accesses)
-                .map(|(l, a)| (l.space, l.alloc, l.offset, a.region.len))
-                .collect();
-            match &self.verify {
-                Some(sink) => sink.run_observed(
-                    &self.mem,
-                    rec.desc.id,
-                    &rec.desc.label,
-                    &accesses,
-                    &requests,
-                    body,
-                ),
-                None => {
-                    self.mem.with_bytes_many(&requests, |views| body(views));
-                }
-            }
-        }
+        run_body(&self.mem, self.verify.as_deref(), rec, &accesses, &locs);
         self.coh.commit(&*self.exec, &accesses, space).await?;
         Ok(BodyOutcome::Done)
     }
@@ -399,7 +414,7 @@ impl RtShared {
     /// prefetch of `next` while the kernel executes.
     async fn run_gpu_body(
         self: &Rc<Self>,
-        rec: &TaskRecord,
+        rec: &Rc<TaskRecord>,
         space: SpaceId,
         node: NodeId,
         stream: &ompss_cudasim::Stream,
@@ -422,24 +437,13 @@ impl RtShared {
         // effect runs on the stream's own process, so in verification
         // mode the observation wrapper (thread-local access tracker +
         // byte diffing) must travel inside the closure.
-        let effect: Option<ompss_cudasim::Effect> = rec.body.as_ref().map(|body| {
-            let body = body.clone();
+        let effect: Option<ompss_cudasim::Effect> = rec.body.is_some().then(|| {
+            let rec = rec.clone();
             let mem = self.mem.clone();
-            let requests: Vec<_> = locs
-                .iter()
-                .zip(&accesses)
-                .map(|(l, a)| (l.space, l.alloc, l.offset, a.region.len))
-                .collect();
             let verify = self.verify.clone();
-            let id = rec.desc.id;
-            let label = rec.desc.label.clone();
             let declared = accesses.clone();
-            Box::new(move || match &verify {
-                Some(sink) => sink.run_observed(&mem, id, &label, &declared, &requests, &body),
-                None => {
-                    mem.with_bytes_many(&requests, |views| body(views));
-                }
-            }) as ompss_cudasim::Effect
+            Box::new(move || run_body(&mem, verify.as_deref(), &rec, &declared, &locs))
+                as ompss_cudasim::Effect
         });
         let ev = stream.launch_async(cost, effect);
         // Prefetch the next task's read data while the kernel runs
@@ -494,34 +498,67 @@ impl RtShared {
         true
     }
 
-    /// Master-side whole-device loss: blacklist the manager's resource
-    /// (migrating its queue), put the in-hand and any prefetched task
-    /// back into the graph and scheduler, and drop the dead space's
-    /// cached copies. The machine-wide fuse guarantees a surviving
-    /// CUDA-capable resource (another local GPU, or the node proxies
-    /// when clustered), so nothing becomes unservable here.
-    fn master_gpu_lost(
-        &self,
+    /// Whole-device loss, on any node: blacklist the manager's resource
+    /// in the node's scheduler (migrating its queue), put the in-hand and
+    /// any prefetched task back, drop the dead space's cached copies and
+    /// record the loss. The rest depends on the node. The master first
+    /// resets the tasks in its graph and afterwards announces them: the
+    /// machine-wide fuse guarantees a surviving CUDA-capable resource
+    /// (another local GPU, or the node proxies when clustered), so
+    /// nothing becomes unservable there. A slave marks its GPU lost and
+    /// hands everything it can no longer serve back to the master as
+    /// `Failed`, after a `GpuDown` notice so the master throttles CUDA
+    /// dispatch to it.
+    fn gpu_lost(
+        self: &Rc<Self>,
+        home: &Home,
         res: ResourceId,
         space: SpaceId,
         tid: TaskId,
         prefetched: Option<TaskId>,
     ) {
         crate::stats::Counters::add(&self.counters.devices_lost, 1);
-        {
-            let mut m = self.master.borrow_mut();
-            m.sched.deactivate(res);
-            for t in std::iter::once(tid).chain(prefetched) {
-                m.graph.reset_running(t);
-                let rec = m.records[&t].clone();
-                m.sched.submit(&rec.desc, &self.master_oracle);
+        let requeue: Vec<Rc<TaskRecord>> =
+            std::iter::once(tid).chain(prefetched).map(|t| self.record(t)).collect();
+        match &home.ep {
+            None => {
+                let mut m = self.master.borrow_mut();
+                for rec in &requeue {
+                    m.graph.reset_running(rec.desc.id);
+                }
             }
+            Some(_) => self.slaves[home.node as usize].gpu_lost.set(true),
         }
+        let orphans = {
+            let (mut sched, oracle) = home.sched(self);
+            sched.deactivate(res);
+            for rec in &requeue {
+                sched.submit(&rec.desc, oracle);
+            }
+            if home.ep.is_some() {
+                sched.drain_unservable()
+            } else {
+                Vec::new()
+            }
+        };
         self.coh.invalidate_space(space);
         if let Some(tr) = &self.tracer {
             tr.record(TraceEvent::Recovery { kind: "device_lost", task: Some(tid.0), at: now() });
         }
-        self.announce(ALL_KINDS, true);
+        let Some(ep) = &home.ep else {
+            self.announce(ALL_KINDS, true);
+            return;
+        };
+        let shared = self.clone();
+        let ep = ep.clone();
+        process(format!("gpu-down:n{}", home.node)).daemon().spawn(async move {
+            send_msg(&shared, &ep, 0, "GpuDown", |rel| ClusterMsg::GpuDown { rel }).await;
+            for t in orphans {
+                send_msg(&shared, &ep, 0, "Failed", |rel| ClusterMsg::Failed { task: t, rel })
+                    .await;
+            }
+        });
+        self.slaves[home.node as usize].bell.ring();
     }
 
     /// Master-side completion: release successors, update the
@@ -554,36 +591,97 @@ impl RtShared {
     }
 }
 
-/// SMP worker loop for the master node.
-pub(crate) async fn master_smp_worker(shared: Rc<RtShared>, res: ResourceId) {
-    let space = shared.hosts[0];
+/// Where a resource loop runs: the node, and — on a slave — the
+/// endpoint its completions and hand-backs leave through. The master
+/// and every slave run the same loops; what differs between them is
+/// decided here.
+#[derive(Clone)]
+pub(crate) struct Home {
+    pub node: NodeId,
+    /// The slave's endpoint; `None` on the master.
+    pub ep: Option<AmEndpoint<ClusterMsg>>,
+}
+
+impl Home {
+    /// This node's scheduler and the locality oracle it scores with.
+    fn sched<'a>(&self, shared: &'a RtShared) -> (RefMut<'a, Scheduler>, &'a SpanOracle) {
+        match self.ep {
+            None => {
+                (RefMut::map(shared.master.borrow_mut(), |m| &mut m.sched), &shared.master_oracle)
+            }
+            Some(_) => {
+                let n = self.node as usize;
+                (shared.slaves[n].sched.borrow_mut(), &shared.slave_oracles[n])
+            }
+        }
+    }
+
+    /// Take the next task for `res` from this node's ready queue. On the
+    /// master, taking a task starts it in the graph; a slave's tasks
+    /// were started when the master dispatched them.
+    fn take(&self, shared: &RtShared, res: ResourceId) -> Option<TaskId> {
+        let t = self.sched(shared).0.next(res)?;
+        if self.ep.is_none() {
+            shared.master.borrow_mut().graph.start(t);
+        }
+        Some(t)
+    }
+
+    /// The bell an idle resource running `kind` parks on: the master's
+    /// per-kind bell ([`RtShared::announce`]), or the slave's one bell.
+    fn bell<'a>(&self, shared: &'a RtShared, kind: Device) -> &'a Bell {
+        match (&self.ep, kind) {
+            (Some(_), _) => &shared.slaves[self.node as usize].bell,
+            (None, Device::Smp) => &shared.smp_bell,
+            (None, Device::Cuda) => &shared.gpu_bell,
+        }
+    }
+
+    /// Report `tid` done on `res`: the master releases its successors at
+    /// once; a slave sends `Done` to the master.
+    async fn finish(&self, shared: &Rc<RtShared>, tid: TaskId, res: ResourceId) {
+        match &self.ep {
+            None => shared.complete_on_master(tid, res, false),
+            Some(ep) => {
+                crate::stats::Counters::add(&shared.counters.am_done, 1);
+                send_msg(shared, ep, 0, "Done", |rel| ClusterMsg::Done { task: tid, rel }).await;
+            }
+        }
+    }
+}
+
+/// An SMP worker thread, on any node.
+pub(crate) async fn smp_worker(shared: Rc<RtShared>, home: Home, res: ResourceId) {
+    let node = home.node;
+    let space = shared.hosts[node as usize];
     // Rendered at the first completed task: set-up runs start every
     // loop and complete none.
     let mut name: Option<String> = None;
     loop {
-        let tid = { shared.master.borrow_mut().sched.next(res) };
-        let Some(tid) = tid else {
-            if shared.smp_bell.wait().await.is_err() {
+        if shared.node_down(node) {
+            return;
+        }
+        let Some(tid) = home.take(&shared, res) else {
+            if home.bell(&shared, Device::Smp).wait().await.is_err() {
                 return;
             }
             continue;
         };
-        shared.master.borrow_mut().graph.start(tid);
         let rec = shared.record(tid);
         let mut attempts = 0u32;
         loop {
             let t0 = now();
-            match shared.run_smp_body(&rec, space, 0).await {
+            match shared.run_smp_body(&rec, space, node).await {
                 Err(_) => return,
                 Ok(BodyOutcome::Done) => {
                     shared.trace_task(
                         &rec,
-                        0,
+                        node,
                         name.get_or_insert_with(|| format!("worker{}", res.0)),
                         t0,
                         now(),
                     );
-                    shared.complete_on_master(tid, res, false);
+                    home.finish(&shared, tid, res).await;
                     break;
                 }
                 Ok(BodyOutcome::Failed) => {
@@ -592,14 +690,19 @@ pub(crate) async fn master_smp_worker(shared: Rc<RtShared>, res: ResourceId) {
                     }
                 }
                 Ok(BodyOutcome::DeviceLost) => unreachable!("SMP body cannot lose a device"),
-                Ok(BodyOutcome::Abandoned) => unreachable!("node 0 cannot be killed"),
+                Ok(BodyOutcome::Abandoned) => {
+                    debug_assert_ne!(node, 0, "node 0 cannot be killed");
+                    return;
+                }
             }
         }
     }
 }
 
-/// GPU manager loop for a master-node GPU.
-pub(crate) async fn master_gpu_manager(shared: Rc<RtShared>, res: ResourceId, space: SpaceId) {
+/// A GPU manager thread, on any node: one per GPU, with prefetch of the
+/// next task's inputs while the kernel runs (§III-D2).
+pub(crate) async fn gpu_manager(shared: Rc<RtShared>, home: Home, res: ResourceId, space: SpaceId) {
+    let node = home.node;
     let dev = shared.gpus[&space].clone();
     let stream = dev.create_stream(format!("mgr{}", space.0));
     // Rendered at the first completed task: set-up runs start every
@@ -607,28 +710,19 @@ pub(crate) async fn master_gpu_manager(shared: Rc<RtShared>, res: ResourceId, sp
     let mut name: Option<String> = None;
     let mut next: Option<TaskId> = None;
     loop {
-        let tid = match next.take() {
-            Some(t) => t,
-            None => {
-                let t = { shared.master.borrow_mut().sched.next(res) };
-                match t {
-                    Some(t) => {
-                        shared.master.borrow_mut().graph.start(t);
-                        t
-                    }
-                    None => {
-                        if shared.gpu_bell.wait().await.is_err() {
-                            return;
-                        }
-                        continue;
-                    }
-                }
+        if shared.node_down(node) {
+            return;
+        }
+        let Some(tid) = next.take().or_else(|| home.take(&shared, res)) else {
+            if home.bell(&shared, Device::Cuda).wait().await.is_err() {
+                return;
             }
+            continue;
         };
         let rec = shared.record(tid);
         if shared.debug_launches {
             eprintln!(
-                "[rt {:.6}s] node0 gpu runs {} (t{})",
+                "[rt {:.6}s] node{node} gpu runs {} (t{})",
                 now().as_secs_f64(),
                 rec.desc.label,
                 tid.0
@@ -636,18 +730,8 @@ pub(crate) async fn master_gpu_manager(shared: Rc<RtShared>, res: ResourceId, sp
         }
         // Pick (and start) a prefetch candidate before launching.
         let pf: Option<Rc<TaskRecord>> = if shared.cfg.prefetch {
-            let t = {
-                let mut m = shared.master.borrow_mut();
-                match m.sched.next(res) {
-                    Some(n) => {
-                        m.graph.start(n);
-                        Some(n)
-                    }
-                    None => None,
-                }
-            };
-            next = t;
-            t.map(|n| shared.record(n))
+            next = home.take(&shared, res);
+            next.map(|n| shared.record(n))
         } else {
             None
         };
@@ -657,17 +741,17 @@ pub(crate) async fn master_gpu_manager(shared: Rc<RtShared>, res: ResourceId, sp
             // Prefetch only rides the first attempt; a retry must not
             // re-issue it (the copies are already inbound or pinned).
             let pf_arg = if attempts == 0 { pf.as_deref() } else { None };
-            match shared.run_gpu_body(&rec, space, 0, &stream, pf_arg).await {
+            match shared.run_gpu_body(&rec, space, node, &stream, pf_arg).await {
                 Err(_) => return,
                 Ok(BodyOutcome::Done) => {
                     shared.trace_task(
                         &rec,
-                        0,
+                        node,
                         name.get_or_insert_with(|| format!("gpu{}", space.0)),
                         t0,
                         now(),
                     );
-                    shared.complete_on_master(tid, res, false);
+                    home.finish(&shared, tid, res).await;
                     break;
                 }
                 Ok(BodyOutcome::Failed) => {
@@ -676,10 +760,13 @@ pub(crate) async fn master_gpu_manager(shared: Rc<RtShared>, res: ResourceId, sp
                     }
                 }
                 Ok(BodyOutcome::DeviceLost) => {
-                    shared.master_gpu_lost(res, space, tid, next.take());
+                    shared.gpu_lost(&home, res, space, tid, next.take());
                     return;
                 }
-                Ok(BodyOutcome::Abandoned) => unreachable!("node 0 cannot be killed"),
+                Ok(BodyOutcome::Abandoned) => {
+                    debug_assert_ne!(node, 0, "node 0 cannot be killed");
+                    return;
+                }
             }
         }
     }
@@ -710,7 +797,7 @@ pub(crate) async fn comm_thread(shared: Rc<RtShared>, ep: AmEndpoint<ClusterMsg>
         }
         let progressed = !sent.is_empty();
         for (node, rec) in sent.drain(..) {
-            let host = shared.slaves[node as usize].host;
+            let host = shared.hosts[node as usize];
             let shared2 = shared.clone();
             let ep2 = ep.clone();
             // Helper process: data staging + Exec message, so sends to
@@ -901,185 +988,6 @@ pub(crate) async fn slave_dispatcher(
             _ => unreachable!("slaves receive only Exec/Ping/Ack/Data"),
         }
     }
-}
-
-/// SMP worker loop on a slave node.
-pub(crate) async fn slave_smp_worker(
-    shared: Rc<RtShared>,
-    node: NodeId,
-    res: ResourceId,
-    ep: AmEndpoint<ClusterMsg>,
-) {
-    let space = shared.slaves[node as usize].host;
-    // Rendered at the first completed task: set-up runs start every
-    // loop and complete none.
-    let mut name: Option<String> = None;
-    loop {
-        if shared.node_down(node) {
-            return;
-        }
-        let tid = { shared.slaves[node as usize].sched.borrow_mut().next(res) };
-        let Some(tid) = tid else {
-            if shared.slaves[node as usize].bell.wait().await.is_err() {
-                return;
-            }
-            continue;
-        };
-        let rec = shared.record(tid);
-        let mut attempts = 0u32;
-        loop {
-            let t0 = now();
-            match shared.run_smp_body(&rec, space, node).await {
-                Err(_) => return,
-                Ok(BodyOutcome::Done) => {
-                    shared.trace_task(
-                        &rec,
-                        node,
-                        name.get_or_insert_with(|| format!("worker{}", res.0)),
-                        t0,
-                        now(),
-                    );
-                    crate::stats::Counters::add(&shared.counters.am_done, 1);
-                    send_msg(&shared, &ep, 0, "Done", |rel| ClusterMsg::Done { task: tid, rel })
-                        .await;
-                    break;
-                }
-                Ok(BodyOutcome::Failed) => {
-                    if !shared.note_retry(&rec, &mut attempts) {
-                        return;
-                    }
-                }
-                Ok(BodyOutcome::DeviceLost) => unreachable!("SMP body cannot lose a device"),
-                Ok(BodyOutcome::Abandoned) => return,
-            }
-        }
-    }
-}
-
-/// GPU manager loop on a slave node.
-pub(crate) async fn slave_gpu_manager(
-    shared: Rc<RtShared>,
-    node: NodeId,
-    res: ResourceId,
-    space: SpaceId,
-    ep: AmEndpoint<ClusterMsg>,
-) {
-    let dev = shared.gpus[&space].clone();
-    let stream = dev.create_stream(format!("mgr{}", space.0));
-    // Rendered at the first completed task: set-up runs start every
-    // loop and complete none.
-    let mut name: Option<String> = None;
-    let mut next: Option<TaskId> = None;
-    loop {
-        if shared.node_down(node) {
-            return;
-        }
-        let tid = match next.take() {
-            Some(t) => t,
-            None => {
-                let t = { shared.slaves[node as usize].sched.borrow_mut().next(res) };
-                match t {
-                    Some(t) => t,
-                    None => {
-                        if shared.slaves[node as usize].bell.wait().await.is_err() {
-                            return;
-                        }
-                        continue;
-                    }
-                }
-            }
-        };
-        let rec = shared.record(tid);
-        if shared.debug_launches {
-            eprintln!(
-                "[rt {:.6}s] node{node} gpu runs {} (t{})",
-                now().as_secs_f64(),
-                rec.desc.label,
-                tid.0
-            );
-        }
-        let pf: Option<Rc<TaskRecord>> = if shared.cfg.prefetch {
-            let t = { shared.slaves[node as usize].sched.borrow_mut().next(res) };
-            next = t;
-            t.map(|n| shared.record(n))
-        } else {
-            None
-        };
-        let mut attempts = 0u32;
-        loop {
-            let t0 = now();
-            let pf_arg = if attempts == 0 { pf.as_deref() } else { None };
-            match shared.run_gpu_body(&rec, space, node, &stream, pf_arg).await {
-                Err(_) => return,
-                Ok(BodyOutcome::Done) => {
-                    shared.trace_task(
-                        &rec,
-                        node,
-                        name.get_or_insert_with(|| format!("gpu{}", space.0)),
-                        t0,
-                        now(),
-                    );
-                    crate::stats::Counters::add(&shared.counters.am_done, 1);
-                    send_msg(&shared, &ep, 0, "Done", |rel| ClusterMsg::Done { task: tid, rel })
-                        .await;
-                    break;
-                }
-                Ok(BodyOutcome::Failed) => {
-                    if !shared.note_retry(&rec, &mut attempts) {
-                        return;
-                    }
-                }
-                Ok(BodyOutcome::DeviceLost) => {
-                    slave_gpu_lost(&shared, node, res, space, tid, next.take(), &ep);
-                    return;
-                }
-                Ok(BodyOutcome::Abandoned) => return,
-            }
-        }
-    }
-}
-
-/// Slave-side whole-device loss: blacklist the manager's resource in
-/// the local scheduler (migrating its queue), re-queue the in-hand and
-/// any prefetched task, then hand everything the node can no longer
-/// serve back to the master as `Failed` — after a `GpuDown` notice so
-/// the master throttles CUDA dispatch to this node.
-#[allow(clippy::too_many_arguments)]
-fn slave_gpu_lost(
-    shared: &Rc<RtShared>,
-    node: NodeId,
-    res: ResourceId,
-    space: SpaceId,
-    tid: TaskId,
-    prefetched: Option<TaskId>,
-    ep: &AmEndpoint<ClusterMsg>,
-) {
-    crate::stats::Counters::add(&shared.counters.devices_lost, 1);
-    let slave = &shared.slaves[node as usize];
-    slave.gpu_lost.set(true);
-    let requeue: Vec<Rc<TaskRecord>> =
-        std::iter::once(tid).chain(prefetched).map(|t| shared.record(t)).collect();
-    let orphans = {
-        let mut s = slave.sched.borrow_mut();
-        s.deactivate(res);
-        for rec in &requeue {
-            s.submit(&rec.desc, &shared.slave_oracles[node as usize]);
-        }
-        s.drain_unservable()
-    };
-    shared.coh.invalidate_space(space);
-    if let Some(tr) = &shared.tracer {
-        tr.record(TraceEvent::Recovery { kind: "device_lost", task: Some(tid.0), at: now() });
-    }
-    let shared2 = shared.clone();
-    let ep2 = ep.clone();
-    process(format!("gpu-down:n{node}")).daemon().spawn(async move {
-        send_msg(&shared2, &ep2, 0, "GpuDown", |rel| ClusterMsg::GpuDown { rel }).await;
-        for t in orphans {
-            send_msg(&shared2, &ep2, 0, "Failed", |rel| ClusterMsg::Failed { task: t, rel }).await;
-        }
-    });
-    slave.bell.ring();
 }
 
 /// The planned node-kill: at the armed virtual instant the slave's

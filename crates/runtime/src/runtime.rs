@@ -21,7 +21,7 @@ use ompss_cudasim::{GpuDevice, GpuStats, PinnedPool};
 use ompss_json::{Json, ToJson};
 use ompss_mem::{DataId, MemoryManager, Region, Scalar, SpaceId, SpaceKind};
 use ompss_net::{AmNet, AmStats, NetStats};
-use ompss_sched::{Dispatcher, ResourceInfo, ResourceKind, SchedStats, Scheduler};
+use ompss_sched::{Dispatcher, ResourceId, ResourceInfo, ResourceKind, SchedStats, Scheduler};
 use ompss_sim::{
     delay, now, process, Bell, DeviceFuse, FaultClass, FaultPlan, FaultStats, Latch, RunError,
     Signal, Sim, SimDuration, SimTime,
@@ -29,9 +29,9 @@ use ompss_sim::{
 
 use crate::config::RuntimeConfig;
 use crate::engine::{
-    comm_thread, device_has_resource, kinds_of, lease_monitor, master_dispatcher,
-    master_gpu_manager, master_smp_worker, node_drain, node_join, node_kill, slave_dispatcher,
-    slave_gpu_manager, slave_smp_worker, MasterState, RtShared, SlaveState, SpanOracle,
+    comm_thread, device_has_resource, gpu_manager, kinds_of, lease_monitor, master_dispatcher,
+    node_drain, node_join, node_kill, slave_dispatcher, smp_worker, Home, MasterState, RtShared,
+    SlaveState, SpanOracle,
 };
 use crate::exec::RtExec;
 use crate::recover::Reliability;
@@ -725,25 +725,9 @@ impl Runtime {
         // ---- master scheduler and resources --------------------------
         let mut sched = Scheduler::new(cfg.sched_policy).with_seed(cfg.sched_seed);
         let mut span_key = std::collections::HashMap::new();
-        let mut master_workers = Vec::new();
-        for _ in 0..cfg.cpu_workers_per_node {
-            master_workers.push(sched.register(ResourceInfo {
-                kind: ResourceKind::SmpWorker,
-                space: hosts[0],
-                steal_group: 0,
-            }));
-        }
-        let mut master_gpu_res = Vec::new();
-        for &gs in &gpu_spaces[0] {
-            master_gpu_res.push((
-                sched.register(ResourceInfo {
-                    kind: ResourceKind::GpuManager,
-                    space: gs,
-                    steal_group: 0,
-                }),
-                gs,
-            ));
-        }
+        // Each node's SMP workers and GPU managers, registered in the
+        // node's own scheduler (the master's for node 0).
+        let mut node_res = vec![register_resources(&mut sched, &cfg, 0, hosts[0], &gpu_spaces[0])];
         // Node proxies, one per slave. All master-level resources share
         // one steal group: an idle node's proxy may re-route (steal) a
         // task still queued for another node — the load balancing the
@@ -779,45 +763,22 @@ impl Runtime {
         let mut slaves = vec![SlaveState {
             sched: RefCell::new(Scheduler::new(cfg.sched_policy).with_seed(cfg.sched_seed)),
             bell: Bell::new(),
-            host: hosts[0],
             gpu_lost: Cell::new(false),
             dead: Cell::new(false),
         }];
         let mut slave_oracles =
             vec![SpanOracle { coh: coh.clone(), span_key: std::collections::HashMap::new() }];
-        type SlaveRes = (Vec<ompss_sched::ResourceId>, Vec<(ompss_sched::ResourceId, SpaceId)>);
-        let mut slave_res: Vec<SlaveRes> = vec![(Vec::new(), Vec::new())];
         for n in 1..cfg.nodes as usize {
             let mut s = Scheduler::new(cfg.sched_policy).with_seed(cfg.sched_seed);
-            let mut workers = Vec::new();
-            for _ in 0..cfg.cpu_workers_per_node {
-                workers.push(s.register(ResourceInfo {
-                    kind: ResourceKind::SmpWorker,
-                    space: hosts[n],
-                    steal_group: n as u32,
-                }));
-            }
-            let mut gres = Vec::new();
-            for &gs in &gpu_spaces[n] {
-                gres.push((
-                    s.register(ResourceInfo {
-                        kind: ResourceKind::GpuManager,
-                        space: gs,
-                        steal_group: n as u32,
-                    }),
-                    gs,
-                ));
-            }
+            node_res.push(register_resources(&mut s, &cfg, n as u32, hosts[n], &gpu_spaces[n]));
             slaves.push(SlaveState {
                 sched: RefCell::new(s),
                 bell: Bell::new(),
-                host: hosts[n],
                 gpu_lost: Cell::new(false),
                 dead: Cell::new(false),
             });
             slave_oracles
                 .push(SpanOracle { coh: coh.clone(), span_key: std::collections::HashMap::new() });
-            slave_res.push((workers, gres));
         }
 
         // Per-node purge set for node loss: losing a node loses its host
@@ -890,17 +851,14 @@ impl Runtime {
         });
 
         // ---- processes ------------------------------------------------
+        // Spawn order fixes process ids and event sequence numbers, so it
+        // decides same-instant ordering: the master's resources, its comm
+        // thread and dispatcher, then per slave its dispatcher and
+        // resources.
         let sim = Sim::new();
-        for (i, res) in master_workers.into_iter().enumerate() {
-            let sh = shared.clone();
-            sim.process(format!("node0:worker{i}")).daemon().spawn(master_smp_worker(sh, res));
-        }
-        for (res, gs) in master_gpu_res {
-            let sh = shared.clone();
-            sim.process(format!("node0:gpumgr{}", gs.0))
-                .daemon()
-                .spawn(master_gpu_manager(sh, res, gs));
-        }
+        let mut node_res = node_res.into_iter();
+        let master_res = node_res.next().expect("the master's resources");
+        spawn_resources(&sim, &shared, Home { node: 0, ep: None }, master_res);
         if cfg.nodes > 1 {
             let sh = shared.clone();
             let ep = am.endpoint(0);
@@ -908,27 +866,13 @@ impl Runtime {
             let sh = shared.clone();
             let ep = am.endpoint(0);
             sim.process("node0:dispatch").daemon().spawn(master_dispatcher(sh, ep));
-            for n in 1..cfg.nodes {
+            for (n, res) in (1..cfg.nodes).zip(node_res) {
                 let sh = shared.clone();
                 let ep = am.endpoint(n);
                 sim.process(format!("node{n}:dispatch"))
                     .daemon()
                     .spawn(slave_dispatcher(sh, n, ep));
-                let (workers, gres) = slave_res[n as usize].clone();
-                for (i, res) in workers.into_iter().enumerate() {
-                    let sh = shared.clone();
-                    let ep = am.endpoint(n);
-                    sim.process(format!("node{n}:worker{i}"))
-                        .daemon()
-                        .spawn(slave_smp_worker(sh, n, res, ep));
-                }
-                for (res, gs) in gres {
-                    let sh = shared.clone();
-                    let ep = am.endpoint(n);
-                    sim.process(format!("node{n}:gpumgr{}", gs.0))
-                        .daemon()
-                        .spawn(slave_gpu_manager(sh, n, res, gs, ep));
-                }
+                spawn_resources(&sim, &shared, Home { node: n, ep: Some(am.endpoint(n)) }, res);
             }
             if cfg.node_loss.is_some() {
                 let sh = shared.clone();
@@ -1014,6 +958,40 @@ impl Runtime {
             verify,
             faults: faults.as_ref().map(|p| p.stats()),
         })
+    }
+}
+
+/// A node's SMP workers and its GPU managers with their spaces.
+type NodeResources = (Vec<ResourceId>, Vec<(ResourceId, SpaceId)>);
+
+/// Register one node's SMP workers and GPU managers in `sched`, the
+/// node's own scheduler. They steal only within the node.
+fn register_resources(
+    sched: &mut Scheduler,
+    cfg: &RuntimeConfig,
+    node: u32,
+    host: SpaceId,
+    gpu_spaces: &[SpaceId],
+) -> NodeResources {
+    let mut register =
+        |kind, space| sched.register(ResourceInfo { kind, space, steal_group: node });
+    let workers =
+        (0..cfg.cpu_workers_per_node).map(|_| register(ResourceKind::SmpWorker, host)).collect();
+    let gpus = gpu_spaces.iter().map(|&gs| (register(ResourceKind::GpuManager, gs), gs)).collect();
+    (workers, gpus)
+}
+
+/// Spawn one node's SMP workers, then its GPU managers: the same loops
+/// on every node, each with its own copy of the node's [`Home`].
+fn spawn_resources(sim: &Sim, shared: &Rc<RtShared>, home: Home, (workers, gpus): NodeResources) {
+    let n = home.node;
+    for (i, res) in workers.into_iter().enumerate() {
+        let (sh, h) = (shared.clone(), home.clone());
+        sim.process(format!("node{n}:worker{i}")).daemon().spawn(smp_worker(sh, h, res));
+    }
+    for (res, gs) in gpus {
+        let (sh, h) = (shared.clone(), home.clone());
+        sim.process(format!("node{n}:gpumgr{}", gs.0)).daemon().spawn(gpu_manager(sh, h, res, gs));
     }
 }
 

@@ -5,7 +5,8 @@
 use ompss_core::Device;
 use ompss_mem::cast_slice_mut;
 use ompss_runtime::{
-    CachePolicy, KernelCost, Policy, Runtime, RuntimeConfig, SimDuration, SlaveRouting, TaskSpec,
+    CachePolicy, KernelCost, Policy, RunError, Runtime, RuntimeConfig, SimDuration, SlaveRouting,
+    TaskSpec,
 };
 
 /// A blocked "scale by 2" over a float array on the chosen device.
@@ -524,16 +525,30 @@ fn for_each_block_worksharing_helper() {
 
 #[test]
 fn env_overrides_parse() {
-    // Serialise env mutation within this test only.
-    std::env::set_var("OMPSS_SCHEDULE", "bf");
-    std::env::set_var("OMPSS_CACHE_POLICY", "nocache");
-    std::env::set_var("OMPSS_ROUTING", "mtos");
-    std::env::set_var("OMPSS_PRESEND", "7");
-    std::env::set_var("OMPSS_OVERLAP", "0");
-    std::env::set_var("OMPSS_TRACE", "1");
-    std::env::set_var("OMPSS_VERIFY", "1");
-    std::env::set_var("OMPSS_SCHED_SEED", "17");
-    let cfg = RuntimeConfig::gpu_cluster(2).overridden_from_env();
+    // The only test in this binary that touches the environment, so the
+    // mutation below races nothing.
+    let good = [
+        ("OMPSS_SCHEDULE", "bf"),
+        ("OMPSS_CACHE_POLICY", "nocache"),
+        ("OMPSS_ROUTING", "mtos"),
+        ("OMPSS_PRESEND", "7"),
+        ("OMPSS_OVERLAP", "0"),
+        ("OMPSS_TRACE", "1"),
+        ("OMPSS_VERIFY", "on"),
+        ("OMPSS_SCHED_SEED", "17"),
+        ("OMPSS_FAULT_RATE", "0.25"),
+        ("OMPSS_FAULT_NODE_LOSS", "1@800"),
+        ("OMPSS_HEARTBEAT_PERIOD_US", "150"),
+        ("OMPSS_SHARDS", "2"),
+        ("OMPSS_NODE_DRAIN", "1@900"),
+    ];
+    for (k, v) in good {
+        std::env::set_var(k, v);
+    }
+    let cfg = RuntimeConfig::gpu_cluster(2).overridden_from_env().expect("valid overrides");
+    for (k, _) in good {
+        std::env::remove_var(k);
+    }
     assert_eq!(cfg.sched_policy, Policy::BreadthFirst);
     assert_eq!(cfg.cache_policy, CachePolicy::NoCache);
     assert_eq!(cfg.routing, SlaveRouting::ViaMaster);
@@ -542,17 +557,53 @@ fn env_overrides_parse() {
     assert!(cfg.tracing);
     assert!(cfg.verify);
     assert_eq!(cfg.sched_seed, 17);
-    for k in [
-        "OMPSS_SCHEDULE",
-        "OMPSS_CACHE_POLICY",
-        "OMPSS_ROUTING",
-        "OMPSS_PRESEND",
-        "OMPSS_OVERLAP",
-        "OMPSS_TRACE",
-        "OMPSS_VERIFY",
-        "OMPSS_SCHED_SEED",
-    ] {
+    assert_eq!(cfg.fault_rate, 0.25);
+    assert_eq!(cfg.node_loss, Some((1, SimDuration::from_micros(800))));
+    assert_eq!(cfg.heartbeat_period, SimDuration::from_micros(150));
+    assert_eq!(cfg.shards, 2);
+    assert_eq!(cfg.node_drain, Some((1, SimDuration::from_micros(900))));
+
+    // Every bad value is a structured error naming the variable and the
+    // value, never a panic.
+    let bad = [
+        ("OMPSS_SCHEDULE", "fifo"),
+        ("OMPSS_CACHE_POLICY", "wback"),
+        ("OMPSS_ROUTING", "direct"),
+        ("OMPSS_PRESEND", "-1"),
+        ("OMPSS_OVERLAP", "yes"),
+        ("OMPSS_PREFETCH", ""),
+        ("OMPSS_TRACE", "2"),
+        ("OMPSS_VERIFY", "maybe"),
+        ("OMPSS_SCHED_SEED", "0x11"),
+        ("OMPSS_FAULT_RATE", "1.5"),
+        ("OMPSS_FAULT_RATE", "-0.1"),
+        ("OMPSS_FAULT_RATE", "NaN"),
+        ("OMPSS_FAULT_SEED", "seven"),
+        ("OMPSS_TASK_RETRIES", "4294967296"),
+        ("OMPSS_AM_RETRIES", "3.0"),
+        ("OMPSS_FAULT_NODE_LOSS", "0@800"),
+        ("OMPSS_FAULT_NODE_LOSS", "1"),
+        ("OMPSS_FAULT_NODE_LOSS", "1@soon"),
+        ("OMPSS_HEARTBEAT_PERIOD_US", "200us"),
+        ("OMPSS_LEASE_WINDOW_US", " 1000"),
+        ("OMPSS_LINEAGE_DEPTH", "deep"),
+        ("OMPSS_SHARDS", "0"),
+        ("OMPSS_SHARDS", "many"),
+        ("OMPSS_NODE_JOIN", "0@500"),
+        ("OMPSS_NODE_JOIN", "x@500"),
+        ("OMPSS_NODE_DRAIN", "0@800"),
+        ("OMPSS_NODE_DRAIN", "1@"),
+    ];
+    for (k, v) in bad {
+        std::env::set_var(k, v);
+        let got = RuntimeConfig::gpu_cluster(2).overridden_from_env();
         std::env::remove_var(k);
+        match got {
+            Err(RunError::InvalidConfig { what }) => {
+                assert!(what.contains(k) && what.contains(&format!("{v:?}")), "{k}={v}: {what}");
+            }
+            other => panic!("{k}={v}: expected InvalidConfig, got {other:?}"),
+        }
     }
 }
 
