@@ -10,7 +10,8 @@
 #   ./ci.sh chaos    # only the fault-injection sweep over the apps
 #   ./ci.sh churn    # elastic-membership grid: joins/drains/kill races
 #                    # (verify, chaos, churn and mc each fail if their stdout
-#                    # moved from the committed tests/golden/*.json)
+#                    # moved from the committed tests/golden/*.json, or if
+#                    # their stderr shows a panic)
 #   ./ci.sh bench    # host-time gate: benchmark medians vs BENCH_baseline.json
 #   ./ci.sh scale    # 1000-node demo, 1M-process RSS bound, 64-node weak scaling (release)
 #   ./ci.sh figures  # regenerate results/ and fail if any committed byte moved
@@ -23,10 +24,18 @@ cd "$(dirname "$0")"
 
 # Run a deterministic command and fail if its stdout moved from the
 # committed tests/golden/<name>.json, the way `figures` guards results/.
+# Its stderr is printed and must not contain a panic: a finished or
+# aborted run panics nowhere, so any `panicked at` line is a defect.
 golden() {
-    local out="tests/golden/$1.json"
+    local out="tests/golden/$1.json" err status=0
     shift
-    "$@" >"$out"
+    err=$("$@" 2>&1 >"$out") || status=$?
+    [[ -z "$err" ]] || printf '%s\n' "$err" >&2
+    if grep -q "panicked at" <<<"$err"; then
+        echo "==> $out: the run printed a panic to stderr" >&2
+        return 1
+    fi
+    ((status == 0)) || return "$status"
     git diff --exit-code -- "$out"
 }
 

@@ -705,7 +705,7 @@ impl Coherence {
                 }
             };
             match step {
-                Step::Wait(sig) => sig.wait().await?,
+                Step::Wait(sig) => sig.wait().await,
                 Step::Room { space, bytes } => self.make_room(exec, space, bytes).await?,
                 Step::Hop { kind, from: f, to, src, dst, bytes, version, done } => {
                     let purpose = TransferPurpose::WriteBack;
@@ -868,7 +868,7 @@ impl Coherence {
                 }
             };
             match step {
-                Step::Wait(sig) => sig.wait().await?,
+                Step::Wait(sig) => sig.wait().await,
                 Step::Room { space, bytes } => self.make_room(exec, space, bytes).await?,
                 Step::Hop { kind, from, to, src, dst, bytes, version, done } => {
                     if self.debug_hops {
@@ -1007,7 +1007,7 @@ impl Coherence {
                 }
             };
             match step {
-                Step::Wait(sig) => sig.wait().await?,
+                Step::Wait(sig) => sig.wait().await,
                 Step::Room { space, bytes } => self.make_room(exec, space, bytes).await?,
                 Step::Hop { .. } => unreachable!("placement plans no transfers"),
             }

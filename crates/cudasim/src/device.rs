@@ -74,7 +74,7 @@ impl CudaEvent {
     }
 
     /// Park until the operation completes (`cudaEventSynchronize`).
-    pub async fn synchronize(&self) -> SimResult<()> {
+    pub async fn synchronize(&self) {
         self.signal.wait().await
     }
 
@@ -236,10 +236,10 @@ impl GpuDevice {
             return Ok(Err(GpuFault::DeviceLost));
         }
         if !pinned {
-            d.compute.acquire().await?;
+            d.compute.acquire().await;
         }
-        d.copy.acquire().await?;
-        d.pcie.acquire().await?;
+        d.copy.acquire().await;
+        d.pcie.acquire().await;
         let t = if pinned { d.spec.pcie_time(bytes) } else { d.spec.pageable_time(bytes) };
         delay(t).await?;
         d.pcie.release();
@@ -307,7 +307,7 @@ impl GpuDevice {
         }
         // Launch overhead is host-side; charge it before contending.
         delay(d.spec.launch_overhead).await?;
-        d.compute.acquire().await?;
+        d.compute.acquire().await;
         let t = cost.body_time(&d.spec);
         delay(t).await?;
         d.compute.release();
@@ -366,30 +366,18 @@ impl GpuDevice {
         let label = label.into();
         process(format!("gpu:{}:stream:{label}", self.inner.name)).daemon().spawn(async move {
             while let Ok(op) = rx.recv().await {
-                let r = match op {
+                let (outcome, done) = match op {
                     StreamOp::Memcpy { dir, bytes, pinned, effect, done } => {
-                        let r = dev.try_memcpy(dir, bytes, pinned, effect).await;
-                        if let Ok(outcome) = &r {
-                            complete(&done, outcome.err());
-                        }
-                        r.map(|_| ())
+                        (dev.try_memcpy(dir, bytes, pinned, effect).await?, done)
                     }
                     StreamOp::Kernel { cost, effect, done } => {
-                        let r = dev.try_launch(cost, effect).await;
-                        if let Ok(outcome) = &r {
-                            complete(&done, outcome.err());
-                        }
-                        r.map(|_| ())
+                        (dev.try_launch(cost, effect).await?, done)
                     }
-                    StreamOp::Marker { done } => {
-                        complete(&done, None);
-                        Ok(())
-                    }
+                    StreamOp::Marker { done } => (Ok(()), done),
                 };
-                if r.is_err() {
-                    break; // shutdown
-                }
+                complete(&done, outcome.err());
             }
+            SimResult::Ok(())
         });
         Stream { ops }
     }
@@ -445,7 +433,7 @@ impl Stream {
 
     /// Park until everything queued so far has completed
     /// (`cudaStreamSynchronize`).
-    pub async fn synchronize(&self) -> SimResult<()> {
+    pub async fn synchronize(&self) {
         self.record_event().synchronize().await
     }
 }
@@ -562,9 +550,9 @@ mod tests {
             let s1 = gpu.create_stream("copy");
             let k = s0.launch_async(KernelCost::fixed(SimDuration::from_millis(4)), None);
             let c = s1.memcpy_async(CopyDir::H2D, 1 << 20, true, None);
-            c.synchronize().await.unwrap();
+            c.synchronize().await;
             assert!(now().as_nanos() <= 1_100_000, "copy finished during kernel");
-            k.synchronize().await.unwrap();
+            k.synchronize().await;
             assert_eq!(now().as_nanos(), 4_000_000);
         });
         sim.run().unwrap();
@@ -582,7 +570,7 @@ mod tests {
             let _k = s0.launch_async(KernelCost::fixed(SimDuration::from_millis(4)), None);
             yield_now().await.unwrap(); // let the kernel start first
             let c = s1.memcpy_async(CopyDir::H2D, 1 << 20, false, None);
-            c.synchronize().await.unwrap();
+            c.synchronize().await;
             assert_eq!(now().as_nanos(), 5_000_000 + 1_048_576 - 1_000_000);
         });
         sim.run().unwrap();
@@ -606,7 +594,7 @@ mod tests {
                 KernelCost::fixed(SimDuration::from_millis(1)),
                 Some(Box::new(move || o2.borrow_mut().push(2))),
             );
-            e2.synchronize().await.unwrap();
+            e2.synchronize().await;
             assert!(e1.query());
             assert_eq!(*o.borrow(), vec![1, 2]);
         });
@@ -626,7 +614,7 @@ mod tests {
                 KernelCost::fixed(SimDuration::from_millis(3)),
                 Some(Box::new(move || w2.store(now().as_nanos(), Ordering::SeqCst))),
             );
-            e.synchronize().await.unwrap();
+            e.synchronize().await;
         });
         sim.run().unwrap();
         assert_eq!(when.load(Ordering::SeqCst), 3_000_000);
@@ -651,7 +639,7 @@ mod tests {
             let s = gpu.create_stream("s");
             let e = s.launch_async(KernelCost::fixed(SimDuration::from_millis(1)), None);
             assert!(!e.query());
-            e.synchronize().await.unwrap();
+            e.synchronize().await;
             assert!(e.query());
         });
         sim.run().unwrap();
@@ -701,7 +689,7 @@ mod tests {
                     r2.fetch_add(1, Ordering::SeqCst);
                 })),
             );
-            e2.synchronize().await.unwrap();
+            e2.synchronize().await;
             assert_eq!(e1.fault(), Some(GpuFault::KernelFailed));
             assert_eq!(e2.fault(), None);
             // Time was still charged for the failed kernel.

@@ -72,7 +72,7 @@ proptest! {
                 events.push(ev);
             }
             for ev in &events {
-                ev.synchronize().await.unwrap();
+                ev.synchronize().await;
             }
         });
         sim.run().unwrap();
@@ -119,7 +119,7 @@ proptest! {
                 })
                 .collect();
             for ev in &evs {
-                ev.synchronize().await.unwrap();
+                ev.synchronize().await;
             }
             assert!(now().as_nanos() >= total, "kernels overlapped on one engine");
         });
@@ -140,14 +140,14 @@ proptest! {
                 let k = s0.launch_async(KernelCost::fixed(SimDuration::from_nanos(kernel_ns)), None);
                 yield_now().await.unwrap(); // ensure the kernel grabs the engine first
                 let c = s1.memcpy_async(CopyDir::H2D, bytes, pinned, None);
-                c.synchronize().await.unwrap();
+                c.synchronize().await;
                 let copy_done = now().as_nanos();
                 if pinned {
                     assert!(copy_done < kernel_ns, "pinned copy must overlap the kernel");
                 } else {
                     assert!(copy_done >= kernel_ns, "pageable copy must serialise");
                 }
-                k.synchronize().await.unwrap();
+                k.synchronize().await;
             });
             sim.run().unwrap();
         }

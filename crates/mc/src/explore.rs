@@ -429,7 +429,8 @@ mod tests {
             let bell2 = bell.clone();
             sim.spawn("waiter", async move {
                 ompss_sim::delay(SimDuration::from_nanos(10)).await?;
-                bell2.wait().await
+                bell2.wait().await;
+                Ok(())
             });
             sim.spawn("setter", async move {
                 ompss_sim::delay(SimDuration::from_nanos(10)).await?;

@@ -51,7 +51,7 @@ fn epoch_defect_trips_the_invariant_oracle() {
         sim.spawn("waiter", async move {
             // Parks with a deadline event at t=100; the set at t=10
             // supersedes it, leaving a stale event in the heap.
-            let got = sig2.wait_timeout(SimDuration::from_nanos(100)).await?;
+            let got = sig2.wait_timeout(SimDuration::from_nanos(100)).await;
             assert!(got, "signal arrives before the deadline");
             // Stay parked past t=100 so the stale event finds a live
             // (but wrong-epoch) process to resume.
@@ -86,7 +86,8 @@ fn wakeup_defect_is_found_with_a_replayable_trace() {
         let sig2 = sig.clone();
         sim.spawn("waiter", async move {
             delay(SimDuration::from_nanos(10)).await?;
-            sig2.wait().await
+            sig2.wait().await;
+            Ok(())
         });
         sim.spawn("setter", async move {
             delay(SimDuration::from_nanos(10)).await?;

@@ -221,7 +221,7 @@ mod tests {
             let s = ep0.request_long_detached(1, "bulk", 1_000_000);
             // Master "computes" while the payload flies.
             delay(SimDuration::from_millis(2)).await.unwrap();
-            s.wait().await.unwrap();
+            s.wait().await;
             assert_eq!(now().as_nanos(), 2_000_000, "transfer hid under compute");
         });
         sim.spawn("slave", async move {

@@ -244,8 +244,8 @@ impl<M: Clone + 'static> Fabric<M> {
         }
         let s = &self.inner.nics[src as usize];
         let d = &self.inner.nics[dst as usize];
-        s.tx.acquire().await?;
-        d.rx.acquire().await?;
+        s.tx.acquire().await;
+        d.rx.acquire().await;
         delay(wire).await?;
         d.rx.release();
         s.tx.release();
@@ -410,7 +410,7 @@ mod tests {
         sim.spawn("p", async move {
             let done = f.send_detached(0, 1, 1000, 5);
             assert!(!done.is_set(), "send is asynchronous");
-            done.wait().await.unwrap();
+            done.wait().await;
             assert_eq!(now().as_nanos(), 2_000);
             assert_eq!(f.try_recv(1), Some((0, 5)));
         });

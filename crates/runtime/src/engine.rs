@@ -348,7 +348,7 @@ impl RtShared {
                 latch.done();
             });
         }
-        latch.wait_zero().await?;
+        latch.wait_zero().await;
         let locs: Option<Vec<_>> = results.borrow().iter().copied().collect();
         locs.ok_or(ompss_sim::SimError::Shutdown)
     }
@@ -456,7 +456,7 @@ impl RtShared {
                 }
             }
         }
-        ev.synchronize().await?;
+        ev.synchronize().await;
         if let Some(fault) = ev.fault() {
             // The kernel did not retire: its effect never ran, outputs
             // were not written. Unpin the acquired copies (commit would
@@ -662,9 +662,7 @@ pub(crate) async fn smp_worker(shared: Rc<RtShared>, home: Home, res: ResourceId
             return;
         }
         let Some(tid) = home.take(&shared, res) else {
-            if home.bell(&shared, Device::Smp).wait().await.is_err() {
-                return;
-            }
+            home.bell(&shared, Device::Smp).wait().await;
             continue;
         };
         let rec = shared.record(tid);
@@ -714,9 +712,7 @@ pub(crate) async fn gpu_manager(shared: Rc<RtShared>, home: Home, res: ResourceI
             return;
         }
         let Some(tid) = next.take().or_else(|| home.take(&shared, res)) else {
-            if home.bell(&shared, Device::Cuda).wait().await.is_err() {
-                return;
-            }
+            home.bell(&shared, Device::Cuda).wait().await;
             continue;
         };
         let rec = shared.record(tid);
@@ -824,9 +820,7 @@ pub(crate) async fn comm_thread(shared: Rc<RtShared>, ep: AmEndpoint<ClusterMsg>
                         latch.done();
                     });
                 }
-                if latch.wait_zero().await.is_err() {
-                    return;
-                }
+                latch.wait_zero().await;
                 crate::stats::Counters::add(&shared2.counters.am_exec, 1);
                 send_msg(&shared2, &ep2, node, "Exec", |rel| ClusterMsg::Exec {
                     task: rec.desc.id,
@@ -835,13 +829,12 @@ pub(crate) async fn comm_thread(shared: Rc<RtShared>, ep: AmEndpoint<ClusterMsg>
                 .await;
             });
         }
-        if !progressed && shared.comm_bell.wait().await.is_err() {
-            return;
-        }
-        // Yield so helpers and other processes advance before the next
-        // sweep.
-        if progressed && yield_now().await.is_err() {
-            return;
+        if progressed {
+            // Yield so helpers and other processes advance before the
+            // next sweep.
+            let _ = yield_now().await;
+        } else {
+            shared.comm_bell.wait().await;
         }
     }
 }
@@ -1001,9 +994,8 @@ pub(crate) async fn node_kill(
     node: NodeId,
     at: SimDuration,
 ) {
-    match shared.done.wait_timeout(at).await {
-        Ok(false) => {} // the planned instant arrived mid-run: kill
-        _ => return,    // program finished first (or shutdown): stand down
+    if shared.done.wait_timeout(at).await {
+        return; // program finished first: stand down
     }
     shared.slaves[node as usize].dead.set(true);
     fabric.kill_node(node);
@@ -1030,9 +1022,8 @@ pub(crate) async fn node_join(
     node: NodeId,
     at: SimDuration,
 ) {
-    match shared.done.wait_timeout(at).await {
-        Ok(false) => {} // the planned instant arrived mid-run: join
-        _ => return,    // program finished first (or shutdown): stand down
+    if shared.done.wait_timeout(at).await {
+        return; // program finished first: stand down
     }
     if shared.node_down(node) {
         return; // killed before it came up: it stays down
@@ -1122,9 +1113,8 @@ pub(crate) async fn node_drain(
     node: NodeId,
     at: SimDuration,
 ) {
-    match shared.done.wait_timeout(at).await {
-        Ok(false) => {} // the planned instant arrived mid-run: drain
-        _ => return,    // program finished first (or shutdown): stand down
+    if shared.done.wait_timeout(at).await {
+        return; // program finished first: stand down
     }
     // 1. Quiesce: no new dispatch to the leaver.
     {
@@ -1158,9 +1148,7 @@ pub(crate) async fn node_drain(
                 break;
             }
         }
-        if delay(poll).await.is_err() {
-            return;
-        }
+        let _ = delay(poll).await;
     }
     // 3. Flush dirty regions home. The withdrawn node runs no further
     // tasks, so no new dirty copy can appear behind the sweep.
@@ -1242,9 +1230,7 @@ pub(crate) async fn node_drain(
             });
             return;
         }
-        if delay(poll).await.is_err() {
-            return;
-        }
+        let _ = delay(poll).await;
     }
     // 5. Depart.
     {
@@ -1287,9 +1273,8 @@ pub(crate) async fn lease_monitor(shared: Rc<RtShared>, ep: AmEndpoint<ClusterMs
     let Some(lease) = &shared.lease else { return };
     let period = lease.borrow().config().period;
     loop {
-        match shared.done.wait_timeout(period).await {
-            Ok(false) => {} // a full period elapsed mid-run: probe
-            _ => return,    // program finished (or shutdown): stand down
+        if shared.done.wait_timeout(period).await {
+            return; // program finished: stand down
         }
         let dead = {
             let mut l = lease.borrow_mut();

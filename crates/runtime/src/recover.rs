@@ -99,7 +99,7 @@ impl Reliability {
                 Counters::add(&counters.am_retries, 1);
             }
             send(id).await?;
-            if sig.wait_timeout(timeout).await? {
+            if sig.wait_timeout(timeout).await {
                 self.pending.borrow_mut().remove(&id);
                 return Ok(());
             }

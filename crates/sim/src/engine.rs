@@ -36,15 +36,17 @@
 //! finished, so a timer pending for it at drop time pops stale and
 //! never fires.
 //!
-//! # Shutdown
+//! # Teardown
 //!
 //! Processes spawned as daemons (service loops: workers, device
-//! managers, message dispatchers) are expected to block forever. When
-//! the event queue drains and only daemons remain blocked, the kernel
-//! flips the shutdown flag and polls them one last time; every blocking
-//! future then resolves to [`SimError::Shutdown`] and the daemon's
-//! `async` body unwinds through its `?`s. If a *non-daemon* process is
-//! still blocked when the queue drains, that is a deadlock in the
+//! managers, message dispatchers) are expected to block forever. A run
+//! ends when the event queue drains or a process calls [`abort_run`].
+//! The kernel then drops every unfinished future, in pid order, and
+//! never polls it again — cancellation by drop, as in tokio. A blocking
+//! call therefore never observes teardown: it resolves only when its
+//! condition holds. Each drop runs with the task context published, so
+//! destructors may call [`now`] and [`pid`]. If a *non-daemon* process
+//! is still blocked when the queue drains, that is a deadlock in the
 //! modelled system and [`Sim::run`] reports it.
 //!
 //! # Event queue
@@ -327,7 +329,6 @@ pub(crate) struct Kernel {
     /// slots are deliberately not recycled — their name/panic records
     /// must keep pointing at the process that died in them.
     free_slots: Vec<Pid>,
-    shutdown: bool,
     events_processed: u64,
     clock_advances: u64,
     /// Queued events (heap or lane) that are already known stale: they
@@ -421,8 +422,6 @@ pub(crate) struct Shared {
     /// operation) never borrows the kernel. Only the executor writes
     /// it, at dispatch time.
     now_ns: Cell<u64>,
-    /// Mirror of `Kernel::shutdown`, for borrow-free checks in futures.
-    shutdown_flag: Cell<bool>,
     /// Host fast paths enabled (default). `OMPSS_SIM_NO_FASTPATH=1`
     /// restores the literal kernel for determinism A/B tests.
     fast_paths: bool,
@@ -468,14 +467,14 @@ impl Shared {
     }
 
     /// Pop and account the next valid event; returns the process to
-    /// poll, or `None` when the run is over (queue drained, fatal
-    /// abort, or shutdown).
+    /// poll, or `None` when the run is over (queue drained or fatal
+    /// abort).
     fn dispatch(&self, k: &mut Kernel) -> Option<Pid> {
         if self.mc.is_some() {
             return self.dispatch_mc(k);
         }
         loop {
-            if k.fatal.is_some() || k.shutdown {
+            if k.fatal.is_some() {
                 return None;
             }
             match k.pop_min() {
@@ -528,7 +527,7 @@ impl Shared {
     fn dispatch_mc(&self, k: &mut Kernel) -> Option<Pid> {
         let mc = self.mc.as_ref().expect("mc dispatch without a controller");
         loop {
-            if k.fatal.is_some() || k.shutdown {
+            if k.fatal.is_some() {
                 return None;
             }
             let first = k.pop_min()?;
@@ -651,10 +650,6 @@ impl Shared {
     pub(crate) fn now(&self) -> SimTime {
         SimTime(self.now_ns.get())
     }
-
-    pub(crate) fn is_shutdown(&self) -> bool {
-        self.shutdown_flag.get()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -702,9 +697,10 @@ pub fn pid() -> Pid {
 }
 
 /// Abort the whole simulation with a structured error: the kernel stops
-/// dispatching, daemons are torn down, and [`Sim::run`] returns `err`
-/// (first abort wins). Returns [`SimError::Shutdown`] so the caller can
-/// unwind through the ordinary `?` path:
+/// dispatching, drops every unfinished process (daemon or not) without
+/// polling it again, and [`Sim::run`] returns `err` (first abort wins).
+/// Returns [`SimError::Shutdown`] so the caller can unwind through the
+/// ordinary `?` path:
 ///
 /// ```ignore
 /// return Err(abort_run(RunError::Exhausted { what, attempts }));
@@ -712,7 +708,7 @@ pub fn pid() -> Pid {
 pub fn abort_run(err: RunError) -> SimError {
     with_current_shared(|shared| {
         let mut k = shared.kernel.borrow_mut();
-        if !k.shutdown && k.fatal.is_none() {
+        if k.fatal.is_none() {
             k.fatal = Some(err);
         }
     });
@@ -725,7 +721,7 @@ pub fn abort_run(err: RunError) -> SimError {
 
 /// What an `async` process body may resolve to. Sealed in practice:
 /// `()` for infallible bodies, `SimResult<()>` for bodies that use `?`
-/// on blocking calls — [`SimError::Shutdown`] (daemon teardown) and
+/// on fallible calls — [`SimError::Shutdown`] (the run is stopping) and
 /// [`SimError::Closed`] (drained channel) are clean exits, not errors.
 pub trait ProcessExit: 'static {
     /// Normalise to the kernel's internal exit type.
@@ -817,9 +813,9 @@ pub struct ProcessBuilder {
 
 impl ProcessBuilder {
     /// Mark the process a daemon: a service loop that blocks forever
-    /// and is torn down via [`SimError::Shutdown`] when the simulation
-    /// drains. Non-daemon processes must finish on their own, or the
-    /// run reports a deadlock.
+    /// and is dropped, never polled again, when the simulation drains.
+    /// Non-daemon processes must finish on their own, or the run reports
+    /// a deadlock.
     pub fn daemon(mut self) -> Self {
         self.daemon = true;
         self
@@ -879,10 +875,6 @@ impl Future for Delay {
         match self.state {
             DelayState::Init => with_current(|shared, pid| {
                 let mut k = shared.kernel.borrow_mut();
-                if k.shutdown {
-                    self.state = DelayState::Done;
-                    return Poll::Ready(Err(SimError::Shutdown));
-                }
                 let at = k.now + self.d;
                 if shared.fast_paths && k.fatal.is_none() {
                     let head_due = k.min_time().is_some_and(|t| t <= at);
@@ -922,11 +914,7 @@ impl Future for Delay {
             }),
             DelayState::Waiting => {
                 self.state = DelayState::Done;
-                if with_current_shared(|s| s.is_shutdown()) {
-                    Poll::Ready(Err(SimError::Shutdown))
-                } else {
-                    Poll::Ready(Ok(()))
-                }
+                Poll::Ready(Ok(()))
             }
             DelayState::Done => panic!("Delay polled after completion"),
         }
@@ -956,28 +944,23 @@ pub fn yield_now() -> Delay {
 /// a wake, or both). This is the poll-based translation of the old
 /// `loop { check-and-register; park()?; }` protocol: each `None` is one
 /// park, each re-evaluation one valid wakeup, so event accounting is
-/// identical. A would-park evaluation during shutdown resolves to
-/// [`SimError::Shutdown`] instead.
+/// identical. A process torn down while parked is dropped, not resumed.
 pub(crate) struct ParkWhile<F> {
     f: F,
 }
 
 impl<T, F> Future for ParkWhile<F>
 where
-    F: FnMut(&Rc<Shared>, Pid) -> Option<SimResult<T>> + Unpin,
+    F: FnMut(&Rc<Shared>, Pid) -> Option<T> + Unpin,
 {
-    type Output = SimResult<T>;
+    type Output = T;
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
         let me = &mut *self;
         with_current(|shared, pid| match (me.f)(shared, pid) {
             Some(r) => Poll::Ready(r),
             None => {
-                let mut k = shared.kernel.borrow_mut();
-                if k.shutdown {
-                    return Poll::Ready(Err(SimError::Shutdown));
-                }
-                k.procs[pid].phase = Phase::Blocked;
+                shared.kernel.borrow_mut().procs[pid].phase = Phase::Blocked;
                 Poll::Pending
             }
         })
@@ -988,7 +971,7 @@ where
 /// [`ParkWhile`]).
 pub(crate) fn park_while<T, F>(f: F) -> ParkWhile<F>
 where
-    F: FnMut(&Rc<Shared>, Pid) -> Option<SimResult<T>> + Unpin,
+    F: FnMut(&Rc<Shared>, Pid) -> Option<T> + Unpin,
 {
     ParkWhile { f }
 }
@@ -1055,7 +1038,6 @@ impl Sim {
                     procs: Vec::new(),
                     spawned: 0,
                     free_slots: Vec::new(),
-                    shutdown: false,
                     events_processed: 0,
                     clock_advances: 0,
                     stale_events: 0,
@@ -1067,7 +1049,6 @@ impl Sim {
                 }),
                 tasks: RefCell::new(Vec::new()),
                 now_ns: Cell::new(0),
-                shutdown_flag: Cell::new(false),
                 fast_paths: std::env::var_os("OMPSS_SIM_NO_FASTPATH").is_none_or(|v| v == "0"),
                 mc: MC_INSTALL.with(|slot| {
                     slot.borrow_mut()
@@ -1095,76 +1076,71 @@ impl Sim {
         self.process(name).spawn(fut)
     }
 
-    /// Poll process `pid` once, with the current-task context published
-    /// for the free functions. Returns whether the future completed.
-    fn poll_process(shared: &Rc<Shared>, pid: Pid) -> bool {
-        let Some(mut fut) = shared.tasks.borrow_mut()[pid].take() else {
-            return true;
-        };
+    /// Run `f` as process `pid`: with the current-task context published
+    /// for the free functions, and with resource touches reported when a
+    /// tie-break controller is installed.
+    fn in_task<R>(shared: &Rc<Shared>, pid: Pid, f: impl FnOnce() -> R) -> R {
         CURRENT.with(|s| s.borrow_mut().push(TaskCtx { shared: shared.clone(), pid }));
         let mc_was_active = MC_ACTIVE.with(|f| f.replace(shared.mc.is_some()));
-        let waker = noop_waker();
-        let mut cx = Context::from_waker(&waker);
-        let polled = catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx)));
-        let finished = match polled {
-            Ok(Poll::Pending) => {
-                shared.tasks.borrow_mut()[pid] = Some(fut);
-                false
-            }
-            Ok(Poll::Ready(_exit)) => {
-                // Shutdown/Closed exits are clean teardown, not failures.
-                let mut k = shared.kernel.borrow_mut();
-                let slot = &mut k.procs[pid];
-                slot.phase = Phase::Finished;
-                slot.epoch += 1;
-                // Clean finishes recycle their slot. Safe even though
-                // the body's destructors run below: the future is
-                // already out of the task table, so a destructor-spawn
-                // that wins this slot installs its own future, and the
-                // epoch continuation keeps the dead incarnation's
-                // events stale. No recycling during shutdown — teardown
-                // enumerates slots and nothing spawns.
-                if !k.shutdown {
-                    k.free_slots.push(pid);
-                }
-                drop(k);
-                // Drop the body with the task context still published,
-                // so destructors may use the free functions.
-                drop(fut);
-                true
-            }
-            Err(payload) => {
-                let msg = panic_message(&*payload);
-                let mut k = shared.kernel.borrow_mut();
-                let slot = &mut k.procs[pid];
-                slot.phase = Phase::Finished;
-                slot.epoch += 1;
-                let name = slot.name.to_string();
-                // Shutdown unwinds may legitimately panic through user
-                // code that unwraps a SimResult; only record panics that
-                // happen while the simulation is live.
-                if !k.shutdown {
-                    k.panics.push((name, msg));
-                }
-                drop(k);
-                // The future may be mid-poll-poisoned; a panicking drop
-                // must not take the executor down with it.
-                let _ = catch_unwind(AssertUnwindSafe(move || drop(fut)));
-                true
-            }
-        };
+        let r = f();
         MC_ACTIVE.with(|f| f.set(mc_was_active));
         CURRENT.with(|s| {
             s.borrow_mut().pop();
         });
-        finished
+        r
     }
 
-    /// Run the simulation until the event queue drains, then tear down
-    /// daemons.
+    /// Poll process `pid` once, inside its task context.
+    fn poll_process(shared: &Rc<Shared>, pid: Pid) {
+        let Some(mut fut) = shared.tasks.borrow_mut()[pid].take() else {
+            return;
+        };
+        Self::in_task(shared, pid, || {
+            let waker = noop_waker();
+            let mut cx = Context::from_waker(&waker);
+            match catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx))) {
+                Ok(Poll::Pending) => shared.tasks.borrow_mut()[pid] = Some(fut),
+                Ok(Poll::Ready(_exit)) => {
+                    // Shutdown/Closed exits are clean, not failures.
+                    let mut k = shared.kernel.borrow_mut();
+                    let slot = &mut k.procs[pid];
+                    slot.phase = Phase::Finished;
+                    slot.epoch += 1;
+                    // Clean finishes recycle their slot. Safe even though
+                    // the body's destructors run below: the future is
+                    // already out of the task table, so a destructor-spawn
+                    // that wins this slot installs its own future, and the
+                    // epoch continuation keeps the dead incarnation's
+                    // events stale.
+                    k.free_slots.push(pid);
+                    drop(k);
+                    // Drop the body with the task context still published,
+                    // so destructors may use the free functions.
+                    drop(fut);
+                }
+                Err(payload) => {
+                    let msg = panic_message(&*payload);
+                    let mut k = shared.kernel.borrow_mut();
+                    let slot = &mut k.procs[pid];
+                    slot.phase = Phase::Finished;
+                    slot.epoch += 1;
+                    let name = slot.name.to_string();
+                    k.panics.push((name, msg));
+                    drop(k);
+                    // The future may be mid-poll-poisoned; a panicking drop
+                    // must not take the executor down with it.
+                    let _ = catch_unwind(AssertUnwindSafe(move || drop(fut)));
+                }
+            }
+        });
+    }
+
+    /// Run the simulation until the event queue drains or a process
+    /// aborts it, then drop every unfinished process.
     ///
-    /// Returns an error if the modelled system deadlocked (a non-daemon
-    /// process was still blocked at drain time) or any process panicked.
+    /// Returns an error if a process aborted the run, the modelled
+    /// system deadlocked (a non-daemon process was still blocked at
+    /// drain time) or any process panicked.
     pub fn run(self) -> Result<RunReport, RunError> {
         let host_start = Instant::now();
         let shared = &self.shared;
@@ -1200,41 +1176,20 @@ impl Sim {
                 .collect()
         };
 
-        // Tear down daemons (and, on deadlock, the stuck processes too).
-        // Blocking futures observe the shutdown flag and resolve to
-        // `Err(Shutdown)`, so one poll unwinds each body through its
-        // `?`s — a body that keeps blocking is re-polled until the guard
-        // trips.
-        shared.kernel.borrow_mut().shutdown = true;
-        shared.shutdown_flag.set(true);
-        let mut guard = 0usize;
-        loop {
-            let pending: Vec<Pid> = {
-                let mut k = shared.kernel.borrow_mut();
-                let mut v = Vec::new();
-                for (pid, slot) in k.procs.iter_mut().enumerate() {
-                    if slot.phase != Phase::Finished {
-                        slot.phase = Phase::Running;
-                        slot.epoch += 1;
-                        v.push(pid);
-                    }
-                }
-                v
-            };
-            if pending.is_empty() {
-                break;
+        // Tear down: drop every unfinished future (daemons, and after a
+        // deadlock or an abort the stuck processes too) in pid order,
+        // without polling it again.
+        let slots = shared.tasks.borrow().len();
+        for pid in 0..slots {
+            let fut = shared.tasks.borrow_mut()[pid].take();
+            if let Some(fut) = fut {
+                Self::in_task(shared, pid, || drop(fut));
             }
-            for pid in pending {
-                Self::poll_process(shared, pid);
-            }
-            guard += 1;
-            assert!(guard < 1000, "a process is ignoring SimError::Shutdown");
         }
 
         let mut k = shared.kernel.borrow_mut();
         // An abort takes precedence: processes blocked at that instant
-        // (and panics from their forced unwinds) are consequences of
-        // stopping early, not independent failures.
+        // are consequences of stopping early, not independent failures.
         if let Some(fatal) = k.fatal.take() {
             return Err(fatal);
         }
@@ -1278,8 +1233,36 @@ mod tests {
     use std::sync::Arc;
 
     /// Park forever (test helper): the old engine's bare `ctx.park()`.
-    async fn park_forever() -> SimResult<()> {
-        park_while(|_, _| None::<SimResult<()>>).await
+    async fn park_forever() {
+        park_while(|_, _| None::<()>).await
+    }
+
+    thread_local! {
+        static PANICS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Panics raised on the calling thread so far. The first call chains
+    /// a counting hook in front of the previous one, which still prints.
+    fn panics_on_this_thread() -> usize {
+        static HOOK: std::sync::Once = std::sync::Once::new();
+        HOOK.call_once(|| {
+            let prev = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                PANICS.with(|c| c.set(c.get() + 1));
+                prev(info);
+            }));
+        });
+        PANICS.with(Cell::get)
+    }
+
+    /// Logs `(now, pid)` when dropped: when, and as which process,
+    /// teardown dropped the future that owns it.
+    struct DropLog(Rc<RefCell<Vec<(u64, Pid)>>>);
+
+    impl Drop for DropLog {
+        fn drop(&mut self) {
+            self.0.borrow_mut().push((now().as_nanos(), pid()));
+        }
     }
 
     #[test]
@@ -1353,25 +1336,38 @@ mod tests {
     }
 
     #[test]
-    fn daemon_blocked_forever_is_torn_down() {
+    fn aborted_run_drops_parked_processes_without_resuming_them() {
+        // Both victims `expect` their blocking call: resuming either one
+        // after the abort would panic.
+        let before = panics_on_this_thread();
         let sim = Sim::new();
-        sim.process("daemon").daemon().spawn(async {
-            // Parks forever; must be woken with Shutdown.
-            let r = park_forever().await;
-            assert_eq!(r, Err(SimError::Shutdown));
+        let ch: crate::Channel<u32> = crate::Channel::new();
+        sim.spawn("receiver", async move {
+            ch.recv().await.expect("receiver resumed after the abort");
         });
-        sim.spawn("main", async {
-            delay(SimDuration::from_nanos(100)).await.unwrap();
+        sim.spawn("sleeper", async {
+            delay(SimDuration::from_nanos(1000)).await.expect("sleeper resumed after the abort");
         });
-        let report = sim.run().unwrap();
-        assert_eq!(report.end_time.as_nanos(), 100);
+        sim.spawn("aborter", async {
+            delay(SimDuration::from_nanos(5)).await.unwrap();
+            let _ = abort_run(RunError::Exhausted { what: "t0".into(), attempts: 1 });
+        });
+        match sim.run() {
+            Err(RunError::Exhausted { what, .. }) => assert_eq!(what, "t0"),
+            other => panic!("expected Exhausted, got {other:?}"),
+        }
+        assert_eq!(panics_on_this_thread(), before, "teardown resumed a parked process");
     }
 
     #[test]
-    fn blocked_non_daemon_is_reported_as_deadlock() {
+    fn blocked_non_daemon_is_reported_as_deadlock_then_dropped() {
+        let log = Rc::new(RefCell::new(Vec::new()));
         let sim = Sim::new();
-        sim.spawn("stuck", async {
-            let _ = park_forever().await;
+        let guard = DropLog(log.clone());
+        let stuck = sim.spawn("stuck", async move {
+            let _guard = guard;
+            delay(SimDuration::from_nanos(7)).await.unwrap();
+            park_forever().await;
         });
         match sim.run() {
             Err(RunError::Deadlock { blocked }) => {
@@ -1381,6 +1377,7 @@ mod tests {
             }
             other => panic!("expected deadlock, got {other:?}"),
         }
+        assert_eq!(*log.borrow(), vec![(7, stuck)], "stuck body not dropped in its context");
     }
 
     #[test]
@@ -1398,17 +1395,6 @@ mod tests {
             }
             other => panic!("expected panic report, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn delay_after_shutdown_errors() {
-        let sim = Sim::new();
-        sim.process("d").daemon().spawn(async {
-            assert_eq!(park_forever().await, Err(SimError::Shutdown));
-            // Further blocking calls must also fail immediately.
-            assert_eq!(delay(SimDuration::from_nanos(1)).await, Err(SimError::Shutdown));
-        });
-        sim.run().unwrap();
     }
 
     #[test]
@@ -1432,10 +1418,8 @@ mod tests {
     #[test]
     fn abort_run_returns_the_structured_error() {
         let sim = Sim::new();
-        sim.spawn("stuck", async {
-            // Would be a deadlock — but the abort below must win.
-            let _ = park_forever().await;
-        });
+        // Would be a deadlock — but the abort below must win.
+        sim.spawn("stuck", park_forever());
         sim.spawn("aborter", async {
             delay(SimDuration::from_nanos(5)).await.unwrap();
             let e = abort_run(RunError::Exhausted { what: "t0".into(), attempts: 4 });
@@ -1519,7 +1503,7 @@ mod tests {
         let sig = crate::sync::Signal::new();
         let s = sig.clone();
         sim.spawn("waiter", async move {
-            let got = s.wait_timeout(SimDuration::from_nanos(100)).await.unwrap();
+            let got = s.wait_timeout(SimDuration::from_nanos(100)).await;
             assert!(got, "signal should arrive before the deadline");
         });
         let s2 = sig.clone();
@@ -1583,7 +1567,7 @@ mod tests {
         let sig = crate::sync::Signal::new();
         let s = sig.clone();
         sim.spawn("waiter", async move {
-            let got = s.wait_timeout(SimDuration::from_nanos(100)).await.unwrap();
+            let got = s.wait_timeout(SimDuration::from_nanos(100)).await;
             assert!(got, "signal should arrive before the deadline");
         });
         sim.spawn("driver", async move {
@@ -1616,7 +1600,7 @@ mod tests {
         let sig = crate::sync::Signal::new();
         let (l, s) = (log.clone(), sig.clone());
         sim.spawn("waiter", async move {
-            s.wait().await.unwrap();
+            s.wait().await;
             l.borrow_mut().push("waiter");
         });
         let (l, s) = (log.clone(), sig.clone());
@@ -1663,15 +1647,14 @@ mod tests {
                 let mut armed = false;
                 park_while(move |shared, pid| {
                     if armed {
-                        return Some(Ok(()));
+                        return Some(());
                     }
                     armed = true;
                     let deadline = shared.now() + SimDuration::from_nanos(1000);
                     shared.schedule_wake_current_epoch(pid, deadline);
                     None
                 })
-                .await
-                .unwrap();
+                .await;
             }
         });
         let compactions = Arc::new(AtomicUsize::new(0));
@@ -1682,10 +1665,9 @@ mod tests {
                     spawn("ghost", async {
                         park_while(|shared, pid| {
                             shared.schedule_wake_current_epoch(pid, shared.now());
-                            Some(Ok(()))
+                            Some(())
                         })
-                        .await
-                        .unwrap();
+                        .await;
                     });
                 }
                 yield_now().await.unwrap();
@@ -1721,7 +1703,7 @@ mod tests {
                 let mut registered = false;
                 move |shared, pid| {
                     if registered {
-                        return Some(Ok(()));
+                        return Some(());
                     }
                     registered = true;
                     let at = shared.now() + SimDuration::from_nanos(5);
@@ -1730,8 +1712,7 @@ mod tests {
                     None
                 }
             })
-            .await
-            .unwrap();
+            .await;
         });
         let report = sim.run().unwrap();
         if std::env::var_os("OMPSS_SIM_NO_FASTPATH").is_none_or(|v| v == "0") {

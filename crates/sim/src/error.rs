@@ -5,9 +5,10 @@ use std::fmt;
 /// Errors returned by blocking simulation calls.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// The simulation is shutting down: the event queue drained and the
-    /// kernel is unwinding daemon processes. A process receiving this
-    /// from any blocking call must return promptly.
+    /// The run is stopping: [`crate::abort_run`] returns it, and a
+    /// layer may return it when its target can no longer be served (a
+    /// dead node). A process receiving it must return promptly; the
+    /// kernel drops whatever is left unfinished.
     Shutdown,
     /// A primitive was used after being closed (e.g. receiving on a
     /// channel whose senders are all gone and which is empty).

@@ -87,7 +87,8 @@ impl<T> Channel<T> {
     /// Dequeue an item, parking until one is available.
     ///
     /// Resolves to [`SimError::Closed`] if the channel is closed and
-    /// empty, or [`SimError::Shutdown`] during simulation teardown.
+    /// empty. A receiver still parked when the run ends is dropped, not
+    /// resumed.
     pub fn recv(&self) -> impl Future<Output = SimResult<T>> + '_ {
         let mut registered = false;
         park_while(move |_, pid| {

@@ -4,8 +4,10 @@
 //! (completion events), and counting latches (taskwait).
 //!
 //! Blocking operations (`acquire`, `wait`, `wait_zero`, …) return
-//! futures; waking operations (`release`, `set`, `done`, `ring`) are
-//! plain synchronous calls that schedule the waiters' resume events.
+//! futures that resolve only once their condition holds (a run that ends
+//! first drops the waiting process instead); waking operations
+//! (`release`, `set`, `done`, `ring`) are plain synchronous calls that
+//! schedule the waiters' resume events.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -13,7 +15,6 @@ use std::future::Future;
 use std::rc::Rc;
 
 use crate::engine::{mc_resource_id, mc_touch, park_while, with_current, with_current_shared, Pid};
-use crate::error::SimResult;
 
 // ---------------------------------------------------------------------------
 // Semaphore
@@ -56,7 +57,7 @@ impl Semaphore {
     }
 
     /// Acquire one permit, parking until available.
-    pub fn acquire(&self) -> impl Future<Output = SimResult<()>> + '_ {
+    pub fn acquire(&self) -> impl Future<Output = ()> + '_ {
         self.acquire_n(1)
     }
 
@@ -64,7 +65,7 @@ impl Semaphore {
     ///
     /// FIFO: a large request at the head of the queue blocks later small
     /// requests (no barging), which keeps service order deterministic.
-    pub fn acquire_n(&self, n: u64) -> impl Future<Output = SimResult<()>> + '_ {
+    pub fn acquire_n(&self, n: u64) -> impl Future<Output = ()> + '_ {
         let mut registered = false;
         park_while(move |shared, pid| {
             mc_touch(self.id);
@@ -84,7 +85,7 @@ impl Semaphore {
                     }
                 }
                 inner.permits -= n;
-                return Some(Ok(()));
+                return Some(());
             }
             if !registered {
                 inner.waiters.push_back((pid, n));
@@ -204,12 +205,12 @@ impl Signal {
     }
 
     /// Park until the signal is set.
-    pub fn wait(&self) -> impl Future<Output = SimResult<()>> + '_ {
+    pub fn wait(&self) -> impl Future<Output = ()> + '_ {
         park_while(move |_, pid| {
             mc_touch(self.id);
             let mut inner = self.inner.borrow_mut();
             if inner.set {
-                return Some(Ok(()));
+                return Some(());
             }
             inner.waiters.push(pid);
             None
@@ -217,14 +218,11 @@ impl Signal {
     }
 
     /// Park until the signal is set or `timeout` elapses. Resolves to
-    /// `Ok(true)` if the signal was set, `Ok(false)` on timeout. The
+    /// `true` if the signal was set, `false` on timeout. The
     /// timeout path deregisters this process from the waiter list, so a
     /// later `set` cannot deliver a stale wakeup into whatever the
     /// process blocks on next.
-    pub fn wait_timeout(
-        &self,
-        timeout: crate::SimDuration,
-    ) -> impl Future<Output = SimResult<bool>> + '_ {
+    pub fn wait_timeout(&self, timeout: crate::SimDuration) -> impl Future<Output = bool> + '_ {
         let mut deadline = None;
         park_while(move |shared, pid| {
             mc_touch(self.id);
@@ -232,11 +230,11 @@ impl Signal {
             let mut inner = self.inner.borrow_mut();
             if inner.set {
                 inner.waiters.retain(|&p| p != pid);
-                return Some(Ok(true));
+                return Some(true);
             }
             if shared.now() >= deadline {
                 inner.waiters.retain(|&p| p != pid);
-                return Some(Ok(false));
+                return Some(false);
             }
             inner.waiters.push(pid);
             drop(inner);
@@ -327,12 +325,12 @@ impl Latch {
 
     /// Park until the count reaches zero. Returns immediately if already
     /// zero.
-    pub fn wait_zero(&self) -> impl Future<Output = SimResult<()>> + '_ {
+    pub fn wait_zero(&self) -> impl Future<Output = ()> + '_ {
         park_while(move |_, pid| {
             mc_touch(self.id);
             let mut inner = self.inner.borrow_mut();
             if inner.count == 0 {
-                return Some(Ok(()));
+                return Some(());
             }
             inner.waiters.push(pid);
             None
@@ -385,12 +383,12 @@ impl Bell {
 
     /// Park until the next ring. Unconditional: registration happens on
     /// the first poll, and any valid wakeup (the ring) completes it.
-    pub fn wait(&self) -> impl Future<Output = SimResult<()>> + '_ {
+    pub fn wait(&self) -> impl Future<Output = ()> + '_ {
         let mut registered = false;
         park_while(move |_, pid| {
             mc_touch(self.id);
             if registered {
-                return Some(Ok(()));
+                return Some(());
             }
             self.inner.borrow_mut().waiters.push(pid);
             registered = true;
@@ -428,7 +426,7 @@ mod tests {
             let s = sem.clone();
             let e = ends.clone();
             sim.spawn(name, async move {
-                s.acquire().await.unwrap();
+                s.acquire().await;
                 delay(SimDuration::from_nanos(10)).await.unwrap();
                 s.release();
                 e.borrow_mut().push((name, now().as_nanos()));
@@ -447,7 +445,7 @@ mod tests {
             let s = sem.clone();
             let e = ends.clone();
             sim.spawn(name, async move {
-                s.acquire().await.unwrap();
+                s.acquire().await;
                 delay(SimDuration::from_nanos(10)).await.unwrap();
                 s.release();
                 e.borrow_mut().push(now().as_nanos());
@@ -467,7 +465,7 @@ mod tests {
         {
             let s = sem.clone();
             sim.spawn("holder", async move {
-                s.acquire_n(2).await.unwrap();
+                s.acquire_n(2).await;
                 delay(SimDuration::from_nanos(10)).await.unwrap();
                 s.release(); // one back -> big still can't run
                 delay(SimDuration::from_nanos(10)).await.unwrap();
@@ -479,7 +477,7 @@ mod tests {
             let o = order.clone();
             sim.spawn("big", async move {
                 delay(SimDuration::from_nanos(1)).await.unwrap();
-                s.acquire_n(2).await.unwrap();
+                s.acquire_n(2).await;
                 o.borrow_mut().push(("big", now().as_nanos()));
                 s.release_n(2);
             });
@@ -489,7 +487,7 @@ mod tests {
             let o = order.clone();
             sim.spawn("small", async move {
                 delay(SimDuration::from_nanos(2)).await.unwrap();
-                s.acquire().await.unwrap();
+                s.acquire().await;
                 o.borrow_mut().push(("small", now().as_nanos()));
                 s.release();
             });
@@ -508,7 +506,7 @@ mod tests {
         let s = sem.clone();
         sim.spawn("p", async move {
             assert_eq!(s.available(), 3);
-            s.acquire_n(2).await.unwrap();
+            s.acquire_n(2).await;
             assert_eq!(s.available(), 1);
             s.release_n(2);
             assert_eq!(s.available(), 3);
@@ -525,7 +523,7 @@ mod tests {
             let s = sig.clone();
             let d = done.clone();
             sim.spawn(name, async move {
-                s.wait().await.unwrap();
+                s.wait().await;
                 d.borrow_mut().push((name, now().as_nanos()));
             });
         }
@@ -548,7 +546,7 @@ mod tests {
         sim.spawn("p", async move {
             s.set();
             assert!(s.is_set());
-            s.wait().await.unwrap();
+            s.wait().await;
             assert_eq!(now().as_nanos(), 0);
         });
         sim.run().unwrap();
@@ -562,10 +560,10 @@ mod tests {
             let s = sig.clone();
             sim.spawn("waiter", async move {
                 // First wait times out at 10ns (set comes at 25ns).
-                assert!(!s.wait_timeout(SimDuration::from_nanos(10)).await.unwrap());
+                assert!(!s.wait_timeout(SimDuration::from_nanos(10)).await);
                 assert_eq!(now().as_nanos(), 10);
                 // Second wait sees the set at 25ns, before its deadline.
-                assert!(s.wait_timeout(SimDuration::from_nanos(100)).await.unwrap());
+                assert!(s.wait_timeout(SimDuration::from_nanos(100)).await);
                 assert_eq!(now().as_nanos(), 25);
                 // A later delay must not be cut short by any stale wake.
                 delay(SimDuration::from_nanos(500)).await.unwrap();
@@ -587,7 +585,7 @@ mod tests {
         let sig = Signal::new();
         let s = sig.clone();
         sim.spawn("p", async move {
-            assert!(!s.wait_timeout(SimDuration::from_nanos(5)).await.unwrap());
+            assert!(!s.wait_timeout(SimDuration::from_nanos(5)).await);
             s.set(); // would panic/misfire on a stale self-wake
             delay(SimDuration::from_nanos(50)).await.unwrap();
             assert_eq!(now().as_nanos(), 55);
@@ -609,7 +607,7 @@ mod tests {
         }
         let l = latch.clone();
         sim.spawn("parent", async move {
-            l.wait_zero().await.unwrap();
+            l.wait_zero().await;
             assert_eq!(now().as_nanos(), 30);
         });
         sim.run().unwrap();
@@ -628,7 +626,7 @@ mod tests {
                 delay(SimDuration::from_nanos(5)).await.unwrap();
                 l2.done();
             });
-            l.wait_zero().await.unwrap();
+            l.wait_zero().await;
             assert_eq!(now().as_nanos(), 5);
             // Region 2 raises the count again.
             l.add(1);
@@ -637,7 +635,7 @@ mod tests {
                 delay(SimDuration::from_nanos(7)).await.unwrap();
                 l3.done();
             });
-            l.wait_zero().await.unwrap();
+            l.wait_zero().await;
             assert_eq!(now().as_nanos(), 12);
         });
         sim.run().unwrap();
@@ -652,9 +650,9 @@ mod tests {
             let b = bell.clone();
             let w = wakeups.clone();
             sim.spawn(name, async move {
-                b.wait().await.unwrap();
+                b.wait().await;
                 w.borrow_mut().push((name, now().as_nanos()));
-                b.wait().await.unwrap();
+                b.wait().await;
                 w.borrow_mut().push((name, now().as_nanos()));
             });
         }

@@ -68,7 +68,7 @@ proptest! {
             let done = served.clone();
             sim.spawn(format!("w{w}"), async move {
                 delay(SimDuration::from_nanos((w as u64 * 7) % 13)).await.unwrap();
-                s.acquire().await.unwrap();
+                s.acquire().await;
                 {
                     let mut g = a.borrow_mut();
                     g.0 += 1;
@@ -162,7 +162,7 @@ proptest! {
 // machinery the model checker's validation mode polices.
 
 /// A superseded deadline event still in the heap when the run aborts
-/// must stay dead: teardown bumps every epoch and polls directly, so
+/// must stay dead: teardown drops the waiter without polling it, so
 /// the stale event can neither resume the waiter a second time nor
 /// displace the abort as the run's outcome.
 #[test]
@@ -176,11 +176,11 @@ fn stale_wake_is_inert_after_abort_run() {
     let r = resumed.clone();
     sim.spawn("waiter", async move {
         // Deadline event at t=100; the set at t=10 supersedes it.
-        let got = sig2.wait_timeout(SimDuration::from_nanos(100)).await?;
+        let got = sig2.wait_timeout(SimDuration::from_nanos(100)).await;
         assert!(got, "set arrives before the deadline");
         r.fetch_add(1, Ordering::Relaxed);
         // Still parked at t=100 (stale event's instant) and at t=20
-        // (abort instant): any spurious resume would err the delay.
+        // (abort instant): any spurious resume would count twice.
         delay(SimDuration::from_nanos(500)).await?;
         r.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -223,7 +223,7 @@ fn same_instant_double_wake_coalesces_exactly_once() {
     let s = sem.clone();
     let r = resumed.clone();
     sim.spawn("waiter", async move {
-        s.acquire().await?;
+        s.acquire().await;
         *r.borrow_mut() += 1;
         Ok(())
     });
@@ -246,52 +246,55 @@ fn same_instant_double_wake_coalesces_exactly_once() {
     assert_eq!(rep.end_time.as_nanos(), 10, "the run ends at the releases' instant");
 }
 
-/// Daemons are torn down only after the last non-daemon event: every
-/// worker record precedes every daemon-shutdown record, and teardown
-/// does not advance the virtual clock.
+/// `(virtual ns, what, pid)` records, in the order they were made.
+type Log = Rc<RefCell<Vec<(u64, &'static str, usize)>>>;
+
+/// Logs `(now, pid)` when dropped: when, and as which process,
+/// teardown dropped the daemon that owns it.
+struct DropLog(Log);
+
+impl Drop for DropLog {
+    fn drop(&mut self) {
+        self.0.borrow_mut().push((ompss_sim::now().as_nanos(), "daemon-dropped", ompss_sim::pid()));
+    }
+}
+
+/// Daemons are torn down only after the last non-daemon event: each
+/// daemon's future is dropped after the worker's last record, in pid
+/// order, with its own task context, and teardown does not advance the
+/// virtual clock.
 #[test]
 fn daemon_teardown_follows_the_last_worker_event() {
-    let log: Rc<RefCell<Vec<(u64, &'static str)>>> = Rc::new(RefCell::new(Vec::new()));
+    let log: Log = Rc::default();
     let sim = Sim::new();
     let ch: Channel<u64> = Channel::new();
+    let mut daemons = Vec::new();
     for i in 0..2u64 {
-        let l = log.clone();
+        let guard = DropLog(log.clone());
         let rx = ch.clone();
-        sim.process(("daemon", i)).daemon().spawn(async move {
-            loop {
-                match rx.recv().await {
-                    Ok(_) => {}
-                    Err(e) => {
-                        l.borrow_mut().push((ompss_sim::now().as_nanos(), "daemon-shutdown"));
-                        return Err(e);
-                    }
-                }
-            }
-        });
+        daemons.push(sim.process(("daemon", i)).daemon().spawn(async move {
+            let _guard = guard;
+            while rx.recv().await.is_ok() {}
+        }));
     }
     let l = log.clone();
     let tx = ch.clone();
-    sim.spawn("worker", async move {
+    let worker = sim.spawn("worker", async move {
         delay(SimDuration::from_nanos(50)).await?;
         tx.send(7);
-        l.borrow_mut().push((ompss_sim::now().as_nanos(), "worker-done"));
+        l.borrow_mut().push((ompss_sim::now().as_nanos(), "worker-done", ompss_sim::pid()));
         Ok(())
     });
     let rep = sim.run().unwrap();
-    let log = log.borrow().clone();
-    let worker_done = log.iter().position(|&(_, what)| what == "worker-done").expect("worker ran");
-    let shutdowns: Vec<usize> = log
-        .iter()
-        .enumerate()
-        .filter(|(_, &(_, what))| what == "daemon-shutdown")
-        .map(|(i, _)| i)
-        .collect();
-    assert_eq!(shutdowns.len(), 2, "both daemons observed shutdown: {log:?}");
-    assert!(shutdowns.iter().all(|&s| s > worker_done), "teardown after workers: {log:?}");
-    for &(t, what) in log.iter() {
-        if what == "daemon-shutdown" {
-            assert_eq!(t, rep.end_time.as_nanos(), "teardown must not advance the clock");
-        }
-    }
     assert_eq!(rep.end_time.as_nanos(), 50);
+    let end = rep.end_time.as_nanos();
+    assert_eq!(
+        *log.borrow(),
+        vec![
+            (50, "worker-done", worker),
+            (end, "daemon-dropped", daemons[0]),
+            (end, "daemon-dropped", daemons[1]),
+        ],
+        "daemons dropped after the worker, in pid order, at the end time"
+    );
 }

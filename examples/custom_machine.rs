@@ -25,9 +25,9 @@ fn main() {
         // A 4 ms kernel and a pinned 8 MB upload, on separate streams:
         let k = compute.launch_async(KernelCost::fixed(SimDuration::from_millis(4)), None);
         let c = copies.memcpy_async(CopyDir::H2D, 8 << 20, true, None);
-        c.synchronize().await.unwrap();
+        c.synchronize().await;
         let copy_done = now();
-        k.synchronize().await.unwrap();
+        k.synchronize().await;
         println!(
             "substrate demo: pinned copy finished at {copy_done}, kernel at {} — they overlapped",
             now()

@@ -153,7 +153,7 @@ fn substrate_layer_usable_directly() {
         let k = s.launch_async(KernelCost::fixed(SimDuration::from_millis(2)), None);
         let c = s.memcpy_async(CopyDir::D2H, 1 << 20, false, None);
         // Same stream: FIFO — the copy completes after the kernel.
-        c.synchronize().await.unwrap();
+        c.synchronize().await;
         assert!(k.query());
         let st = dev.stats();
         assert_eq!(st.kernels, 1);
