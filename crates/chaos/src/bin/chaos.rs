@@ -44,8 +44,6 @@
 //!
 //! [`RunError::Exhausted`]: ompss_runtime::RunError::Exhausted
 
-use std::sync::Arc;
-
 use ompss_chaos::{run_grid, with_big_budgets, Case, Outcome, APPS};
 use ompss_json::Json;
 use ompss_runtime::{FaultClass, FaultPlan, RunReport, RuntimeConfig};
@@ -109,8 +107,9 @@ fn parse_args(args: Vec<String>) -> Result<Args, String> {
         match a.as_str() {
             "--rates" => {
                 parsed.rates = parse_list("--rates", it.next())?;
-                if let Some(r) = parsed.rates.iter().find(|r| !r.is_finite()) {
-                    return Err(format!("malformed --rates entry '{r}'"));
+                // A fault rate is a probability; NaN fails this too.
+                if let Some(r) = parsed.rates.iter().find(|r| !(0.0..=1.0).contains(*r)) {
+                    return Err(format!("--rates entry '{r}' is not in [0, 1]"));
                 }
             }
             "--seeds" => parsed.seeds = parse_list("--seeds", it.next())?,
@@ -277,7 +276,7 @@ fn rate_mode(args: &Args) -> Mode {
                         .field("rate", rate)
                         .field("seed", seed);
                     let case = Case::new(references.len() - 1, move |cfg, _| {
-                        with_big_budgets(cfg.with_fault_plan(Arc::new(FaultPlan::new(seed, rate))))
+                        with_big_budgets(cfg.with_fault_plan(FaultPlan::new(seed, rate)))
                     });
                     cases.push((axes, case));
                 }
@@ -485,6 +484,9 @@ mod tests {
             &["--kill-points", "45.5"],
             &["--rates", "fast"],
             &["--rates", "NaN"],
+            &["--rates", "1.5"],
+            &["--rates", "0.1,-1"],
+            &["--rates", "inf"],
             &["--rates"],
             &["--seeds"],
             &["--node-kill", "--kill-points"],
@@ -495,6 +497,8 @@ mod tests {
         }
         assert_eq!(parse(&["--seeds", "2.7"]).unwrap_err(), "malformed --seeds entry '2.7'");
         assert_eq!(parse(&["--rates"]).unwrap_err(), "--rates needs a value");
+        assert_eq!(parse(&["--rates", "1.5"]).unwrap_err(), "--rates entry '1.5' is not in [0, 1]");
+        assert_eq!(parse(&["--rates", "0,1"]).unwrap().rates, [0.0, 1.0], "the bounds are rates");
     }
 
     fn fail_closed() -> Outcome {

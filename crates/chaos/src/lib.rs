@@ -1,9 +1,10 @@
 //! Chaos harness: the shipped applications under seeded deterministic
 //! fault injection.
 //!
-//! A [`FaultPlan`] draws every injection decision from one counter-mode
-//! generator, so a `(seed, rate)` pair names an exact fault schedule in
-//! virtual time — any failing sweep case replays bit-for-bit. The
+//! Each run draws every injection decision from a fresh counter-mode
+//! stream of its [`FaultPlan`], so a `(seed, rate)` pair names an exact
+//! fault schedule in virtual time — any failing sweep case replays
+//! bit-for-bit. The
 //! harness runs each application fault-free for a reference output,
 //! re-runs it under the plan, and requires the recovered output to be
 //! *bit-identical*: recovery that loses or doubles work shows up as a
@@ -33,8 +34,6 @@
 //! The crate's tests pin one seeded scenario per defect class the
 //! runtime recovers from.
 
-use std::sync::Arc;
-
 use ompss_apps::common::AppRun;
 use ompss_runtime::{FaultPlan, RunError, RuntimeConfig, SimDuration, SimTime};
 
@@ -56,7 +55,7 @@ pub fn with_big_budgets(cfg: RuntimeConfig) -> RuntimeConfig {
 
 /// Chaos run of `app` on `cfg` under an explicit `plan`, with budgets
 /// raised.
-pub fn chaos_run(app: &str, cfg: RuntimeConfig, plan: Arc<FaultPlan>) -> AppRun {
+pub fn chaos_run(app: &str, cfg: RuntimeConfig, plan: FaultPlan) -> AppRun {
     run_app(app, with_big_budgets(cfg.with_fault_plan(plan)))
 }
 

@@ -1,8 +1,6 @@
 //! Property: any seeded fault plan with rate below saturation and a
 //! sufficient retry budget recovers to the exact fault-free output.
 
-use std::sync::Arc;
-
 use ompss_chaos::{chaos_run, output_of, run_app};
 use ompss_runtime::{FaultPlan, RuntimeConfig};
 use proptest::prelude::*;
@@ -14,7 +12,7 @@ proptest! {
         let rate = rate_milli as f64 / 1000.0;
         let cfg = RuntimeConfig::gpu_cluster(2);
         let reference = output_of(&run_app("stream", cfg.clone())).to_vec();
-        let run = chaos_run("stream", cfg, Arc::new(FaultPlan::new(seed, rate)));
+        let run = chaos_run("stream", cfg, FaultPlan::new(seed, rate));
         prop_assert_eq!(output_of(&run), reference.as_slice());
     }
 }

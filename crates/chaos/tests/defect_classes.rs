@@ -4,22 +4,31 @@
 //! the recovery machinery fired (counters) and that it was lossless
 //! (bit-identical output).
 
-use std::sync::Arc;
-
+use ompss_apps::common::AppRun;
 use ompss_chaos::{chaos_run, output_of, run_app};
 use ompss_core::Device;
+use ompss_json::ToJson;
 use ompss_mem::cast_slice_mut;
 use ompss_runtime::{
     FaultClass, FaultPlan, KernelCost, RunError, Runtime, RuntimeConfig, TaskSpec, TraceEvent,
 };
 
+/// The faults a run injected of `class`, from its report.
+fn injected(run: &AppRun, class: FaultClass) -> u64 {
+    run.report
+        .as_ref()
+        .and_then(|r| r.faults)
+        .expect("an armed run reports its faults")
+        .count(class)
+}
+
 #[test]
 fn dropped_am_recovered_by_retransmission() {
     let cfg = RuntimeConfig::gpu_cluster(2);
     let reference = output_of(&run_app("stream", cfg.clone())).to_vec();
-    let plan = Arc::new(FaultPlan::quiet(11).with_rate(FaultClass::NetDrop, 0.25));
-    let run = chaos_run("stream", cfg, plan.clone());
-    assert!(plan.stats().count(FaultClass::NetDrop) >= 1, "the plan never dropped a message");
+    let plan = FaultPlan::quiet(11).with_rate(FaultClass::NetDrop, 0.25);
+    let run = chaos_run("stream", cfg, plan);
+    assert!(injected(&run, FaultClass::NetDrop) >= 1, "the plan never dropped a message");
     let rep = run.report.as_ref().expect("report");
     assert!(rep.counters.am_retries >= 1, "a dropped control message must be retransmitted");
     assert_eq!(output_of(&run), reference.as_slice(), "recovery must be lossless");
@@ -29,9 +38,9 @@ fn dropped_am_recovered_by_retransmission() {
 fn duplicated_am_deduplicated() {
     let cfg = RuntimeConfig::gpu_cluster(2);
     let reference = run_app("stream", cfg.clone());
-    let plan = Arc::new(FaultPlan::quiet(5).with_rate(FaultClass::NetDup, 0.5));
-    let run = chaos_run("stream", cfg, plan.clone());
-    assert!(plan.stats().count(FaultClass::NetDup) >= 1, "the plan never duplicated a message");
+    let plan = FaultPlan::quiet(5).with_rate(FaultClass::NetDup, 0.5);
+    let run = chaos_run("stream", cfg, plan);
+    assert!(injected(&run, FaultClass::NetDup) >= 1, "the plan never duplicated a message");
     let rep = run.report.as_ref().expect("report");
     let ref_rep = reference.report.as_ref().expect("report");
     assert_eq!(rep.tasks, ref_rep.tasks, "a duplicated Exec must not run its task twice");
@@ -42,7 +51,7 @@ fn duplicated_am_deduplicated() {
 fn kernel_failure_reexecuted_once() {
     let cfg = RuntimeConfig::multi_gpu(2);
     let reference = output_of(&run_app("matmul", cfg.clone())).to_vec();
-    let plan = Arc::new(FaultPlan::quiet(3).with_forced(FaultClass::KernelFail, 1));
+    let plan = FaultPlan::quiet(3).with_forced(FaultClass::KernelFail, 1);
     let run = chaos_run("matmul", cfg, plan);
     let rep = run.report.as_ref().expect("report");
     assert_eq!(rep.counters.tasks_reexecuted, 1, "exactly the forced failure re-executes");
@@ -50,10 +59,22 @@ fn kernel_failure_reexecuted_once() {
 }
 
 #[test]
+fn a_pre_armed_config_replays_byte_for_byte() {
+    // A config names one run: running it twice replays the forced fault
+    // and every decision after it, so the two reports serialise alike.
+    let cfg = RuntimeConfig::multi_gpu(2)
+        .with_fault_plan(FaultPlan::quiet(3).with_forced(FaultClass::KernelFail, 1));
+    let report = |run: AppRun| run.report.expect("report").to_json().to_compact_string();
+    let first = run_app("matmul", cfg.clone());
+    assert_eq!(first.report.as_ref().expect("report").counters.tasks_reexecuted, 1);
+    assert_eq!(report(first), report(run_app("matmul", cfg)), "the same config, another run");
+}
+
+#[test]
 fn device_loss_migrates_queued_work() {
     let cfg = RuntimeConfig::multi_gpu(2);
     let reference = output_of(&run_app("stream", cfg.clone())).to_vec();
-    let plan = Arc::new(FaultPlan::quiet(7).with_forced(FaultClass::DeviceLoss, 1));
+    let plan = FaultPlan::quiet(7).with_forced(FaultClass::DeviceLoss, 1);
     let run = chaos_run("stream", cfg, plan);
     let rep = run.report.as_ref().expect("report");
     assert_eq!(rep.counters.devices_lost, 1, "the forced loss takes one device");
@@ -71,9 +92,9 @@ fn slave_device_loss_hands_cuda_work_back() {
     // master `GpuDown`, and hands its CUDA tasks back as `Failed`.
     let cfg = RuntimeConfig::gpu_cluster(2).with_tracing(true);
     let reference = output_of(&run_app("stream", cfg.clone())).to_vec();
-    let plan = Arc::new(FaultPlan::quiet(416).with_rate(FaultClass::DeviceLoss, 0.02));
-    let run = chaos_run("stream", cfg, plan.clone());
-    assert_eq!(plan.stats().count(FaultClass::DeviceLoss), 1, "one drawn loss");
+    let plan = FaultPlan::quiet(416).with_rate(FaultClass::DeviceLoss, 0.02);
+    let run = chaos_run("stream", cfg, plan);
+    assert_eq!(injected(&run, FaultClass::DeviceLoss), 1, "one drawn loss");
     let rep = run.report.as_ref().expect("report");
     assert_eq!(rep.counters.devices_lost, 1, "the drawn loss takes one device");
     assert_eq!(output_of(&run), reference.as_slice(), "hand-back must be lossless");
@@ -106,7 +127,7 @@ fn exhausted_budget_yields_run_error_not_panic() {
     // Every kernel launch fails and there is only one GPU, so the task
     // burns its whole retry budget and the run must surface that as a
     // value through `try_run`.
-    let plan = Arc::new(FaultPlan::quiet(1).with_forced(FaultClass::KernelFail, u64::MAX));
+    let plan = FaultPlan::quiet(1).with_forced(FaultClass::KernelFail, u64::MAX);
     let cfg = RuntimeConfig::multi_gpu(1).with_fault_plan(plan);
     let budget = cfg.task_retry_budget;
     let result = Runtime::try_run(cfg, |omp| async move {

@@ -295,12 +295,6 @@ pub struct Coherence {
     mem: MemoryManager,
     topo: Topology,
     policy: CachePolicy,
-    /// Fraction of a space's capacity to free *beyond* the immediate
-    /// need when evicting (0 = precise LRU). Non-zero models the
-    /// coarse replacement of the paper-era GPU cache, which flushed
-    /// aggressively under memory pressure — the behaviour behind the
-    /// N-Body memory-pressure study (Fig. 8).
-    evict_slack: f64,
     /// When set (verification runs and the coherence proptests), the
     /// full directory invariant check runs after every state-changing
     /// operation, panicking on the first violation. Off by default: the
@@ -345,7 +339,6 @@ impl Coherence {
             mem: mem.borrow().clone(),
             topo,
             policy,
-            evict_slack: 0.0,
             validate: false,
             debug_hops: std::env::var_os("OMPSS_COH_DEBUG").is_some(),
             inner: RefCell::new(Inner {
@@ -355,14 +348,6 @@ impl Coherence {
                 dead: Vec::new(),
             }),
         }
-    }
-
-    /// Set the coarse-eviction slack (see the field docs). Returns
-    /// `self` for builder-style construction.
-    pub fn with_evict_slack(mut self, slack: f64) -> Self {
-        assert!((0.0..1.0).contains(&slack));
-        self.evict_slack = slack;
-        self
     }
 
     /// Enable (or disable) continuous invariant checking: after every
@@ -1027,11 +1012,8 @@ impl Coherence {
         need: u64,
     ) -> Pin<Box<dyn Future<Output = SimResult<()>> + 'a>> {
         Box::pin(async move {
-            let info = self.mem.space_info(space);
-            let target = need + (self.evict_slack * info.capacity as f64) as u64;
             loop {
-                let available = self.mem.available(space);
-                if available >= need.max(target.min(info.capacity)) {
+                if self.mem.available(space) >= need {
                     return Ok(());
                 }
                 // Choose the LRU evictable copy in `space`. Home copies
@@ -1057,15 +1039,10 @@ impl Coherence {
                         .min_by_key(|&(r, _, _, last_use)| (last_use, r))
                 };
                 let Some((region, dirty, home, _)) = victim else {
-                    if available >= need {
-                        // Slack not reachable (everything left is pinned);
-                        // the immediate need is satisfied, so proceed.
-                        return Ok(());
-                    }
                     panic!(
-                    "cache thrash: no evictable copy in space {space:?} while allocating {need} \
-                     bytes (all copies pinned or in flight)"
-                );
+                        "cache thrash: no evictable copy in space {space:?} while allocating \
+                         {need} bytes (all copies pinned or in flight)"
+                    );
                 };
                 if dirty {
                     let parent = self

@@ -19,10 +19,9 @@
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::Arc;
 
 use ompss_sim::{
-    delay, process, Channel, DeviceFuse, FaultClass, FaultPlan, Semaphore, Signal, SimDuration,
+    delay, process, Channel, DeviceFuse, FaultClass, FaultStream, Semaphore, Signal, SimDuration,
     SimResult,
 };
 
@@ -127,7 +126,7 @@ struct DeviceInner {
     pcie: Semaphore,
     stats: RefCell<GpuStats>,
     lost: Cell<bool>,
-    faults: RefCell<Option<(Arc<FaultPlan>, Rc<DeviceFuse>)>>,
+    faults: RefCell<Option<(FaultStream, Rc<DeviceFuse>)>>,
 }
 
 /// A simulated GPU.
@@ -162,12 +161,13 @@ impl GpuDevice {
         }
     }
 
-    /// Arm chaos injection: the device consults `plan` on the fallible
-    /// (`try_*` / stream) paths for kernel failures, async-copy
-    /// corruption and whole-device loss. The shared `fuse` caps loss so
-    /// at least one device in the machine always survives.
-    pub fn set_fault_plan(&self, plan: Arc<FaultPlan>, fuse: Rc<DeviceFuse>) {
-        *self.inner.faults.borrow_mut() = Some((plan, fuse));
+    /// Arm chaos injection: the device consults the run's `faults`
+    /// stream on the fallible (`try_*` / stream) paths for kernel
+    /// failures, async-copy corruption and whole-device loss. The shared
+    /// `fuse` caps loss so at least one device in the machine always
+    /// survives.
+    pub fn set_fault_stream(&self, faults: FaultStream, fuse: Rc<DeviceFuse>) {
+        *self.inner.faults.borrow_mut() = Some((faults, fuse));
     }
 
     /// True once the device has been lost to an injected failure. All
@@ -326,31 +326,31 @@ impl GpuDevice {
         })
     }
 
-    /// Consult the fault plan at a kernel retirement point. Device loss
+    /// Consult the fault stream at a kernel retirement point. Device loss
     /// is drawn first and gated by the machine-wide fuse (the last
     /// surviving device degrades a would-be loss into a kernel failure
     /// so forward progress stays possible).
     fn roll_kernel_fault(&self) -> Option<GpuFault> {
         let guard = self.inner.faults.borrow();
-        let (plan, fuse) = guard.as_ref()?;
-        if plan.decide(FaultClass::DeviceLoss) {
+        let (faults, fuse) = guard.as_ref()?;
+        if faults.decide(FaultClass::DeviceLoss) {
             if fuse.try_claim() {
                 self.inner.lost.set(true);
                 return Some(GpuFault::DeviceLost);
             }
             return Some(GpuFault::KernelFailed);
         }
-        if plan.decide(FaultClass::KernelFail) {
+        if faults.decide(FaultClass::KernelFail) {
             return Some(GpuFault::KernelFailed);
         }
         None
     }
 
-    /// Consult the fault plan at a copy completion point.
+    /// Consult the fault stream at a copy completion point.
     fn roll_copy_fault(&self) -> Option<GpuFault> {
         let guard = self.inner.faults.borrow();
-        let (plan, _) = guard.as_ref()?;
-        if plan.decide(FaultClass::CopyCorrupt) {
+        let (faults, _) = guard.as_ref()?;
+        if faults.decide(FaultClass::CopyCorrupt) {
             return Some(GpuFault::CopyFailed);
         }
         None
@@ -490,8 +490,9 @@ impl PinnedPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ompss_sim::{now, yield_now, Sim};
+    use ompss_sim::{now, yield_now, FaultPlan, Sim};
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn test_spec() -> GpuSpec {
         GpuSpec {
@@ -667,8 +668,8 @@ mod tests {
     fn forced_kernel_failure_skips_effect_and_is_reported() {
         let sim = Sim::new();
         let gpu = GpuDevice::new("g", test_spec());
-        gpu.set_fault_plan(
-            Arc::new(FaultPlan::quiet(7).with_forced(FaultClass::KernelFail, 1)),
+        gpu.set_fault_stream(
+            FaultPlan::quiet(7).with_forced(FaultClass::KernelFail, 1).stream(),
             DeviceFuse::new(2),
         );
         let ran = Arc::new(AtomicU64::new(0));
@@ -703,8 +704,8 @@ mod tests {
     fn forced_device_loss_fails_everything_after() {
         let sim = Sim::new();
         let gpu = GpuDevice::new("g", test_spec());
-        gpu.set_fault_plan(
-            Arc::new(FaultPlan::quiet(7).with_forced(FaultClass::DeviceLoss, 1)),
+        gpu.set_fault_stream(
+            FaultPlan::quiet(7).with_forced(FaultClass::DeviceLoss, 1).stream(),
             DeviceFuse::new(2),
         );
         let g2 = gpu.clone();
@@ -730,8 +731,8 @@ mod tests {
         let gpu = GpuDevice::new("g", test_spec());
         // A single-device machine: the fuse refuses the loss and the
         // draw degrades into a recoverable kernel failure.
-        gpu.set_fault_plan(
-            Arc::new(FaultPlan::quiet(7).with_forced(FaultClass::DeviceLoss, 1)),
+        gpu.set_fault_stream(
+            FaultPlan::quiet(7).with_forced(FaultClass::DeviceLoss, 1).stream(),
             DeviceFuse::new(1),
         );
         let g2 = gpu.clone();
@@ -747,8 +748,8 @@ mod tests {
     fn forced_copy_corruption_charges_time_and_retry_succeeds() {
         let sim = Sim::new();
         let gpu = GpuDevice::new("g", test_spec());
-        gpu.set_fault_plan(
-            Arc::new(FaultPlan::quiet(7).with_forced(FaultClass::CopyCorrupt, 1)),
+        gpu.set_fault_stream(
+            FaultPlan::quiet(7).with_forced(FaultClass::CopyCorrupt, 1).stream(),
             DeviceFuse::new(2),
         );
         let applied = Arc::new(AtomicU64::new(0));

@@ -11,7 +11,6 @@
 
 use std::cell::Cell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use ompss_sim::{Signal, SimResult};
 
@@ -65,9 +64,9 @@ impl<M: Clone + 'static> AmNet<M> {
     }
 
     /// Arm chaos injection on the underlying fabric (see
-    /// [`Fabric::set_fault_plan`]).
-    pub fn set_fault_plan(&self, plan: Arc<ompss_sim::FaultPlan>) {
-        self.fabric.set_fault_plan(plan);
+    /// [`Fabric::set_fault_stream`]).
+    pub fn set_fault_stream(&self, faults: ompss_sim::FaultStream) {
+        self.fabric.set_fault_stream(faults);
     }
 
     /// The endpoint owned by `node`.

@@ -15,10 +15,9 @@
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::Arc;
 
 use ompss_sim::{
-    delay, process, Channel, FaultClass, FaultPlan, Semaphore, Signal, SimDuration, SimResult,
+    delay, process, Channel, FaultClass, FaultStream, Semaphore, Signal, SimDuration, SimResult,
 };
 
 /// A node index within the fabric.
@@ -109,9 +108,9 @@ struct FabricInner<M> {
     cfg: FabricConfig,
     nics: Vec<Nic<M>>,
     stats: RefCell<NetStats>,
-    /// Chaos injection plan; `None` (the default) takes the exact
-    /// legacy path.
-    faults: RefCell<Option<Arc<FaultPlan>>>,
+    /// The run's chaos fault stream; `None` (the default) takes the
+    /// exact legacy path.
+    faults: RefCell<Option<FaultStream>>,
     /// Per-node NIC death flags (whole-node loss): a dead endpoint's
     /// messages still occupy the wire but are never delivered.
     dead: Vec<Cell<bool>>,
@@ -167,9 +166,9 @@ impl<M: Clone + 'static> Fabric<M> {
 
     /// Arm chaos injection on every non-loopback link: messages may be
     /// dropped after occupying the wire, delivered twice, or delayed by
-    /// a bounded extra latency, as the plan decides.
-    pub fn set_fault_plan(&self, plan: Arc<FaultPlan>) {
-        *self.inner.faults.borrow_mut() = Some(plan);
+    /// a bounded extra latency, as the stream decides.
+    pub fn set_fault_stream(&self, faults: FaultStream) {
+        *self.inner.faults.borrow_mut() = Some(faults);
     }
 
     /// Declare `node`'s NIC dead (whole-node loss): messages to or from
@@ -303,7 +302,7 @@ impl<M: Clone + 'static> Fabric<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ompss_sim::{now, Sim};
+    use ompss_sim::{now, FaultPlan, Sim};
 
     fn cfg() -> FabricConfig {
         // 1 GB/s, 1 µs latency: a 1000-byte message takes 2 µs.
@@ -443,7 +442,7 @@ mod tests {
     fn forced_drop_occupies_wire_but_never_delivers() {
         let sim = Sim::new();
         let fab: Fabric<u32> = Fabric::new(cfg());
-        fab.set_fault_plan(Arc::new(FaultPlan::quiet(1).with_forced(FaultClass::NetDrop, 1)));
+        fab.set_fault_stream(FaultPlan::quiet(1).with_forced(FaultClass::NetDrop, 1).stream());
         let f = fab.clone();
         sim.spawn("p", async move {
             f.send(0, 1, 1000, 7).await.unwrap();
@@ -459,7 +458,7 @@ mod tests {
     fn forced_dup_delivers_twice() {
         let sim = Sim::new();
         let fab: Fabric<u32> = Fabric::new(cfg());
-        fab.set_fault_plan(Arc::new(FaultPlan::quiet(1).with_forced(FaultClass::NetDup, 1)));
+        fab.set_fault_stream(FaultPlan::quiet(1).with_forced(FaultClass::NetDup, 1).stream());
         let f = fab.clone();
         sim.spawn("p", async move {
             f.send(0, 1, 100, 9).await.unwrap();
@@ -475,9 +474,9 @@ mod tests {
         let run = || {
             let sim = Sim::new();
             let fab: Fabric<u32> = Fabric::new(cfg());
-            fab.set_fault_plan(Arc::new(
-                FaultPlan::new(5, 0.0).with_rate(FaultClass::NetDelay, 1.0),
-            ));
+            fab.set_fault_stream(
+                FaultPlan::new(5, 0.0).with_rate(FaultClass::NetDelay, 1.0).stream(),
+            );
             let f = fab.clone();
             let t = Rc::new(RefCell::new(0u64));
             let t2 = t.clone();
@@ -499,11 +498,12 @@ mod tests {
     fn loopback_is_immune_to_faults() {
         let sim = Sim::new();
         let fab: Fabric<u32> = Fabric::new(cfg());
-        fab.set_fault_plan(Arc::new(
+        fab.set_fault_stream(
             FaultPlan::quiet(1)
                 .with_forced(FaultClass::NetDrop, u64::MAX)
-                .with_forced(FaultClass::NetDup, u64::MAX),
-        ));
+                .with_forced(FaultClass::NetDup, u64::MAX)
+                .stream(),
+        );
         let f = fab.clone();
         sim.spawn("p", async move {
             f.send(2, 2, 64, 3).await.unwrap();

@@ -5,8 +5,6 @@
 //! overlap, prefetch, plus the platform shape (nodes, GPUs, specs).
 //! Presets reproduce the paper's two testbeds.
 
-use std::sync::Arc;
-
 use ompss_cudasim::GpuSpec;
 use ompss_mem::Backing;
 use ompss_net::FabricConfig;
@@ -56,10 +54,6 @@ pub struct RuntimeConfig {
     /// Cost charged per SMP task in addition to its own cost — models
     /// task bookkeeping overhead.
     pub task_overhead: SimDuration,
-    /// Coarse-eviction slack: fraction of device capacity freed beyond
-    /// the immediate need on memory pressure (0 = precise LRU). Models
-    /// the aggressive replacement of the paper-era GPU cache.
-    pub eviction_slack: f64,
     /// Record a Paraver-style execution trace (task intervals per
     /// resource, transfers per medium) into the run report.
     pub tracing: bool,
@@ -92,8 +86,9 @@ pub struct RuntimeConfig {
     pub am_retry_budget: u32,
     /// A pre-armed fault plan. Overrides `fault_seed`/`fault_rate`:
     /// harnesses use [`FaultPlan::with_forced`] to pin one specific
-    /// fault class deterministically instead of sweeping a rate.
-    pub fault_plan: Option<Arc<FaultPlan>>,
+    /// fault class deterministically instead of sweeping a rate. Plain
+    /// data: every run draws from a fresh stream of it.
+    pub fault_plan: Option<FaultPlan>,
     /// Planned whole-node kill (`OMPSS_FAULT_NODE_LOSS`): slave node
     /// index and the virtual instant it dies. Arms the heartbeat/lease
     /// protocol and lineage retention; `None` (default) spawns none of
@@ -163,7 +158,6 @@ impl RuntimeConfig {
             backing: Backing::Real,
             pinned_pool: 2 << 30,
             task_overhead: SimDuration::from_micros(5),
-            eviction_slack: 0.0,
             tracing: false,
             verify: false,
             sched_seed: 0,
@@ -202,7 +196,6 @@ impl RuntimeConfig {
             backing: Backing::Real,
             pinned_pool: 2 << 30,
             task_overhead: SimDuration::from_micros(5),
-            eviction_slack: 0.0,
             tracing: false,
             verify: false,
             sched_seed: 0,
@@ -269,12 +262,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Set the coarse-eviction slack (see the field docs).
-    pub fn with_eviction_slack(mut self, slack: f64) -> Self {
-        self.eviction_slack = slack;
-        self
-    }
-
     /// Enable execution tracing (see [`crate::trace`]).
     pub fn with_tracing(mut self, on: bool) -> Self {
         self.tracing = on;
@@ -315,7 +302,7 @@ impl RuntimeConfig {
     }
 
     /// Arm a hand-built fault plan (see the field docs).
-    pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
+    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
     }

@@ -36,7 +36,6 @@
 use std::cell::{Cell, RefCell, RefMut};
 use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
-use std::sync::Arc;
 
 use ompss_coherence::{Coherence, MembershipEpochs};
 use ompss_core::{Device, TaskGraph, TaskId};
@@ -46,7 +45,7 @@ use ompss_mem::{MemoryManager, SpaceId};
 use ompss_net::{AmEndpoint, Fabric, LeaseTracker, NodeId};
 use ompss_sched::{Dispatcher, LocalityOracle, ResourceId, Scheduler};
 use ompss_sim::{
-    abort_run, delay, now, process, yield_now, Bell, FaultClass, FaultPlan, Latch, RunError,
+    abort_run, delay, now, process, yield_now, Bell, FaultClass, FaultStream, Latch, RunError,
     Signal, SimDuration, SimResult,
 };
 
@@ -150,8 +149,9 @@ pub(crate) struct RtShared {
     pub comm_bell: Bell,
     pub master_oracle: SpanOracle,
     pub slaves: Vec<SlaveState>,
-    /// Per-slave oracle spans (same coherence).
-    pub slave_oracles: Vec<SpanOracle>,
+    /// Every slave's oracle: a slave scheduler's resources count only
+    /// their own spaces, so all slaves share one span-less oracle.
+    pub slave_oracle: SpanOracle,
     /// Outstanding tasks (for `taskwait`).
     pub latch: Latch,
     /// Node proxy resource ids within the master scheduler, per node
@@ -160,14 +160,14 @@ pub(crate) struct RtShared {
     pub gpus: HashMap<SpaceId, GpuDevice>,
     pub hosts: Vec<SpaceId>,
     pub tracer: Option<Tracer>,
-    pub counters: Rc<crate::stats::Counters>,
+    pub counters: crate::stats::Counters,
     /// Access-observation collector; `Some` only in verification mode
     /// ([`crate::RuntimeConfig::verify`]), so the task hot path pays
     /// one `Option` check when it is off.
     pub verify: Option<Rc<crate::verify::VerifySink>>,
-    /// The armed chaos plan; `None` in fault-free runs, where every
-    /// injection site costs one `Option` check.
-    pub faults: Option<Arc<FaultPlan>>,
+    /// This run's chaos fault stream; `None` in fault-free runs, where
+    /// every injection site costs one `Option` check.
+    pub faults: Option<FaultStream>,
     /// Reliable-delivery state for control messages; `Some` exactly
     /// when `faults` is (plain sends otherwise — the paper's protocol).
     pub rel: Option<Rc<Reliability>>,
@@ -384,12 +384,12 @@ impl RtShared {
         };
         let mut timed_out = false;
         let mut charge = base;
-        if let Some(plan) = &self.faults {
-            if plan.decide(FaultClass::SimTimeout) {
+        if let Some(faults) = &self.faults {
+            if faults.decide(FaultClass::SimTimeout) {
                 timed_out = true;
-            } else if plan.decide(FaultClass::SimStall) {
+            } else if faults.decide(FaultClass::SimStall) {
                 let b = base.unwrap_or(SimDuration::ZERO);
-                let extra = (b.as_nanos() as f64 * plan.fraction(FaultClass::SimStall)) as u64;
+                let extra = (b.as_nanos() as f64 * faults.fraction(FaultClass::SimStall)) as u64;
                 charge = Some(b + SimDuration::from_nanos(extra));
             }
         }
@@ -487,7 +487,7 @@ impl RtShared {
             });
             return false;
         }
-        crate::stats::Counters::add(&self.counters.tasks_reexecuted, 1);
+        self.counters.update(|c| c.tasks_reexecuted += 1);
         if let Some(tr) = &self.tracer {
             tr.record(TraceEvent::Recovery {
                 kind: "task_retry",
@@ -517,7 +517,7 @@ impl RtShared {
         tid: TaskId,
         prefetched: Option<TaskId>,
     ) {
-        crate::stats::Counters::add(&self.counters.devices_lost, 1);
+        self.counters.update(|c| c.devices_lost += 1);
         let requeue: Vec<Rc<TaskRecord>> =
             std::iter::once(tid).chain(prefetched).map(|t| self.record(t)).collect();
         match &home.ep {
@@ -611,7 +611,7 @@ impl Home {
             }
             Some(_) => {
                 let n = self.node as usize;
-                (shared.slaves[n].sched.borrow_mut(), &shared.slave_oracles[n])
+                (shared.slaves[n].sched.borrow_mut(), &shared.slave_oracle)
             }
         }
     }
@@ -643,7 +643,7 @@ impl Home {
         match &self.ep {
             None => shared.complete_on_master(tid, res, false),
             Some(ep) => {
-                crate::stats::Counters::add(&shared.counters.am_done, 1);
+                shared.counters.update(|c| c.am_done += 1);
                 send_msg(shared, ep, 0, "Done", |rel| ClusterMsg::Done { task: tid, rel }).await;
             }
         }
@@ -821,7 +821,7 @@ pub(crate) async fn comm_thread(shared: Rc<RtShared>, ep: AmEndpoint<ClusterMsg>
                     });
                 }
                 latch.wait_zero().await;
-                crate::stats::Counters::add(&shared2.counters.am_exec, 1);
+                shared2.counters.update(|c| c.am_exec += 1);
                 send_msg(&shared2, &ep2, node, "Exec", |rel| ClusterMsg::Exec {
                     task: rec.desc.id,
                     rel,
@@ -945,7 +945,7 @@ pub(crate) async fn slave_dispatcher(
                 let slave = &shared.slaves[node as usize];
                 let orphans = {
                     let mut s = slave.sched.borrow_mut();
-                    s.submit(&rec.desc, &shared.slave_oracles[node as usize]);
+                    s.submit(&rec.desc, &shared.slave_oracle);
                     if slave.gpu_lost.get() {
                         // This Exec may have raced the GpuDown notice:
                         // hand back anything no local resource serves.
@@ -999,8 +999,8 @@ pub(crate) async fn node_kill(
     }
     shared.slaves[node as usize].dead.set(true);
     fabric.kill_node(node);
-    if let Some(plan) = &shared.faults {
-        plan.note_injected(FaultClass::NodeLoss);
+    if let Some(faults) = &shared.faults {
+        faults.note_injected(FaultClass::NodeLoss);
     }
     // Wake the node's parked processes so they observe the flag and
     // stop instead of sleeping through their own death.
@@ -1075,9 +1075,11 @@ pub(crate) async fn node_join(
         }
         ms.seal();
     }
-    crate::stats::Counters::add(&shared.counters.nodes_joined, 1);
-    crate::stats::Counters::add(&shared.counters.regions_rebalanced, regions_moved);
-    crate::stats::Counters::add(&shared.counters.bytes_migrated, bytes_moved);
+    shared.counters.update(|c| {
+        c.nodes_joined += 1;
+        c.regions_rebalanced += regions_moved;
+        c.bytes_migrated += bytes_moved;
+    });
     if let Some(tr) = &shared.tracer {
         tr.record(TraceEvent::Recovery { kind: "node_join", task: None, at: now() });
     }
@@ -1256,9 +1258,11 @@ pub(crate) async fn node_drain(
     }
     shared.slaves[node as usize].dead.set(true);
     fabric.set_offline(node);
-    crate::stats::Counters::add(&shared.counters.nodes_drained, 1);
-    crate::stats::Counters::add(&shared.counters.regions_rebalanced, regions_moved);
-    crate::stats::Counters::add(&shared.counters.bytes_migrated, bytes_moved);
+    shared.counters.update(|c| {
+        c.nodes_drained += 1;
+        c.regions_rebalanced += regions_moved;
+        c.bytes_migrated += bytes_moved;
+    });
     if let Some(tr) = &shared.tracer {
         tr.record(TraceEvent::Recovery { kind: "node_drain", task: None, at: now() });
     }
@@ -1280,7 +1284,7 @@ pub(crate) async fn lease_monitor(shared: Rc<RtShared>, ep: AmEndpoint<ClusterMs
             let mut l = lease.borrow_mut();
             let before = l.missed();
             let dead = l.expired(now());
-            crate::stats::Counters::add(&shared.counters.heartbeats_missed, l.missed() - before);
+            shared.counters.update(|c| c.heartbeats_missed += l.missed() - before);
             dead
         };
         for node in dead {
@@ -1319,7 +1323,7 @@ pub(crate) async fn lease_monitor(shared: Rc<RtShared>, ep: AmEndpoint<ClusterMs
 ///    lineage re-execution ([`crate::lineage`]), rolling the version
 ///    back to the rebuilt point so re-homed writers re-commit on top.
 pub(crate) fn master_node_lost(shared: &Rc<RtShared>, node: NodeId) {
-    crate::stats::Counters::add(&shared.counters.nodes_lost, 1);
+    shared.counters.update(|c| c.nodes_lost += 1);
     if let Some(tr) = &shared.tracer {
         tr.record(TraceEvent::Recovery { kind: "node_lost", task: None, at: now() });
     }

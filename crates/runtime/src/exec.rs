@@ -98,7 +98,7 @@ pub struct RtExec {
     fabric: Fabric<ClusterMsg>,
     overlap: bool,
     tracer: Option<Tracer>,
-    counters: Rc<Counters>,
+    counters: Counters,
 }
 
 impl RtExec {
@@ -112,7 +112,7 @@ impl RtExec {
         fabric: Fabric<ClusterMsg>,
         overlap: bool,
         tracer: Option<Tracer>,
-        counters: Rc<Counters>,
+        counters: Counters,
     ) -> Self {
         RtExec { mem, gpus, node_of, pinned, fabric, overlap, tracer, counters }
     }
@@ -140,14 +140,13 @@ impl HopExec for RtExec {
                     let node = self.node_of[&gpu_space] as usize;
                     let pool = &self.pinned[node];
                     let use_pinned = self.overlap && pool.try_alloc(bytes);
-                    Counters::add(
+                    self.counters.update(|c| {
                         if use_pinned {
-                            &self.counters.pcie_pinned_bytes
+                            c.pcie_pinned_bytes += bytes;
                         } else {
-                            &self.counters.pcie_pageable_bytes
-                        },
-                        bytes,
-                    );
+                            c.pcie_pageable_bytes += bytes;
+                        }
+                    });
                     let r = pcie_copy(dev, dir, bytes, use_pinned).await;
                     if use_pinned {
                         pool.free(bytes);
@@ -161,24 +160,23 @@ impl HopExec for RtExec {
                     // Classify the wire traffic: pre-send staging is its own
                     // bucket; everything else splits by whether the master
                     // is an endpoint (MtoS) or the hop is slave-direct (StoS).
-                    Counters::add(
+                    self.counters.update(|c| {
                         if purpose == TransferPurpose::Presend {
-                            &self.counters.net_presend_bytes
+                            c.net_presend_bytes += bytes;
                         } else if sn == 0 || dn == 0 {
-                            &self.counters.net_mts_bytes
+                            c.net_mts_bytes += bytes;
                         } else {
-                            &self.counters.net_sts_bytes
-                        },
-                        bytes,
-                    );
-                    // On a multi-shard map a slave↔slave hop means the
-                    // consumer resolved the owner locally via the
-                    // ShardMap and pulled peer-to-peer; the report keeps
-                    // the count only there (`with_shard_count`).
-                    if sn != 0 && dn != 0 {
-                        Counters::add(&self.counters.peer_resolutions, 1);
-                    }
-                    Counters::add(&self.counters.am_data, 1);
+                            c.net_sts_bytes += bytes;
+                        }
+                        // On a multi-shard map a slave↔slave hop means the
+                        // consumer resolved the owner locally via the
+                        // ShardMap and pulled peer-to-peer; the report
+                        // keeps the count only there (`with_shard_count`).
+                        if sn != 0 && dn != 0 {
+                            c.peer_resolutions += 1;
+                        }
+                        c.am_data += 1;
+                    });
                     self.fabric
                         .send(sn, dn, ompss_net::AM_HEADER_BYTES + bytes, ClusterMsg::Data)
                         .await?;

@@ -39,7 +39,6 @@ use ompss_mem::Region;
 use ompss_sim::{now, RunError};
 
 use crate::engine::{MasterState, RtShared};
-use crate::stats::Counters;
 use crate::trace::TraceEvent;
 
 /// Rebuild every region in `lost` at the root home. Called with the
@@ -135,7 +134,7 @@ impl Reconstructor<'_> {
             }
         }
         self.shared.coh.repair_root(region, version);
-        Counters::add(&self.shared.counters.bytes_reconstructed, region.len);
+        self.shared.counters.update(|c| c.bytes_reconstructed += region.len);
         self.visiting.pop();
         self.repaired.insert(*region);
         Ok(())
@@ -201,7 +200,7 @@ impl Reconstructor<'_> {
         for sa in scratch {
             self.shared.mem.free(root, sa);
         }
-        Counters::add(&self.shared.counters.tasks_relineaged, 1);
+        self.shared.counters.update(|c| c.tasks_relineaged += 1);
         if let Some(tr) = &self.shared.tracer {
             tr.record(TraceEvent::Recovery { kind: "relineage", task: Some(w.0), at: now() });
         }

@@ -96,7 +96,7 @@ impl Reliability {
         let attempts = self.budget.saturating_add(1);
         for (attempt, timeout) in Backoff::exponential(self.base_timeout, attempts).enumerate() {
             if attempt > 0 {
-                Counters::add(&counters.am_retries, 1);
+                counters.update(|c| c.am_retries += 1);
             }
             send(id).await?;
             if sig.wait_timeout(timeout).await {
@@ -152,7 +152,7 @@ mod tests {
     #[test]
     fn retransmission_recovers_a_dropped_message() {
         let rel = Rc::new(Reliability::new(SimDuration::from_micros(10), 3));
-        let counters = Rc::new(Counters::new());
+        let counters = Counters::new();
         let sent = Rc::new(Cell::new(0u64));
         let (r2, c2, s2) = (rel.clone(), counters.clone(), sent.clone());
         let sim = Sim::new();
@@ -181,7 +181,7 @@ mod tests {
     #[test]
     fn exhausted_budget_aborts_the_run() {
         let rel = Rc::new(Reliability::new(SimDuration::from_micros(5), 2));
-        let counters = Rc::new(Counters::new());
+        let counters = Counters::new();
         let sim = Sim::new();
         sim.spawn("sender", async move {
             let r = rel.send_reliable(&counters, "exec", 0, 1, |_| ready(Ok(()))).await;
@@ -196,7 +196,7 @@ mod tests {
     #[test]
     fn abandon_to_resolves_pending_and_future_sends_to_a_dead_node() {
         let rel = Rc::new(Reliability::new(SimDuration::from_micros(50), 2));
-        let counters = Rc::new(Counters::new());
+        let counters = Counters::new();
         let (r2, c2) = (rel.clone(), counters.clone());
         let sim = Sim::new();
         sim.spawn("sender", async move {

@@ -13,7 +13,6 @@ use std::future::Future;
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use ompss_coherence::{CachePolicy, Coherence, CoherenceStats, MembershipEpochs, Topology};
 use ompss_core::{TaskGraph, TaskId};
@@ -23,8 +22,8 @@ use ompss_mem::{DataId, MemoryManager, Region, Scalar, SpaceId, SpaceKind};
 use ompss_net::{AmNet, AmStats, NetStats};
 use ompss_sched::{Dispatcher, ResourceId, ResourceInfo, ResourceKind, SchedStats, Scheduler};
 use ompss_sim::{
-    delay, now, process, Bell, DeviceFuse, FaultClass, FaultPlan, FaultStats, Latch, RunError,
-    Signal, Sim, SimDuration, SimTime,
+    delay, now, process, Bell, DeviceFuse, FaultClass, FaultPlan, FaultStats, FaultStream, Latch,
+    RunError, Signal, Sim, SimDuration, SimTime,
 };
 
 use crate::config::RuntimeConfig;
@@ -42,10 +41,14 @@ use crate::verify::{VerifyData, VerifySink};
 
 // Everything a run owns stays on its simulation thread; what enters and
 // leaves it crosses threads (sweeps and the job server run jobs on
-// worker threads), so the config and the report must stay `Send`.
+// worker threads), so the config and the report must stay `Send`, and
+// the config — plain data that sweep threads share by reference —
+// `Sync` too.
 const _: () = {
     const fn assert_send<T: Send>() {}
+    const fn assert_sync<T: Sync>() {}
     assert_send::<RuntimeConfig>();
+    assert_sync::<RuntimeConfig>();
     assert_send::<RunReport>();
 };
 
@@ -333,7 +336,7 @@ impl Omp {
     pub fn alloc_array<T: Scalar>(&self, len: usize) -> ArrayHandle<T> {
         let bytes = (len * std::mem::size_of::<T>()) as u64;
         let owner = self.shared.membership.borrow().owner(self.shared.mem.next_data_id());
-        Counters::add(&self.shared.counters.shard_lookups, 1);
+        self.shared.counters.update(|c| c.shard_lookups += 1);
         let home = self.shared.hosts[owner as usize];
         let data = self.shared.mem.register_data(bytes, home).expect("home host out of memory");
         ArrayHandle { data, len, _t: PhantomData }
@@ -542,7 +545,7 @@ impl Omp {
                 for spec in specs {
                     omp.submit(spec).await;
                 }
-                Counters::add(&omp.shared.counters.submaster_spawns, n);
+                omp.shared.counters.update(|c| c.submaster_spawns += n);
                 latch.done();
             });
         }
@@ -622,16 +625,17 @@ impl Runtime {
         }
 
         // ---- chaos arming ---------------------------------------------
-        let faults: Option<Arc<FaultPlan>> = match &cfg.fault_plan {
-            Some(plan) => Some(plan.clone()),
+        // Every run draws from a fresh stream of its plan, so the same
+        // config replays the same faults however often it runs.
+        let faults: Option<FaultStream> = match &cfg.fault_plan {
+            Some(plan) => Some(plan.stream()),
             None if cfg.fault_rate > 0.0 || cfg.node_loss.is_some() => {
-                Some(Arc::new(FaultPlan::new(cfg.fault_seed, cfg.fault_rate)))
+                Some(FaultPlan::new(cfg.fault_seed, cfg.fault_rate).stream())
             }
             None => None,
         };
-        if let (Some(plan), Some((node, at))) = (&faults, cfg.node_loss) {
+        if let Some((node, _)) = cfg.node_loss {
             assert!(node < cfg.nodes, "node-loss target {node} outside the cluster");
-            plan.arm_node_loss(node, at.as_nanos());
         }
         // Rate-based recovery assumes a failed or lost device never
         // holds the only up-to-date copy of anything, so that chaos pins
@@ -679,21 +683,21 @@ impl Runtime {
             }
         }
 
-        if let Some(plan) = &faults {
+        if let Some(faults) = &faults {
             // One fuse across the whole machine: device-loss draws are
             // granted only while more than one GPU survives, so the
             // scheduler always has a CUDA-capable resource left.
             let fuse = DeviceFuse::new(gpus.len() as u64);
             for dev in gpus.values() {
-                dev.set_fault_plan(plan.clone(), fuse.clone());
+                dev.set_fault_stream(faults.clone(), fuse.clone());
             }
         }
 
         let tracer = cfg.tracing.then(Tracer::new);
-        let counters = Rc::new(Counters::new());
+        let counters = Counters::new();
         let am: AmNet<crate::exec::ClusterMsg> = AmNet::new(cfg.fabric.clone());
-        if let Some(plan) = &faults {
-            am.set_fault_plan(plan.clone());
+        if let Some(faults) = &faults {
+            am.set_fault_stream(faults.clone());
         }
         let rel = faults.as_ref().map(|_| {
             // Base ack timeout: a generous round trip on the configured
@@ -717,9 +721,7 @@ impl Runtime {
             counters.clone(),
         ));
         let coh = Rc::new(
-            Coherence::new(mem.clone(), topo, cfg.cache_policy)
-                .with_evict_slack(cfg.eviction_slack)
-                .with_validation(cfg.verify),
+            Coherence::new(mem.clone(), topo, cfg.cache_policy).with_validation(cfg.verify),
         );
 
         // ---- master scheduler and resources --------------------------
@@ -766,8 +768,6 @@ impl Runtime {
             gpu_lost: Cell::new(false),
             dead: Cell::new(false),
         }];
-        let mut slave_oracles =
-            vec![SpanOracle { coh: coh.clone(), span_key: std::collections::HashMap::new() }];
         for n in 1..cfg.nodes as usize {
             let mut s = Scheduler::new(cfg.sched_policy).with_seed(cfg.sched_seed);
             node_res.push(register_resources(&mut s, &cfg, n as u32, hosts[n], &gpu_spaces[n]));
@@ -777,8 +777,6 @@ impl Runtime {
                 gpu_lost: Cell::new(false),
                 dead: Cell::new(false),
             });
-            slave_oracles
-                .push(SpanOracle { coh: coh.clone(), span_key: std::collections::HashMap::new() });
         }
 
         // Per-node purge set for node loss: losing a node loses its host
@@ -814,7 +812,10 @@ impl Runtime {
             comm_bell: Bell::new(),
             master_oracle,
             slaves,
-            slave_oracles,
+            slave_oracle: SpanOracle {
+                coh: coh.clone(),
+                span_key: std::collections::HashMap::new(),
+            },
             latch: Latch::new(),
             proxy_res,
             gpus: gpus.clone(),
@@ -925,8 +926,9 @@ impl Runtime {
             }
             Err(e) => return Err(e),
         };
-        if let Some(plan) = &faults {
-            Counters::add(&counters.msgs_dropped, plan.stats().count(FaultClass::NetDrop));
+        let faults = faults.map(|f| f.stats());
+        if let Some(stats) = &faults {
+            counters.update(|c| c.msgs_dropped += stats.count(FaultClass::NetDrop));
         }
         let (start, end) = result.borrow_mut().take().expect("main completed");
         let m = shared.master.borrow();
@@ -956,7 +958,7 @@ impl Runtime {
             wakes_coalesced: run.wakes_coalesced,
             trace: tracer.map(|t| t.take()),
             verify,
-            faults: faults.as_ref().map(|p| p.stats()),
+            faults,
         })
     }
 }

@@ -6,20 +6,19 @@
 //! direction of the cluster protocol, active-message counts by kind —
 //! and the run-report assembly joins everything at the end of a run.
 //!
-//! Counters are cheap (relaxed atomics for scalars, one short-held lock
-//! for the per-resource map) and always on: unlike tracing, which is
-//! opt-in because it allocates per event, these are a handful of adds
-//! per task and are included in every [`RunReport`](crate::RunReport).
+//! Counters are cheap (plain adds to one run-local struct) and always
+//! on: unlike tracing, which is opt-in because it allocates per event,
+//! these are a handful of adds per task and are included in every
+//! [`RunReport`](crate::RunReport).
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use ompss_json::{Json, ToJson};
 use ompss_sim::SimDuration;
 
 /// Identifies a resource: `(node, name)`, e.g. `(0, "gpu1")`,
-/// `(2, "worker0")`. `BTreeMap` keying makes every snapshot
+/// `(2, "worker0")`. Sorted keying makes every snapshot
 /// deterministically ordered.
 pub type ResourceKey = (u32, String);
 
@@ -33,87 +32,17 @@ pub struct ResourceBusy {
     pub busy_ns: u64,
 }
 
-/// The registry. A run holds one shared by the transfer executor,
-/// every worker/manager process and the cluster dispatchers. It is the
-/// one piece of run state that stays thread-safe: `ompss-serve` shares
-/// a single `Arc<Counters>` across its worker threads.
-#[derive(Debug, Default)]
-pub struct Counters {
-    /// PCIe bytes that went through the pinned staging path.
-    pub pcie_pinned_bytes: AtomicU64,
-    /// PCIe bytes copied pageable (no overlap possible).
-    pub pcie_pageable_bytes: AtomicU64,
-    /// Network payload bytes on master↔slave links (demand traffic).
-    pub net_mts_bytes: AtomicU64,
-    /// Network payload bytes on slave↔slave links (direct StoS routing).
-    pub net_sts_bytes: AtomicU64,
-    /// Network payload bytes moved by the pre-send staging path.
-    pub net_presend_bytes: AtomicU64,
-    /// `Exec` active messages sent (master → slave task launches).
-    pub am_exec: AtomicU64,
-    /// `Done` active messages sent (slave → master completions).
-    pub am_done: AtomicU64,
-    /// `Data` active messages sent (bulk transfers).
-    pub am_data: AtomicU64,
-    /// Cluster messages retransmitted after an ack timeout.
-    pub am_retries: AtomicU64,
-    /// Task bodies re-executed after an injected failure.
-    pub tasks_reexecuted: AtomicU64,
-    /// GPU devices lost to injected whole-device failures.
-    pub devices_lost: AtomicU64,
-    /// Messages the fault plan dropped on the wire.
-    pub msgs_dropped: AtomicU64,
-    /// Whole slave nodes lost to planned node-kill chaos.
-    pub nodes_lost: AtomicU64,
-    /// Completed tasks re-executed by lineage reconstruction to rebuild
-    /// data that lived only on a dead node.
-    pub tasks_relineaged: AtomicU64,
-    /// Bytes of lost region data rebuilt at the master home.
-    pub bytes_reconstructed: AtomicU64,
-    /// Heartbeat probe periods that elapsed without a lease renewal.
-    pub heartbeats_missed: AtomicU64,
-    /// Jobs the serve daemon admitted to its queue.
-    pub serve_admitted: AtomicU64,
-    /// Jobs the serve daemon rejected at admission (queue full, bad
-    /// spec, draining).
-    pub serve_rejected: AtomicU64,
-    /// Queued jobs the serve daemon load-shed to admit higher-priority
-    /// work.
-    pub serve_shed: AtomicU64,
-    /// Jobs cancelled by a client before completing.
-    pub serve_cancelled: AtomicU64,
-    /// Jobs that hit their deadline while queued or running.
-    pub serve_deadlines: AtomicU64,
-    /// Job re-runs after a retryable [`RunError`](crate::RunError).
-    pub serve_retries: AtomicU64,
-    /// Jobs that finished with a result.
-    pub serve_completed: AtomicU64,
-    /// Jobs that finished with a terminal error.
-    pub serve_failed: AtomicU64,
-    /// High-water mark of the serve daemon's admission queue.
-    pub serve_queue_peak: AtomicU64,
-    /// Allocations routed through the `ShardMap` to a shard-owner home.
-    pub shard_lookups: AtomicU64,
-    /// Transfers whose source was resolved peer-to-peer between two
-    /// slave nodes without a master round trip.
-    pub peer_resolutions: AtomicU64,
-    /// Tasks generated by shard-local sub-masters instead of the
-    /// central master loop.
-    pub submaster_spawns: AtomicU64,
-    /// Nodes that joined the cluster mid-run (planned elastic
-    /// membership, not recovery).
-    pub nodes_joined: AtomicU64,
-    /// Nodes that drained and departed gracefully mid-run.
-    pub nodes_drained: AtomicU64,
-    /// Regions re-homed by a membership rebalance (join/drain epoch
-    /// handoffs; crash re-homing counts under `recovery` instead).
-    pub regions_rebalanced: AtomicU64,
-    /// Bytes moved off or onto elastic nodes by joins and drains
-    /// (dirty-copy flushes plus home migrations).
-    pub bytes_migrated: AtomicU64,
-    /// Busy time per node, then per resource name.
-    busy: Mutex<BTreeMap<u32, BTreeMap<String, ResourceBusy>>>,
-}
+/// The registry. A run holds one, shared by the transfer executor,
+/// every worker/manager process and the cluster dispatchers; clones
+/// share it. Its storage is the [`CounterSnapshot`] it hands out. Like
+/// everything else a run owns, it stays on the simulation thread:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>(_: T) {}
+/// assert_send(ompss_runtime::Counters::new());
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct Counters(Rc<RefCell<CounterSnapshot>>);
 
 impl Counters {
     /// Fresh registry, all zeros.
@@ -121,86 +50,36 @@ impl Counters {
         Self::default()
     }
 
-    /// Add `n` to a scalar counter.
-    pub fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Relaxed);
-    }
-
-    /// Raise a high-water-mark counter to at least `n`.
-    pub fn raise(counter: &AtomicU64, n: u64) {
-        counter.fetch_max(n, Relaxed);
-    }
-
-    /// The per-resource map. A panic while it was held (a simulation
-    /// process panicking mid-update) does not poison it: the counts are
-    /// plain sums, valid at every step.
-    fn busy_map(&self) -> MutexGuard<'_, BTreeMap<u32, BTreeMap<String, ResourceBusy>>> {
-        self.busy.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Apply one update, e.g. `counters.update(|c| c.am_exec += 1)`.
+    pub fn update(&self, f: impl FnOnce(&mut CounterSnapshot)) {
+        f(&mut self.0.borrow_mut());
     }
 
     /// Charge one executed task body of length `busy` to a resource.
     pub fn record_busy(&self, node: u32, name: &str, busy: SimDuration) {
-        let mut map = self.busy_map();
-        let names = map.entry(node).or_default();
+        let resources = &mut self.0.borrow_mut().resources;
         let busy_ns = busy.as_nanos();
-        if let Some(slot) = names.get_mut(name) {
-            slot.tasks += 1;
-            slot.busy_ns += busy_ns;
-            return;
+        match resources.binary_search_by(|((n, s), _)| (*n, s.as_str()).cmp(&(node, name))) {
+            Ok(i) => {
+                let slot = &mut resources[i].1;
+                slot.tasks += 1;
+                slot.busy_ns += busy_ns;
+            }
+            // A resource's name is allocated once, on its first report.
+            Err(i) => {
+                resources.insert(i, ((node, name.into()), ResourceBusy { tasks: 1, busy_ns }))
+            }
         }
-        // A resource's name is allocated once, on its first report.
-        names.insert(name.to_string(), ResourceBusy { tasks: 1, busy_ns });
     }
 
-    /// Snapshot of the per-resource map, sorted by `(node, name)`.
-    pub fn busy_snapshot(&self) -> Vec<(ResourceKey, ResourceBusy)> {
-        let map = self.busy_map();
-        map.iter()
-            .flat_map(|(&node, names)| names.iter().map(move |(n, b)| ((node, n.clone()), *b)))
-            .collect()
-    }
-
-    /// Freeze every counter into a plain-data snapshot for the report.
+    /// Copy every counter out for the report.
     pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            pcie_pinned_bytes: self.pcie_pinned_bytes.load(Relaxed),
-            pcie_pageable_bytes: self.pcie_pageable_bytes.load(Relaxed),
-            net_mts_bytes: self.net_mts_bytes.load(Relaxed),
-            net_sts_bytes: self.net_sts_bytes.load(Relaxed),
-            net_presend_bytes: self.net_presend_bytes.load(Relaxed),
-            am_exec: self.am_exec.load(Relaxed),
-            am_done: self.am_done.load(Relaxed),
-            am_data: self.am_data.load(Relaxed),
-            am_retries: self.am_retries.load(Relaxed),
-            tasks_reexecuted: self.tasks_reexecuted.load(Relaxed),
-            devices_lost: self.devices_lost.load(Relaxed),
-            msgs_dropped: self.msgs_dropped.load(Relaxed),
-            nodes_lost: self.nodes_lost.load(Relaxed),
-            tasks_relineaged: self.tasks_relineaged.load(Relaxed),
-            bytes_reconstructed: self.bytes_reconstructed.load(Relaxed),
-            heartbeats_missed: self.heartbeats_missed.load(Relaxed),
-            serve_admitted: self.serve_admitted.load(Relaxed),
-            serve_rejected: self.serve_rejected.load(Relaxed),
-            serve_shed: self.serve_shed.load(Relaxed),
-            serve_cancelled: self.serve_cancelled.load(Relaxed),
-            serve_deadlines: self.serve_deadlines.load(Relaxed),
-            serve_retries: self.serve_retries.load(Relaxed),
-            serve_completed: self.serve_completed.load(Relaxed),
-            serve_failed: self.serve_failed.load(Relaxed),
-            serve_queue_peak: self.serve_queue_peak.load(Relaxed),
-            shard_lookups: self.shard_lookups.load(Relaxed),
-            peer_resolutions: self.peer_resolutions.load(Relaxed),
-            submaster_spawns: self.submaster_spawns.load(Relaxed),
-            nodes_joined: self.nodes_joined.load(Relaxed),
-            nodes_drained: self.nodes_drained.load(Relaxed),
-            regions_rebalanced: self.regions_rebalanced.load(Relaxed),
-            bytes_migrated: self.bytes_migrated.load(Relaxed),
-            resources: self.busy_snapshot(),
-        }
+        self.0.borrow().clone()
     }
 }
 
-/// Plain-data copy of [`Counters`] taken at the end of a run.
+/// The run counters as plain data: the [`Counters`] registry's storage,
+/// copied out at the end of a run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CounterSnapshot {
     /// PCIe bytes through pinned staging buffers.
@@ -235,24 +114,6 @@ pub struct CounterSnapshot {
     pub bytes_reconstructed: u64,
     /// Heartbeat probe periods elapsed without a lease renewal.
     pub heartbeats_missed: u64,
-    /// Jobs the serve daemon admitted.
-    pub serve_admitted: u64,
-    /// Jobs rejected at admission.
-    pub serve_rejected: u64,
-    /// Queued jobs load-shed for higher-priority work.
-    pub serve_shed: u64,
-    /// Jobs cancelled by a client.
-    pub serve_cancelled: u64,
-    /// Jobs that hit their deadline.
-    pub serve_deadlines: u64,
-    /// Job re-runs after a retryable error.
-    pub serve_retries: u64,
-    /// Jobs finished with a result.
-    pub serve_completed: u64,
-    /// Jobs finished with a terminal error.
-    pub serve_failed: u64,
-    /// High-water mark of the admission queue.
-    pub serve_queue_peak: u64,
     /// Allocations routed by the `ShardMap` (multi-shard maps only).
     pub shard_lookups: u64,
     /// Peer-to-peer transfer-source resolutions (multi-shard maps only).
@@ -312,15 +173,6 @@ impl ToJson for CounterSnapshot {
                     .field("busy_ns", b.busy_ns),
             );
         }
-        let serve_total = self.serve_admitted
-            + self.serve_rejected
-            + self.serve_shed
-            + self.serve_cancelled
-            + self.serve_deadlines
-            + self.serve_retries
-            + self.serve_completed
-            + self.serve_failed
-            + self.serve_queue_peak;
         let mut j = Json::object()
             .field(
                 "bytes",
@@ -350,24 +202,6 @@ impl ToJson for CounterSnapshot {
                     .field("bytes_reconstructed", self.bytes_reconstructed)
                     .field("heartbeats_missed", self.heartbeats_missed),
             );
-        // Daemon-level counters: only a running `ompss-serve` touches
-        // them, so per-run reports (where they are all zero) keep their
-        // historical byte-exact shape.
-        if serve_total > 0 {
-            j = j.field(
-                "serve",
-                Json::object()
-                    .field("admitted", self.serve_admitted)
-                    .field("rejected", self.serve_rejected)
-                    .field("shed", self.serve_shed)
-                    .field("cancelled", self.serve_cancelled)
-                    .field("deadlines", self.serve_deadlines)
-                    .field("retries", self.serve_retries)
-                    .field("completed", self.serve_completed)
-                    .field("failed", self.serve_failed)
-                    .field("queue_peak", self.serve_queue_peak),
-            );
-        }
         // Shard-map counters: only nonzero when the map has more than
         // one shard ([`CounterSnapshot::with_shard_count`]), so the
         // one-shard flat master keeps its historical byte-exact report
@@ -411,7 +245,7 @@ mod tests {
         c.record_busy(1, "worker0", SimDuration::from_nanos(10));
         c.record_busy(0, "gpu0", SimDuration::from_nanos(5));
         c.record_busy(1, "worker0", SimDuration::from_nanos(7));
-        let snap = c.busy_snapshot();
+        let snap = c.snapshot().resources;
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].0, (0, "gpu0".to_string()));
         assert_eq!(snap[1].1, ResourceBusy { tasks: 2, busy_ns: 17 });
@@ -420,9 +254,9 @@ mod tests {
     #[test]
     fn snapshot_freezes_scalars() {
         let c = Counters::new();
-        Counters::add(&c.pcie_pinned_bytes, 100);
-        Counters::add(&c.pcie_pinned_bytes, 28);
-        Counters::add(&c.am_exec, 3);
+        c.update(|s| s.pcie_pinned_bytes += 100);
+        c.update(|s| s.pcie_pinned_bytes += 28);
+        c.update(|s| s.am_exec += 3);
         let s = c.snapshot();
         assert_eq!(s.pcie_pinned_bytes, 128);
         assert_eq!(s.am_exec, 3);
@@ -439,30 +273,13 @@ mod tests {
     }
 
     #[test]
-    fn serve_section_only_appears_when_the_daemon_counted() {
-        let quiet = Counters::new().snapshot().to_json();
-        assert_eq!(quiet.get("serve"), None, "per-run reports must not grow a serve section");
-        let c = Counters::new();
-        Counters::add(&c.serve_admitted, 5);
-        Counters::add(&c.serve_shed, 1);
-        Counters::raise(&c.serve_queue_peak, 4);
-        Counters::raise(&c.serve_queue_peak, 2); // high-water mark keeps the max
-        let j = c.snapshot().to_json();
-        let s = j.get("serve").expect("daemon counters must surface a serve section");
-        assert_eq!(s.get("admitted"), Some(&Json::U64(5)));
-        assert_eq!(s.get("shed"), Some(&Json::U64(1)));
-        assert_eq!(s.get("queue_peak"), Some(&Json::U64(4)));
-        assert_eq!(s.get("rejected"), Some(&Json::U64(0)));
-    }
-
-    #[test]
     fn shard_section_only_appears_when_the_sharded_plane_counted() {
         let quiet = Counters::new().snapshot().to_json();
         assert_eq!(quiet.get("shard"), None, "flat runs must not grow a shard section");
         let c = Counters::new();
-        Counters::add(&c.shard_lookups, 12);
-        Counters::add(&c.peer_resolutions, 7);
-        Counters::add(&c.submaster_spawns, 3);
+        c.update(|s| s.shard_lookups += 12);
+        c.update(|s| s.peer_resolutions += 7);
+        c.update(|s| s.submaster_spawns += 3);
         let j = c.snapshot().to_json();
         let s = j.get("shard").expect("sharded counters must surface a shard section");
         assert_eq!(s.get("lookups"), Some(&Json::U64(12)));
@@ -483,10 +300,10 @@ mod tests {
             "static-membership runs must not grow a membership section"
         );
         let c = Counters::new();
-        Counters::add(&c.nodes_joined, 1);
-        Counters::add(&c.nodes_drained, 1);
-        Counters::add(&c.regions_rebalanced, 6);
-        Counters::add(&c.bytes_migrated, 4096);
+        c.update(|s| s.nodes_joined += 1);
+        c.update(|s| s.nodes_drained += 1);
+        c.update(|s| s.regions_rebalanced += 6);
+        c.update(|s| s.bytes_migrated += 4096);
         let j = c.snapshot().to_json();
         let m = j.get("membership").expect("churn counters must surface a membership section");
         assert_eq!(m.get("nodes_joined"), Some(&Json::U64(1)));
@@ -498,10 +315,10 @@ mod tests {
     #[test]
     fn json_shape_is_stable() {
         let c = Counters::new();
-        Counters::add(&c.net_presend_bytes, 7);
+        c.update(|s| s.net_presend_bytes += 7);
         c.record_busy(2, "worker1", SimDuration::from_nanos(42));
-        Counters::add(&c.am_retries, 2);
-        Counters::add(&c.tasks_reexecuted, 1);
+        c.update(|s| s.am_retries += 2);
+        c.update(|s| s.tasks_reexecuted += 1);
         let j = c.snapshot().to_json();
         assert_eq!(j.get("bytes").and_then(|b| b.get("net_presend")), Some(&Json::U64(7)));
         let rec = j.get("recovery").expect("counter json lost its 'recovery' field");

@@ -35,6 +35,7 @@ pub mod spec;
 
 pub use queue::{Admit, AdmitQueue, QueuedJob, AGING_POPS};
 pub use server::{
-    serve_connection, sim_runner, Event, EventKind, RunOutcome, Runner, ServeConfig, Server, Sink,
+    serve_connection, sim_runner, Event, EventKind, RunOutcome, Runner, ServeConfig, ServeCounters,
+    ServeStats, Server, Sink,
 };
 pub use spec::{JobSpec, SpecError, Topology, PRIORITY_DEFAULT, PRIORITY_MAX, RETRIES_MAX};

@@ -27,7 +27,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use ompss_json::{Json, ToJson};
-use ompss_runtime::{Backoff, Counters, RunError, SimDuration};
+use ompss_runtime::{Backoff, RunError, SimDuration};
 use ompss_sweep::{CancelToken, WorkerPool};
 
 use crate::queue::{Admit, AdmitQueue, QueuedJob};
@@ -38,6 +38,65 @@ use crate::spec::JobSpec;
 /// that is still consistent at every step.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The daemon's counters. A run's counters stay on its simulation
+/// thread; these are shared by every worker thread, so one lock guards
+/// them.
+#[derive(Debug, Default)]
+pub struct ServeCounters(Mutex<ServeStats>);
+
+impl ServeCounters {
+    fn update(&self, f: impl FnOnce(&mut ServeStats)) {
+        f(&mut lock(&self.0));
+    }
+
+    /// Copy every counter out.
+    pub fn snapshot(&self) -> ServeStats {
+        *lock(&self.0)
+    }
+}
+
+/// Plain-data copy of the daemon's [`ServeCounters`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServeStats {
+    /// Jobs admitted to the queue.
+    pub serve_admitted: u64,
+    /// Jobs rejected at admission (queue full, bad spec, draining).
+    pub serve_rejected: u64,
+    /// Queued jobs load-shed to admit higher-priority work.
+    pub serve_shed: u64,
+    /// Jobs cancelled by a client before completing.
+    pub serve_cancelled: u64,
+    /// Jobs that hit their deadline while queued or running.
+    pub serve_deadlines: u64,
+    /// Job re-runs after a retryable [`RunError`].
+    pub serve_retries: u64,
+    /// Jobs that finished with a result.
+    pub serve_completed: u64,
+    /// Jobs that finished with a terminal error.
+    pub serve_failed: u64,
+    /// High-water mark of the admission queue.
+    pub serve_queue_peak: u64,
+}
+
+impl ToJson for ServeStats {
+    /// The `counters` object of the `stats` op: one `serve` section.
+    fn to_json(&self) -> Json {
+        Json::object().field(
+            "serve",
+            Json::object()
+                .field("admitted", self.serve_admitted)
+                .field("rejected", self.serve_rejected)
+                .field("shed", self.serve_shed)
+                .field("cancelled", self.serve_cancelled)
+                .field("deadlines", self.serve_deadlines)
+                .field("retries", self.serve_retries)
+                .field("completed", self.serve_completed)
+                .field("failed", self.serve_failed)
+                .field("queue_peak", self.serve_queue_peak),
+        )
+    }
 }
 
 /// Server tuning.
@@ -223,7 +282,7 @@ struct Shared {
     cfg: ServeConfig,
     queue: Mutex<AdmitQueue>,
     ready: Condvar,
-    counters: Arc<Counters>,
+    counters: Arc<ServeCounters>,
     next_id: AtomicU64,
     jobs: Mutex<HashMap<u64, JobState>>,
     draining: AtomicBool,
@@ -272,19 +331,19 @@ impl Shared {
         let mut attempt = 0u32;
         loop {
             if token.is_cancelled() {
-                Counters::add(&self.counters.serve_cancelled, 1);
+                self.counters.update(|c| c.serve_cancelled += 1);
                 self.emit_terminal(id, &tag, EventKind::Cancelled);
                 return;
             }
             if Shared::expired(&job) {
-                Counters::add(&self.counters.serve_deadlines, 1);
+                self.counters.update(|c| c.serve_deadlines += 1);
                 self.emit_terminal(id, &tag, EventKind::DeadlineExceeded);
                 return;
             }
             self.emit(id, &tag, EventKind::Started { attempt, waited_pops: job.waited_pops });
             match (self.runner)(&job.spec, attempt) {
                 Ok(out) => {
-                    Counters::add(&self.counters.serve_completed, 1);
+                    self.counters.update(|c| c.serve_completed += 1);
                     self.emit_terminal(
                         id,
                         &tag,
@@ -298,7 +357,7 @@ impl Shared {
                     return;
                 }
                 Err(e) if e.is_retryable() && attempt < retries => {
-                    Counters::add(&self.counters.serve_retries, 1);
+                    self.counters.update(|c| c.serve_retries += 1);
                     self.emit(id, &tag, EventKind::Retrying { attempt, error: e.to_string() });
                     if let Some(wait) = backoff.next() {
                         std::thread::sleep(Duration::from_nanos(wait.as_nanos()));
@@ -306,7 +365,7 @@ impl Shared {
                     attempt += 1;
                 }
                 Err(e) => {
-                    Counters::add(&self.counters.serve_failed, 1);
+                    self.counters.update(|c| c.serve_failed += 1);
                     self.emit_terminal(
                         id,
                         &tag,
@@ -361,7 +420,7 @@ impl Server {
         let shared = Arc::new(Shared {
             queue: Mutex::new(AdmitQueue::new(cfg.queue_cap)),
             ready: Condvar::new(),
-            counters: Arc::new(Counters::new()),
+            counters: Arc::default(),
             next_id: AtomicU64::new(0),
             jobs: Mutex::new(HashMap::new()),
             draining: AtomicBool::new(false),
@@ -376,8 +435,8 @@ impl Server {
         Server { shared, pool: Some(pool) }
     }
 
-    /// The counter registry (shared with the protocol `stats` op).
-    pub fn counters(&self) -> Arc<Counters> {
+    /// The daemon's counters (shared with the protocol `stats` op).
+    pub fn counters(&self) -> Arc<ServeCounters> {
         self.shared.counters.clone()
     }
 
@@ -390,7 +449,7 @@ impl Server {
         let tag = spec.tag.clone();
         lock(&shared.jobs).insert(id, JobState { sink, token: CancelToken::new() });
         if shared.draining.load(Relaxed) {
-            Counters::add(&shared.counters.serve_rejected, 1);
+            shared.counters.update(|c| c.serve_rejected += 1);
             shared.emit_terminal(id, &tag, EventKind::Rejected { reason: "draining" });
             return id;
         }
@@ -406,10 +465,14 @@ impl Server {
         };
         match admitted_depth {
             Some(depth) => {
-                Counters::add(&shared.counters.serve_admitted, 1);
-                Counters::raise(&shared.counters.serve_queue_peak, depth);
+                shared.counters.update(|c| {
+                    c.serve_admitted += 1;
+                    c.serve_queue_peak = c.serve_queue_peak.max(depth);
+                    if victim.is_some() {
+                        c.serve_shed += 1;
+                    }
+                });
                 if let Some(victim) = victim {
-                    Counters::add(&shared.counters.serve_shed, 1);
                     shared.emit_terminal(
                         victim.id,
                         &victim.spec.tag,
@@ -422,7 +485,7 @@ impl Server {
                 shared.ready.notify_one();
             }
             None => {
-                Counters::add(&shared.counters.serve_rejected, 1);
+                shared.counters.update(|c| c.serve_rejected += 1);
                 shared.emit_terminal(id, &tag, EventKind::Rejected { reason: "queue_full" });
             }
         }
@@ -442,7 +505,7 @@ impl Server {
         token.cancel();
         let removed = lock(&shared.queue).remove(id);
         if let Some(job) = removed {
-            Counters::add(&shared.counters.serve_cancelled, 1);
+            shared.counters.update(|c| c.serve_cancelled += 1);
             shared.emit_terminal(id, &job.spec.tag, EventKind::Cancelled);
         }
         true
@@ -483,7 +546,7 @@ impl Server {
         shared.draining.store(true, Relaxed);
         let queued = lock(&shared.queue).drain_all();
         for job in queued {
-            Counters::add(&shared.counters.serve_rejected, 1);
+            shared.counters.update(|c| c.serve_rejected += 1);
             shared.emit_terminal(job.id, &job.spec.tag, EventKind::Rejected { reason: "draining" });
         }
         shared.ready.notify_all();
@@ -925,5 +988,16 @@ mod tests {
             .find(|j| j.get("reason").is_some())
             .expect("the bad-spec reject carries a reason");
         assert_eq!(reject.get("reason"), Some(&Json::Str("bad_spec".into())));
+        // `stats` reports the daemon's own counters and nothing else.
+        let stats = lines
+            .iter()
+            .find(|j| j.get("event") == Some(&Json::Str("stats".into())))
+            .and_then(|j| j.get("counters"))
+            .expect("stats carries counters");
+        let Json::Obj(sections) = stats else { panic!("counters is an object: {stats:?}") };
+        assert_eq!(sections.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(), ["serve"]);
+        let Some(Json::Obj(serve)) = stats.get("serve") else { panic!("no serve section") };
+        assert_eq!(serve.len(), 9, "{serve:?}");
+        assert_eq!(stats.get("serve").and_then(|s| s.get("admitted")), Some(&Json::U64(1)));
     }
 }

@@ -1,22 +1,24 @@
 //! Deterministic fault injection: the `ompss-chaos` fault plan.
 //!
-//! A [`FaultPlan`] is a seeded oracle the device layers (fabric, GPU
-//! engines, SMP workers) consult at well-defined injection points. Each
-//! decision is a pure function of `(seed, fault class, per-class draw
-//! counter)` — no wall clock, no OS randomness — so a faulted run
+//! A [`FaultPlan`] is plain data — a seed, per-class rates and forced
+//! counts — so a configuration that carries one names exactly one run,
+//! however often it is cloned or replayed. Each run turns its plan into
+//! a live [`FaultStream`], the seeded oracle the device layers (fabric,
+//! GPU engines, SMP workers) consult at well-defined injection points.
+//! Each decision is a pure function of `(seed, fault class, per-class
+//! draw counter)` — no wall clock, no OS randomness — so a faulted run
 //! replays *exactly*: the DES kernel serialises all processes, which
 //! makes the consultation order itself deterministic, and the fault
 //! stream with it.
 //!
-//! The plan only decides *whether* a fault fires; each layer implements
-//! the fault's mechanics (dropping a message, failing a kernel launch)
-//! and the runtime implements recovery (retry, re-execution,
-//! migration). Layers that were handed no plan take the exact legacy
-//! code path — zero cost when chaos is off.
+//! The stream only decides *whether* a fault fires; each layer
+//! implements the fault's mechanics (dropping a message, failing a
+//! kernel launch) and the runtime implements recovery (retry,
+//! re-execution, migration). Layers that were handed no stream take the
+//! exact legacy code path — zero cost when chaos is off.
 
 use std::cell::Cell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// The failure classes the injector knows how to produce, one per
 /// device-dependent mechanism of the stack.
@@ -41,9 +43,9 @@ pub enum FaultClass {
     SimTimeout = 7,
     /// `runtime`: a whole slave node dies — its GPUs, host space,
     /// in-flight messages and queued tasks — at a planned virtual
-    /// instant. Never drawn from the rate stream: node loss is armed
-    /// explicitly via [`with_node_loss`](FaultPlan::with_node_loss) so a
-    /// kill names one exact `(node, instant)`.
+    /// instant. Never drawn from the rate stream: the runtime's
+    /// node-loss setting names one exact `(node, instant)`, and the
+    /// kill is recorded with [`FaultStream::note_injected`].
     NodeLoss = 8,
 }
 
@@ -79,25 +81,16 @@ impl FaultClass {
 
 const N: usize = FAULT_CLASSES.len();
 
-/// A seeded, deterministic fault schedule shared by every injection
-/// point of a run (`Arc`-cloned into the fabric, each GPU device, and
-/// the SMP execution path).
-#[derive(Debug)]
+/// A seeded, deterministic fault schedule: which classes fire at what
+/// rate, and how many leading draws of each are forced. Plain data —
+/// building a run's [`FaultStream`] never changes it.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
     rates: [f64; N],
     /// First `force[c]` draws of class `c` fire unconditionally —
     /// targeted unit tests script exact fault sequences with this.
-    force: [AtomicU64; N],
-    /// Draws consulted per class (the deterministic stream position).
-    draws: [AtomicU64; N],
-    /// Faults actually injected per class.
-    injected: [AtomicU64; N],
-    /// Planned whole-node kill: the slave node index, or `u64::MAX` when
-    /// no kill is armed. Node loss never rides the rate stream.
-    node_loss_node: AtomicU64,
-    /// Virtual instant (ns) of the planned kill.
-    node_loss_at_ns: AtomicU64,
+    force: [u64; N],
 }
 
 impl FaultPlan {
@@ -117,19 +110,11 @@ impl FaultPlan {
         rates[FaultClass::DeviceLoss as usize] = rate / 8.0;
         rates[FaultClass::SimStall as usize] = rate;
         rates[FaultClass::SimTimeout as usize] = rate / 4.0;
-        // NodeLoss stays at rate 0: whole-node kills are armed explicitly
-        // (`with_node_loss`), never drawn — keeping the rate-sweep streams
-        // of the other classes byte-identical to pre-node-loss plans.
+        // NodeLoss stays at rate 0: whole-node kills are planned by the
+        // runtime, never drawn — keeping the rate-sweep streams of the
+        // other classes byte-identical to pre-node-loss plans.
         rates[FaultClass::NodeLoss as usize] = 0.0;
-        Self {
-            seed,
-            rates,
-            force: zeros(),
-            draws: zeros(),
-            injected: zeros(),
-            node_loss_node: AtomicU64::new(u64::MAX),
-            node_loss_at_ns: AtomicU64::new(0),
-        }
+        Self { seed, rates, force: [0; N] }
     }
 
     /// A plan that never fires on its own — combine with
@@ -145,52 +130,70 @@ impl FaultPlan {
     }
 
     /// Force the first `n` draws of `class` to fire.
-    pub fn with_forced(self, class: FaultClass, n: u64) -> Self {
-        self.force[class as usize].store(n, Relaxed);
+    pub fn with_forced(mut self, class: FaultClass, n: u64) -> Self {
+        self.force[class as usize] = n;
         self
     }
 
-    /// Plan the loss of slave `node` at virtual instant `at_ns`.
-    /// Builder form of [`arm_node_loss`](FaultPlan::arm_node_loss).
-    pub fn with_node_loss(self, node: u32, at_ns: u64) -> Self {
-        self.arm_node_loss(node, at_ns);
-        self
+    /// The seed this plan was built from.
+    pub fn seed(&self) -> u64 {
+        self.seed
     }
 
-    /// Plan the loss of slave `node` at virtual instant `at_ns` on an
-    /// already-shared plan.
-    pub fn arm_node_loss(&self, node: u32, at_ns: u64) {
-        self.node_loss_node.store(node as u64, Relaxed);
-        self.node_loss_at_ns.store(at_ns, Relaxed);
+    /// A fresh live stream of this plan, positioned at draw 0 of every
+    /// class: one per run, shared by that run's injection points.
+    pub fn stream(&self) -> FaultStream {
+        FaultStream(Rc::new(Live {
+            plan: self.clone(),
+            draws: Default::default(),
+            injected: Default::default(),
+        }))
     }
+}
 
-    /// The planned `(node, instant ns)` kill, if one is armed.
-    pub fn node_loss(&self) -> Option<(u32, u64)> {
-        let node = self.node_loss_node.load(Relaxed);
-        (node != u64::MAX).then(|| (node as u32, self.node_loss_at_ns.load(Relaxed)))
-    }
+/// One run's live fault stream: the plan plus its draw and injection
+/// counts. Clones share the counts. Like the run that consults it, it
+/// stays on the simulation thread:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>(_: T) {}
+/// assert_send(ompss_sim::FaultPlan::quiet(1).stream());
+/// ```
+#[derive(Debug, Clone)]
+pub struct FaultStream(Rc<Live>);
 
+#[derive(Debug)]
+struct Live {
+    plan: FaultPlan,
+    /// Draws consulted per class (the deterministic stream position).
+    draws: [Cell<u64>; N],
+    /// Faults actually injected per class.
+    injected: [Cell<u64>; N],
+}
+
+impl FaultStream {
     /// Record that a planned (non-drawn) fault of `class` was injected —
     /// the node-kill daemon calls this at the kill instant so the stats
     /// count the loss without consuming a rate-stream draw.
     pub fn note_injected(&self, class: FaultClass) {
-        self.injected[class as usize].fetch_add(1, Relaxed);
+        bump(&self.0.injected[class as usize]);
     }
 
     /// Should the next fault of `class` fire? Pure in `(seed, class,
     /// draw index)`; each call advances that class's draw counter.
     pub fn decide(&self, class: FaultClass) -> bool {
-        let c = class as usize;
-        let i = self.draws[c].fetch_add(1, Relaxed);
-        let fire = if i < self.force[c].load(Relaxed) {
-            true
-        } else {
-            unit(splitmix64(
-                self.seed ^ (c as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ i.wrapping_mul(2) ^ 1,
-            )) < self.rates[c]
-        };
+        let (c, live) = (class as usize, &*self.0);
+        let i = live.draws[c].get();
+        bump(&live.draws[c]);
+        let fire = i < live.plan.force[c]
+            || unit(splitmix64(
+                live.plan.seed
+                    ^ (c as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                    ^ i.wrapping_mul(2)
+                    ^ 1,
+            )) < live.plan.rates[c];
         if fire {
-            self.injected[c].fetch_add(1, Relaxed);
+            bump(&live.injected[c]);
         }
         fire
     }
@@ -199,29 +202,25 @@ impl FaultPlan {
     /// delay, stall length). Its own stream, so interleaving decide and
     /// fraction calls cannot shift either.
     pub fn fraction(&self, class: FaultClass) -> f64 {
-        let c = class as usize;
-        let i = self.draws[c].load(Relaxed);
+        let (c, live) = (class as usize, &*self.0);
         unit(splitmix64(
-            self.seed ^ (c as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9) ^ i.wrapping_mul(2),
+            live.plan.seed
+                ^ (c as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9)
+                ^ live.draws[c].get().wrapping_mul(2),
         ))
     }
 
-    /// The seed this plan was built from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Per-class injection counts so far.
+    /// Per-class draw and injection counts so far.
     pub fn stats(&self) -> FaultStats {
         FaultStats {
-            injected: std::array::from_fn(|c| self.injected[c].load(Relaxed)),
-            draws: std::array::from_fn(|c| self.draws[c].load(Relaxed)),
+            injected: self.0.injected.each_ref().map(Cell::get),
+            draws: self.0.draws.each_ref().map(Cell::get),
         }
     }
 }
 
-fn zeros() -> [AtomicU64; N] {
-    std::array::from_fn(|_| AtomicU64::new(0))
+fn bump(counter: &Cell<u64>) {
+    counter.set(counter.get() + 1);
 }
 
 /// Frozen per-class injection counts.
@@ -297,8 +296,8 @@ mod tests {
 
     #[test]
     fn decide_stream_is_deterministic() {
-        let a = FaultPlan::new(42, 0.3);
-        let b = FaultPlan::new(42, 0.3);
+        let plan = FaultPlan::new(42, 0.3);
+        let (a, b) = (plan.stream(), plan.stream());
         let sa: Vec<bool> = (0..256).map(|_| a.decide(FaultClass::NetDrop)).collect();
         let sb: Vec<bool> = (0..256).map(|_| b.decide(FaultClass::NetDrop)).collect();
         assert_eq!(sa, sb);
@@ -308,11 +307,11 @@ mod tests {
 
     #[test]
     fn classes_draw_independent_streams() {
-        let p = FaultPlan::new(7, 0.5);
+        let p = FaultPlan::new(7, 0.5).stream();
         let drops: Vec<bool> = (0..64).map(|_| p.decide(FaultClass::NetDrop)).collect();
         let dups: Vec<bool> = (0..64).map(|_| p.decide(FaultClass::NetDup)).collect();
         assert_ne!(drops, dups);
-        let q = FaultPlan::new(7, 0.5);
+        let q = FaultPlan::new(7, 0.5).stream();
         // Interleaved consultation must not shift either stream.
         let mut drops2 = Vec::new();
         let mut dups2 = Vec::new();
@@ -326,16 +325,16 @@ mod tests {
 
     #[test]
     fn rate_zero_never_fires_rate_one_always_fires() {
-        let p = FaultPlan::new(1, 0.0);
+        let p = FaultPlan::new(1, 0.0).stream();
         assert!((0..128).all(|_| !p.decide(FaultClass::KernelFail)));
-        let p = FaultPlan::new(1, 1.0);
+        let p = FaultPlan::new(1, 1.0).stream();
         assert!((0..128).all(|_| p.decide(FaultClass::KernelFail)));
         assert_eq!(p.stats().count(FaultClass::KernelFail), 128);
     }
 
     #[test]
     fn forced_draws_fire_then_revert_to_rate() {
-        let p = FaultPlan::quiet(9).with_forced(FaultClass::NetDrop, 3);
+        let p = FaultPlan::quiet(9).with_forced(FaultClass::NetDrop, 3).stream();
         let s: Vec<bool> = (0..8).map(|_| p.decide(FaultClass::NetDrop)).collect();
         assert_eq!(s, [true, true, true, false, false, false, false, false]);
         assert_eq!(p.stats().count(FaultClass::NetDrop), 3);
@@ -344,8 +343,7 @@ mod tests {
 
     #[test]
     fn fraction_is_bounded_and_deterministic() {
-        let p = FaultPlan::new(3, 0.5);
-        let q = FaultPlan::new(3, 0.5);
+        let (p, q) = (FaultPlan::new(3, 0.5).stream(), FaultPlan::new(3, 0.5).stream());
         for _ in 0..32 {
             let (fp, fq) = (p.fraction(FaultClass::NetDelay), q.fraction(FaultClass::NetDelay));
             assert_eq!(fp, fq);
@@ -356,17 +354,24 @@ mod tests {
     }
 
     #[test]
-    fn node_loss_is_armed_explicitly_never_drawn() {
-        let p = FaultPlan::new(11, 1.0);
-        assert_eq!(p.node_loss(), None, "rate alone must not plan a kill");
+    fn node_loss_is_never_drawn_only_noted() {
+        let p = FaultPlan::new(11, 1.0).stream();
         assert!(!p.decide(FaultClass::NodeLoss), "node loss never rides the rate stream");
-        p.arm_node_loss(1, 250_000);
-        assert_eq!(p.node_loss(), Some((1, 250_000)));
         assert_eq!(p.stats().count(FaultClass::NodeLoss), 0);
         p.note_injected(FaultClass::NodeLoss);
         assert_eq!(p.stats().count(FaultClass::NodeLoss), 1);
-        let q = FaultPlan::quiet(11).with_node_loss(0, 7);
-        assert_eq!(q.node_loss(), Some((0, 7)));
+    }
+
+    #[test]
+    fn each_stream_starts_at_draw_zero() {
+        let plan = FaultPlan::quiet(3).with_forced(FaultClass::KernelFail, 1);
+        let first = plan.stream();
+        assert!(first.decide(FaultClass::KernelFail));
+        assert!(!first.decide(FaultClass::KernelFail));
+        let second = plan.stream();
+        assert!(second.decide(FaultClass::KernelFail), "a new run replays the forced draw");
+        assert_eq!(first.stats().draws[FaultClass::KernelFail as usize], 2);
+        assert_eq!(second.stats().draws[FaultClass::KernelFail as usize], 1);
     }
 
     #[test]

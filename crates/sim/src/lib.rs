@@ -66,7 +66,7 @@ pub use engine::{
     yield_now, Delay, Pid, ProcName, ProcessBuilder, ProcessExit, Sim, StepFootprint, TieBreak,
 };
 pub use error::{ProcState, RunError, RunReport, SimError, SimResult};
-pub use fault::{DeviceFuse, FaultClass, FaultPlan, FaultStats, FAULT_CLASSES};
+pub use fault::{DeviceFuse, FaultClass, FaultPlan, FaultStats, FaultStream, FAULT_CLASSES};
 pub use queue::Channel;
 pub use sync::{Bell, Latch, Semaphore, Signal};
 pub use time::{SimDuration, SimTime};
