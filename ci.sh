@@ -4,8 +4,8 @@
 # after one fails, then exit 1 naming each failed stage.
 #
 #   ./ci.sh          # everything
-#   ./ci.sh quick    # fmt + clippy + tests + nofastpath + verify + chaos + churn + mc
-#                    # + serve; skips the release build, scale, figures and mc_defects
+#   ./ci.sh quick    # fmt + clippy + tests + kernels + nofastpath + verify + chaos + churn
+#                    # + mc + serve; skips the release build, scale, figures and mc_defects
 #   ./ci.sh verify   # only the ompss-verify sweep over the apps
 #   ./ci.sh chaos    # only the fault-injection sweep over the apps
 #   ./ci.sh churn    # elastic-membership grid: joins/drains/kill races
@@ -19,6 +19,8 @@
 #   ./ci.sh mc_defects  # seeded-defect corpus the model checker must catch
 #   ./ci.sh serve    # job-server soak: overload, cancels, fairness
 #   ./ci.sh nofastpath  # ompss-sim tests with the DES host fast paths off
+#   ./ci.sh kernels  # ompss-apps unit tests in release: the kernel bodies' bit-exactness
+#                    # proptests on the optimised code the benchmark runs
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -93,6 +95,11 @@ nofastpath() {
     OMPSS_SIM_NO_FASTPATH=1 cargo test -q -p ompss-sim
 }
 
+kernels() {
+    echo "==> ompss-apps unit tests in release (every kernel variant vs the scalar references, opt-level 3)"
+    cargo test -q --release -p ompss-apps --lib
+}
+
 mc_defects() {
     echo "==> ompss-mc seeded-defect corpus (cfg mc_defects build)"
     RUSTFLAGS="--cfg mc_defects" CARGO_TARGET_DIR=target/mc-defects \
@@ -100,7 +107,7 @@ mc_defects() {
 }
 
 case "${1:-}" in
-    verify | chaos | churn | bench | scale | figures | mc | mc_defects | serve | nofastpath)
+    verify | chaos | churn | bench | scale | figures | mc | mc_defects | serve | nofastpath | kernels)
         "$1"
         echo "CI green."
         exit 0
@@ -152,6 +159,7 @@ if [[ "${1:-}" != "quick" ]]; then
     stage figures
 fi
 stage tests
+stage kernels
 stage nofastpath
 stage verify
 stage chaos

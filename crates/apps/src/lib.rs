@@ -17,6 +17,7 @@
 #![warn(missing_docs)]
 
 pub mod common;
+mod isa;
 pub mod matmul;
 pub mod nbody;
 pub mod perlin;

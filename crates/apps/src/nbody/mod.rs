@@ -17,6 +17,8 @@ pub mod serial;
 
 use ompss_cudasim::KernelCost;
 
+use crate::isa::Isa;
+
 /// Integration time step.
 pub const DT: f32 = 0.01;
 /// Softening factor ε².
@@ -92,7 +94,8 @@ impl NbodyParams {
     }
 }
 
-/// Bodies advanced side by side in one pass over the partners.
+/// Bodies advanced side by side in one pass over the partners, in
+/// every variant: 8 lanes fill one AVX2 register.
 const LANES: usize = 8;
 
 /// Advance one block of bodies one time step.
@@ -102,8 +105,22 @@ const LANES: usize = 8;
 /// `pos_out` are the block's velocity and output-position float4s.
 ///
 /// Bodies are advanced `LANES` at a time and the leftover ones one at
-/// a time; each body's arithmetic is the same either way.
+/// a time; each body's arithmetic is the same either way. The partner
+/// loop runs in the widest instruction-set variant the host runs (AVX2
+/// or the baseline); all of them give the same bits.
 pub fn step_block(
+    pos_all: &[f32],
+    start: usize,
+    count: usize,
+    vel: &mut [f32],
+    pos_out: &mut [f32],
+) {
+    step_block_on(Isa::widest(), pos_all, start, count, vel, pos_out);
+}
+
+/// [`step_block`] with the partner loop in the variant `isa`.
+fn step_block_on(
+    isa: Isa,
     pos_all: &[f32],
     start: usize,
     count: usize,
@@ -112,21 +129,33 @@ pub fn step_block(
 ) {
     let full = count / LANES * LANES;
     for i in (0..full).step_by(LANES) {
-        step_lanes::<LANES>(pos_all, start + i, &mut vel[4 * i..], &mut pos_out[4 * i..]);
+        step_lanes::<LANES>(isa, pos_all, start + i, &mut vel[4 * i..], &mut pos_out[4 * i..]);
     }
     for i in full..count {
-        step_lanes::<1>(pos_all, start + i, &mut vel[4 * i..], &mut pos_out[4 * i..]);
+        step_lanes::<1>(isa, pos_all, start + i, &mut vel[4 * i..], &mut pos_out[4 * i..]);
     }
 }
 
 /// Advance the `L` bodies from global index `gi` on; `vel` and
 /// `pos_out` start at the first one's float4.
-fn step_lanes<const L: usize>(pos_all: &[f32], gi: usize, vel: &mut [f32], pos_out: &mut [f32]) {
+fn step_lanes<const L: usize>(
+    isa: Isa,
+    pos_all: &[f32],
+    gi: usize,
+    vel: &mut [f32],
+    pos_out: &mut [f32],
+) {
     let own = &pos_all[4 * gi..4 * (gi + L)];
     let xi: [f32; L] = std::array::from_fn(|l| own[4 * l]);
     let yi: [f32; L] = std::array::from_fn(|l| own[4 * l + 1]);
     let zi: [f32; L] = std::array::from_fn(|l| own[4 * l + 2]);
-    let [ax, ay, az] = accel(pos_all, xi, yi, zi);
+    let [ax, ay, az] = match isa {
+        // SAFETY: both variants carry a `Detected` token, made only
+        // once the host reported AVX2.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2(_) | Isa::Avx512(_) => unsafe { accel_avx2(pos_all, xi, yi, zi) },
+        _ => accel_baseline(pos_all, xi, yi, zi),
+    };
     for l in 0..L {
         vel[4 * l] += ax[l] * DT;
         vel[4 * l + 1] += ay[l] * DT;
@@ -138,16 +167,42 @@ fn step_lanes<const L: usize>(pos_all: &[f32], gi: usize, vel: &mut [f32], pos_o
     }
 }
 
-/// Accelerations of `L` bodies at `(xi, yi, zi)`. Lane `l` evaluates
-/// the all-pairs expression in the scalar order, partners in global
-/// order, so its bits do not depend on `L`; the lanes are independent,
-/// which lets the compiler run them in SIMD registers.
-///
-/// Kept out of line: returned as three arrays, the accumulators are
-/// vectorised across lanes. Inlined into [`step_lanes`], whose stores
-/// write each body's x, y and z side by side, the compiler paired
-/// those instead and the kernel ran about twice as slowly.
+/// The baseline variant of [`accel`]. Kept out of line like the wider
+/// ones: returned as three arrays, the accumulators are vectorised
+/// across lanes. Inlined into [`step_lanes`], whose stores write each
+/// body's x, y and z side by side, the compiler paired those instead
+/// and the kernel ran about twice as slowly.
 #[inline(never)]
+fn accel_baseline<const L: usize>(
+    pos_all: &[f32],
+    xi: [f32; L],
+    yi: [f32; L],
+    zi: [f32; L],
+) -> [[f32; L]; 3] {
+    accel(pos_all, xi, yi, zi)
+}
+
+/// The AVX2 variant of [`accel`], which AVX-512F hosts run too: an
+/// AVX-512F variant, at 8 lanes or at 16, ran no faster. A
+/// `#[target_feature]` function is never inlined into a caller without
+/// the feature.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn accel_avx2<const L: usize>(
+    pos_all: &[f32],
+    xi: [f32; L],
+    yi: [f32; L],
+    zi: [f32; L],
+) -> [[f32; L]; 3] {
+    accel(pos_all, xi, yi, zi)
+}
+
+/// Accelerations of `L` bodies at `(xi, yi, zi)`: the one body every
+/// variant instantiates. Lane `l` evaluates the all-pairs expression in
+/// the scalar order, partners in global order, so its bits do not
+/// depend on `L` or the variant; the lanes are independent, which lets
+/// the compiler run them in SIMD registers.
+#[inline(always)]
 fn accel<const L: usize>(
     pos_all: &[f32],
     xi: [f32; L],
@@ -222,7 +277,8 @@ mod tests {
 
         /// Any body range of any system — fewer bodies than a lane
         /// group, a partial last group, a block not at body 0 — gets
-        /// the reference's velocities and positions, bit for bit.
+        /// the reference's velocities and positions, bit for bit, in
+        /// every variant the host runs.
         #[test]
         fn step_block_is_bit_identical_to_the_scalar_reference(
             n in 1usize..40,
@@ -240,12 +296,16 @@ mod tests {
                 })
                 .collect();
             let vel: Vec<f32> = raw[4 * n..4 * (n + count)].iter().map(|&v| v as f32 * 1e-3).collect();
-            let (mut v_new, mut v_ref) = (vel.clone(), vel);
-            let (mut o_new, mut o_ref) = (vec![0.0f32; 4 * count], vec![0.0f32; 4 * count]);
-            step_block(&pos, start, count, &mut v_new, &mut o_new);
+            let mut v_ref = vel.clone();
+            let mut o_ref = vec![0.0f32; 4 * count];
             step_block_reference(&pos, start, count, &mut v_ref, &mut o_ref);
-            prop_assert_eq!(bits(&v_new), bits(&v_ref), "velocities, start={} count={}", start, count);
-            prop_assert_eq!(bits(&o_new), bits(&o_ref), "positions, start={} count={}", start, count);
+            for isa in Isa::detected() {
+                let mut v_new = vel.clone();
+                let mut o_new = vec![0.0f32; 4 * count];
+                step_block_on(isa, &pos, start, count, &mut v_new, &mut o_new);
+                prop_assert_eq!(bits(&v_new), bits(&v_ref), "velocities, start={} count={} {:?}", start, count, isa);
+                prop_assert_eq!(bits(&o_new), bits(&o_ref), "positions, start={} count={} {:?}", start, count, isa);
+            }
         }
     }
 

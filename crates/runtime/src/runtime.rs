@@ -610,13 +610,17 @@ impl Runtime {
                 what: "shards must be at least 1 (1 is the flat single-master plane)".into(),
             });
         }
-        for (knob, armed) in [("node_join", cfg.node_join), ("node_drain", cfg.node_drain)] {
+        for (knob, armed) in [
+            ("node_join", cfg.node_join),
+            ("node_drain", cfg.node_drain),
+            ("node_loss", cfg.node_loss),
+        ] {
             if let Some((node, _)) = armed {
                 if node == 0 || node >= cfg.nodes {
                     return Err(RunError::InvalidConfig {
                         what: format!(
                             "{knob} targets node {node}, but valid slaves are 1..{} \
-                             (node 0 is the master and can neither join nor drain)",
+                             (node 0 is the master, which cannot join, drain or be lost)",
                             cfg.nodes
                         ),
                     });
@@ -634,9 +638,6 @@ impl Runtime {
             }
             None => None,
         };
-        if let Some((node, _)) = cfg.node_loss {
-            assert!(node < cfg.nodes, "node-loss target {node} outside the cluster");
-        }
         // Rate-based recovery assumes a failed or lost device never
         // holds the only up-to-date copy of anything, so that chaos pins
         // write-back caching down to write-through (commit leaves device

@@ -607,6 +607,26 @@ fn env_overrides_parse() {
     }
 }
 
+/// A node-loss target outside the cluster is a config error, like a
+/// join or drain target, not a panic. `OMPSS_FAULT_NODE_LOSS=9@100`
+/// reaches the same field: the env parser rejects only node 0.
+#[test]
+fn node_loss_outside_the_cluster_is_a_config_error() {
+    let cfg = RuntimeConfig::gpu_cluster(2).with_node_loss(9, SimDuration::from_micros(100));
+    let got = std::panic::catch_unwind(|| {
+        Runtime::try_run(cfg, |omp| async move {
+            omp.taskwait().await;
+        })
+    });
+    match got {
+        Ok(Err(RunError::InvalidConfig { what })) => {
+            assert!(what.contains("node_loss targets node 9"), "unhelpful message: {what}")
+        }
+        Ok(other) => panic!("expected InvalidConfig, got {other:?}"),
+        Err(_) => panic!("try_run panicked on a node-loss target outside the cluster"),
+    }
+}
+
 /// The headline scale claim of the async redesign: a 1000-node GPU
 /// cluster — a thousand dispatchers, heartbeats, worker pools and GPU
 /// managers, each a stackless future — boots, runs a task per node and
