@@ -153,3 +153,33 @@ fn exhausted_budget_yields_run_error_not_panic() {
         other => panic!("expected RunError::Exhausted, got {other:?}"),
     }
 }
+
+#[test]
+fn a_failed_plan_armed_run_is_tagged_with_its_plan() {
+    // A rate plan with no retry budget: the first failed kernel launch
+    // of eight tasks on one GPU fails the run closed. The error must
+    // name the plan's own coordinates, so that the run replays from
+    // the message alone.
+    let cfg = RuntimeConfig::multi_gpu(1)
+        .with_fault_plan(FaultPlan::new(7, 0.5))
+        .with_task_retry_budget(0);
+    let result = Runtime::try_run(cfg, |omp| async move {
+        let a = omp.alloc_array::<f32>(256);
+        for k in 0..8 {
+            omp.submit(
+                TaskSpec::new(format!("t{k}"))
+                    .device(Device::Cuda)
+                    .inout(a.full())
+                    .cost_gpu(KernelCost::memory_bound(1024.0, 0.8)),
+            )
+            .await;
+        }
+    });
+    match result {
+        Err(e @ RunError::Exhausted { .. }) => {
+            let shown = e.to_string();
+            assert!(shown.contains("[fault_seed=7 fault_rate=0.5]"), "wrong tag: {shown}")
+        }
+        other => panic!("expected RunError::Exhausted, got {other:?}"),
+    }
+}

@@ -1099,34 +1099,27 @@ impl Coherence {
     /// in deterministic order — what a draining node must flush home
     /// before its copies can be dropped.
     pub fn dirty_regions_at(&self, spaces: &[SpaceId]) -> Vec<Region> {
-        let inner = self.inner.borrow();
-        let mut dirty: Vec<Region> = inner
-            .regions
-            .iter()
-            .filter(|(_, e)| {
-                spaces.iter().any(|s| {
-                    e.copies.get(s).is_some_and(|c| {
-                        c.dirty
-                            && matches!(c.state, CState::Valid { version } if version == e.version)
-                    })
-                })
-            })
-            .map(|(r, _)| *r)
-            .collect();
-        dirty.sort();
-        dirty
+        self.dirty_where(|s| spaces.contains(s))
     }
 
     /// Regions with a dirty valid-latest copy somewhere (what a flush
     /// must write home), in deterministic order.
     pub fn dirty_regions(&self) -> Vec<Region> {
+        self.dirty_where(|_| true)
+    }
+
+    /// Regions with a dirty copy of their latest version in a space
+    /// `at` accepts, sorted.
+    fn dirty_where(&self, at: impl Fn(&SpaceId) -> bool) -> Vec<Region> {
         let inner = self.inner.borrow();
         let mut dirty: Vec<Region> = inner
             .regions
             .iter()
             .filter(|(_, e)| {
-                e.copies.values().any(|c| {
-                    c.dirty && matches!(c.state, CState::Valid { version } if version == e.version)
+                e.copies.iter().any(|(s, c)| {
+                    at(s)
+                        && c.dirty
+                        && matches!(c.state, CState::Valid { version } if version == e.version)
                 })
             })
             .map(|(r, _)| *r)
@@ -1141,23 +1134,7 @@ impl Coherence {
     /// on [`dirty_regions`](Coherence::dirty_regions) +
     /// [`flush_region`](Coherence::flush_region).
     pub async fn flush_all(&self, exec: &dyn HopExec) -> SimResult<()> {
-        let dirty: Vec<Region> = {
-            let inner = self.inner.borrow();
-            inner
-                .regions
-                .iter()
-                .filter(|(_, e)| {
-                    e.copies.values().any(|c| {
-                        c.dirty
-                            && matches!(c.state, CState::Valid { version } if version == e.version)
-                    })
-                })
-                .map(|(r, _)| *r)
-                .collect()
-        };
-        let mut sorted = dirty;
-        sorted.sort();
-        for region in sorted {
+        for region in self.dirty_regions() {
             self.flush_region(exec, &region).await?;
         }
         Ok(())

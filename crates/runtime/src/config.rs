@@ -49,11 +49,6 @@ pub struct RuntimeConfig {
     pub prefetch: bool,
     /// Real byte backing (validated runs) or phantom (paper-scale).
     pub backing: Backing,
-    /// Pinned host buffer pool per node (bytes); used when `overlap`.
-    pub pinned_pool: u64,
-    /// Cost charged per SMP task in addition to its own cost — models
-    /// task bookkeeping overhead.
-    pub task_overhead: SimDuration,
     /// Record a Paraver-style execution trace (task intervals per
     /// resource, transfers per medium) into the run report.
     pub tracing: bool,
@@ -70,48 +65,31 @@ pub struct RuntimeConfig {
     /// randomly but reproducibly. The verify binary's schedule
     /// exploration reruns apps under several seeds and diffs results.
     pub sched_seed: u64,
-    /// Chaos injection rate (`OMPSS_FAULT_RATE`): probability that any
-    /// one fault draw fires. `0.0` (default) disables injection and the
-    /// whole recovery machinery — runs are bit- and time-identical to a
-    /// build without it.
-    pub fault_rate: f64,
-    /// Seed of the deterministic fault stream (`OMPSS_FAULT_SEED`).
-    /// Same seed + same rate = the same faults at the same draws.
-    pub fault_seed: u64,
     /// Times a failed task is re-executed before the run aborts with
     /// [`ompss_sim::RunError::Exhausted`].
     pub task_retry_budget: u32,
     /// Times an unacknowledged cluster message is retransmitted before
     /// the run aborts with [`ompss_sim::RunError::Exhausted`].
     pub am_retry_budget: u32,
-    /// A pre-armed fault plan. Overrides `fault_seed`/`fault_rate`:
-    /// harnesses use [`FaultPlan::with_forced`] to pin one specific
-    /// fault class deterministically instead of sweeping a rate. Plain
-    /// data: every run draws from a fresh stream of it.
-    pub fault_plan: Option<FaultPlan>,
+    /// Armed chaos (`OMPSS_FAULT_RATE` / `OMPSS_FAULT_SEED`, or a
+    /// hand-built plan: harnesses use [`FaultPlan::with_forced`] to pin
+    /// one fault class deterministically instead of sweeping a rate).
+    /// Same plan = the same faults at the same draws: it is plain data,
+    /// and every run draws from a fresh stream of it. `None` (default)
+    /// disables injection and the rate-driven recovery machinery — runs
+    /// are bit- and time-identical to a build without it.
+    pub faults: Option<FaultPlan>,
     /// Planned whole-node kill (`OMPSS_FAULT_NODE_LOSS`): slave node
     /// index and the virtual instant it dies. Arms the heartbeat/lease
     /// protocol and lineage retention; `None` (default) spawns none of
     /// that machinery.
     pub node_loss: Option<(u32, SimDuration)>,
-    /// Interval between the master's liveness probes to each slave
-    /// (`OMPSS_HEARTBEAT_PERIOD_US`). Only meaningful when node-loss
-    /// chaos is armed.
-    pub heartbeat_period: SimDuration,
-    /// Silence beyond this window declares a slave dead
-    /// (`OMPSS_LEASE_WINDOW_US`). Must comfortably exceed the period
-    /// plus a network round trip.
-    pub lease_window: SimDuration,
-    /// Most completed producer tasks lineage reconstruction may re-run
-    /// per lost region before the run aborts with
-    /// [`ompss_sim::RunError::Exhausted`] (`OMPSS_LINEAGE_DEPTH`).
-    pub lineage_depth_budget: u32,
     /// Planned mid-run node join (`OMPSS_NODE_JOIN`): slave node index
     /// and the virtual instant it comes up. The node starts absent —
     /// NIC offline, scheduler proxy out of service, no heartbeat lease
     /// — and at the instant the Fabric brings its NIC online, the
-    /// scheduler adopts its proxy and the lease tracker starts its
-    /// lease. The join opens a new membership epoch and rebalances
+    /// scheduler adopts its proxy and, when a kill is armed too, the
+    /// lease tracker starts its lease. The join opens a new membership epoch and rebalances
     /// moved slices onto the joiner (none with one shard). `None`
     /// (default) spawns none of the machinery.
     pub node_join: Option<(u32, SimDuration)>,
@@ -156,20 +134,13 @@ impl RuntimeConfig {
             overlap: false,
             prefetch: false,
             backing: Backing::Real,
-            pinned_pool: 2 << 30,
-            task_overhead: SimDuration::from_micros(5),
             tracing: false,
             verify: false,
             sched_seed: 0,
-            fault_rate: 0.0,
-            fault_seed: 1,
             task_retry_budget: 3,
             am_retry_budget: 8,
-            fault_plan: None,
+            faults: None,
             node_loss: None,
-            heartbeat_period: SimDuration::from_micros(200),
-            lease_window: SimDuration::from_micros(1000),
-            lineage_depth_budget: 64,
             node_join: None,
             node_drain: None,
             shards: 1,
@@ -194,20 +165,13 @@ impl RuntimeConfig {
             overlap: true,
             prefetch: true,
             backing: Backing::Real,
-            pinned_pool: 2 << 30,
-            task_overhead: SimDuration::from_micros(5),
             tracing: false,
             verify: false,
             sched_seed: 0,
-            fault_rate: 0.0,
-            fault_seed: 1,
             task_retry_budget: 3,
             am_retry_budget: 8,
-            fault_plan: None,
+            faults: None,
             node_loss: None,
-            heartbeat_period: SimDuration::from_micros(200),
-            lease_window: SimDuration::from_micros(1000),
-            lineage_depth_budget: 64,
             node_join: None,
             node_drain: None,
             shards: 1,
@@ -280,12 +244,11 @@ impl RuntimeConfig {
         self
     }
 
-    /// Arm chaos injection: fault `rate` (0 disables) drawn from the
-    /// deterministic stream of `seed`.
+    /// Arm chaos injection: fault `rate` drawn from the deterministic
+    /// stream of `seed`. A zero rate leaves chaos unarmed.
     pub fn with_faults(mut self, seed: u64, rate: f64) -> Self {
         assert!((0.0..=1.0).contains(&rate), "fault rate must be in [0, 1]");
-        self.fault_seed = seed;
-        self.fault_rate = rate;
+        self.faults = (rate > 0.0).then(|| FaultPlan::new(seed, rate));
         self
     }
 
@@ -303,7 +266,7 @@ impl RuntimeConfig {
 
     /// Arm a hand-built fault plan (see the field docs).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
+        self.faults = Some(plan);
         self
     }
 
@@ -312,20 +275,6 @@ impl RuntimeConfig {
     pub fn with_node_loss(mut self, node: u32, at: SimDuration) -> Self {
         assert!(node > 0, "node 0 is the master; only slaves can be killed");
         self.node_loss = Some((node, at));
-        self
-    }
-
-    /// Set the lease protocol timing (probe period, death window).
-    pub fn with_heartbeat(mut self, period: SimDuration, window: SimDuration) -> Self {
-        assert!(window > period, "the lease window must exceed the probe period");
-        self.heartbeat_period = period;
-        self.lease_window = window;
-        self
-    }
-
-    /// Set the lineage re-execution budget per lost region.
-    pub fn with_lineage_depth(mut self, depth: u32) -> Self {
-        self.lineage_depth_budget = depth;
         self
     }
 
@@ -345,11 +294,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Is elastic membership armed (a planned join or drain)?
-    pub fn membership_enabled(&self) -> bool {
-        self.node_join.is_some() || self.node_drain.is_some()
-    }
-
     /// Shard the control plane into `n ≥ 1` shards (1 = the paper's
     /// flat master; see the field docs). Shards beyond the node count
     /// still work — several shards just wrap onto the same owner node.
@@ -357,11 +301,6 @@ impl RuntimeConfig {
         assert!(n > 0, "the control plane needs at least one shard");
         self.shards = n;
         self
-    }
-
-    /// Are faults (and therefore the recovery machinery) enabled?
-    pub fn faults_enabled(&self) -> bool {
-        self.fault_plan.is_some() || self.fault_rate > 0.0 || self.node_loss.is_some()
     }
 
     /// Usable GPU cache capacity.
@@ -390,11 +329,9 @@ impl RuntimeConfig {
     /// | `OMPSS_VERIFY` | `0`/`1` |
     /// | `OMPSS_SCHED_SEED` | integer seed (0 = off) |
     /// | `OMPSS_FAULT_RATE` | float in `[0, 1]` (0 = off) |
-    /// | `OMPSS_FAULT_SEED` | integer seed of the fault stream |
+    /// | `OMPSS_FAULT_SEED` | integer seed of the fault stream (default 1) |
     /// | `OMPSS_TASK_RETRIES` / `OMPSS_AM_RETRIES` | integer budgets |
     /// | `OMPSS_FAULT_NODE_LOSS` | `node@micros` planned kill (e.g. `1@800`) |
-    /// | `OMPSS_HEARTBEAT_PERIOD_US` / `OMPSS_LEASE_WINDOW_US` | integers (µs) |
-    /// | `OMPSS_LINEAGE_DEPTH` | integer re-execution budget |
     /// | `OMPSS_SHARDS` | control-plane shard count (default 1 = flat master) |
     /// | `OMPSS_NODE_JOIN` | `node@micros` planned join (e.g. `2@500`) |
     /// | `OMPSS_NODE_DRAIN` | `node@micros` planned drain (e.g. `1@800`) |
@@ -410,7 +347,6 @@ impl RuntimeConfig {
             "0" | "false" | "off" => Some(false),
             _ => None,
         };
-        let micros = |v: &str| v.parse().ok().map(SimDuration::from_micros);
         const INT: &str = "an integer";
         const FLAG: &str = "0|1";
         const NODE_AT: &str = "node@micros with node >= 1";
@@ -437,16 +373,20 @@ impl RuntimeConfig {
         from_env(&mut self.tracing, "OMPSS_TRACE", FLAG, flag)?;
         from_env(&mut self.verify, "OMPSS_VERIFY", FLAG, flag)?;
         from_env(&mut self.sched_seed, "OMPSS_SCHED_SEED", INT, int)?;
-        from_env(&mut self.fault_rate, "OMPSS_FAULT_RATE", "a number in [0, 1]", |v| {
+        // Setting either fault variable rebuilds the one plan from its
+        // headline seed and rate (seed 1 when unarmed); a zero rate
+        // disarms it.
+        let (mut seed, mut rate) = self.faults.as_ref().map_or((1, 0.0), |p| (p.seed(), p.rate()));
+        let rate_set = from_env(&mut rate, "OMPSS_FAULT_RATE", "a number in [0, 1]", |v| {
             v.parse().ok().filter(|r| (0.0..=1.0).contains(r))
         })?;
-        from_env(&mut self.fault_seed, "OMPSS_FAULT_SEED", INT, int)?;
+        let seed_set = from_env(&mut seed, "OMPSS_FAULT_SEED", INT, int)?;
+        if rate_set || seed_set {
+            self = self.with_faults(seed, rate);
+        }
         from_env(&mut self.task_retry_budget, "OMPSS_TASK_RETRIES", INT, int)?;
         from_env(&mut self.am_retry_budget, "OMPSS_AM_RETRIES", INT, int)?;
         from_env(&mut self.node_loss, "OMPSS_FAULT_NODE_LOSS", NODE_AT, node_at)?;
-        from_env(&mut self.heartbeat_period, "OMPSS_HEARTBEAT_PERIOD_US", INT, micros)?;
-        from_env(&mut self.lease_window, "OMPSS_LEASE_WINDOW_US", INT, micros)?;
-        from_env(&mut self.lineage_depth_budget, "OMPSS_LINEAGE_DEPTH", INT, int)?;
         from_env(&mut self.shards, "OMPSS_SHARDS", "an integer >= 1", |v| {
             v.parse().ok().filter(|&n| n > 0)
         })?;
@@ -457,21 +397,21 @@ impl RuntimeConfig {
 }
 
 /// Overwrite `field` with environment variable `name` parsed by
-/// `parse`; leave it when the variable is unset. A value `parse`
-/// rejects (or one that is not Unicode) is an
-/// [`RunError::InvalidConfig`] naming the variable, the value and what
-/// was `expected`.
+/// `parse` and return `true`; leave it and return `false` when the
+/// variable is unset. A value `parse` rejects (or one that is not
+/// Unicode) is an [`RunError::InvalidConfig`] naming the variable, the
+/// value and what was `expected`.
 fn from_env<T>(
     field: &mut T,
     name: &str,
     expected: &str,
     parse: impl FnOnce(&str) -> Option<T>,
-) -> Result<(), RunError> {
-    let Some(raw) = std::env::var_os(name) else { return Ok(()) };
+) -> Result<bool, RunError> {
+    let Some(raw) = std::env::var_os(name) else { return Ok(false) };
     *field = raw.to_str().and_then(parse).ok_or_else(|| RunError::InvalidConfig {
         what: format!("{name}={raw:?}: expected {expected}"),
     })?;
-    Ok(())
+    Ok(true)
 }
 
 /// An integer of the field's width.

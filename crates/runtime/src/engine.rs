@@ -171,11 +171,11 @@ pub(crate) struct RtShared {
     /// Reliable-delivery state for control messages; `Some` exactly
     /// when `faults` is (plain sends otherwise — the paper's protocol).
     pub rel: Option<Rc<Reliability>>,
-    /// Lease bookkeeping of the heartbeat protocol; `Some` when
-    /// node-loss chaos *or* elastic membership is armed (disarmed runs
-    /// track nothing and send nothing). An armed joiner starts
-    /// untracked — its lease begins at the join instant; a drained node
-    /// is untracked at departure — retirement, not death.
+    /// Lease bookkeeping of the heartbeat protocol; `Some` only when
+    /// node-loss chaos is armed, the one case its lease monitor runs
+    /// (other runs track nothing and send nothing). An armed joiner
+    /// starts untracked — its lease begins at the join instant; a
+    /// drained node is untracked at departure — retirement, not death.
     pub lease: Option<RefCell<LeaseTracker>>,
     /// Epoch-versioned shard ownership, the one control plane every
     /// run asks for homes and worksharing owners. Epoch 0 holds the
@@ -190,9 +190,6 @@ pub(crate) struct RtShared {
     /// monitor, planned node-kill) stand down instead of holding timed
     /// events that would keep virtual time marching past the makespan.
     pub done: Signal,
-    /// `OMPSS_RT_DEBUG` is set: print every GPU task launch to stderr.
-    /// Read once, when the runtime is built.
-    pub debug_launches: bool,
 }
 
 /// Run `rec`'s body, if it has one, over the bytes its copy `accesses`
@@ -716,14 +713,6 @@ pub(crate) async fn gpu_manager(shared: Rc<RtShared>, home: Home, res: ResourceI
             continue;
         };
         let rec = shared.record(tid);
-        if shared.debug_launches {
-            eprintln!(
-                "[rt {:.6}s] node{node} gpu runs {} (t{})",
-                now().as_secs_f64(),
-                rec.desc.label,
-                tid.0
-            );
-        }
         // Pick (and start) a prefetch candidate before launching.
         let pf: Option<Rc<TaskRecord>> = if shared.cfg.prefetch {
             next = home.take(&shared, res);

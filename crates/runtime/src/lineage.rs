@@ -27,8 +27,7 @@
 //! [`RunError::Exhausted`]: evicted history, a missing body, an input
 //! whose home bytes have advanced past what the writer originally read,
 //! cyclic lineage, or a reconstruction deeper than
-//! [`lineage_depth_budget`](crate::RuntimeConfig::lineage_depth_budget).
-//! Wrong bytes are never an outcome.
+//! [`LINEAGE_DEPTH_BUDGET`]. Wrong bytes are never an outcome.
 
 use std::collections::{BTreeMap, HashSet};
 use std::rc::Rc;
@@ -40,6 +39,10 @@ use ompss_sim::{now, RunError};
 
 use crate::engine::{MasterState, RtShared};
 use crate::trace::TraceEvent;
+
+/// Most completed producer tasks reconstruction may re-run per lost
+/// region, and the writers per region the task graph retains for it.
+pub(crate) const LINEAGE_DEPTH_BUDGET: u32 = 64;
 
 /// Rebuild every region in `lost` at the root home. Called with the
 /// master state borrowed and no simulator yields; on error the caller aborts the
@@ -84,7 +87,7 @@ impl Reconstructor<'_> {
                 attempts: depth,
             });
         }
-        if depth > self.shared.cfg.lineage_depth_budget {
+        if depth > LINEAGE_DEPTH_BUDGET {
             return Err(RunError::Exhausted {
                 what: format!("lineage depth budget rebuilding {region}"),
                 attempts: depth,

@@ -33,6 +33,7 @@ use crate::engine::{
     SlaveState, SpanOracle,
 };
 use crate::exec::RtExec;
+use crate::lineage::LINEAGE_DEPTH_BUDGET;
 use crate::recover::Reliability;
 use crate::stats::{CounterSnapshot, Counters};
 use crate::task::TaskSpec;
@@ -51,6 +52,14 @@ const _: () = {
     assert_sync::<RuntimeConfig>();
     assert_send::<RunReport>();
 };
+
+/// Pinned host staging pool per node (bytes), drawn on when `overlap`
+/// is on.
+const PINNED_POOL: u64 = 2 << 30;
+
+/// Virtual time a task submission costs the submitting process: the
+/// runtime's task-creation bookkeeping.
+const TASK_OVERHEAD: SimDuration = SimDuration::from_micros(5);
 
 /// Measured outcome of a run.
 #[derive(Debug, Clone)]
@@ -397,7 +406,7 @@ impl Omp {
             "task '{}' targets a device kind with no resources in this configuration",
             spec.label
         );
-        let _ = delay(self.shared.cfg.task_overhead).await;
+        let _ = delay(TASK_OVERHEAD).await;
         self.latch().add(1);
         let (handle, kinds) = {
             let mut m = self.shared.master.borrow_mut();
@@ -587,22 +596,15 @@ impl Runtime {
         F: FnOnce(Omp) -> Fut + 'static,
         Fut: Future<Output = ()> + 'static,
     {
-        assert!(cfg.nodes >= 1, "need at least the master node");
-
         // ---- configuration validation ---------------------------------
         // A self-contradictory config is rejected before any machine is
         // built — a structured error, not a mid-run surprise. The
-        // builder asserts the same invariants, but the env-var path
-        // (`OMPSS_HEARTBEAT_*`, `OMPSS_NODE_JOIN`/`OMPSS_NODE_DRAIN`)
-        // reaches here unchecked.
-        if cfg.heartbeat_period >= cfg.lease_window {
+        // builders assert some of the same invariants, but fields set
+        // directly and the env-var path (`OMPSS_NODE_JOIN`,
+        // `OMPSS_NODE_DRAIN`) reach here unchecked.
+        if cfg.nodes == 0 {
             return Err(RunError::InvalidConfig {
-                what: format!(
-                    "heartbeat_period ({} ns) must be shorter than lease_window ({} ns): \
-                     a node could never renew its lease between probes",
-                    cfg.heartbeat_period.as_nanos(),
-                    cfg.lease_window.as_nanos()
-                ),
+                what: "nodes must be at least 1 (node 0 is the master)".into(),
             });
         }
         if cfg.shards == 0 {
@@ -631,13 +633,10 @@ impl Runtime {
         // ---- chaos arming ---------------------------------------------
         // Every run draws from a fresh stream of its plan, so the same
         // config replays the same faults however often it runs.
-        let faults: Option<FaultStream> = match &cfg.fault_plan {
-            Some(plan) => Some(plan.stream()),
-            None if cfg.fault_rate > 0.0 || cfg.node_loss.is_some() => {
-                Some(FaultPlan::new(cfg.fault_seed, cfg.fault_rate).stream())
-            }
-            None => None,
-        };
+        // Node loss alone arms the recovery machinery with a plan that
+        // never fires on its own.
+        let plan = cfg.faults.clone().or_else(|| cfg.node_loss.map(|_| FaultPlan::quiet(1)));
+        let faults: Option<FaultStream> = plan.as_ref().map(FaultPlan::stream);
         // Rate-based recovery assumes a failed or lost device never
         // holds the only up-to-date copy of anything, so that chaos pins
         // write-back caching down to write-through (commit leaves device
@@ -645,9 +644,7 @@ impl Runtime {
         // reconstruction exists precisely to rebuild dirty data the dead
         // node took with it.
         let mut cfg = cfg;
-        if (cfg.fault_plan.is_some() || cfg.fault_rate > 0.0)
-            && cfg.cache_policy == CachePolicy::WriteBack
-        {
+        if cfg.faults.is_some() && cfg.cache_policy == CachePolicy::WriteBack {
             cfg.cache_policy = CachePolicy::WriteThrough;
         }
         let cfg = cfg;
@@ -709,7 +706,7 @@ impl Runtime {
             ))
         });
         let pinned: Vec<Rc<PinnedPool>> =
-            (0..cfg.nodes).map(|_| Rc::new(PinnedPool::new(cfg.pinned_pool))).collect();
+            (0..cfg.nodes).map(|_| Rc::new(PinnedPool::new(PINNED_POOL))).collect();
         // The fabric inside the AM net is what the executor shares.
         let exec = Rc::new(RtExec::new(
             mem.clone(),
@@ -791,7 +788,7 @@ impl Runtime {
             .collect();
         let mut graph = TaskGraph::new();
         if cfg.node_loss.is_some() {
-            graph.enable_lineage(cfg.lineage_depth_budget);
+            graph.enable_lineage(LINEAGE_DEPTH_BUDGET);
         }
         let shared = Rc::new(RtShared {
             cfg: cfg.clone(),
@@ -826,17 +823,21 @@ impl Runtime {
             verify: cfg.verify.then(|| Rc::new(VerifySink::new())),
             faults: faults.clone(),
             rel,
-            lease: (cfg.node_loss.is_some() || cfg.membership_enabled()).then(|| {
+            lease: cfg.node_loss.is_some().then(|| {
+                /// The master probes every slave this often.
+                const PERIOD: SimDuration = SimDuration::from_micros(200);
+                /// Silence beyond this declares a slave dead; it spans
+                /// several probes plus a network round trip, so one
+                /// late probe never kills a live node.
+                const WINDOW: SimDuration = SimDuration::from_micros(1000);
+                const _: () = assert!(PERIOD.as_nanos() < WINDOW.as_nanos());
                 // An armed joiner is not tracked from the start: its
                 // lease begins at the join instant, so pre-join silence
                 // is absence, not failure.
                 let tracked: Vec<ompss_net::NodeId> =
                     (1..cfg.nodes).filter(|&n| cfg.node_join.is_none_or(|(j, _)| j != n)).collect();
                 RefCell::new(ompss_net::LeaseTracker::new(
-                    ompss_net::LeaseConfig {
-                        period: cfg.heartbeat_period,
-                        window: cfg.lease_window,
-                    },
+                    ompss_net::LeaseConfig { period: PERIOD, window: WINDOW },
                     tracked,
                     SimTime(0),
                 ))
@@ -849,7 +850,6 @@ impl Runtime {
             )),
             node_spaces,
             done: ompss_sim::Signal::new(),
-            debug_launches: std::env::var_os("OMPSS_RT_DEBUG").is_some(),
         });
 
         // ---- processes ------------------------------------------------
@@ -920,12 +920,10 @@ impl Runtime {
         // Tag failures from armed-chaos runs with the fault coordinates
         // so a sweep harness can reproduce the exact run from the error
         // alone.
-        let run = match sim.run() {
-            Ok(run) => run,
-            Err(e) if faults.is_some() => {
-                return Err(e.with_fault_context(cfg.fault_seed, cfg.fault_rate))
-            }
-            Err(e) => return Err(e),
+        let run = match (sim.run(), &plan) {
+            (Ok(run), _) => run,
+            (Err(e), Some(plan)) => return Err(e.with_fault_context(plan.seed(), plan.rate())),
+            (Err(e), None) => return Err(e),
         };
         let faults = faults.map(|f| f.stats());
         if let Some(stats) = &faults {

@@ -5,8 +5,8 @@
 use ompss_core::Device;
 use ompss_mem::cast_slice_mut;
 use ompss_runtime::{
-    CachePolicy, KernelCost, Policy, RunError, Runtime, RuntimeConfig, SimDuration, SlaveRouting,
-    TaskSpec,
+    CachePolicy, FaultPlan, KernelCost, Policy, RunError, Runtime, RuntimeConfig, SimDuration,
+    SlaveRouting, TaskSpec,
 };
 
 /// A blocked "scale by 2" over a float array on the chosen device.
@@ -537,8 +537,8 @@ fn env_overrides_parse() {
         ("OMPSS_VERIFY", "on"),
         ("OMPSS_SCHED_SEED", "17"),
         ("OMPSS_FAULT_RATE", "0.25"),
+        ("OMPSS_FAULT_SEED", "9"),
         ("OMPSS_FAULT_NODE_LOSS", "1@800"),
-        ("OMPSS_HEARTBEAT_PERIOD_US", "150"),
         ("OMPSS_SHARDS", "2"),
         ("OMPSS_NODE_DRAIN", "1@900"),
     ];
@@ -557,11 +557,19 @@ fn env_overrides_parse() {
     assert!(cfg.tracing);
     assert!(cfg.verify);
     assert_eq!(cfg.sched_seed, 17);
-    assert_eq!(cfg.fault_rate, 0.25);
+    assert_eq!(cfg.faults, Some(FaultPlan::new(9, 0.25)));
     assert_eq!(cfg.node_loss, Some((1, SimDuration::from_micros(800))));
-    assert_eq!(cfg.heartbeat_period, SimDuration::from_micros(150));
     assert_eq!(cfg.shards, 2);
     assert_eq!(cfg.node_drain, Some((1, SimDuration::from_micros(900))));
+
+    // A zero rate is exactly "unarmed", whatever the seed, and disarms
+    // a plan the config had.
+    std::env::set_var("OMPSS_FAULT_RATE", "0");
+    std::env::set_var("OMPSS_FAULT_SEED", "9");
+    let cfg = RuntimeConfig::gpu_cluster(2).with_faults(3, 0.1).overridden_from_env();
+    std::env::remove_var("OMPSS_FAULT_RATE");
+    std::env::remove_var("OMPSS_FAULT_SEED");
+    assert_eq!(cfg.expect("valid overrides").faults, None);
 
     // Every bad value is a structured error naming the variable and the
     // value, never a panic.
@@ -584,9 +592,6 @@ fn env_overrides_parse() {
         ("OMPSS_FAULT_NODE_LOSS", "0@800"),
         ("OMPSS_FAULT_NODE_LOSS", "1"),
         ("OMPSS_FAULT_NODE_LOSS", "1@soon"),
-        ("OMPSS_HEARTBEAT_PERIOD_US", "200us"),
-        ("OMPSS_LEASE_WINDOW_US", " 1000"),
-        ("OMPSS_LINEAGE_DEPTH", "deep"),
         ("OMPSS_SHARDS", "0"),
         ("OMPSS_SHARDS", "many"),
         ("OMPSS_NODE_JOIN", "0@500"),
@@ -624,6 +629,24 @@ fn node_loss_outside_the_cluster_is_a_config_error() {
         }
         Ok(other) => panic!("expected InvalidConfig, got {other:?}"),
         Err(_) => panic!("try_run panicked on a node-loss target outside the cluster"),
+    }
+}
+
+/// A machine without even the master node is a config error, not a
+/// panic.
+#[test]
+fn zero_nodes_is_a_config_error() {
+    let got = std::panic::catch_unwind(|| {
+        Runtime::try_run(RuntimeConfig::gpu_cluster(0), |omp| async move {
+            omp.taskwait().await;
+        })
+    });
+    match got {
+        Ok(Err(RunError::InvalidConfig { what })) => {
+            assert!(what.contains("nodes must be at least 1"), "unhelpful message: {what}")
+        }
+        Ok(other) => panic!("expected InvalidConfig, got {other:?}"),
+        Err(_) => panic!("try_run panicked on a zero-node config"),
     }
 }
 

@@ -184,10 +184,7 @@ impl JobSpec {
         if let Some(seed) = self.sched_seed {
             cfg = cfg.with_sched_seed(seed);
         }
-        if self.fault_rate > 0.0 {
-            cfg = cfg.with_faults(self.fault_seed.wrapping_add(attempt as u64), self.fault_rate);
-        }
-        cfg
+        cfg.with_faults(self.fault_seed.wrapping_add(attempt as u64), self.fault_rate)
     }
 
     /// The spec as JSON (echoed in admission responses and used by the
@@ -267,11 +264,11 @@ mod tests {
     #[test]
     fn retry_attempts_explore_distinct_fault_seeds() {
         let s = JobSpec::parse(r#"{"app":"stream","fault_seed":10,"fault_rate":0.1}"#).unwrap();
-        assert_eq!(s.config(0).fault_seed, 10);
-        assert_eq!(s.config(2).fault_seed, 12);
-        assert!(s.config(0).faults_enabled());
+        let seed = |attempt| s.config(attempt).faults.map(|p| p.seed());
+        assert_eq!(seed(0), Some(10));
+        assert_eq!(seed(2), Some(12));
         // Fault-free specs never arm the plan, whatever the attempt.
         let quiet = JobSpec::parse(r#"{"app":"stream"}"#).unwrap();
-        assert!(!quiet.config(3).faults_enabled());
+        assert!(quiet.config(3).faults.is_none());
     }
 }

@@ -87,6 +87,8 @@ const N: usize = FAULT_CLASSES.len();
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
+    /// The headline rate [`new`](FaultPlan::new) derived `rates` from.
+    rate: f64,
     rates: [f64; N],
     /// First `force[c]` draws of class `c` fire unconditionally —
     /// targeted unit tests script exact fault sequences with this.
@@ -114,7 +116,7 @@ impl FaultPlan {
         // runtime, never drawn — keeping the rate-sweep streams of the
         // other classes byte-identical to pre-node-loss plans.
         rates[FaultClass::NodeLoss as usize] = 0.0;
-        Self { seed, rates, force: [0; N] }
+        Self { seed, rate, rates, force: [0; N] }
     }
 
     /// A plan that never fires on its own — combine with
@@ -138,6 +140,12 @@ impl FaultPlan {
     /// The seed this plan was built from.
     pub fn seed(&self) -> u64 {
         self.seed
+    }
+
+    /// The headline rate this plan was built from; per-class
+    /// [`with_rate`](FaultPlan::with_rate) overrides do not change it.
+    pub fn rate(&self) -> f64 {
+        self.rate
     }
 
     /// A fresh live stream of this plan, positioned at draw 0 of every

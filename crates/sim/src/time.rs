@@ -49,7 +49,7 @@ impl SimDuration {
     }
 
     /// Construct from microseconds.
-    pub fn from_micros(us: u64) -> Self {
+    pub const fn from_micros(us: u64) -> Self {
         SimDuration(us * 1_000)
     }
 
@@ -75,7 +75,7 @@ impl SimDuration {
     }
 
     /// Nanoseconds in this span.
-    pub fn as_nanos(self) -> u64 {
+    pub const fn as_nanos(self) -> u64 {
         self.0
     }
 
