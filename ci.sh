@@ -4,8 +4,10 @@
 # after one fails, then exit 1 naming each failed stage.
 #
 #   ./ci.sh          # everything
-#   ./ci.sh quick    # fmt + clippy + tests + kernels + nofastpath + verify + chaos + churn
-#                    # + mc + serve; skips the release build, scale, figures and mc_defects
+#   ./ci.sh quick    # fmt + clippy + tests + kernels + nofastpath + cli + verify + chaos
+#                    # + churn + mc + serve; skips the release build, scale, figures and mc_defects
+#   ./ci.sh cli      # each of the six tools: --help exits 0, an unknown flag exits 2 with
+#                    # its usage and no panic
 #   ./ci.sh verify   # only the ompss-verify sweep over the apps
 #   ./ci.sh chaos    # only the fault-injection sweep over the apps
 #   ./ci.sh churn    # elastic-membership grid: joins/drains/kill races
@@ -100,6 +102,25 @@ kernels() {
     cargo test -q --release -p ompss-apps --lib
 }
 
+cli() {
+    echo "==> the six tools' command lines (--help exits 0; --no-such-flag exits 2 with the usage)"
+    local pkg_tool pkg tool err status
+    for pkg_tool in ompss-bench:all_figures ompss-bench:bench_gate ompss-verify:verify \
+        ompss-mc:mc ompss-chaos:chaos ompss-serve:serve; do
+        pkg=${pkg_tool%%:*} tool=${pkg_tool#*:}
+        cargo run -q --release -p "$pkg" --bin "$tool" -- --help 2>/dev/null </dev/null ||
+            { echo "==> $tool --help: exit $?; want 0" >&2 && return 1; }
+        status=0
+        err=$(cargo run -q --release -p "$pkg" --bin "$tool" -- --no-such-flag 2>&1 >/dev/null \
+            </dev/null) || status=$?
+        if ((status != 2)) || ! grep -q "usage:" <<<"$err" || grep -q "panicked at" <<<"$err"; then
+            printf '%s\n' "$err" >&2
+            echo "==> $tool --no-such-flag: exit $status; want 2, a usage line and no panic" >&2
+            return 1
+        fi
+    done
+}
+
 mc_defects() {
     echo "==> ompss-mc seeded-defect corpus (cfg mc_defects build)"
     RUSTFLAGS="--cfg mc_defects" CARGO_TARGET_DIR=target/mc-defects \
@@ -107,7 +128,7 @@ mc_defects() {
 }
 
 case "${1:-}" in
-    verify | chaos | churn | bench | scale | figures | mc | mc_defects | serve | nofastpath | kernels)
+    verify | chaos | churn | bench | scale | figures | mc | mc_defects | serve | nofastpath | kernels | cli)
         "$1"
         echo "CI green."
         exit 0
@@ -161,6 +182,7 @@ fi
 stage tests
 stage kernels
 stage nofastpath
+stage cli
 stage verify
 stage chaos
 stage churn

@@ -14,6 +14,22 @@ use crate::stream::{self, StreamParams};
 /// The applications, in report order.
 pub const APPS: [&str; 4] = ["matmul", "stream", "nbody", "perlin"];
 
+/// The [`APPS`] entry `name`: how every harness resolves an app a user
+/// names, on its command line or in a job spec.
+pub fn app(name: &str) -> Result<&'static str, String> {
+    let known = APPS.into_iter().find(|&a| a == name);
+    known.ok_or_else(|| format!("unknown app '{name}'; expected one of {APPS:?}"))
+}
+
+/// Each of `names` resolved by [`app`]; every app when `names` is empty.
+pub fn apps(names: &[String]) -> Result<Vec<&'static str>, String> {
+    if names.is_empty() {
+        Ok(APPS.to_vec())
+    } else {
+        names.iter().map(|n| app(n)).collect()
+    }
+}
+
 /// Run application `name` (one of [`APPS`]) at validation scale under
 /// `cfg`, surfacing the structured [`RunError`] — the form harnesses
 /// match on (`is_retryable`, variant classification) instead of parsing

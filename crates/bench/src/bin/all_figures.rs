@@ -4,9 +4,8 @@
 //! `fig09_cluster.prv`/`.row`) of their best configuration.
 //!
 //! Independent configurations within each figure run on `--jobs N` host
-//! threads (default: `OMPSS_BENCH_JOBS` or the host's parallelism); the
-//! output is byte-identical at any job count. Naming figure ids (e.g.
-//! `all_figures figWS`) regenerates just those.
+//! threads; the output is byte-identical at any job count. Naming
+//! figure ids (e.g. `all_figures figWS`) regenerates just those.
 use std::path::Path;
 
 use ompss_apps::matmul::{self, ompss::InitMode};
@@ -39,11 +38,8 @@ fn select(args: &[String]) -> Result<Vec<Entry>, String> {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let selected = ompss_sweep::parse_jobs_flag(&mut args).and_then(|_| select(&args));
-    let selected = selected.unwrap_or_else(|e| {
-        eprintln!("all_figures: {e}; {USAGE}");
-        std::process::exit(2);
+    let selected = ompss_sweep::read_args("all_figures", USAGE, |argv| {
+        argv.jobs().and_then(|_| select(&argv.positionals()))
     });
     let dir = ompss_bench::results_dir();
     let mut saved = 0;

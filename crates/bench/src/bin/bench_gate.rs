@@ -175,14 +175,10 @@ fn check(spec: &Spec, base: &Json, now: &Json) -> Vec<String> {
     bad
 }
 
-/// Run the gate; on failure, the exit status (1 or 2) and what to print.
-fn gate(args: &[String]) -> Result<String, (u8, Vec<String>)> {
+/// Run the gate (against the committed baseline when `check_mode`); on
+/// failure, the exit status (1 or 2) and what to print.
+fn gate(check_mode: bool) -> Result<String, (u8, Vec<String>)> {
     let refuse = |msg: String| (2, vec![msg]);
-    let check_mode = match args {
-        [] => false,
-        [flag] if flag == "--check" => true,
-        _ => return Err(refuse(USAGE.into())),
-    };
     let spec = std::fs::read_to_string(Path::new(ROOT).join("BENCHMARK.json"))
         .map_err(|e| e.to_string())
         .and_then(|text| Spec::parse(&text))
@@ -241,8 +237,8 @@ fn gate(args: &[String]) -> Result<String, (u8, Vec<String>)> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match gate(&args) {
+    let check_mode = ompss_sweep::read_args("bench_gate", USAGE, |argv| Ok(argv.switch("--check")));
+    match gate(check_mode) {
         Ok(done) => {
             println!("bench_gate: {done}");
             ExitCode::SUCCESS

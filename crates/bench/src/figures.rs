@@ -22,9 +22,6 @@ use ompss_runtime::{Backing, CachePolicy, Policy, RuntimeConfig, SlaveRouting};
 
 use crate::{FigureData, Series};
 
-const CACHES: [CachePolicy; 3] =
-    [CachePolicy::NoCache, CachePolicy::WriteThrough, CachePolicy::WriteBack];
-const SCHEDS: [Policy; 3] = [Policy::BreadthFirst, Policy::Dependencies, Policy::Affinity];
 const GPUS: [u32; 3] = [1, 2, 4];
 const NODES: [u32; 4] = [1, 2, 4, 8];
 
@@ -80,8 +77,8 @@ pub fn fig05() -> FigureData {
         FigureData::new("fig05", "Matrix multiply, multi-GPU node (12288², 1024² tiles)", "GFLOPS");
     let p = matmul::MatmulParams::paper();
     let mut runs: Vec<Task> = Vec::new();
-    for cache in CACHES {
-        for sched in SCHEDS {
+    for cache in CachePolicy::ALL {
+        for sched in Policy::ALL {
             for gpus in GPUS {
                 runs.push(Box::new(move || {
                     matmul::ompss::run(
@@ -94,8 +91,8 @@ pub fn fig05() -> FigureData {
         }
     }
     let mut results = sweep(runs);
-    for cache in CACHES {
-        for sched in SCHEDS {
+    for cache in CachePolicy::ALL {
+        for sched in Policy::ALL {
             let mut s = Series::new(format!("{}/{}", cache.chart_label(), sched.chart_label()));
             for gpus in GPUS {
                 let r = results.next().expect("one result per queued config");
@@ -118,8 +115,8 @@ pub fn fig05() -> FigureData {
 pub fn fig06() -> FigureData {
     let mut fig = FigureData::new("fig06", "STREAM, multi-GPU node (768 MB/GPU)", "GB/s");
     let mut runs: Vec<Task> = Vec::new();
-    for cache in CACHES {
-        for sched in SCHEDS {
+    for cache in CachePolicy::ALL {
+        for sched in Policy::ALL {
             for gpus in GPUS {
                 runs.push(Box::new(move || {
                     let p = stream::StreamParams::paper(gpus as usize);
@@ -129,8 +126,8 @@ pub fn fig06() -> FigureData {
         }
     }
     let mut results = sweep(runs);
-    for cache in CACHES {
-        for sched in SCHEDS {
+    for cache in CachePolicy::ALL {
+        for sched in Policy::ALL {
             let mut s = Series::new(format!("{}/{}", cache.chart_label(), sched.chart_label()));
             for gpus in GPUS {
                 let r = results.next().expect("one result per queued config");
@@ -155,7 +152,7 @@ pub fn fig07() -> FigureData {
     let p = perlin::PerlinParams::paper();
     let mut runs: Vec<Task> = Vec::new();
     for flush in [true, false] {
-        for cache in CACHES {
+        for cache in CachePolicy::ALL {
             for gpus in GPUS {
                 runs.push(Box::new(move || {
                     // Locality-aware scheduling keeps row blocks anchored
@@ -168,7 +165,7 @@ pub fn fig07() -> FigureData {
     }
     let mut results = sweep(runs);
     for flush in [true, false] {
-        for cache in CACHES {
+        for cache in CachePolicy::ALL {
             let mode = if flush { "flush" } else { "noflush" };
             let mut s = Series::new(format!("{}/{}", mode, cache.chart_label()));
             for gpus in GPUS {
@@ -208,7 +205,7 @@ pub fn fig08() -> FigureData {
     // style) and a capped cache reproduce the pressure regime.
     let p = nbody::NbodyParams { n: 20_000, blocks: 4, iters: 10, real: false };
     let mut runs: Vec<Task> = Vec::new();
-    for cache in CACHES {
+    for cache in CachePolicy::ALL {
         for gpus in GPUS {
             runs.push(Box::new(move || {
                 nbody::ompss::run(mg(gpus).with_cache(cache).with_gpu_mem(FIG8_GPU_MEM), p)
@@ -216,7 +213,7 @@ pub fn fig08() -> FigureData {
         }
     }
     let mut results = sweep(runs);
-    for cache in CACHES {
+    for cache in CachePolicy::ALL {
         let mut s = Series::new(cache.chart_label().to_string());
         for gpus in GPUS {
             let r = results.next().expect("one result per queued config");

@@ -33,39 +33,25 @@
 //!
 //! Each sweep is a [`Mode`]: its axes, counter columns and pass rules,
 //! declared over the one reference-then-case grid of
-//! [`ompss_chaos::run_grid`]. Every run in the grid — references
-//! included — is an independent simulation, so all of them execute on
-//! `--jobs N` host threads (default `OMPSS_BENCH_JOBS` / host
-//! parallelism); the report is assembled serially in case order, so the
-//! output is byte-identical at any job count.
-//!
-//! Malformed flag values and unknown apps print one usage line and exit
-//! with status 2.
+//! [`ompss_chaos::run_grid`]. Its runs, references included, execute on
+//! `--jobs N` host threads; the report is byte-identical at any job
+//! count. A flag of another sweep is a usage error.
 //!
 //! [`RunError::Exhausted`]: ompss_runtime::RunError::Exhausted
 
+use ompss_apps::validation::apps;
 use ompss_chaos::{run_grid, with_big_budgets, Case, Outcome, APPS};
 use ompss_json::Json;
 use ompss_runtime::{FaultClass, FaultPlan, RunReport, RuntimeConfig};
+use ompss_sweep::Argv;
 
 const USAGE: &str = "usage: chaos [--rates r1,r2] [--seeds s1,s2] [--jobs N] [app...]\n       \
                      chaos --node-kill [--kill-points p1,p2] [--jobs N] [app...]\n       \
                      chaos --churn [--jobs N] [app...]";
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("{USAGE}\napps: {}", APPS.join(" "));
-        return;
-    }
-    let args = ompss_sweep::parse_jobs_flag(&mut args).and_then(|_| parse_args(args));
-    let args = args.unwrap_or_else(|e| {
-        eprintln!(
-            "chaos: {e}; usage: chaos [--rates r1,r2] [--seeds s1,s2] [--node-kill \
-             [--kill-points p1,p2]] [--churn] [--jobs N] [app...]"
-        );
-        std::process::exit(2);
-    });
+    let usage = format!("{USAGE}\napps: {}", APPS.join(" "));
+    let args = ompss_sweep::read_args("chaos", &usage, parse_args);
     let mode = match args.sweep {
         Sweep::Rates => rate_mode(&args),
         Sweep::NodeKill => node_kill_mode(&args),
@@ -82,7 +68,7 @@ enum Sweep {
     Churn,
 }
 
-/// The parsed command line (after `--jobs`).
+/// The parsed command line.
 #[derive(Debug, PartialEq)]
 struct Args {
     sweep: Sweep,
@@ -93,55 +79,37 @@ struct Args {
     apps: Vec<&'static str>,
 }
 
-fn parse_args(args: Vec<String>) -> Result<Args, String> {
-    let mut parsed = Args {
-        sweep: Sweep::Rates,
-        rates: vec![0.05, 0.1],
-        seeds: vec![1, 2, 3],
-        kill_points: vec![20, 45, 70],
-        apps: Vec::new(),
+fn parse_args(argv: &mut Argv) -> Result<Args, String> {
+    argv.jobs()?;
+    let sweep = match (argv.switch("--node-kill"), argv.switch("--churn")) {
+        (false, false) => Sweep::Rates,
+        (true, false) => Sweep::NodeKill,
+        (false, true) => Sweep::Churn,
+        (true, true) => return Err("--node-kill and --churn exclude each other".into()),
     };
-    let (mut node_kill, mut churn) = (false, false);
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--rates" => {
-                parsed.rates = parse_list("--rates", it.next())?;
-                // A fault rate is a probability; NaN fails this too.
-                if let Some(r) = parsed.rates.iter().find(|r| !(0.0..=1.0).contains(*r)) {
-                    return Err(format!("--rates entry '{r}' is not in [0, 1]"));
-                }
-            }
-            "--seeds" => parsed.seeds = parse_list("--seeds", it.next())?,
-            "--kill-points" => parsed.kill_points = parse_list("--kill-points", it.next())?,
-            "--node-kill" => node_kill = true,
-            "--churn" => churn = true,
-            other => parsed.apps.push(
-                APPS.iter()
-                    .find(|x| **x == other)
-                    .ok_or_else(|| format!("unknown app '{other}'; expected one of {APPS:?}"))?,
-            ),
-        }
+    let (rates, seeds, kill_points) =
+        (argv.list("--rates")?, argv.list("--seeds")?, argv.list("--kill-points")?);
+    // An axis the chosen sweep does not have would change nothing.
+    let axes = [
+        ("--rates", rates.is_some(), Sweep::Rates),
+        ("--seeds", seeds.is_some(), Sweep::Rates),
+        ("--kill-points", kill_points.is_some(), Sweep::NodeKill),
+    ];
+    if let Some((flag, ..)) = axes.iter().find(|(_, given, of)| *given && *of != sweep) {
+        return Err(format!("{flag} is not an axis of this sweep"));
     }
-    if parsed.apps.is_empty() {
-        parsed.apps = APPS.to_vec();
+    let rates = rates.unwrap_or_else(|| vec![0.05, 0.1]);
+    // A fault rate is a probability; NaN fails this too.
+    if let Some(r) = rates.iter().find(|r| !(0.0..=1.0).contains(*r)) {
+        return Err(format!("--rates entry '{r}' is not in [0, 1]"));
     }
-    parsed.sweep = if node_kill {
-        Sweep::NodeKill
-    } else if churn {
-        Sweep::Churn
-    } else {
-        Sweep::Rates
-    };
-    Ok(parsed)
-}
-
-fn parse_list<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<Vec<T>, String> {
-    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
-    value
-        .split(',')
-        .map(|p| p.trim().parse().map_err(|_| format!("malformed {flag} entry '{p}'")))
-        .collect()
+    Ok(Args {
+        sweep,
+        rates,
+        seeds: seeds.unwrap_or_else(|| vec![1, 2, 3]),
+        kill_points: kill_points.unwrap_or_else(|| vec![20, 45, 70]),
+        apps: apps(&argv.positionals())?,
+    })
 }
 
 /// A named counter: a report column or its total.
@@ -452,7 +420,7 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<Args, String> {
-        parse_args(args.iter().map(|a| a.to_string()).collect())
+        Argv::parse(args, parse_args)
     }
 
     #[test]
@@ -473,6 +441,10 @@ mod tests {
         let args = parse(&["--node-kill", "--kill-points", "20,45"]).unwrap();
         assert_eq!((args.sweep, args.kill_points), (Sweep::NodeKill, vec![20, 45]));
         assert_eq!(parse(&["--churn", "perlin"]).unwrap().sweep, Sweep::Churn);
+        assert_eq!(
+            parse(&["--rates=0.1", "--seeds", "1", "stream"]),
+            parse(&["--rates", "0.1", "--seeds", "1", "stream"])
+        );
     }
 
     #[test]
@@ -492,6 +464,9 @@ mod tests {
             &["--node-kill", "--kill-points"],
             &["matmull"],
             &["--verbose"],
+            &["--node-kill", "--churn"],
+            &["--churn", "--kill-points", "20"],
+            &["--node-kill", "--seeds", "1"],
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must be rejected");
         }

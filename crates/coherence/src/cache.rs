@@ -79,6 +79,10 @@ pub enum CachePolicy {
 }
 
 impl CachePolicy {
+    /// Every policy, in chart order.
+    pub const ALL: [CachePolicy; 3] =
+        [CachePolicy::NoCache, CachePolicy::WriteThrough, CachePolicy::WriteBack];
+
     /// The label used in the paper's charts.
     pub fn chart_label(self) -> &'static str {
         match self {

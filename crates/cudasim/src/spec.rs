@@ -157,12 +157,6 @@ impl KernelCost {
         }
     }
 
-    /// Add fixed time to any cost.
-    pub fn plus_fixed(mut self, d: SimDuration) -> Self {
-        self.fixed += d;
-        self
-    }
-
     /// Execution time on `spec`, excluding launch overhead.
     pub fn body_time(&self, spec: &GpuSpec) -> SimDuration {
         let compute = if self.flops > 0.0 {

@@ -16,8 +16,10 @@
 //! run on `--jobs N` host threads and are reported in a fixed order;
 //! any finding (or an under-`--min-interleavings` search) exits 1.
 
+use ompss_apps::validation;
 use ompss_json::Json;
 use ompss_mc::{apps, explore, parse_trace, replay, McConfig, McReport};
+use ompss_sweep::Argv;
 use ompss_verify::{report_json, Finding};
 
 const USAGE: &str = "usage: mc [--apps a,b] [--nodes N] [--depth D] [--preemptions P] \
@@ -25,39 +27,25 @@ const USAGE: &str = "usage: mc [--apps a,b] [--nodes N] [--depth D] [--preemptio
                      [--jobs N] [--replay TRACE]";
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("{USAGE}\napps: {}", apps::APPS.join(" "));
-        return;
-    }
-    let parsed = ompss_sweep::parse_jobs_flag(&mut args).and_then(|_| parse_args(args));
+    let usage = format!("{USAGE}\napps: {}", apps::APPS.join(" "));
     let Args { nodes, cfg, min_interleavings, verify_oracle, replay: replay_trace, apps: selected } =
-        parsed.unwrap_or_else(|e| {
-            eprintln!("mc: {e}; {USAGE}");
-            std::process::exit(2);
-        });
+        ompss_sweep::read_args("mc", &usage, parse_args);
 
     if let Some((trace, app)) = replay_trace {
-        match replay(&trace, || apps::run_once(app, nodes, verify_oracle)) {
-            Ok(out) => {
-                println!(
-                    "{app}: replay completed; fingerprint {:#018x}, {} verify finding(s)",
-                    out.fingerprint,
-                    out.findings.len()
-                );
-                for f in &out.findings {
-                    println!("  {f}");
-                }
-                if !out.findings.is_empty() {
-                    std::process::exit(1);
-                }
-            }
-            Err(e) => {
+        let out =
+            replay(&trace, || apps::run_once(app, nodes, verify_oracle)).unwrap_or_else(|e| {
                 println!("{app}: replay failed: {e}");
-                std::process::exit(1);
-            }
+                std::process::exit(1)
+            });
+        println!(
+            "{app}: replay completed; fingerprint {:#018x}, {} verify finding(s)",
+            out.fingerprint,
+            out.findings.len()
+        );
+        for f in &out.findings {
+            println!("  {f}");
         }
-        return;
+        std::process::exit(i32::from(!out.findings.is_empty()));
     }
 
     // One sweep task per report section, queued in report order.
@@ -126,7 +114,7 @@ fn main() {
     }
 }
 
-/// The parsed command line (after `--jobs`).
+/// The parsed command line.
 struct Args {
     nodes: u32,
     cfg: McConfig,
@@ -137,80 +125,34 @@ struct Args {
     apps: Vec<&'static str>,
 }
 
-fn parse_args(mut args: Vec<String>) -> Result<Args, String> {
-    let nodes = flag_u64(&mut args, "--nodes")?.unwrap_or(2) as u32;
-    let mut cfg = McConfig::default();
-    if let Some(d) = flag_u64(&mut args, "--depth")? {
-        cfg.depth = d as usize;
-    }
-    if let Some(p) = flag_u64(&mut args, "--preemptions")? {
-        cfg.preemptions = p as usize;
-    }
-    if let Some(m) = flag_u64(&mut args, "--max-interleavings")? {
-        cfg.max_interleavings = m;
-    }
-    let min_interleavings = flag_u64(&mut args, "--min-interleavings")?.unwrap_or(0);
-    let verify_oracle = !take_flag(&mut args, "--no-verify-oracle");
-    let trace = flag_str(&mut args, "--replay")?.map(|t| parse_trace(&t)).transpose()?;
-    let apps = parse_apps(&mut args)?;
+fn parse_args(argv: &mut Argv) -> Result<Args, String> {
+    argv.jobs()?;
+    let (depth, preemptions) = (argv.value("--depth")?, argv.value("--preemptions")?);
+    let (max, min) = (argv.value("--max-interleavings")?, argv.value("--min-interleavings")?);
+    let trace = argv.value::<String>("--replay")?.map(|t| parse_trace(&t)).transpose()?;
+    let apps = validation::apps(&argv.list("--apps")?.unwrap_or_default())?;
     let replay = match (trace, apps.as_slice()) {
         (None, _) => None,
+        // A replay runs one recorded schedule: a search bound would change nothing.
+        (Some(_), _) if depth.or(preemptions).is_some() || max.or(min).is_some() => {
+            return Err("--replay takes no search bounds".into())
+        }
         (Some(trace), [app]) => Some((trace, *app)),
         (Some(_), _) => return Err("--replay needs exactly one app (--apps NAME)".into()),
     };
-    Ok(Args { nodes, cfg, min_interleavings, verify_oracle, replay, apps })
-}
-
-/// Resolve `--apps a,b` (default: all) against the known app list.
-fn parse_apps(args: &mut Vec<String>) -> Result<Vec<&'static str>, String> {
-    let list = flag_str(args, "--apps")?;
-    if let Some(a) = args.iter().find(|a| a.starts_with("--")) {
-        return Err(format!("unknown flag '{a}'"));
-    }
-    let Some(list) = list else { return Ok(apps::APPS.to_vec()) };
-    list.split(',')
-        .filter(|s| !s.is_empty())
-        .map(|a| {
-            apps::APPS
-                .iter()
-                .find(|x| **x == a)
-                .copied()
-                .ok_or_else(|| format!("unknown app '{a}'; expected one of {:?}", apps::APPS))
-        })
-        .collect()
-}
-
-/// Consume `--name V` / `--name=V` returning the raw value.
-fn flag_str(args: &mut Vec<String>, name: &str) -> Result<Option<String>, String> {
-    let eq = format!("{name}=");
-    let mut out = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == name {
-            out = Some(args.get(i + 1).ok_or_else(|| format!("{name} needs a value"))?.clone());
-            args.drain(i..i + 2);
-        } else if let Some(v) = args[i].strip_prefix(&eq) {
-            out = Some(v.to_string());
-            args.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    Ok(out)
-}
-
-/// Consume `--name V` / `--name=V` as an integer.
-fn flag_u64(args: &mut Vec<String>, name: &str) -> Result<Option<u64>, String> {
-    flag_str(args, name)?
-        .map(|v| v.parse::<u64>().map_err(|e| format!("{name} expects an integer: {e}")))
-        .transpose()
-}
-
-/// Consume a bare `--name` flag; true when present.
-fn take_flag(args: &mut Vec<String>, name: &str) -> bool {
-    let before = args.len();
-    args.retain(|a| a != name);
-    args.len() != before
+    let d = McConfig::default();
+    Ok(Args {
+        nodes: argv.value("--nodes")?.unwrap_or(2),
+        cfg: McConfig {
+            depth: depth.unwrap_or(d.depth),
+            preemptions: preemptions.unwrap_or(d.preemptions),
+            max_interleavings: max.unwrap_or(d.max_interleavings),
+        },
+        min_interleavings: min.unwrap_or(0),
+        verify_oracle: !argv.switch("--no-verify-oracle"),
+        replay,
+        apps,
+    })
 }
 
 #[cfg(test)]
@@ -218,7 +160,7 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<Args, String> {
-        parse_args(args.iter().map(|a| a.to_string()).collect())
+        Argv::parse(args, parse_args)
     }
 
     #[test]
@@ -238,6 +180,8 @@ mod tests {
             &["--replay", "0,x", "--apps", "matmul"],
             &["--replay", "0,3"],
             &["--verbose"],
+            &["nbody", "--apps", "stream"],
+            &["--replay", "0", "--apps", "matmul", "--min-interleavings", "9"],
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must be rejected");
         }

@@ -33,6 +33,4 @@ pub mod track;
 
 pub use region::{Access, AccessKind, DataId, Region};
 pub use scalar::{cast_slice, cast_slice_mut, Scalar};
-pub use space::{
-    AllocId, Backing, DataInfo, MemoryManager, OutOfMemory, SpaceId, SpaceInfo, SpaceKind,
-};
+pub use space::{AllocId, Backing, DataInfo, MemoryManager, OutOfMemory, SpaceId, SpaceKind};

@@ -6,7 +6,7 @@
 //! space only when the runtime copies it there. This module provides
 //! that substrate:
 //!
-//! * [`MemorySpace`]s with finite capacity and a name/hierarchy,
+//! * address spaces ([`SpaceId`]) with finite capacity,
 //! * allocations within a space, optionally backed by real bytes,
 //! * byte-level `read`/`write`/`copy` between spaces.
 //!
@@ -125,27 +125,10 @@ struct Allocation {
 
 /// One address space: capacity accounting plus its allocations.
 struct SpaceInner {
-    name: String,
-    kind: SpaceKind,
-    parent: Option<SpaceId>,
     capacity: u64,
     used: u64,
     allocs: HashMap<AllocId, Allocation>,
     peak_used: u64,
-}
-
-/// Descriptive, copyable facts about a space.
-#[derive(Debug, Clone)]
-pub struct SpaceInfo {
-    /// Human-readable name (e.g. `node1:gpu0`).
-    pub name: String,
-    /// Hardware kind.
-    pub kind: SpaceKind,
-    /// Enclosing space in the memory hierarchy (a GPU's parent is its
-    /// node's host space; a slave host's parent is the master host).
-    pub parent: Option<SpaceId>,
-    /// Total capacity in bytes.
-    pub capacity: u64,
 }
 
 /// Registered data-object metadata.
@@ -204,38 +187,20 @@ impl MemoryManager {
         self.backing == Backing::Real
     }
 
-    /// Add a space with the given capacity (bytes).
+    /// Add a space with the given capacity (bytes). The manager keeps
+    /// only the capacity; the name, kind and parent label the call site
+    /// (the coherence layer's `Topology` holds the hierarchy).
     pub fn add_space(
         &self,
-        name: impl Into<String>,
-        kind: SpaceKind,
-        parent: Option<SpaceId>,
+        _name: impl Into<String>,
+        _kind: SpaceKind,
+        _parent: Option<SpaceId>,
         capacity: u64,
     ) -> SpaceId {
         let mut inner = self.inner.borrow_mut();
         let id = SpaceId(inner.spaces.len() as u32);
-        inner.spaces.push(SpaceInner {
-            name: name.into(),
-            kind,
-            parent,
-            capacity,
-            used: 0,
-            allocs: HashMap::new(),
-            peak_used: 0,
-        });
+        inner.spaces.push(SpaceInner { capacity, used: 0, allocs: HashMap::new(), peak_used: 0 });
         id
-    }
-
-    /// Facts about a space.
-    pub fn space_info(&self, space: SpaceId) -> SpaceInfo {
-        let inner = self.inner.borrow();
-        let s = &inner.spaces[space.0 as usize];
-        SpaceInfo { name: s.name.clone(), kind: s.kind, parent: s.parent, capacity: s.capacity }
-    }
-
-    /// Number of spaces registered.
-    pub fn space_count(&self) -> usize {
-        self.inner.borrow().spaces.len()
     }
 
     /// Bytes currently allocated in a space.
@@ -289,11 +254,6 @@ impl MemoryManager {
             .remove(&alloc)
             .unwrap_or_else(|| panic!("free of unknown allocation {alloc:?} in space {space:?}"));
         s.used -= a.size;
-    }
-
-    /// Size of an allocation.
-    pub fn alloc_size(&self, space: SpaceId, alloc: AllocId) -> u64 {
-        self.inner.borrow().spaces[space.0 as usize].allocs[&alloc].size
     }
 
     fn bytes_handle(&self, space: SpaceId, alloc: AllocId) -> Option<Rc<RefCell<AlignedBytes>>> {

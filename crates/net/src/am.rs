@@ -159,11 +159,6 @@ impl<M: Clone + 'static> AmEndpoint<M> {
     pub async fn poll(&self) -> SimResult<(NodeId, M)> {
         self.net.fabric.recv(self.node).await
     }
-
-    /// Non-blocking poll.
-    pub fn try_poll(&self) -> Option<(NodeId, M)> {
-        self.net.fabric.try_recv(self.node)
-    }
 }
 
 #[cfg(test)]

@@ -311,11 +311,6 @@ impl RuntimeConfig {
         })
     }
 
-    /// Total schedulable resources on one node (workers + GPU managers).
-    pub fn node_resources(&self) -> u32 {
-        self.cpu_workers_per_node + self.gpus_per_node
-    }
-
     /// Apply `NX_ARGS`-style environment overrides, the way Nanos++ read
     /// its runtime options. Recognised variables:
     ///
@@ -350,23 +345,14 @@ impl RuntimeConfig {
         const INT: &str = "an integer";
         const FLAG: &str = "0|1";
         const NODE_AT: &str = "node@micros with node >= 1";
-        from_env(&mut self.sched_policy, "OMPSS_SCHEDULE", "bf|default|affinity", |v| match v {
-            "bf" => Some(Policy::BreadthFirst),
-            "default" => Some(Policy::Dependencies),
-            "affinity" => Some(Policy::Affinity),
-            _ => None,
+        let sched = Policy::ALL.map(|p| (p.chart_label(), p));
+        from_env(&mut self.sched_policy, "OMPSS_SCHEDULE", &labels(&sched), |v| pick(&sched, v))?;
+        let cache = CachePolicy::ALL.map(|c| (c.chart_label(), c));
+        from_env(&mut self.cache_policy, "OMPSS_CACHE_POLICY", &labels(&cache), |v| {
+            pick(&cache, v)
         })?;
-        from_env(&mut self.cache_policy, "OMPSS_CACHE_POLICY", "nocache|wt|wb", |v| match v {
-            "nocache" => Some(CachePolicy::NoCache),
-            "wt" => Some(CachePolicy::WriteThrough),
-            "wb" => Some(CachePolicy::WriteBack),
-            _ => None,
-        })?;
-        from_env(&mut self.routing, "OMPSS_ROUTING", "mtos|stos", |v| match v {
-            "mtos" => Some(SlaveRouting::ViaMaster),
-            "stos" => Some(SlaveRouting::Direct),
-            _ => None,
-        })?;
+        let routing = [("mtos", SlaveRouting::ViaMaster), ("stos", SlaveRouting::Direct)];
+        from_env(&mut self.routing, "OMPSS_ROUTING", &labels(&routing), |v| pick(&routing, v))?;
         from_env(&mut self.presend, "OMPSS_PRESEND", INT, int)?;
         from_env(&mut self.overlap, "OMPSS_OVERLAP", FLAG, flag)?;
         from_env(&mut self.prefetch, "OMPSS_PREFETCH", FLAG, flag)?;
@@ -412,6 +398,16 @@ fn from_env<T>(
         what: format!("{name}={raw:?}: expected {expected}"),
     })?;
     Ok(true)
+}
+
+/// The labels of `choices`, as `a|b|c`.
+fn labels<T>(choices: &[(&str, T)]) -> String {
+    choices.iter().map(|c| c.0).collect::<Vec<_>>().join("|")
+}
+
+/// The choice labelled `v`.
+fn pick<T: Copy>(choices: &[(&str, T)], v: &str) -> Option<T> {
+    choices.iter().find(|c| c.0 == v).map(|c| c.1)
 }
 
 /// An integer of the field's width.

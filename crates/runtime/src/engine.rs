@@ -369,14 +369,13 @@ impl RtShared {
             locs.push(self.coh.acquire(&*self.exec, &a.region, a.kind.reads(), space).await?);
         }
         let base = match rec.cost {
-            TaskCost::Smp(d) => Some(d),
+            TaskCost::Smp(d) => d,
             TaskCost::Auto => {
                 // Streaming-kernel default: one pass over the footprint
                 // at host memcpy bandwidth.
                 let bytes = rec.desc.copy_footprint() as f64;
-                Some(SimDuration::from_secs_f64(bytes / self.cfg.gpu_spec.host_memcpy_bandwidth))
+                SimDuration::from_secs_f64(bytes / self.cfg.gpu_spec.host_memcpy_bandwidth)
             }
-            TaskCost::Zero => None,
             TaskCost::Gpu(_) => unreachable!("GPU task routed to an SMP worker"),
         };
         let mut timed_out = false;
@@ -385,14 +384,11 @@ impl RtShared {
             if faults.decide(FaultClass::SimTimeout) {
                 timed_out = true;
             } else if faults.decide(FaultClass::SimStall) {
-                let b = base.unwrap_or(SimDuration::ZERO);
-                let extra = (b.as_nanos() as f64 * faults.fraction(FaultClass::SimStall)) as u64;
-                charge = Some(b + SimDuration::from_nanos(extra));
+                let extra = (base.as_nanos() as f64 * faults.fraction(FaultClass::SimStall)) as u64;
+                charge = base + SimDuration::from_nanos(extra);
             }
         }
-        if let Some(d) = charge {
-            delay(d).await?;
-        }
+        delay(charge).await?;
         if timed_out {
             for a in &accesses {
                 self.coh.unpin(&a.region, space);
@@ -428,7 +424,6 @@ impl RtShared {
                 // device memory bandwidth.
                 KernelCost::memory_bound(rec.desc.copy_footprint() as f64, 0.8)
             }
-            TaskCost::Zero => KernelCost::fixed(SimDuration::ZERO),
         };
         // Launch asynchronously so prefetch can proceed underneath. The
         // effect runs on the stream's own process, so in verification

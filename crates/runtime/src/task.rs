@@ -21,8 +21,6 @@ pub enum TaskCost {
     /// `footprint / (memory bandwidth × 0.8)` on the executing device.
     /// Compute-bound kernels should set an explicit cost.
     Auto,
-    /// Free (pure bookkeeping tasks).
-    Zero,
 }
 
 /// The functional body of a task: receives one mutable byte view per
@@ -142,12 +140,6 @@ impl TaskSpec {
     /// Attach a fixed SMP cost.
     pub fn cost_smp(mut self, d: SimDuration) -> Self {
         self.cost = TaskCost::Smp(d);
-        self
-    }
-
-    /// Mark the task as free of modelled cost (pure bookkeeping).
-    pub fn cost_zero(mut self) -> Self {
-        self.cost = TaskCost::Zero;
         self
     }
 

@@ -56,8 +56,8 @@ fn cuda_tasks_on_one_gpu() {
 
 #[test]
 fn cuda_tasks_on_four_gpus_all_policies() {
-    for cache in [CachePolicy::NoCache, CachePolicy::WriteThrough, CachePolicy::WriteBack] {
-        for sched in [Policy::BreadthFirst, Policy::Dependencies, Policy::Affinity] {
+    for cache in CachePolicy::ALL {
+        for sched in Policy::ALL {
             let cfg = RuntimeConfig::multi_gpu(4).with_cache(cache).with_sched(sched);
             let (v, _) = run_scale(cfg, Device::Cuda, 2048, 128);
             assert_eq!(v, expect_scaled(2048), "cache={cache:?} sched={sched:?}");
@@ -448,13 +448,6 @@ fn tracing_records_tasks_and_transfers() {
             assert!(start <= end && *end <= report.makespan);
         }
     }
-    // CSV and utilisation summaries render.
-    let csv = ompss_runtime::trace::to_csv(&trace);
-    assert!(csv.lines().count() == trace.len() + 1);
-    let util = ompss_runtime::trace::utilisation(&trace, report.makespan);
-    assert!(!util.is_empty());
-    let total_tasks: usize = util.iter().map(|(_, n, _, _)| n).sum();
-    assert_eq!(total_tasks as u64, report.tasks);
 }
 
 #[test]

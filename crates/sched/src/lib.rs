@@ -142,6 +142,9 @@ pub enum Policy {
 }
 
 impl Policy {
+    /// Every policy, in chart order.
+    pub const ALL: [Policy; 3] = [Policy::BreadthFirst, Policy::Dependencies, Policy::Affinity];
+
     /// The chart label used in the paper's figures.
     pub fn chart_label(self) -> &'static str {
         match self {

@@ -6,15 +6,17 @@
 //! serve --soak [N]               # in-process robustness soak (default 500 jobs)
 //! ```
 //!
-//! Common flags: `--jobs N` (worker threads), `--queue-cap N`.
+//! `--jobs N` sets the worker threads of either; `--queue-cap N` the
+//! daemon's queue (the soak runs its own server with a cap of 16).
 //!
 //! The protocol is one JSON object per line in each direction; see
 //! [`ompss_serve::serve_connection`]. The soak is the daemon's CI face:
 //! `./ci.sh serve` runs it. Its host-time costs are measured by the
 //! benchmark's `serve_open` workload.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::BufReader;
+use std::num::NonZeroUsize;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
@@ -25,6 +27,7 @@ use ompss_serve::{
     serve_connection, Event, EventKind, JobSpec, ServeConfig, Server, Sink, AGING_POPS,
     PRIORITY_MAX,
 };
+use ompss_sweep::Argv;
 
 /// Soak: the committed peak-RSS ceiling. The daemon's whole point is
 /// bounded memory under overload; blowing this is a failed soak.
@@ -247,19 +250,12 @@ fn run_soak(n: usize) -> i32 {
         ));
     }
 
-    let mut by_kind: HashMap<&str, usize> = HashMap::new();
-    for names in log.terminals.values() {
-        for name in names {
-            *by_kind.entry(name).or_default() += 1;
-        }
+    let mut by_kind: BTreeMap<&str, u64> = BTreeMap::new();
+    for name in log.terminals.values().flatten() {
+        *by_kind.entry(name).or_default() += 1;
     }
+    let terminals = by_kind.into_iter().fold(Json::object(), |j, (name, n)| j.field(name, n));
     let snap = counters.snapshot();
-    let mut terminals = Json::object();
-    let mut kinds: Vec<_> = by_kind.iter().collect();
-    kinds.sort();
-    for (name, count) in kinds {
-        terminals = terminals.field(name, *count as u64);
-    }
     let summary = Json::object()
         .field("soak_jobs", submitted as u64)
         .field("bad_specs_rejected", bad_rejected as u64)
@@ -339,37 +335,28 @@ fn run_socket(path: &str, cfg: ServeConfig) {
     println!("serve: drained, bye");
 }
 
-const USAGE: &str = "usage: serve [--jobs N] [--queue-cap N] [--socket PATH | --soak [N]]";
+const USAGE: &str = "usage: serve [--jobs N] [--queue-cap N] [--socket PATH]\n       \
+                     serve --soak [N] [--jobs N]";
 
-/// The command line after `--jobs`.
-#[derive(Debug, Default, PartialEq)]
+/// The command line apart from `--jobs`.
+#[derive(Debug, PartialEq)]
 struct Args {
-    queue_cap: Option<usize>,
+    queue_cap: Option<NonZeroUsize>,
     socket: Option<String>,
     soak: Option<usize>,
 }
 
-fn parse_args(args: Vec<String>) -> Result<Args, String> {
-    let mut parsed = Args::default();
-    let mut it = args.into_iter().peekable();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--queue-cap" => {
-                let cap = it.next().and_then(|v| v.parse().ok()).filter(|&c: &usize| c > 0);
-                parsed.queue_cap = Some(cap.ok_or("--queue-cap needs a positive integer")?);
-            }
-            "--socket" => parsed.socket = Some(it.next().ok_or("--socket needs a path")?),
-            "--soak" => {
-                let n = it.peek().and_then(|v| v.parse().ok());
-                if n.is_some() {
-                    it.next();
-                }
-                parsed.soak = Some(n.unwrap_or(500));
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
+fn parse_args(argv: &mut Argv) -> Result<Args, String> {
+    let args = Args {
+        queue_cap: argv.value("--queue-cap")?,
+        socket: argv.value("--socket")?,
+        soak: argv.value_or("--soak", Some(500))?,
+    };
+    // The soak builds its own server: a daemon flag would change nothing.
+    if args.soak.is_some() && (args.queue_cap.is_some() || args.socket.is_some()) {
+        return Err("--soak takes no --queue-cap or --socket".into());
     }
-    Ok(parsed)
+    Ok(args)
 }
 
 fn main() {
@@ -382,17 +369,12 @@ fn main() {
         let thread = std::thread::current().name().unwrap_or("?").to_string();
         eprintln!("serve: panic in {thread}: {info}");
     }));
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed =
-        ompss_sweep::parse_jobs_flag(&mut args).and_then(|jobs| Ok((jobs, parse_args(args)?)));
-    let (jobs, Args { queue_cap, socket, soak }) = parsed.unwrap_or_else(|e| {
-        eprintln!("serve: {e}; {USAGE}");
-        std::process::exit(2);
-    });
+    let (jobs, Args { queue_cap, socket, soak }) =
+        ompss_sweep::read_args("serve", USAGE, |argv| Ok((argv.jobs()?, parse_args(argv)?)));
 
     let mut cfg = ServeConfig { workers: jobs, ..ServeConfig::default() };
     if let Some(cap) = queue_cap {
-        cfg.queue_cap = cap;
+        cfg.queue_cap = cap.get();
     }
 
     if let Some(n) = soak {
@@ -409,14 +391,15 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<Args, String> {
-        parse_args(args.iter().map(|a| a.to_string()).collect())
+        Argv::parse(args, parse_args)
     }
 
     #[test]
     fn bad_input_is_an_error_not_a_panic() {
-        let args = parse(&["--queue-cap", "8", "--socket", "serve.sock", "--soak"]).unwrap();
+        let args = parse(&["--queue-cap", "8", "--socket", "serve.sock"]).unwrap();
         let socket = Some("serve.sock".to_string());
-        assert_eq!(args, Args { queue_cap: Some(8), socket, soak: Some(500) });
+        assert_eq!(args, Args { queue_cap: NonZeroUsize::new(8), socket, soak: None });
+        assert_eq!(parse(&["--soak"]).unwrap().soak, Some(500));
         assert_eq!(parse(&["--soak", "40"]).unwrap().soak, Some(40));
         for bad in [
             &["--queue-cap"][..],
@@ -425,6 +408,8 @@ mod tests {
             &["--socket"],
             &["--bench"],
             &["--soak", "--check"],
+            &["--socket", "x", "--soak"],
+            &["--queue-cap", "8", "--soak"],
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must be rejected");
         }

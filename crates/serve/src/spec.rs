@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use ompss_chaos::APPS;
+use ompss_apps::validation;
 use ompss_json::Json;
 use ompss_runtime::RuntimeConfig;
 
@@ -37,7 +37,7 @@ pub enum Topology {
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Which application to run (validation scale), from
-    /// [`ompss_chaos::APPS`].
+    /// [`validation::APPS`].
     pub app: &'static str,
     /// Simulated hardware to run it on.
     pub topology: Topology,
@@ -110,10 +110,7 @@ impl JobSpec {
             return Err(bad("spec must be a JSON object"));
         }
         let app_name = str_field(j, "app")?.ok_or_else(|| bad("missing required field 'app'"))?;
-        let app = *APPS
-            .iter()
-            .find(|a| **a == app_name)
-            .ok_or_else(|| bad(format!("unknown app '{app_name}'; expected one of {APPS:?}")))?;
+        let app = validation::app(app_name).map_err(bad)?;
 
         let topology = match str_field(j, "topology")?.unwrap_or("multi_gpu") {
             "multi_gpu" => {

@@ -83,11 +83,6 @@ impl SimDuration {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 * 1e-9
     }
-
-    /// True if the span is empty.
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
-    }
 }
 
 impl Add<SimDuration> for SimTime {

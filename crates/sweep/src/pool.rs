@@ -109,11 +109,6 @@ impl WorkerPool {
             .expect("pool workers gone");
     }
 
-    /// Jobs that panicked so far (each was caught; the pool kept going).
-    pub fn panicked_jobs(&self) -> u64 {
-        self.panics.load(Ordering::Relaxed)
-    }
-
     /// Close the queue, run every already-submitted job, and join the
     /// workers. Returns the number of jobs that panicked. Equivalent to
     /// dropping the pool, but reports.

@@ -16,29 +16,25 @@
 //! ([`ompss_verify::schedule`]) to diff results. The report is printed
 //! as pretty JSON; any finding makes the exit status 1.
 //!
-//! Every section (app × topology, and each app's schedule exploration)
-//! is an independent set of simulations, so sections run on `--jobs N`
-//! host threads (default `OMPSS_BENCH_JOBS` / host parallelism) and are
-//! reassembled in a fixed order: the report is byte-identical at any
+//! Sections (app × topology, and each app's schedule exploration) run
+//! on `--jobs N` host threads; the report is byte-identical at any
 //! job count.
 
 use ompss_apps::common::AppRun;
-use ompss_apps::validation::{try_run, APPS};
+use ompss_apps::validation::{apps, try_run, APPS};
 use ompss_json::Json;
 use ompss_runtime::RuntimeConfig;
+use ompss_sweep::Argv;
 use ompss_verify::schedule::{self, Observation};
 use ompss_verify::{report_json, validate, Finding};
 
 fn run_app(name: &str, cfg: RuntimeConfig) -> AppRun {
-    match try_run(name, cfg) {
-        Ok(run) => run,
-        Err(e) => {
-            // One consistent line per failure class — the RunError
-            // Display — and a nonzero exit, not a panic trace.
-            eprintln!("error: {name}: {e}");
-            std::process::exit(1);
-        }
-    }
+    // One consistent line per failure class — the RunError Display —
+    // and a nonzero exit, not a panic trace.
+    try_run(name, cfg).unwrap_or_else(|e| {
+        eprintln!("error: {name}: {e}");
+        std::process::exit(1)
+    })
 }
 
 /// The topologies every app is checked under: the paper's single-node
@@ -57,16 +53,9 @@ fn configs() -> [(&'static str, RuntimeConfig); 3] {
 const USAGE: &str = "usage: verify [--all] [--no-schedules] [--jobs N] [--seeds a,b,c] [app...]";
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("{USAGE}\napps: {}", APPS.join(" "));
-        return;
-    }
-    let parsed = ompss_sweep::parse_jobs_flag(&mut args).and_then(|_| parse_args(args));
-    let Args { seeds, schedules, apps: selected } = parsed.unwrap_or_else(|e| {
-        eprintln!("verify: {e}; {USAGE}");
-        std::process::exit(2);
-    });
+    let usage = format!("{USAGE}\napps: {}", APPS.join(" "));
+    let Args { seeds, schedules, apps: selected } =
+        ompss_sweep::read_args("verify", &usage, parse_args);
 
     // One sweep task per report section, queued in report order.
     type SectionTask = Box<dyn FnOnce() -> (String, Vec<Finding>) + Send>;
@@ -102,7 +91,7 @@ fn main() {
     }
 }
 
-/// The parsed command line (after `--jobs`).
+/// The parsed command line.
 #[derive(Debug, PartialEq)]
 struct Args {
     seeds: Vec<u64>,
@@ -112,57 +101,15 @@ struct Args {
     apps: Vec<&'static str>,
 }
 
-fn parse_args(mut args: Vec<String>) -> Result<Args, String> {
-    let seeds = parse_seeds_flag(&mut args)?;
-    let schedules = !args.iter().any(|a| a == "--no-schedules");
-    let named = args
-        .iter()
-        .map(String::as_str)
-        .filter(|a| !a.starts_with("--"))
-        .map(|a| {
-            APPS.iter()
-                .find(|x| **x == a)
-                .copied()
-                .ok_or_else(|| format!("unknown app '{a}'; expected one of {APPS:?}"))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let apps =
-        if named.is_empty() || args.iter().any(|a| a == "--all") { APPS.to_vec() } else { named };
-    Ok(Args { seeds, schedules, apps })
-}
-
-/// Consume a `--seeds a,b,c` / `--seeds=a,b,c` flag; defaults to
-/// [`schedule::DEFAULT_SEEDS`] when absent.
-fn parse_seeds_flag(args: &mut Vec<String>) -> Result<Vec<u64>, String> {
-    let parse = |v: &str| -> Result<Vec<u64>, String> {
-        let seeds = v
-            .split(',')
-            .filter(|s| !s.is_empty())
-            .map(|s| {
-                s.trim()
-                    .parse::<u64>()
-                    .map_err(|_| format!("--seeds expects comma-separated integers, got '{s}'"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        if seeds.is_empty() {
-            return Err("--seeds needs at least one seed".into());
-        }
-        Ok(seeds)
-    };
-    let mut seeds = schedule::DEFAULT_SEEDS.to_vec();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--seeds" {
-            seeds = parse(args.get(i + 1).ok_or("--seeds needs a value")?)?;
-            args.drain(i..i + 2);
-        } else if let Some(v) = args[i].strip_prefix("--seeds=") {
-            seeds = parse(v)?;
-            args.remove(i);
-        } else {
-            i += 1;
-        }
+fn parse_args(argv: &mut Argv) -> Result<Args, String> {
+    argv.jobs()?;
+    let seeds = argv.list("--seeds")?.unwrap_or_else(|| schedule::DEFAULT_SEEDS.to_vec());
+    let (schedules, all) = (!argv.switch("--no-schedules"), argv.switch("--all"));
+    let named = argv.positionals();
+    if all && !named.is_empty() {
+        return Err("--all already names every app".into());
     }
-    Ok(seeds)
+    Ok(Args { seeds, schedules, apps: apps(&named)? })
 }
 
 /// Rerun `app` on the multi-GPU topology across scheduler seeds and
@@ -182,7 +129,7 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<Args, String> {
-        parse_args(args.iter().map(|a| a.to_string()).collect())
+        Argv::parse(args, parse_args)
     }
 
     #[test]
@@ -190,7 +137,14 @@ mod tests {
         let args = parse(&["--seeds", "0,9", "--no-schedules", "stream"]).unwrap();
         assert_eq!(args, Args { seeds: vec![0, 9], schedules: false, apps: vec!["stream"] });
         assert_eq!(parse(&["--seeds=3"]).unwrap().apps, APPS.to_vec());
-        for bad in [&["matmull"][..], &["--seeds"], &["--seeds", "1,x"], &["--seeds=,"]] {
+        for bad in [
+            &["matmull"][..],
+            &["--seeds"],
+            &["--seeds", "1,x"],
+            &["--seeds=,"],
+            &["--bogus", "--no-schedules", "stream"],
+            &["--all", "stream"],
+        ] {
             assert!(parse(bad).is_err(), "{bad:?} must be rejected");
         }
     }

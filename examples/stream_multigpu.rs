@@ -17,7 +17,7 @@ fn main() {
     for gpus in [1u32, 2, 4] {
         let p = StreamParams::paper(gpus as usize);
         let mut row = format!("{gpus:<10}");
-        for cache in [CachePolicy::NoCache, CachePolicy::WriteThrough, CachePolicy::WriteBack] {
+        for cache in CachePolicy::ALL {
             let cfg =
                 RuntimeConfig::multi_gpu(gpus).with_backing(Backing::Phantom).with_cache(cache);
             let r = stream::ompss::run(cfg, p);
@@ -30,7 +30,7 @@ fn main() {
     // the paper's observation, reproduced.
     println!("\nwrite-back across schedulers at 4 GPUs:");
     let p = StreamParams::paper(4);
-    for sched in [Policy::BreadthFirst, Policy::Dependencies, Policy::Affinity] {
+    for sched in Policy::ALL {
         let cfg = RuntimeConfig::multi_gpu(4).with_backing(Backing::Phantom).with_sched(sched);
         let r = stream::ompss::run(cfg, p);
         println!("  {:<14}{:>10.1} GB/s", sched.chart_label(), r.metric);

@@ -105,8 +105,8 @@ fn matmul_small_validates_and_paper_scale_times() {
 fn policies_never_change_results() {
     let p = MatmulParams::validate();
     let reference = matmul::serial::run(p);
-    for cache in [CachePolicy::NoCache, CachePolicy::WriteThrough, CachePolicy::WriteBack] {
-        for sched in [Policy::BreadthFirst, Policy::Dependencies, Policy::Affinity] {
+    for cache in CachePolicy::ALL {
+        for sched in Policy::ALL {
             for routing in [SlaveRouting::ViaMaster, SlaveRouting::Direct] {
                 let cfg = RuntimeConfig::gpu_cluster(2)
                     .with_cache(cache)
