@@ -7,7 +7,7 @@
 #   ./ci.sh quick    # fmt + clippy + tests + kernels + nofastpath + cli + verify + chaos
 #                    # + churn + mc + serve; skips the release build, scale, figures and mc_defects
 #   ./ci.sh cli      # each of the six tools: --help exits 0, an unknown flag exits 2 with
-#                    # its usage and no panic
+#                    # its usage and no panic; a malformed OMPSS_BENCH_JOBS exits 2 naming it
 #   ./ci.sh verify   # only the ompss-verify sweep over the apps
 #   ./ci.sh chaos    # only the fault-injection sweep over the apps
 #   ./ci.sh churn    # elastic-membership grid: joins/drains/kill races
@@ -103,7 +103,7 @@ kernels() {
 }
 
 cli() {
-    echo "==> the six tools' command lines (--help exits 0; --no-such-flag exits 2 with the usage)"
+    echo "==> the six tools' command lines (--help exits 0; --no-such-flag and OMPSS_BENCH_JOBS=abc exit 2)"
     local pkg_tool pkg tool err status
     for pkg_tool in ompss-bench:all_figures ompss-bench:bench_gate ompss-verify:verify \
         ompss-mc:mc ompss-chaos:chaos ompss-serve:serve; do
@@ -119,6 +119,14 @@ cli() {
             return 1
         fi
     done
+    status=0
+    err=$(OMPSS_BENCH_JOBS=abc cargo run -q --release -p ompss-bench --bin all_figures -- table1 \
+        2>&1 >/dev/null </dev/null) || status=$?
+    if ((status != 2)) || ! grep -q "OMPSS_BENCH_JOBS" <<<"$err" || grep -q "panicked at" <<<"$err"; then
+        printf '%s\n' "$err" >&2
+        echo "==> OMPSS_BENCH_JOBS=abc all_figures table1: exit $status; want 2, the variable named and no panic" >&2
+        return 1
+    fi
 }
 
 mc_defects() {

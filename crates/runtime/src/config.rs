@@ -155,26 +155,12 @@ impl RuntimeConfig {
             gpus_per_node: 1,
             cpu_workers_per_node: 6,
             gpu_spec: GpuSpec::gtx_480(),
-            gpu_mem_override: None,
             host_mem: 25 << 30,
             fabric: FabricConfig::qdr_infiniband(nodes),
-            cache_policy: CachePolicy::WriteBack,
             sched_policy: Policy::Affinity,
-            routing: SlaveRouting::Direct,
-            presend: 0,
             overlap: true,
             prefetch: true,
-            backing: Backing::Real,
-            tracing: false,
-            verify: false,
-            sched_seed: 0,
-            task_retry_budget: 3,
-            am_retry_budget: 8,
-            faults: None,
-            node_loss: None,
-            node_join: None,
-            node_drain: None,
-            shards: 1,
+            ..RuntimeConfig::multi_gpu(1)
         }
     }
 
@@ -273,7 +259,6 @@ impl RuntimeConfig {
     /// Arm a planned whole-node kill: slave `node` dies at `at` of
     /// virtual time. Also arms the heartbeat/lease machinery.
     pub fn with_node_loss(mut self, node: u32, at: SimDuration) -> Self {
-        assert!(node > 0, "node 0 is the master; only slaves can be killed");
         self.node_loss = Some((node, at));
         self
     }
@@ -281,7 +266,6 @@ impl RuntimeConfig {
     /// Plan a node join: slave `node` starts the run absent and comes
     /// up at `at` of virtual time.
     pub fn with_node_join(mut self, node: u32, at: SimDuration) -> Self {
-        assert!(node > 0, "node 0 is the master; only slaves can join");
         self.node_join = Some((node, at));
         self
     }
@@ -289,16 +273,15 @@ impl RuntimeConfig {
     /// Plan a graceful drain: slave `node` starts leaving at `at` of
     /// virtual time.
     pub fn with_node_drain(mut self, node: u32, at: SimDuration) -> Self {
-        assert!(node > 0, "node 0 is the master; only slaves can drain");
         self.node_drain = Some((node, at));
         self
     }
 
-    /// Shard the control plane into `n ≥ 1` shards (1 = the paper's
-    /// flat master; see the field docs). Shards beyond the node count
-    /// still work — several shards just wrap onto the same owner node.
+    /// Shard the control plane into `n` shards (1 = the paper's flat
+    /// master; see the field docs; [`check`](Self::check) rejects 0).
+    /// Shards beyond the node count still work — several shards just
+    /// wrap onto the same owner node.
     pub fn with_sharded_control(mut self, n: u32) -> Self {
-        assert!(n > 0, "the control plane needs at least one shard");
         self.shards = n;
         self
     }
@@ -309,6 +292,56 @@ impl RuntimeConfig {
             // Reserve ~5% for CUDA context and fragmentation.
             self.gpu_spec.mem_capacity - self.gpu_spec.mem_capacity / 20
         })
+    }
+
+    /// Reject a self-contradictory config before any machine is built:
+    /// no node, no control-plane shard, or a join, drain or kill aimed
+    /// at the master or past the last node. [`crate::Runtime::try_run`],
+    /// [`set`](Self::set) and [`overridden_from_env`](Self::overridden_from_env)
+    /// call it; the builders do not.
+    pub fn check(&self) -> Result<(), RunError> {
+        self.violation().map_or(Ok(()), |what| Err(RunError::InvalidConfig { what }))
+    }
+
+    /// The first rule of [`check`](Self::check) this config breaks.
+    fn violation(&self) -> Option<String> {
+        if self.nodes == 0 {
+            return Some("nodes must be at least 1 (node 0 is the master)".into());
+        }
+        if self.shards == 0 {
+            return Some("shards must be at least 1 (1 is the flat single-master plane)".into());
+        }
+        let targets = [self.node_join, self.node_drain, self.node_loss];
+        for (knob, target) in ["node_join", "node_drain", "node_loss"].into_iter().zip(targets) {
+            if let Some((node, _)) = target.filter(|&(n, _)| n == 0 || n >= self.nodes) {
+                return Some(format!(
+                    "{knob} targets node {node}, but valid slaves are 1..{} \
+                     (node 0 is the master, which cannot join, drain or be lost)",
+                    self.nodes
+                ));
+            }
+        }
+        None
+    }
+
+    /// The keys [`set`](Self::set) takes, in the order
+    /// [`overridden_from_env`](Self::overridden_from_env) applies them.
+    pub fn keys() -> impl Iterator<Item = &'static str> {
+        KEYS.iter().map(|k| k.0)
+    }
+
+    /// Set one option from text. `key` is the lower-case suffix of its
+    /// environment variable (`sched_seed` for `OMPSS_SCHED_SEED`; see
+    /// [`overridden_from_env`](Self::overridden_from_env) for the list)
+    /// and `value` takes that variable's syntax. An unknown key, a value
+    /// that does not parse, or one that makes the config fail
+    /// [`check`](Self::check) is a [`RunError::InvalidConfig`] naming the
+    /// key and the value, and leaves the config as it was.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), RunError> {
+        match KEYS.iter().find(|k| k.0 == key) {
+            Some(k) => self.apply(k, key, value),
+            None => Err(RunError::InvalidConfig { what: format!("{key}={value:?}: unknown key") }),
+        }
     }
 
     /// Apply `NX_ARGS`-style environment overrides, the way Nanos++ read
@@ -331,74 +364,94 @@ impl RuntimeConfig {
     /// | `OMPSS_NODE_JOIN` | `node@micros` planned join (e.g. `2@500`) |
     /// | `OMPSS_NODE_DRAIN` | `node@micros` planned drain (e.g. `1@800`) |
     ///
-    /// A value that does not parse, or that a builder would reject (a
-    /// fault rate outside `[0, 1]`, node 0 as a kill, join or drain
-    /// target, zero shards), is a [`RunError::InvalidConfig`] naming the
-    /// variable and the value: a typo silently ignored would invalidate
-    /// an experiment.
+    /// Each variable is [`set`](Self::set) with its lower-case suffix as
+    /// the key, in this order, so `OMPSS_FAULT_RATE` and then
+    /// `OMPSS_FAULT_SEED` rebuild the one fault plan (seed 1 when
+    /// unarmed; a zero rate disarms it). A value that does not parse, or
+    /// that makes the config fail [`check`](Self::check), is a
+    /// [`RunError::InvalidConfig`] naming the variable and the value: a
+    /// typo silently ignored would invalidate an experiment.
     pub fn overridden_from_env(mut self) -> Result<Self, RunError> {
-        let flag = |v: &str| match v {
-            "1" | "true" | "on" => Some(true),
-            "0" | "false" | "off" => Some(false),
-            _ => None,
-        };
-        const INT: &str = "an integer";
-        const FLAG: &str = "0|1";
-        const NODE_AT: &str = "node@micros with node >= 1";
-        let sched = Policy::ALL.map(|p| (p.chart_label(), p));
-        from_env(&mut self.sched_policy, "OMPSS_SCHEDULE", &labels(&sched), |v| pick(&sched, v))?;
-        let cache = CachePolicy::ALL.map(|c| (c.chart_label(), c));
-        from_env(&mut self.cache_policy, "OMPSS_CACHE_POLICY", &labels(&cache), |v| {
-            pick(&cache, v)
-        })?;
-        let routing = [("mtos", SlaveRouting::ViaMaster), ("stos", SlaveRouting::Direct)];
-        from_env(&mut self.routing, "OMPSS_ROUTING", &labels(&routing), |v| pick(&routing, v))?;
-        from_env(&mut self.presend, "OMPSS_PRESEND", INT, int)?;
-        from_env(&mut self.overlap, "OMPSS_OVERLAP", FLAG, flag)?;
-        from_env(&mut self.prefetch, "OMPSS_PREFETCH", FLAG, flag)?;
-        from_env(&mut self.tracing, "OMPSS_TRACE", FLAG, flag)?;
-        from_env(&mut self.verify, "OMPSS_VERIFY", FLAG, flag)?;
-        from_env(&mut self.sched_seed, "OMPSS_SCHED_SEED", INT, int)?;
-        // Setting either fault variable rebuilds the one plan from its
-        // headline seed and rate (seed 1 when unarmed); a zero rate
-        // disarms it.
-        let (mut seed, mut rate) = self.faults.as_ref().map_or((1, 0.0), |p| (p.seed(), p.rate()));
-        let rate_set = from_env(&mut rate, "OMPSS_FAULT_RATE", "a number in [0, 1]", |v| {
-            v.parse().ok().filter(|r| (0.0..=1.0).contains(r))
-        })?;
-        let seed_set = from_env(&mut seed, "OMPSS_FAULT_SEED", INT, int)?;
-        if rate_set || seed_set {
-            self = self.with_faults(seed, rate);
+        for key in &KEYS {
+            let var = format!("OMPSS_{}", key.0.to_ascii_uppercase());
+            let Some(raw) = std::env::var_os(&var) else { continue };
+            // Non-Unicode bytes turn into U+FFFD, which no key takes.
+            self.apply(key, &var, &raw.to_string_lossy())?;
         }
-        from_env(&mut self.task_retry_budget, "OMPSS_TASK_RETRIES", INT, int)?;
-        from_env(&mut self.am_retry_budget, "OMPSS_AM_RETRIES", INT, int)?;
-        from_env(&mut self.node_loss, "OMPSS_FAULT_NODE_LOSS", NODE_AT, node_at)?;
-        from_env(&mut self.shards, "OMPSS_SHARDS", "an integer >= 1", |v| {
-            v.parse().ok().filter(|&n| n > 0)
-        })?;
-        from_env(&mut self.node_join, "OMPSS_NODE_JOIN", NODE_AT, node_at)?;
-        from_env(&mut self.node_drain, "OMPSS_NODE_DRAIN", NODE_AT, node_at)?;
         Ok(self)
+    }
+
+    /// Set `key` from `value`, naming the option `name` in an error.
+    fn apply(&mut self, key: &Key, name: &str, value: &str) -> Result<(), RunError> {
+        let mut next = self.clone();
+        let why = match (key.2)(&mut next, value) {
+            None => Some(format!("expected {}", (key.1)())),
+            Some(()) => next.violation(),
+        };
+        if let Some(why) = why {
+            return Err(RunError::InvalidConfig { what: format!("{name}={value:?}: {why}") });
+        }
+        *self = next;
+        Ok(())
     }
 }
 
-/// Overwrite `field` with environment variable `name` parsed by
-/// `parse` and return `true`; leave it and return `false` when the
-/// variable is unset. A value `parse` rejects (or one that is not
-/// Unicode) is an [`RunError::InvalidConfig`] naming the variable, the
-/// value and what was `expected`.
-fn from_env<T>(
-    field: &mut T,
-    name: &str,
-    expected: &str,
-    parse: impl FnOnce(&str) -> Option<T>,
-) -> Result<bool, RunError> {
-    let Some(raw) = std::env::var_os(name) else { return Ok(false) };
-    *field = raw.to_str().and_then(parse).ok_or_else(|| RunError::InvalidConfig {
-        what: format!("{name}={raw:?}: expected {expected}"),
-    })?;
-    Ok(true)
+/// One text option, `Key(name, expected, apply)`: its name (the
+/// lower-case suffix of its `OMPSS_*` variable), a description of the
+/// values it takes, and how a value lands in the config (`None` when it
+/// does not parse). Rules that span fields are
+/// [`RuntimeConfig::check`]'s, not a key's.
+struct Key(&'static str, fn() -> String, fn(&mut RuntimeConfig, &str) -> Option<()>);
+
+const INT: fn() -> String = || "an integer".into();
+const FLAG: fn() -> String = || "0|1".into();
+const NODE_AT: fn() -> String = || "node@micros".into();
+
+/// Every text option, in the order the environment applies them.
+const KEYS: [Key; 17] = [
+    Key("schedule", || labels(&scheds()), |c, v| put(&mut c.sched_policy, pick(&scheds(), v))),
+    Key("cache_policy", || labels(&caches()), |c, v| put(&mut c.cache_policy, pick(&caches(), v))),
+    Key("routing", || labels(&ROUTINGS), |c, v| put(&mut c.routing, pick(&ROUTINGS, v))),
+    Key("presend", INT, |c, v| put(&mut c.presend, v.parse().ok())),
+    Key("overlap", FLAG, |c, v| put(&mut c.overlap, pick(&ON_OFF, v))),
+    Key("prefetch", FLAG, |c, v| put(&mut c.prefetch, pick(&ON_OFF, v))),
+    Key("trace", FLAG, |c, v| put(&mut c.tracing, pick(&ON_OFF, v))),
+    Key("verify", FLAG, |c, v| put(&mut c.verify, pick(&ON_OFF, v))),
+    Key("sched_seed", INT, |c, v| put(&mut c.sched_seed, v.parse().ok())),
+    Key("fault_rate", || "a number in [0, 1]".into(), |c, v| rearm(c, None, Some(unit(v)?))),
+    Key("fault_seed", INT, |c, v| rearm(c, Some(v.parse().ok()?), None)),
+    Key("task_retries", INT, |c, v| put(&mut c.task_retry_budget, v.parse().ok())),
+    Key("am_retries", INT, |c, v| put(&mut c.am_retry_budget, v.parse().ok())),
+    Key("fault_node_loss", NODE_AT, |c, v| put(&mut c.node_loss, node_at(v))),
+    Key("shards", INT, |c, v| put(&mut c.shards, v.parse().ok())),
+    Key("node_join", NODE_AT, |c, v| put(&mut c.node_join, node_at(v))),
+    Key("node_drain", NODE_AT, |c, v| put(&mut c.node_drain, node_at(v))),
+];
+
+/// Overwrite `field` with a parsed value; `None` when it did not parse.
+fn put<T>(field: &mut T, parsed: Option<T>) -> Option<()> {
+    *field = parsed?;
+    Some(())
 }
+
+/// Rebuild the one fault plan with a new seed or rate, keeping the
+/// other (seed 1 and rate 0 when unarmed).
+fn rearm(c: &mut RuntimeConfig, seed: Option<u64>, rate: Option<f64>) -> Option<()> {
+    let (old_seed, old_rate) = c.faults.as_ref().map_or((1, 0.0), |p| (p.seed(), p.rate()));
+    *c = c.clone().with_faults(seed.unwrap_or(old_seed), rate.unwrap_or(old_rate));
+    Some(())
+}
+
+fn scheds() -> [(&'static str, Policy); 3] {
+    Policy::ALL.map(|p| (p.chart_label(), p))
+}
+
+fn caches() -> [(&'static str, CachePolicy); 3] {
+    CachePolicy::ALL.map(|c| (c.chart_label(), c))
+}
+
+const ROUTINGS: [(&str, SlaveRouting); 2] =
+    [("mtos", SlaveRouting::ViaMaster), ("stos", SlaveRouting::Direct)];
 
 /// The labels of `choices`, as `a|b|c`.
 fn labels<T>(choices: &[(&str, T)]) -> String {
@@ -410,16 +463,19 @@ fn pick<T: Copy>(choices: &[(&str, T)], v: &str) -> Option<T> {
     choices.iter().find(|c| c.0 == v).map(|c| c.1)
 }
 
-/// An integer of the field's width.
-fn int<T: std::str::FromStr>(v: &str) -> Option<T> {
-    v.parse().ok()
+const ON_OFF: [(&str, bool); 6] =
+    [("1", true), ("true", true), ("on", true), ("0", false), ("false", false), ("off", false)];
+
+/// A number in `[0, 1]`.
+fn unit(v: &str) -> Option<f64> {
+    v.parse().ok().filter(|r| (0.0..=1.0).contains(r))
 }
 
-/// A planned membership event, `node@micros`, aimed at a slave.
+/// A planned membership event, `node@micros`.
 fn node_at(v: &str) -> Option<Option<(u32, SimDuration)>> {
     let (node, micros) = v.split_once('@')?;
-    let node = node.parse().ok().filter(|&n: &u32| n > 0)?;
-    Some(Some((node, SimDuration::from_micros(micros.parse().ok()?))))
+    let nanos = micros.parse::<u64>().ok()?.checked_mul(1_000)?;
+    Some(Some((node.parse().ok()?, SimDuration::from_nanos(nanos))))
 }
 
 #[cfg(test)]
@@ -451,6 +507,21 @@ mod tests {
         assert_eq!(c.cache_policy, CachePolicy::NoCache);
         assert_eq!(c.presend, 2);
         assert_eq!(c.gpu_cache_capacity(), 1 << 20);
+    }
+
+    #[test]
+    fn env_table_rows_name_exactly_the_keys() {
+        // The rustdoc table of `overridden_from_env` is the one list of
+        // the variables: its rows name every key, in the table's order.
+        let documented: Vec<String> = include_str!("config.rs")
+            .lines()
+            .filter(|l| l.trim_start().starts_with("/// | `OMPSS_"))
+            .flat_map(|row| row.split('|').nth(1).unwrap_or_default().split('/'))
+            .map(|v| v.trim().trim_matches('`').to_string())
+            .collect();
+        let keys: Vec<String> =
+            RuntimeConfig::keys().map(|k| format!("OMPSS_{}", k.to_ascii_uppercase())).collect();
+        assert_eq!(documented, keys);
     }
 
     #[test]

@@ -591,44 +591,15 @@ impl Runtime {
     /// stuck process names) or a process panics
     /// ([`RunError::ProcessPanic`]). Harnesses that probe pathological
     /// schedules want the error, not a crash.
-    pub fn try_run<F, Fut>(cfg: RuntimeConfig, program: F) -> Result<RunReport, RunError>
+    pub fn try_run<F, Fut>(mut cfg: RuntimeConfig, program: F) -> Result<RunReport, RunError>
     where
         F: FnOnce(Omp) -> Fut + 'static,
         Fut: Future<Output = ()> + 'static,
     {
         // ---- configuration validation ---------------------------------
         // A self-contradictory config is rejected before any machine is
-        // built — a structured error, not a mid-run surprise. The
-        // builders assert some of the same invariants, but fields set
-        // directly and the env-var path (`OMPSS_NODE_JOIN`,
-        // `OMPSS_NODE_DRAIN`) reach here unchecked.
-        if cfg.nodes == 0 {
-            return Err(RunError::InvalidConfig {
-                what: "nodes must be at least 1 (node 0 is the master)".into(),
-            });
-        }
-        if cfg.shards == 0 {
-            return Err(RunError::InvalidConfig {
-                what: "shards must be at least 1 (1 is the flat single-master plane)".into(),
-            });
-        }
-        for (knob, armed) in [
-            ("node_join", cfg.node_join),
-            ("node_drain", cfg.node_drain),
-            ("node_loss", cfg.node_loss),
-        ] {
-            if let Some((node, _)) = armed {
-                if node == 0 || node >= cfg.nodes {
-                    return Err(RunError::InvalidConfig {
-                        what: format!(
-                            "{knob} targets node {node}, but valid slaves are 1..{} \
-                             (node 0 is the master, which cannot join, drain or be lost)",
-                            cfg.nodes
-                        ),
-                    });
-                }
-            }
-        }
+        // built — a structured error, not a mid-run surprise.
+        cfg.check()?;
 
         // ---- chaos arming ---------------------------------------------
         // Every run draws from a fresh stream of its plan, so the same
@@ -643,11 +614,9 @@ impl Runtime {
         // copies clean). Node loss keeps the configured policy: lineage
         // reconstruction exists precisely to rebuild dirty data the dead
         // node took with it.
-        let mut cfg = cfg;
         if cfg.faults.is_some() && cfg.cache_policy == CachePolicy::WriteBack {
             cfg.cache_policy = CachePolicy::WriteThrough;
         }
-        let cfg = cfg;
 
         // ---- machine construction ------------------------------------
         let mem = MemoryManager::new(cfg.backing);

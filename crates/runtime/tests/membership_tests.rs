@@ -56,8 +56,8 @@ fn assert_scaled_4x(arrays: &[Vec<f32>], ctx: &str) {
 
 #[test]
 fn membership_targets_outside_the_cluster_are_rejected() {
-    // The builder asserts node > 0; the out-of-range side reaches
-    // try_run unchecked (as the env path would) and must fail closed.
+    // Fields set directly reach try_run unchecked by any builder and
+    // must fail closed in `RuntimeConfig::check`, on either side.
     let mut cfg = RuntimeConfig::gpu_cluster(2);
     cfg.node_join = Some((5, SimDuration::from_micros(10)));
     match Runtime::try_run(cfg, |omp| async move {
@@ -81,8 +81,9 @@ fn membership_targets_outside_the_cluster_are_rejected() {
 #[test]
 fn zero_shards_are_rejected() {
     // The flat master is the one-shard map, so zero shards is no plane
-    // at all. The builder asserts; the env path (`OMPSS_SHARDS=0`)
-    // reaches try_run unchecked and must fail closed.
+    // at all. `RuntimeConfig::check` holds the rule: a field set
+    // directly, as here, must fail closed in try_run (`OMPSS_SHARDS=0`
+    // and `set("shards", "0")` fail in the same check before a run).
     let mut cfg = RuntimeConfig::gpu_cluster(2);
     cfg.shards = 0;
     match Runtime::try_run(cfg, |omp| async move {
@@ -93,12 +94,6 @@ fn zero_shards_are_rejected() {
         }
         other => panic!("expected InvalidConfig, got {other:?}"),
     }
-}
-
-#[test]
-#[should_panic(expected = "at least one shard")]
-fn zero_shard_builder_asserts() {
-    let _ = RuntimeConfig::gpu_cluster(2).with_sharded_control(0);
 }
 
 #[test]

@@ -52,7 +52,8 @@ pub struct JobSpec {
     pub retries: u32,
     /// Scheduler tie-break seed override.
     pub sched_seed: Option<u64>,
-    /// Fault-injection coordinates; faults are armed when `rate > 0`.
+    /// Fault-injection coordinates; faults are armed when `rate > 0`
+    /// (1 when they are not).
     pub fault_seed: u64,
     /// Fault rate in `[0, 1)`; `0.0` (default) runs fault-free.
     pub fault_rate: f64,
@@ -86,12 +87,13 @@ fn u64_field(j: &Json, key: &str) -> Result<Option<u64>, SpecError> {
     }
 }
 
-fn f64_field(j: &Json, key: &str) -> Result<Option<f64>, SpecError> {
+/// A JSON number as the text the runtime's key table reads; a float
+/// keeps its point, so an integer key rejects it.
+fn number(j: &Json, key: &str) -> Result<Option<String>, SpecError> {
     match j.get(key) {
         None | Some(Json::Null) => Ok(None),
-        Some(Json::F64(v)) => Ok(Some(*v)),
-        Some(Json::U64(v)) => Ok(Some(*v as f64)),
-        Some(other) => Err(bad(format!("field '{key}' must be a number, got {other:?}"))),
+        Some(n @ (Json::U64(_) | Json::F64(_))) => Ok(Some(n.to_compact_string())),
+        Some(other) => Err(bad(format!("field '{key}' must be a number >= 0, got {other:?}"))),
     }
 }
 
@@ -142,9 +144,17 @@ impl JobSpec {
         if retries > RETRIES_MAX as u64 {
             return Err(bad(format!("'retries' must be in 0..={RETRIES_MAX}, got {retries}")));
         }
-        let fault_rate = f64_field(j, "fault_rate")?.unwrap_or(0.0);
-        if !(0.0..1.0).contains(&fault_rate) {
-            return Err(bad(format!("'fault_rate' must be in [0, 1), got {fault_rate}")));
+        // The runtime keys go through the runtime's own key table, in its
+        // order, so serve accepts exactly the values `OMPSS_*` does.
+        let mut knobs = RuntimeConfig::multi_gpu(1);
+        for key in ["sched_seed", "fault_rate", "fault_seed"] {
+            let Some(value) = number(j, key)? else { continue };
+            knobs.set(key, &value).map_err(|e| bad(format!("field '{key}': {e}")))?;
+        }
+        let (fault_seed, fault_rate) = knobs.faults.map_or((1, 0.0), |p| (p.seed(), p.rate()));
+        // Serve's own rule on top of the runtime's `[0, 1]`.
+        if fault_rate >= 1.0 {
+            return Err(bad(format!("'fault_rate' must be below 1, got {fault_rate}")));
         }
 
         Ok(JobSpec {
@@ -153,8 +163,8 @@ impl JobSpec {
             priority: priority as u8,
             deadline_ms: u64_field(j, "deadline_ms")?,
             retries: retries as u32,
-            sched_seed: u64_field(j, "sched_seed")?,
-            fault_seed: u64_field(j, "fault_seed")?.unwrap_or(1),
+            sched_seed: number(j, "sched_seed")?.map(|_| knobs.sched_seed),
+            fault_seed,
             fault_rate,
             tag: str_field(j, "tag")?.map(str::to_string),
         })

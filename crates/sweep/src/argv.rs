@@ -79,12 +79,19 @@ impl Argv {
     }
 
     /// Apply `--jobs N` (0 counts as 1) process-wide; the sweep width
-    /// [`crate::jobs`].
+    /// [`crate::jobs`]. Without `--jobs`, a set `OMPSS_BENCH_JOBS` that
+    /// is not a positive integer is an error.
     pub fn jobs(&mut self) -> Result<usize, String> {
-        if let Some(n) = self.value::<usize>("--jobs")? {
-            crate::JOBS.store(n.max(1), std::sync::atomic::Ordering::Relaxed);
+        match self.value::<usize>("--jobs")? {
+            Some(n) => {
+                crate::JOBS.store(n.max(1), std::sync::atomic::Ordering::Relaxed);
+                Ok(n.max(1))
+            }
+            None => match crate::env_jobs() {
+                Some(Err(e)) => Err(e),
+                _ => Ok(crate::jobs()),
+            },
         }
-        Ok(crate::jobs())
     }
 
     /// Take the arguments that are not flags, in order.
@@ -177,6 +184,25 @@ mod tests {
             let err = jobs(bad).expect_err(&format!("{bad:?} must be rejected"));
             assert!(err.contains("--jobs "), "{bad:?}: {err}");
         }
+        crate::JOBS.store(0, std::sync::atomic::Ordering::Relaxed); // unset again
+    }
+
+    #[test]
+    fn a_bad_jobs_variable_is_an_error_unless_jobs_is_given() {
+        // The only test in this binary that touches the environment.
+        let jobs = |args: &[&str]| Argv::parse(args, |a| a.jobs());
+        std::env::set_var("OMPSS_BENCH_JOBS", "abc");
+        let bad = jobs(&[]);
+        let overridden = jobs(&["--jobs", "2"]);
+        std::env::set_var("OMPSS_BENCH_JOBS", "0");
+        let zero = jobs(&[]);
+        std::env::remove_var("OMPSS_BENCH_JOBS");
+        let unset = jobs(&[]);
+        let err = bad.expect_err("OMPSS_BENCH_JOBS=abc must be rejected");
+        assert!(err.contains("OMPSS_BENCH_JOBS") && err.contains("'abc'"), "{err}");
+        assert!(zero.expect_err("OMPSS_BENCH_JOBS=0 must be rejected").contains("'0'"));
+        assert_eq!(overridden, Ok(2));
+        assert!(unset.is_ok());
         crate::JOBS.store(0, std::sync::atomic::Ordering::Relaxed); // unset again
     }
 }

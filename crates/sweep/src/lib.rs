@@ -34,16 +34,25 @@ static JOBS: AtomicUsize = AtomicUsize::new(0);
 
 /// Effective sweep width: `--jobs` if given, else `OMPSS_BENCH_JOBS` if
 /// set and positive, else the host's available parallelism (1 if
-/// unknown).
+/// unknown). [`Argv::jobs`] rejects a set `OMPSS_BENCH_JOBS` that is
+/// not a positive integer.
 pub fn jobs() -> usize {
     match JOBS.load(Ordering::Relaxed) {
-        0 => std::env::var("OMPSS_BENCH_JOBS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n >= 1)
+        0 => env_jobs()
+            .and_then(Result::ok)
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
         n => n,
     }
+}
+
+/// `OMPSS_BENCH_JOBS`: `None` when unset, else its positive integer or
+/// an error naming the variable and the value.
+fn env_jobs() -> Option<Result<usize, String>> {
+    let raw = std::env::var_os("OMPSS_BENCH_JOBS")?;
+    let v = raw.to_string_lossy();
+    Some(v.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
+        format!("malformed OMPSS_BENCH_JOBS value '{v}' (expected a positive integer)")
+    }))
 }
 
 /// Run `tasks` on up to `jobs` host threads, returning the results in

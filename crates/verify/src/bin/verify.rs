@@ -103,8 +103,12 @@ struct Args {
 
 fn parse_args(argv: &mut Argv) -> Result<Args, String> {
     argv.jobs()?;
-    let seeds = argv.list("--seeds")?.unwrap_or_else(|| schedule::DEFAULT_SEEDS.to_vec());
+    let seeds = argv.list("--seeds")?;
     let (schedules, all) = (!argv.switch("--no-schedules"), argv.switch("--all"));
+    if seeds.is_some() && !schedules {
+        return Err("--seeds feeds the schedule exploration that --no-schedules turns off".into());
+    }
+    let seeds = seeds.unwrap_or_else(|| schedule::DEFAULT_SEEDS.to_vec());
     let named = argv.positionals();
     if all && !named.is_empty() {
         return Err("--all already names every app".into());
@@ -134,8 +138,9 @@ mod tests {
 
     #[test]
     fn bad_input_is_an_error_not_a_panic() {
-        let args = parse(&["--seeds", "0,9", "--no-schedules", "stream"]).unwrap();
-        assert_eq!(args, Args { seeds: vec![0, 9], schedules: false, apps: vec!["stream"] });
+        let args = parse(&["--seeds", "0,9", "stream"]).unwrap();
+        assert_eq!(args, Args { seeds: vec![0, 9], schedules: true, apps: vec!["stream"] });
+        assert!(!parse(&["--no-schedules", "stream"]).unwrap().schedules);
         assert_eq!(parse(&["--seeds=3"]).unwrap().apps, APPS.to_vec());
         for bad in [
             &["matmull"][..],
@@ -144,6 +149,7 @@ mod tests {
             &["--seeds=,"],
             &["--bogus", "--no-schedules", "stream"],
             &["--all", "stream"],
+            &["--seeds", "0,9", "--no-schedules", "stream"],
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must be rejected");
         }
