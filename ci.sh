@@ -4,8 +4,9 @@
 # after one fails, then exit 1 naming each failed stage.
 #
 #   ./ci.sh          # everything
-#   ./ci.sh quick    # fmt + clippy + tests + kernels + nofastpath + cli + verify + chaos
+#   ./ci.sh quick    # fmt + clippy + doc + tests + kernels + nofastpath + cli + verify + chaos
 #                    # + churn + mc + serve; skips the release build, scale, figures and mc_defects
+#   ./ci.sh doc      # rustdoc over the workspace, warnings denied (broken or private doc links)
 #   ./ci.sh cli      # each of the six tools: --help exits 0, an unknown flag exits 2 with
 #                    # its usage and no panic; a malformed OMPSS_BENCH_JOBS exits 2 naming it
 #   ./ci.sh verify   # only the ompss-verify sweep over the apps
@@ -97,6 +98,11 @@ nofastpath() {
     OMPSS_SIM_NO_FASTPATH=1 cargo test -q -p ompss-sim
 }
 
+doc() {
+    echo "==> cargo doc (deny warnings: broken or private intra-doc links)"
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+}
+
 kernels() {
     echo "==> ompss-apps unit tests in release (every kernel variant vs the scalar references, opt-level 3)"
     cargo test -q --release -p ompss-apps --lib
@@ -136,7 +142,7 @@ mc_defects() {
 }
 
 case "${1:-}" in
-    verify | chaos | churn | bench | scale | figures | mc | mc_defects | serve | nofastpath | kernels | cli)
+    verify | chaos | churn | bench | scale | figures | mc | mc_defects | serve | nofastpath | kernels | cli | doc)
         "$1"
         echo "CI green."
         exit 0
@@ -182,6 +188,7 @@ stage() {
 
 stage fmt
 stage clippy
+stage doc
 if [[ "${1:-}" != "quick" ]]; then
     stage build
     stage scale

@@ -103,11 +103,16 @@ fn parse_args(argv: &mut Argv) -> Result<Args, String> {
     if let Some(r) = rates.iter().find(|r| !(0.0..=1.0).contains(*r)) {
         return Err(format!("--rates entry '{r}' is not in [0, 1]"));
     }
+    let kill_points = kill_points.unwrap_or_else(|| vec![20, 45, 70]);
+    // A kill point is a percentage of the fault-free makespan.
+    if let Some(p) = kill_points.iter().find(|&&p| p > 100) {
+        return Err(format!("--kill-points entry '{p}' is not in [0, 100]"));
+    }
     Ok(Args {
         sweep,
         rates,
         seeds: seeds.unwrap_or_else(|| vec![1, 2, 3]),
-        kill_points: kill_points.unwrap_or_else(|| vec![20, 45, 70]),
+        kill_points,
         apps: apps(&argv.positionals())?,
     })
 }
@@ -474,6 +479,18 @@ mod tests {
         assert_eq!(parse(&["--rates"]).unwrap_err(), "--rates needs a value");
         assert_eq!(parse(&["--rates", "1.5"]).unwrap_err(), "--rates entry '1.5' is not in [0, 1]");
         assert_eq!(parse(&["--rates", "0,1"]).unwrap().rates, [0.0, 1.0], "the bounds are rates");
+    }
+
+    #[test]
+    fn kill_points_are_percentages() {
+        for (points, bad) in [("250", 250u64), ("20,184467440737095516", 184467440737095516)] {
+            assert_eq!(
+                parse(&["--node-kill", "--kill-points", points]).unwrap_err(),
+                format!("--kill-points entry '{bad}' is not in [0, 100]")
+            );
+        }
+        let args = parse(&["--node-kill", "--kill-points", "0,100"]).unwrap();
+        assert_eq!(args.kill_points, [0, 100], "the bounds are percentages");
     }
 
     fn fail_closed() -> Outcome {

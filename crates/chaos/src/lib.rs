@@ -77,8 +77,11 @@ pub struct Reference {
 
 impl Reference {
     /// The instant `percent`% of the way through the reference run.
+    /// Computed in 128 bits, so no makespan and percent overflow; an
+    /// instant past the end of representable time saturates there.
     pub fn at(&self, percent: u64) -> SimDuration {
-        SimDuration::from_nanos(self.makespan.as_nanos() * percent / 100)
+        let nanos = u128::from(self.makespan.as_nanos()) * u128::from(percent) / 100;
+        SimDuration::from_nanos(u64::try_from(nanos).unwrap_or(u64::MAX))
     }
 }
 
@@ -212,5 +215,22 @@ mod tests {
             assert!(matches!(outcome, Outcome::Wrong(Err(_))), "{outcome:?}");
             assert!(outcome.run().is_none());
         }
+    }
+
+    fn reference(makespan: u64) -> Reference {
+        Reference { output: Vec::new(), makespan: SimTime(makespan) }
+    }
+
+    #[test]
+    fn at_is_a_fraction_of_the_makespan_without_overflow() {
+        assert_eq!(reference(1_000).at(45), SimDuration::from_nanos(450));
+        assert_eq!(reference(1_000).at(0), SimDuration::ZERO);
+        assert_eq!(reference(1_000).at(100), SimDuration::from_nanos(1_000));
+        // A makespan near the end of representable time: the product
+        // overflows 64 bits, the instant does not.
+        let long = u64::MAX / 2;
+        assert_eq!(reference(long).at(100), SimDuration::from_nanos(long));
+        assert_eq!(reference(long).at(50), SimDuration::from_nanos(long / 2));
+        assert_eq!(reference(long).at(u64::MAX), SimDuration::from_nanos(u64::MAX));
     }
 }

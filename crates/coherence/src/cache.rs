@@ -44,18 +44,21 @@ use std::cell::RefCell;
 use std::future::Future;
 use std::pin::Pin;
 
-use ompss_mem::{Access, AllocId, DataId, MemoryManager, Region, SpaceId};
+use ompss_mem::{Access, AllocId, DataId, FxHashMap, MemoryManager, Region, SpaceId};
 use ompss_sim::{now, Signal, SimError, SimResult};
 
-use crate::dir::{FxHashMap, SpaceMap};
+use crate::dir::SpaceMap;
 use crate::topo::{HopKind, Topology};
 
-/// Report a coherence-region touch to an armed model checker (no-op
-/// otherwise — see [`ompss_sim::mc_touch`]). Region identity is hashed
-/// (FNV-1a) into the resource-id space with the top bit set, so region
-/// ids can never collide with the small counter ids primitives get
-/// from [`ompss_sim::mc_resource_id`].
+/// Report a coherence-region touch to an armed model checker; without
+/// one it returns before hashing (see [`ompss_sim::mc_active`]). Region
+/// identity is hashed (FNV-1a) into the resource-id space with the top
+/// bit set, so region ids can never collide with the small counter ids
+/// primitives get from [`ompss_sim::mc_resource_id`].
 fn mc_touch_region(region: &Region) {
+    if !ompss_sim::mc_active() {
+        return;
+    }
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for w in [region.data.0, region.offset, region.len] {
         for b in w.to_le_bytes() {
@@ -444,27 +447,30 @@ impl Coherence {
         self.inner.borrow().stats.clone()
     }
 
-    fn init_entry(&self, inner: &mut Inner, region: &Region) {
-        if inner.regions.contains_key(region) {
-            return;
-        }
-        // First touch: the authoritative copy is the data object's home
-        // allocation — its shard owner's host (the master's with one
-        // shard).
-        let info = self.mem.data_info(region.data);
-        debug_assert!(!self.topo.is_gpu(info.home_space), "home copies live in host memory");
-        let copies = SpaceMap::one(
-            info.home_space,
-            CopyState {
-                alloc: info.home_alloc,
-                offset: region.offset,
-                state: CState::Valid { version: 0 },
-                dirty: false,
-                pinned: 0,
-                last_use: 0,
-            },
-        );
-        inner.regions.insert(*region, RegionEntry { version: 0, home: info.home_space, copies });
+    /// The directory entry of `region`, created at its first touch with
+    /// one copy: the data object's home allocation — its shard owner's
+    /// host (the master's with one shard). One table lookup either way.
+    fn init_entry<'a>(
+        &self,
+        regions: &'a mut FxHashMap<Region, RegionEntry>,
+        region: &Region,
+    ) -> &'a mut RegionEntry {
+        regions.entry(*region).or_insert_with(|| {
+            let info = self.mem.data_info(region.data);
+            debug_assert!(!self.topo.is_gpu(info.home_space), "home copies live in host memory");
+            let copies = SpaceMap::one(
+                info.home_space,
+                CopyState {
+                    alloc: info.home_alloc,
+                    offset: region.offset,
+                    state: CState::Valid { version: 0 },
+                    dirty: false,
+                    pinned: 0,
+                    last_use: 0,
+                },
+            );
+            RegionEntry { version: 0, home: info.home_space, copies }
+        })
     }
 
     /// Make `region` available in `target`: up-to-date if `read`, merely
@@ -521,6 +527,9 @@ impl Coherence {
         accesses: &[Access],
         target: SpaceId,
     ) -> SimResult<()> {
+        // Only write-through and no-cache push writes at commit; under
+        // write-back the list stays empty and never allocates.
+        let push = matches!(self.policy, CachePolicy::WriteThrough | CachePolicy::NoCache);
         let written: Vec<(Region, SpaceId)> = {
             let mut inner = self.inner.borrow_mut();
             let mut written = Vec::new();
@@ -550,7 +559,9 @@ impl Coherence {
                      one space",
                     a.region
                 );
-                written.push((a.region, home));
+                if push {
+                    written.push((a.region, home));
+                }
             }
             written
         };
@@ -558,11 +569,9 @@ impl Coherence {
         // Policy: push writes one level up at commit time — toward the
         // written region's own home, which may differ per region when
         // the shard map has several owners.
-        if matches!(self.policy, CachePolicy::WriteThrough | CachePolicy::NoCache) {
-            for (region, home) in &written {
-                if let Some(parent) = self.push_target(target, *home) {
-                    self.push_one_level(exec, region, target, parent).await?;
-                }
+        for (region, home) in &written {
+            if let Some(parent) = self.push_target(target, *home) {
+                self.push_one_level(exec, region, target, parent).await?;
             }
         }
 
@@ -817,10 +826,9 @@ impl Coherence {
                 }
                 inner.tick += 1;
                 let tick = inner.tick;
-                self.init_entry(inner, region);
                 // Quick path: target already valid (or being filled).
                 let quick: Option<Option<Step>> = {
-                    let entry = inner.regions.get_mut(region).expect("initialised");
+                    let entry = self.init_entry(&mut inner.regions, region);
                     let latest = entry.version;
                     match entry.copies.get_mut(&target) {
                         Some(c) => match c.state.clone() {
@@ -897,9 +905,8 @@ impl Coherence {
             .unwrap_or_else(|| {
                 panic!("region {region} has no valid copy of version {latest} anywhere")
             });
-        let route = self.topo.route(src_space, target);
-        debug_assert!(!route.is_empty(), "target invalid yet source == target");
-        for hop in route {
+        debug_assert_ne!(src_space, target, "target invalid yet source == target");
+        for hop in self.topo.hops(src_space, target) {
             match entry.copies.get(&hop.to).map(|c| c.state.clone()) {
                 Some(CState::Valid { version }) if version == latest => continue,
                 Some(CState::InFlight { done, .. }) => return Step::Wait(done),
@@ -962,8 +969,7 @@ impl Coherence {
                 }
                 inner.tick += 1;
                 let tick = inner.tick;
-                self.init_entry(inner, region);
-                let entry = inner.regions.get_mut(region).expect("initialised");
+                let entry = self.init_entry(&mut inner.regions, region);
                 if let Some(c) = entry.copies.get_mut(&target) {
                     match c.state.clone() {
                         CState::InFlight { done, .. } => Step::Wait(done),
@@ -1152,8 +1158,7 @@ impl Coherence {
         let home = {
             let mut guard = self.inner.borrow_mut();
             let inner = &mut *guard;
-            self.init_entry(inner, region);
-            inner.regions[region].home
+            self.init_entry(&mut inner.regions, region).home
         };
         self.ensure_valid(exec, region, home, false, TransferPurpose::Flush).await?;
         // The home now reflects the latest version: latest copies are
@@ -1594,7 +1599,7 @@ impl Coherence {
     }
 
     /// Call `found` with every space holding the latest valid copy of
-    /// `region` (each holds all `region.len` bytes), in no particular
+    /// `region` (each holds all `region.len` bytes), in increasing space
     /// order, under one borrow — the scheduler's locality oracle.
     pub fn latest_holders(&self, region: &Region, mut found: impl FnMut(SpaceId)) {
         let inner = self.inner.borrow();

@@ -3,58 +3,10 @@
 //! Every acquire looks a region up in the directory and then looks up
 //! the copy at one space among the few the region has. Both lookups sit
 //! on the host hot path of every task, so the region table hashes its
-//! integer keys with [`FxHasher`] rather than SipHash, and each region's
-//! copies live in a [`SpaceMap`]: a vector sorted by space.
-
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+//! integer keys with [`ompss_mem::FxHasher`] rather than SipHash, and
+//! each region's copies live in a [`SpaceMap`]: a vector sorted by space.
 
 use ompss_mem::SpaceId;
-
-/// The Fx hash (as in rustc): one add and multiply per word, and a
-/// final rotate that brings the well-mixed high bits down to where the
-/// table takes its bucket index (without it, regions that differ only
-/// in a large aligned offset would share their low hash bits). Fast and
-/// fixed, so the directory's bucket layout is the same in every process
-/// — which no output depends on either way. Not collision-resistant;
-/// the keys are the runtime's own integer ids.
-#[derive(Default, Clone, Copy)]
-pub(crate) struct FxHasher {
-    hash: u64,
-}
-
-const FX_SEED: u64 = 0xf135_7aea_2e62_a9c5;
-
-impl FxHasher {
-    fn add(&mut self, word: u64) {
-        self.hash = self.hash.wrapping_add(word).wrapping_mul(FX_SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.add(n as u64);
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    fn finish(&self) -> u64 {
-        self.hash.rotate_left(26)
-    }
-}
-
-/// A `HashMap` hashed with [`FxHasher`].
-pub(crate) type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// A small map keyed by space: `(space, value)` pairs sorted by space.
 /// A region has a copy in only a few spaces, where a binary search over
@@ -112,7 +64,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
-    use std::hash::BuildHasher;
 
     #[derive(Debug, Clone)]
     enum Op {
@@ -176,20 +127,5 @@ mod tests {
             }
             prop_assert!(map.values().all(|&v| v == 0));
         }
-    }
-
-    #[test]
-    fn fx_hash_is_fixed_and_spreads_region_keys() {
-        let build = BuildHasherDefault::<FxHasher>::default();
-        let region = ompss_mem::Region::new(ompss_mem::DataId(3), 4096, 1024);
-        assert_eq!(build.hash_one(region), build.hash_one(region));
-        // Tiles of one object differ only in a large aligned offset:
-        // their hashes still spread over the low bits the table indexes
-        // by (uniform hashing fills ~63% of the buckets).
-        let tile = |i: u64| ompss_mem::Region::new(ompss_mem::DataId(1), i << 22, 1 << 22);
-        let mut low: Vec<u64> = (0..1024).map(|i| build.hash_one(tile(i)) & 1023).collect();
-        low.sort();
-        low.dedup();
-        assert!(low.len() > 560, "only {} distinct low-bit buckets of 1024", low.len());
     }
 }

@@ -13,9 +13,7 @@
 //! (`StoS`) or is relayed through the master (`MtoS`) is the cluster
 //! configuration axis of Figure 9.
 
-use ompss_mem::SpaceId;
-
-use crate::dir::FxHashMap;
+use ompss_mem::{FxHashMap, SpaceId};
 
 /// The physical medium of one hop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,36 +98,44 @@ impl Topology {
     /// `src == dst` yields an empty route. Host↔host hops respect the
     /// [`SlaveRouting`] mode.
     pub fn route(&self, src: SpaceId, dst: SpaceId) -> Vec<Hop> {
-        let mut hops = Vec::new();
-        if src == dst {
-            return hops;
-        }
-        let src_host = self.host_of(src);
-        let dst_host = self.host_of(dst);
-        if src != src_host {
-            hops.push(Hop { from: src, to: src_host, kind: HopKind::Pcie });
-        }
-        if src_host != dst_host {
-            let relay = self.routing == SlaveRouting::ViaMaster
-                && src_host != self.master_host
-                && dst_host != self.master_host;
-            if relay {
-                hops.push(Hop { from: src_host, to: self.master_host, kind: HopKind::Network });
-                hops.push(Hop { from: self.master_host, to: dst_host, kind: HopKind::Network });
-            } else {
-                hops.push(Hop { from: src_host, to: dst_host, kind: HopKind::Network });
+        self.hops(src, dst).collect()
+    }
+
+    /// The hops of [`route`](Self::route), in order, without
+    /// allocating: at most four (PCIe out, two relayed network legs,
+    /// PCIe in).
+    pub(crate) fn hops(&self, src: SpaceId, dst: SpaceId) -> impl Iterator<Item = Hop> {
+        let mut hops = [None; 4];
+        if src != dst {
+            let src_host = self.host_of(src);
+            let dst_host = self.host_of(dst);
+            if src != src_host {
+                hops[0] = Some(Hop { from: src, to: src_host, kind: HopKind::Pcie });
+            }
+            if src_host != dst_host {
+                let relay = self.routing == SlaveRouting::ViaMaster
+                    && src_host != self.master_host
+                    && dst_host != self.master_host;
+                let net = |from, to| Some(Hop { from, to, kind: HopKind::Network });
+                if relay {
+                    hops[1] = net(src_host, self.master_host);
+                    hops[2] = net(self.master_host, dst_host);
+                } else {
+                    hops[1] = net(src_host, dst_host);
+                }
+            }
+            if dst != dst_host {
+                hops[3] = Some(Hop { from: dst_host, to: dst, kind: HopKind::Pcie });
             }
         }
-        if dst != dst_host {
-            hops.push(Hop { from: dst_host, to: dst, kind: HopKind::Pcie });
-        }
-        hops
+        hops.into_iter().flatten()
     }
 
     /// Number of hops from `src` to `dst` (route-length metric used to
-    /// pick the nearest source copy).
+    /// pick the nearest source copy): `route(src, dst).len()`, counted
+    /// without building the route.
     pub fn distance(&self, src: SpaceId, dst: SpaceId) -> usize {
-        self.route(src, dst).len()
+        self.hops(src, dst).count()
     }
 }
 

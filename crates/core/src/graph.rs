@@ -14,10 +14,10 @@
 //! partially overlaps a previously-seen region is a model error, not
 //! silent misbehaviour.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
-use ompss_mem::{Access, DataId, Region};
+use ompss_mem::{Access, DataId, FxHashMap, Region};
 
 use crate::task::TaskId;
 
@@ -197,7 +197,8 @@ struct Node {
     preds: usize,
     succs: Vec<TaskId>,
     state: TaskState,
-    label: String,
+    /// Index of the task's label in [`Labels`].
+    label: u32,
     /// Position in the global submit/complete sequence when submitted.
     seq: u64,
     /// Position in the sequence when completed, if completed.
@@ -234,11 +235,40 @@ struct DataRegions {
     map: BTreeMap<(u64, u64), RegionState>,
 }
 
+/// The distinct task labels, each stored once: a program submits
+/// thousands of tasks under a handful of kernel names, so a node keeps
+/// an index instead of its own copy of the string.
+#[derive(Default)]
+struct Labels {
+    names: Vec<Box<str>>,
+    ids: FxHashMap<Box<str>, u32>,
+}
+
+impl Labels {
+    fn intern(&mut self, label: &str) -> u32 {
+        if let Some(&id) = self.ids.get(label) {
+            return id;
+        }
+        let id = self.names.len() as u32;
+        self.names.push(label.into());
+        self.ids.insert(label.into(), id);
+        id
+    }
+
+    fn name(&self, id: u32) -> &str {
+        &self.names[id as usize]
+    }
+}
+
 /// A single-level (sibling) task dependency graph.
 #[derive(Default)]
 pub struct TaskGraph {
-    nodes: HashMap<TaskId, Node>,
-    regions: HashMap<DataId, DataRegions>,
+    nodes: FxHashMap<TaskId, Node>,
+    regions: FxHashMap<DataId, DataRegions>,
+    labels: Labels,
+    /// Reusable predecessor buffer of [`TaskGraph::add_task_labeled`]
+    /// (always left empty between submissions).
+    preds_scratch: Vec<TaskId>,
     live: usize,
     /// Logical clock over submit/complete events, backing the
     /// happens-before oracle (a completed-before-b-was-submitted is an
@@ -287,7 +317,10 @@ impl TaskGraph {
             }
         }
 
-        let mut preds: HashSet<TaskId> = HashSet::new();
+        // Every predecessor once: collected with repeats (a task may
+        // read and write regions with the same last writer), then
+        // sorted and deduplicated, so each gets exactly one edge.
+        let mut preds = std::mem::take(&mut self.preds_scratch);
         let mut dead: Vec<(Region, TaskId)> = Vec::new();
         let lineage = self.lineage;
         for a in accesses {
@@ -297,7 +330,7 @@ impl TaskGraph {
             if a.kind.reads() {
                 if let Some(w) = st.last_writer {
                     if w != id {
-                        preds.insert(w);
+                        preds.push(w);
                     }
                 }
             }
@@ -313,14 +346,10 @@ impl TaskGraph {
                 }
                 // WAR on every reader since the last write, WAW on the
                 // last writer (covers the no-reader case).
-                for &r in &st.readers {
-                    if r != id {
-                        preds.insert(r);
-                    }
-                }
+                preds.extend(st.readers.iter().copied().filter(|&r| r != id));
                 if let Some(w) = st.last_writer {
                     if w != id {
-                        preds.insert(w);
+                        preds.push(w);
                     }
                 }
                 st.last_writer = Some(id);
@@ -352,14 +381,18 @@ impl TaskGraph {
         }
 
         // Count only predecessors that have not already completed.
+        preds.sort_unstable();
+        preds.dedup();
         let mut pred_count = 0;
-        for p in preds {
+        for &p in &preds {
             let pnode = self.nodes.get_mut(&p).expect("predecessor must exist");
             if pnode.state != TaskState::Completed {
                 pnode.succs.push(id);
                 pred_count += 1;
             }
         }
+        preds.clear();
+        self.preds_scratch = preds;
 
         let ready = pred_count == 0;
         self.clock += 1;
@@ -369,7 +402,7 @@ impl TaskGraph {
                 preds: pred_count,
                 succs: Vec::new(),
                 state: if ready { TaskState::Ready } else { TaskState::Pending },
-                label: label.to_string(),
+                label: self.labels.intern(label),
                 seq: self.clock,
                 completed_seq: None,
             },
@@ -412,7 +445,7 @@ impl TaskGraph {
     }
 
     fn label_of(&self, id: TaskId) -> &str {
-        self.nodes.get(&id).map(|n| n.label.as_str()).unwrap_or("")
+        self.nodes.get(&id).map(|n| self.labels.name(n.label)).unwrap_or("")
     }
 
     /// Mark a ready task as running (handed to a resource).
@@ -518,7 +551,7 @@ impl TaskGraph {
     pub fn tasks_snapshot(&self) -> Vec<(TaskId, &str, &[TaskId])> {
         let mut v: Vec<(&TaskId, &Node)> = self.nodes.iter().collect();
         v.sort_by_key(|(_, n)| n.seq);
-        v.into_iter().map(|(id, n)| (*id, n.label.as_str(), n.succs.as_slice())).collect()
+        v.into_iter().map(|(id, n)| (*id, self.labels.name(n.label), n.succs.as_slice())).collect()
     }
 
     /// Retain up to `depth` writers per region for lineage-based

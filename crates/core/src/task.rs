@@ -47,29 +47,26 @@ impl TaskDesc {
     /// All regions with copy semantics: the dependence clauses when
     /// `copy_deps` is set, plus any explicit copy clauses. This is what
     /// the coherence layer must make available in the execution space.
-    pub fn copies(&self) -> Vec<Access> {
-        let mut out = Vec::new();
-        if self.copy_deps {
-            out.extend(self.deps.iter().copied());
-        }
-        out.extend(self.extra_copies.iter().copied());
-        out
+    /// Borrowed from the descriptor, in clause order: no allocation.
+    pub fn copies(&self) -> impl Iterator<Item = Access> + '_ {
+        let deps: &[Access] = if self.copy_deps { &self.deps } else { &[] };
+        deps.iter().chain(&self.extra_copies).copied()
     }
 
     /// Regions the task will read in its execution space.
     pub fn copy_inputs(&self) -> Vec<Region> {
-        self.copies().iter().filter(|a| a.kind.reads()).map(|a| a.region).collect()
+        self.copies().filter(|a| a.kind.reads()).map(|a| a.region).collect()
     }
 
     /// Regions the task will produce in its execution space.
     pub fn copy_outputs(&self) -> Vec<Region> {
-        self.copies().iter().filter(|a| a.kind.writes()).map(|a| a.region).collect()
+        self.copies().filter(|a| a.kind.writes()).map(|a| a.region).collect()
     }
 
     /// Total bytes named by copy clauses — the task's data footprint,
     /// used by the locality-aware scheduler's affinity score.
     pub fn copy_footprint(&self) -> u64 {
-        self.copies().iter().map(|a| a.region.len).sum()
+        self.copies().map(|a| a.region.len).sum()
     }
 }
 
@@ -118,7 +115,7 @@ mod tests {
     #[test]
     fn copies_merge_deps_when_copy_deps() {
         let t = desc(true);
-        assert_eq!(t.copies().len(), 3);
+        assert_eq!(t.copies().count(), 3);
         assert_eq!(t.copy_footprint(), 64 + 32 + 16);
         assert_eq!(t.copy_inputs().len(), 2); // a (input) + b (inout)
         assert_eq!(t.copy_outputs().len(), 2); // b (inout) + c (output)
@@ -127,7 +124,7 @@ mod tests {
     #[test]
     fn copies_exclude_deps_without_copy_deps() {
         let t = desc(false);
-        assert_eq!(t.copies().len(), 1);
+        assert_eq!(t.copies().count(), 1);
         assert_eq!(t.copy_footprint(), 16);
     }
 }

@@ -12,7 +12,7 @@
 //!
 //! Per app: an ahead-of-run static pass over the declared task graph
 //! ([`ompss_mc::GraphSpec`]), then bounded sleep-set DFS over executor
-//! tie-breaks with the four oracles ([`ompss_mc::explore`]). Sections
+//! tie-breaks with the four oracles ([`ompss_mc::explore()`]). Sections
 //! run on `--jobs N` host threads and are reported in a fixed order;
 //! any finding (or an under-`--min-interleavings` search) exits 1.
 

@@ -3,7 +3,7 @@
 //! default, lowest-sequence candidate beyond the prefix) while logging
 //! every choice point's candidate set and every dispatched step's
 //! footprint, which is exactly the information the DFS in
-//! [`crate::explore`] needs to backtrack and to maintain sleep sets.
+//! [`crate::explore()`] needs to backtrack and to maintain sleep sets.
 
 use ompss_sim::{Pid, SimTime, StepFootprint, TieBreak};
 

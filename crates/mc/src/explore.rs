@@ -3,7 +3,7 @@
 //! Each execution is re-run from the start under a
 //! [`RecordingController`] that replays a prescribed prefix of
 //! tie-break choices and records everything past it. The explorer
-//! keeps one [`Frame`] per choice point on the current path and
+//! keeps one frame per choice point on the current path and
 //! backtracks depth-first, pruning with sleep sets: a candidate whose
 //! process appears in a frame's sleep set starts an interleaving
 //! provably equivalent (by the step-footprint independence relation,

@@ -26,11 +26,13 @@
 
 #![warn(missing_docs)]
 
+mod fx;
 mod region;
 mod scalar;
 mod space;
 pub mod track;
 
+pub use fx::{FxHashMap, FxHasher};
 pub use region::{Access, AccessKind, DataId, Region};
 pub use scalar::{cast_slice, cast_slice_mut, Scalar};
 pub use space::{AllocId, Backing, DataInfo, MemoryManager, OutOfMemory, SpaceId, SpaceKind};

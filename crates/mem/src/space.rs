@@ -22,10 +22,10 @@
 //! move no bytes, and kernels skip their arithmetic.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
+use crate::fx::FxHashMap;
 use crate::region::DataId;
 use crate::scalar::{cast_slice, cast_slice_mut, Scalar};
 
@@ -127,7 +127,7 @@ struct Allocation {
 struct SpaceInner {
     capacity: u64,
     used: u64,
-    allocs: HashMap<AllocId, Allocation>,
+    allocs: FxHashMap<AllocId, Allocation>,
     peak_used: u64,
 }
 
@@ -146,7 +146,7 @@ struct ManagerInner {
     spaces: Vec<SpaceInner>,
     next_alloc: u64,
     next_data: u64,
-    data: HashMap<DataId, DataInfo>,
+    data: FxHashMap<DataId, DataInfo>,
 }
 
 /// The machine-wide memory model: all spaces, allocations and registered
@@ -172,7 +172,7 @@ impl MemoryManager {
                 spaces: Vec::new(),
                 next_alloc: 0,
                 next_data: 0,
-                data: HashMap::new(),
+                data: FxHashMap::default(),
             })),
         }
     }
@@ -199,7 +199,12 @@ impl MemoryManager {
     ) -> SpaceId {
         let mut inner = self.inner.borrow_mut();
         let id = SpaceId(inner.spaces.len() as u32);
-        inner.spaces.push(SpaceInner { capacity, used: 0, allocs: HashMap::new(), peak_used: 0 });
+        inner.spaces.push(SpaceInner {
+            capacity,
+            used: 0,
+            allocs: FxHashMap::default(),
+            peak_used: 0,
+        });
         id
     }
 

@@ -135,14 +135,15 @@ impl<M: Clone + 'static> AmEndpoint<M> {
         self.net.fabric.send(self.node, dst, AM_HEADER_BYTES + payload, msg).await
     }
 
-    /// Asynchronous [`request_long`]: the transfer proceeds on a helper
-    /// process; the returned signal is set at delivery time.
+    /// Asynchronous [`request_long`](Self::request_long): the transfer
+    /// proceeds on a helper process; the returned signal is set at
+    /// delivery time.
     pub fn request_long_detached(&self, dst: NodeId, msg: M, payload: u64) -> Signal {
         self.count_long(payload);
         self.net.fabric.send_detached(self.node, dst, AM_HEADER_BYTES + payload, msg)
     }
 
-    /// Asynchronous [`request_short`].
+    /// Asynchronous [`request_short`](Self::request_short).
     pub fn request_short_detached(&self, dst: NodeId, msg: M) -> Signal {
         bump(&self.net.counters.shorts, 1);
         self.net.fabric.send_detached(self.node, dst, AM_HEADER_BYTES, msg)

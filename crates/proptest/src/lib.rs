@@ -240,7 +240,7 @@ pub fn any<T: Arbitrary>() -> Any<T> {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Length bounds for [`vec`].
+    /// Length bounds for [`vec()`].
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         min: usize,
@@ -260,7 +260,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -34,14 +34,13 @@
 //! order which of them polls first at one instant (DESIGN.md §10).
 
 use std::cell::{Cell, RefCell, RefMut};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use ompss_coherence::{Coherence, MembershipEpochs};
 use ompss_core::{Device, TaskGraph, TaskId};
 use ompss_cudasim::{GpuDevice, GpuFault, KernelCost};
-use ompss_mem::Region;
-use ompss_mem::{MemoryManager, SpaceId};
+use ompss_mem::{FxHashMap, MemoryManager, Region, SpaceId};
 use ompss_net::{AmEndpoint, Fabric, LeaseTracker, NodeId};
 use ompss_sched::{Dispatcher, LocalityOracle, ResourceId, Scheduler};
 use ompss_sim::{
@@ -62,7 +61,7 @@ pub(crate) struct SpanOracle {
     pub coh: Rc<Coherence>,
     /// Space → span key, for spaces folded into a node proxy's span;
     /// any other space is its own key.
-    pub span_key: HashMap<SpaceId, SpaceId>,
+    pub span_key: FxHashMap<SpaceId, SpaceId>,
 }
 
 impl SpanOracle {
@@ -80,14 +79,19 @@ impl SpanOracle {
 
 impl LocalityOracle for SpanOracle {
     fn holders(&self, region: &Region, found: &mut dyn FnMut(SpaceId, u64)) {
-        let mut keys: Vec<SpaceId> = Vec::new();
-        self.coh.latest_holders(region, |s| keys.push(self.key(s)));
-        // Present once in a span counts once.
-        keys.sort_unstable();
-        keys.dedup();
-        for k in keys {
-            found(k, region.len);
-        }
+        // Present once in a span counts once. Holders come in space
+        // order, and the runtime numbers each node's host and then its
+        // GPUs, a GPU keyed to its own host: the keys never decrease,
+        // so a span's duplicates sit next to each other.
+        let mut last = None;
+        self.coh.latest_holders(region, |s| {
+            let k = self.key(s);
+            debug_assert!(last.is_none_or(|l| l <= k), "span keys out of order");
+            if last != Some(k) {
+                last = Some(k);
+                found(k, region.len);
+            }
+        });
     }
 }
 
@@ -95,7 +99,7 @@ impl LocalityOracle for SpanOracle {
 pub(crate) struct MasterState {
     pub graph: TaskGraph,
     pub sched: Scheduler,
-    pub records: HashMap<TaskId, Rc<TaskRecord>>,
+    pub records: FxHashMap<TaskId, Rc<TaskRecord>>,
     pub next_id: u64,
     /// What the comm thread knows of each slave — liveness, presence,
     /// in-flight counts, live GPUs — and its round-robin cursor.
@@ -157,7 +161,7 @@ pub(crate) struct RtShared {
     /// Node proxy resource ids within the master scheduler, per node
     /// (index 0 unused).
     pub proxy_res: Vec<ResourceId>,
-    pub gpus: HashMap<SpaceId, GpuDevice>,
+    pub gpus: FxHashMap<SpaceId, GpuDevice>,
     pub hosts: Vec<SpaceId>,
     pub tracer: Option<Tracer>,
     pub counters: crate::stats::Counters,
@@ -192,10 +196,21 @@ pub(crate) struct RtShared {
     pub done: Signal,
 }
 
-/// Run `rec`'s body, if it has one, over the bytes its copy `accesses`
-/// were mapped to (`locs`, in access order), observed by the
-/// verification sink in verify mode. An SMP worker calls it inline; a
-/// GPU manager boxes it as the kernel's effect.
+/// `rec`'s body, if it runs at all: a body runs on real bytes, or under
+/// verify mode. Under phantom backing outside verify mode there are no
+/// bytes to view, and the body never runs.
+fn runnable_body<'a>(
+    mem: &MemoryManager,
+    verify: Option<&crate::verify::VerifySink>,
+    rec: &'a TaskRecord,
+) -> Option<&'a crate::task::TaskBody> {
+    rec.body.as_ref().filter(|_| verify.is_some() || mem.is_real())
+}
+
+/// Run `rec`'s body, if it runs at all ([`runnable_body`]), over the
+/// bytes its copy `accesses` were mapped to (`locs`, in access order),
+/// observed by the verification sink in verify mode. An SMP worker
+/// calls it inline; a GPU manager boxes it as the kernel's effect.
 fn run_body(
     mem: &MemoryManager,
     verify: Option<&crate::verify::VerifySink>,
@@ -203,7 +218,7 @@ fn run_body(
     accesses: &[ompss_mem::Access],
     locs: &[ompss_coherence::Loc],
 ) {
-    let Some(body) = &rec.body else { return };
+    let Some(body) = runnable_body(mem, verify, rec) else { return };
     let requests: Vec<_> = locs
         .iter()
         .zip(accesses)
@@ -429,7 +444,9 @@ impl RtShared {
         // effect runs on the stream's own process, so in verification
         // mode the observation wrapper (thread-local access tracker +
         // byte diffing) must travel inside the closure.
-        let effect: Option<ompss_cudasim::Effect> = rec.body.is_some().then(|| {
+        // A body that never runs ([`runnable_body`]) builds no effect.
+        let runs = runnable_body(&self.mem, self.verify.as_deref(), rec).is_some();
+        let effect: Option<ompss_cudasim::Effect> = runs.then(|| {
             let rec = rec.clone();
             let mem = self.mem.clone();
             let verify = self.verify.clone();
@@ -559,19 +576,12 @@ impl RtShared {
     pub(crate) fn complete_on_master(&self, id: TaskId, res: ResourceId, remote: bool) {
         let (rec, released) = {
             let mut m = self.master.borrow_mut();
+            let m = &mut *m;
             let mut newly = std::mem::take(&mut m.newly_scratch);
             m.graph.complete_into(id, &mut newly);
-            let mut released = [false, false];
-            if newly.is_empty() {
-                // Common case: nothing released — no allocation at all.
-                m.sched.task_completed(res, &[], &self.master_oracle);
-            } else {
-                let descs: Vec<Rc<TaskRecord>> =
-                    newly.iter().map(|t| m.records[t].clone()).collect();
-                released = kinds_of(descs.iter().map(|r| &**r));
-                let desc_refs: Vec<&ompss_core::TaskDesc> = descs.iter().map(|r| &r.desc).collect();
-                m.sched.task_completed(res, &desc_refs, &self.master_oracle);
-            }
+            let released = kinds_of(newly.iter().map(|t| &*m.records[t]));
+            let descs = newly.iter().map(|t| &m.records[t].desc);
+            m.sched.task_completed(res, descs, &self.master_oracle);
             newly.clear();
             m.newly_scratch = newly;
             m.tasks_executed += 1;

@@ -13,13 +13,12 @@
 //! The executor also moves the real bytes through the memory manager,
 //! so functional results survive arbitrary routings.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use ompss_coherence::{HopExec, HopFuture, HopKind, Loc, TransferPurpose};
 use ompss_core::TaskId;
 use ompss_cudasim::{CopyDir, GpuDevice, GpuFault, PinnedPool};
-use ompss_mem::{MemoryManager, SpaceId};
+use ompss_mem::{FxHashMap, MemoryManager, SpaceId};
 use ompss_net::{Fabric, NodeId};
 use ompss_sim::{abort_run, delay, now, RunError, SimResult};
 
@@ -35,8 +34,8 @@ use crate::trace::{TraceEvent, Tracer};
 ///
 /// The `rel` field of each control message is its reliable-delivery id:
 /// `Some` when chaos is armed (the receiver acks and deduplicates by
-/// it, see [`crate::recover`]), `None` in fault-free runs, where the
-/// protocol is exactly the paper's.
+/// it, in the runtime's private `recover` module), `None` in fault-free
+/// runs, where the protocol is exactly the paper's.
 #[derive(Debug, Clone, Copy)]
 pub enum ClusterMsg {
     /// Master → slave: run this task (its data is already staged).
@@ -90,9 +89,9 @@ pub enum ClusterMsg {
 pub struct RtExec {
     mem: MemoryManager,
     /// GPU space → device.
-    gpus: HashMap<SpaceId, GpuDevice>,
+    gpus: FxHashMap<SpaceId, GpuDevice>,
     /// Any space → owning node.
-    node_of: HashMap<SpaceId, NodeId>,
+    node_of: FxHashMap<SpaceId, NodeId>,
     /// Per-node pinned staging pools.
     pinned: Vec<Rc<PinnedPool>>,
     fabric: Fabric<ClusterMsg>,
@@ -106,8 +105,8 @@ impl RtExec {
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         mem: MemoryManager,
-        gpus: HashMap<SpaceId, GpuDevice>,
-        node_of: HashMap<SpaceId, NodeId>,
+        gpus: FxHashMap<SpaceId, GpuDevice>,
+        node_of: FxHashMap<SpaceId, NodeId>,
         pinned: Vec<Rc<PinnedPool>>,
         fabric: Fabric<ClusterMsg>,
         overlap: bool,

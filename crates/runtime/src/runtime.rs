@@ -18,7 +18,7 @@ use ompss_coherence::{CachePolicy, Coherence, CoherenceStats, MembershipEpochs, 
 use ompss_core::{TaskGraph, TaskId};
 use ompss_cudasim::{GpuDevice, GpuStats, PinnedPool};
 use ompss_json::{Json, ToJson};
-use ompss_mem::{DataId, MemoryManager, Region, Scalar, SpaceId, SpaceKind};
+use ompss_mem::{DataId, FxHashMap, MemoryManager, Region, Scalar, SpaceId, SpaceKind};
 use ompss_net::{AmNet, AmStats, NetStats};
 use ompss_sched::{Dispatcher, ResourceId, ResourceInfo, ResourceKind, SchedStats, Scheduler};
 use ompss_sim::{
@@ -639,8 +639,8 @@ impl Runtime {
         }
 
         let mut topo = Topology::new(hosts[0], cfg.routing);
-        let mut gpus = std::collections::HashMap::new();
-        let mut node_of = std::collections::HashMap::new();
+        let mut gpus = FxHashMap::default();
+        let mut node_of = FxHashMap::default();
         for n in 0..cfg.nodes as usize {
             node_of.insert(hosts[n], n as u32);
             for (g, &gs) in gpu_spaces[n].iter().enumerate() {
@@ -693,7 +693,7 @@ impl Runtime {
 
         // ---- master scheduler and resources --------------------------
         let mut sched = Scheduler::new(cfg.sched_policy).with_seed(cfg.sched_seed);
-        let mut span_key = std::collections::HashMap::new();
+        let mut span_key = FxHashMap::default();
         // Each node's SMP workers and GPU managers, registered in the
         // node's own scheduler (the master's for node 0).
         let mut node_res = vec![register_resources(&mut sched, &cfg, 0, hosts[0], &gpu_spaces[0])];
@@ -767,7 +767,7 @@ impl Runtime {
             master: RefCell::new(MasterState {
                 graph,
                 sched,
-                records: std::collections::HashMap::new(),
+                records: FxHashMap::default(),
                 next_id: 0,
                 dispatch,
                 tasks_executed: 0,
@@ -779,10 +779,7 @@ impl Runtime {
             comm_bell: Bell::new(),
             master_oracle,
             slaves,
-            slave_oracle: SpanOracle {
-                coh: coh.clone(),
-                span_key: std::collections::HashMap::new(),
-            },
+            slave_oracle: SpanOracle { coh: coh.clone(), span_key: FxHashMap::default() },
             latch: Latch::new(),
             proxy_res,
             gpus: gpus.clone(),
@@ -905,8 +902,8 @@ impl Runtime {
             let races = m.graph.races(&VerifySink::observations(&tasks));
             VerifyData { tasks, lints: m.graph.lints().to_vec(), races, phantom: !mem.is_real() }
         });
-        // HashMap iteration order is nondeterministic; the report sorts
-        // so identical runs serialise byte-identically.
+        // The report lists GPUs by name, not in the map's order, so
+        // identical runs serialise byte-identically.
         let mut gpu_stats: Vec<(String, GpuStats)> =
             gpus.values().map(|d| (d.name().to_string(), d.stats())).collect();
         gpu_stats.sort_by(|a, b| a.0.cmp(&b.0));

@@ -43,7 +43,7 @@ pub struct TaskRecord {
 impl TaskRecord {
     /// The copy-clause accesses in the deterministic order bodies see.
     pub fn copy_accesses(&self) -> Vec<Access> {
-        self.desc.copies()
+        self.desc.copies().collect()
     }
 }
 

@@ -389,10 +389,10 @@ impl Scheduler {
     /// released `ready_successors`. The scheduler enqueues them; under
     /// the `dependencies` policy one eligible successor is pinned to the
     /// finishing resource so it runs next and reuses the data.
-    pub fn task_completed(
+    pub fn task_completed<'a>(
         &mut self,
         resource: ResourceId,
-        ready_successors: &[&TaskDesc],
+        ready_successors: impl IntoIterator<Item = &'a TaskDesc>,
         oracle: &dyn LocalityOracle,
     ) {
         match self.policy {
@@ -722,7 +722,7 @@ mod tests {
         // w0 finishes a task releasing successors 20 and 21.
         let s20 = desc(20, Device::Smp, &[]);
         let s21 = desc(21, Device::Smp, &[]);
-        s.task_completed(w0, &[&s20, &s21], &NoLocality);
+        s.task_completed(w0, [&s20, &s21], &NoLocality);
         // w0 gets its successor before the older queued task.
         assert_eq!(s.next(w0), Some(TaskId(20)));
         assert_eq!(s.stats().successor_hits, 1);
@@ -737,7 +737,7 @@ mod tests {
         let g = s.register(gpu(1));
         // A GPU manager finishing a task cannot take an SMP successor.
         let smp_succ = desc(5, Device::Smp, &[]);
-        s.task_completed(g, &[&smp_succ], &NoLocality);
+        s.task_completed(g, [&smp_succ], &NoLocality);
         assert_eq!(s.next(g), None, "SMP successor must not be hinted to a GPU");
         let w = s.register(smp(0));
         assert_eq!(s.next(w), Some(TaskId(5)));
@@ -1002,7 +1002,7 @@ mod tests {
         let w1 = s.register(smp(0));
         s.deactivate(w0);
         let succ = desc(5, Device::Smp, &[]);
-        s.task_completed(w0, &[&succ], &NoLocality);
+        s.task_completed(w0, [&succ], &NoLocality);
         assert_eq!(s.next(w0), None);
         assert_eq!(s.next(w1), Some(TaskId(5)));
     }

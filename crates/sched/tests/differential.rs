@@ -58,7 +58,6 @@ impl RefTask {
             priority: desc.priority,
             copies: desc
                 .copies()
-                .iter()
                 .map(|a| (a.region, if a.kind.writes() { 2 } else { 1 }))
                 .collect(),
         }
@@ -458,8 +457,7 @@ fn differential(
                         make_desc(next_id - 1, *t)
                     })
                     .collect();
-                let refs: Vec<&TaskDesc> = descs.iter().collect();
-                fast.task_completed(ResourceId(r), &refs, &oracle);
+                fast.task_completed(ResourceId(r), &descs, &oracle);
                 reference.task_completed(r, &descs, &oracle);
             }
             Op::Next { resource, allow_smp, allow_cuda } => {

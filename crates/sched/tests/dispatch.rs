@@ -270,9 +270,8 @@ fn differential(case: Case, ops: &[Op]) -> Result<(), TestCaseError> {
                 for d in &descs {
                     devices.insert(d.id, d.device);
                 }
-                let refs: Vec<&TaskDesc> = descs.iter().collect();
-                fast.task_completed(r, &refs, &oracle);
-                slow.task_completed(r, &refs, &oracle);
+                fast.task_completed(r, &descs, &oracle);
+                slow.task_completed(r, &descs, &oracle);
             }
             Op::Poll { resource } => {
                 // Master workers and GPU managers only: proxies are the

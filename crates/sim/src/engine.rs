@@ -288,12 +288,19 @@ pub fn mc_resource_id() -> u64 {
     })
 }
 
+/// Does the current poll belong to a sim with a tie-break controller
+/// installed? A caller whose resource id costs work to compute checks
+/// this first, so outside model checking it pays one thread-local flag
+/// read and nothing more.
+pub fn mc_active() -> bool {
+    MC_ACTIVE.with(|f| f.get())
+}
+
 /// Report that the running process touched resource `id`. No-op unless
-/// the current poll belongs to a sim with a tie-break controller
-/// installed, so the cost outside model checking is one thread-local
-/// flag read.
+/// [`mc_active`], so the cost outside model checking is one
+/// thread-local flag read.
 pub fn mc_touch(id: u64) {
-    if !MC_ACTIVE.with(|f| f.get()) {
+    if !mc_active() {
         return;
     }
     CURRENT.with(|stack| {

@@ -1,10 +1,10 @@
 //! # ompss-verify — clause/dependence race detector
 //!
-//! The runtime's verification mode ([`RuntimeConfig::verify`]) gathers
-//! evidence: the regions every task body actually read and wrote (byte
-//! diffing plus instrumented recordings), the task graph's
-//! submission-time lints, and a happens-before race analysis over the
-//! observations. This crate turns that evidence into [`Finding`]s a
+//! The runtime's verification mode
+//! ([`ompss_runtime::RuntimeConfig::verify`]) gathers evidence: the
+//! regions every task body actually read and wrote (byte diffing plus
+//! instrumented recordings), the task graph's submission-time lints,
+//! and a happens-before race analysis over the observations. This crate turns that evidence into [`Finding`]s a
 //! programmer can act on:
 //!
 //! * **Clause conformance** — every observed access is checked against
